@@ -1,7 +1,8 @@
 """bcontactlab: numerical laboratory for contact dynamics with a critical surface.
 
-Core objects are a small expression language with forward-mode first/second
-derivatives (:mod:`~bcontactlab.expressions`, :mod:`~bcontactlab.jets`),
+Core objects are a small expression language whose exact partial derivatives
+are expressions too (:mod:`~bcontactlab.expressions`, the one differentiation
+engine: symbolic ``differentiate`` evaluated on floats or arrays),
 tubular charts of a surface Z inside a 3-manifold (:mod:`~bcontactlab.charts`),
 singular contact forms f dz/z + β with their Reeb fields and the induced
 Hamiltonian system on Z (:mod:`~bcontactlab.contact`,
@@ -13,13 +14,11 @@ McGehee coordinates (:mod:`~bcontactlab.mcgehee`).  Scenario files, the
 pipeline runner and the CLI live in :mod:`~bcontactlab.scenarios`,
 :mod:`~bcontactlab.runner` and :mod:`~bcontactlab.cli`.
 """
-from .jets import DomainError, Jet1, Jet2
 from .expressions import (
+    DomainError,
     EvalError,
     ParseError,
     differentiate,
-    eval_jet1,
-    eval_jet2,
     eval_value,
     parse,
     substitute,
@@ -71,9 +70,8 @@ from .runner import RunResult, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError", "Jet1", "Jet2", "EvalError", "ParseError", "parse",
-    "to_string", "differentiate", "substitute", "eval_value", "eval_jet1",
-    "eval_jet2",
+    "DomainError", "EvalError", "ParseError", "parse", "to_string",
+    "differentiate", "substitute", "eval_value",
     "Chart", "TubularChart",
     "BContactForm", "BReebField", "ChartFields", "contact_check",
     "exceptional_hamiltonian", "reeb_residual_report", "solve_reeb",

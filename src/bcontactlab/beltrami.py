@@ -30,9 +30,8 @@ from .critical import (
     MORSE_DET_FLOOR, NotMorseError, RegularValueViolation, SpectrumMismatchError,
 )
 from .expressions import (
-    Const, Expr, differentiate, eval_jet2, eval_value, parse, substitute,
+    Const, Expr, differentiate, eval_value, hessian, parse, substitute,
 )
-from .jets import Jet1
 
 __all__ = [
     "MetricDegeneracyError", "SignInconsistencyError", "MetricOnZ",
@@ -267,6 +266,17 @@ class LaplaceReport:
                 "spread": self.spread, "n_tested": self.n_tested}
 
 
+def _laplacian(data):
+    """Δ_h F = (√det h)⁻¹ div(√det h h⁻¹ ∇F) as one tree."""
+    m = data.metric
+    parts = dict(a=m.h_uu, b=m.h_uv, c=m.h_vv, d=m.det_expr,
+                 s=m.sqrt_det_expr, fu=data._stream_u, fv=data._stream_v)
+    flux_u = _build("s * (c/d*fu - b/d*fv)", **parts)
+    flux_v = _build("s * (a/d*fv - b/d*fu)", **parts)
+    return _build("(du + dv) / s", du=differentiate(flux_u, "u"),
+                  dv=differentiate(flux_v, "v"), s=m.sqrt_det_expr)
+
+
 def laplace_eigen_check(stream, metric=None, grid=(64, 64),
                         rel_tol=EIGEN_RATIO_TOL, level_floor=LEVEL_FLOOR):
     """Estimate Δ_h F / F on a grid and test it for constancy.
@@ -278,26 +288,9 @@ def laplace_eigen_check(stream, metric=None, grid=(64, 64),
     """
     data = (stream if isinstance(stream, BeltramiData)
             else BeltramiData(stream, metric))
-    m = data.metric
     U, V = _torus_grid(grid)
-
-    jet = eval_jet2(data.stream, _NAMES, (U, V))
-    f_u = Jet1(jet.grad[0], (jet.hess[0][0], jet.hess[0][1]))
-    f_v = Jet1(jet.grad[1], (jet.hess[1][0], jet.hess[1][1]))
-
-    def _metric_jet(e):
-        out = eval_value(e, _NAMES, Jet1.seed((U, V)))
-        return out if isinstance(out, Jet1) else Jet1.constant(out, 2)
-
-    a, b, c = (_metric_jet(m.h_uu), _metric_jet(m.h_uv), _metric_jet(m.h_vv))
-    det = a * c - b * b
-    s = det.sqrt()
-    inv_uu, inv_uv, inv_vv = c / det, -b / det, a / det
-    flux_u = s * (inv_uu * f_u + inv_uv * f_v)
-    flux_v = s * (inv_uv * f_u + inv_vv * f_v)
-    laplacian = _on_grid((flux_u.grad[0] + flux_v.grad[1]) / s.value, U.shape)
-
-    values = _on_grid(jet.value, U.shape)
+    laplacian = _on_grid(eval_value(_laplacian(data), _NAMES, (U, V)), U.shape)
+    values = _on_grid(data.stream_value(U, V), U.shape)
     top = float(np.max(np.abs(values)))
     if top == 0.0:
         raise ValueError("the stream function vanishes on the whole grid")
@@ -354,13 +347,13 @@ def beltrami_stability_matrix(stream, metric=None, eigenvalue=1.0,
     data = (stream if isinstance(stream, BeltramiData)
             else BeltramiData(stream, metric, eigenvalue))
     u, v = float(point[0]), float(point[1])
-    jet = eval_jet2(data.stream, _NAMES, (u, v))
-    grad_norm = math.hypot(jet.grad[0], jet.grad[1])
+    grad_norm = math.hypot(*data.stream_gradient(u, v))
     if grad_norm > GRAD_TOL:
         raise ValueError(f"(u={u:.6f}, v={v:.6f}) is not a stagnation point: "
                          f"|grad F| = {grad_norm:.3e}")
-    f_p = float(jet.value)
-    fuu, fuv, fvv = jet.hess[0][0], jet.hess[0][1], jet.hess[1][1]
+    f_p = float(data.stream_value(u, v))
+    (fuu, fuv), (_, fvv) = [[eval_value(e, _NAMES, (u, v)) for e in row]
+                            for row in hessian(data.stream, _NAMES)]
     det_hess = fuu * fvv - fuv * fuv
     if abs(det_hess) < MORSE_DET_FLOOR:
         raise NotMorseError(

@@ -30,11 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .expressions import Expr, evaluate
-from .jets import Jet1, Jet2
+from .expressions import (
+    Expr, Var, add, differentiate, evaluate, gradient, hessian, mul, sub,
+)
 
 __all__ = [
     "ChartFields", "BContactForm", "BReebField", "ZSymplecticData",
@@ -65,6 +67,53 @@ class ChartFields:
     beta_u: Expr
     beta_v: Expr
     beta_z: Expr
+    _trees: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def trees(self, chart):
+        """The :class:`ChartTrees` over ``chart``'s variables, derived once."""
+        names = chart.variables
+        trees = self._trees.get(names)
+        if trees is None:
+            trees = self._trees[names] = ChartTrees(self, names)
+        return trees
+
+
+class ChartTrees:
+    """Frame coefficients of one chart as trees over its (u, v, z) names.
+
+    ``frame`` holds A, B, C and P, Q, S (see the module docstring); the
+    partials that the linearization and the surface data need are derived on
+    first use, once per chart.
+    """
+
+    def __init__(self, cf, names):
+        u, v, z = names
+        A, B = cf.beta_u, cf.beta_v
+        C = add(cf.f, mul(Var(z), cf.beta_z))
+        self.names = names
+        self.f = cf.f
+        self.frame = (
+            A, B, C,
+            sub(differentiate(B, u), differentiate(A, v)),
+            sub(differentiate(C, u), mul(Var(z), differentiate(A, z))),
+            sub(differentiate(C, v), mul(Var(z), differentiate(B, z))),
+        )
+
+    @cached_property
+    def frame_partials(self):
+        """∂(A, B, C, P, Q, S)/∂(u, v, z): six rows of three trees."""
+        return tuple(gradient(t, self.names) for t in self.frame)
+
+    @cached_property
+    def f_gradient(self):
+        """(∂f/∂u, ∂f/∂v)."""
+        return gradient(self.f, self.names[:2])
+
+    @cached_property
+    def f_hessian(self):
+        """Second partials of f in (u, v), each mixed partial derived once."""
+        return hessian(self.f, self.names[:2])
 
 
 class BContactForm:
@@ -109,67 +158,19 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 # frame coefficients
 
-def _jet1_lift(x):
-    """Constant-valued trees evaluate to bare numbers; give them zero grads."""
-    return x if isinstance(x, Jet1) else Jet1.constant(x, 3)
-
-
 def frame_values(cf, chart, u, v, z):
     """(A, B, C, P, Q, S, V) values at a point or an array of points."""
-    ju, jv, jz = Jet1.seed((u, v, z))
-    env = {chart.u_name: ju, chart.v_name: jv, chart.z_name: jz}
-    fj = _jet1_lift(evaluate(cf.f, env))
-    Aj = _jet1_lift(evaluate(cf.beta_u, env))
-    Bj = _jet1_lift(evaluate(cf.beta_v, env))
-    bzj = _jet1_lift(evaluate(cf.beta_z, env))
-    Cj = fj + jz * bzj
-    A, B, C = Aj.value, Bj.value, Cj.value
-    P = Bj.grad[0] - Aj.grad[1]
-    Q = Cj.grad[0] - z * Aj.grad[2]
-    S = Cj.grad[1] - z * Bj.grad[2]
+    env = {chart.u_name: u, chart.v_name: v, chart.z_name: z}
+    A, B, C, P, Q, S = [evaluate(t, env) for t in cf.trees(chart).frame]
     V = A * S - B * Q + C * P
     return A, B, C, P, Q, S, V
 
 
-def _d(j2, i):
-    """First-derivative slice of a Jet2 as a Jet1 (∂_i of the quantity)."""
-    return Jet1(j2.grad[i], tuple(j2.hess[i]))
-
-
-def _val(j2):
-    return Jet1(j2.value, j2.grad)
-
-
-def frame_jets(cf, chart, u, v, z):
-    """Frame coefficients as Jet1 values carrying their (u, v, z)-gradients."""
-    ju, jv, jz = Jet2.seed((u, v, z))
-    env = {chart.u_name: ju, chart.v_name: jv, chart.z_name: jz}
-
-    def lift(x):
-        return x if isinstance(x, Jet2) else Jet2.constant(x, 3)
-
-    fj = lift(evaluate(cf.f, env))
-    Aj = lift(evaluate(cf.beta_u, env))
-    Bj = lift(evaluate(cf.beta_v, env))
-    bzj = lift(evaluate(cf.beta_z, env))
-    Cj = fj + jz * bzj
-    A = _val(Aj)
-    B = _val(Bj)
-    C = _val(Cj)
-    zj1 = _val(jz)
-    P = _d(Bj, 0) - _d(Aj, 1)
-    Q = _d(Cj, 0) - zj1 * _d(Aj, 2)
-    S = _d(Cj, 1) - zj1 * _d(Bj, 2)
-    return A, B, C, P, Q, S
-
-
 # ---------------------------------------------------------------------------
-# the least-squares Reeb solve, generic over floats / arrays / jets
+# the least-squares Reeb solve, generic over floats / arrays
 
 def _det_magnitude(det):
-    """Smallest |det| across the payload (value part for jets, min over arrays)."""
-    if isinstance(det, Jet1):
-        det = det.value
+    """Smallest |det| across the payload (the min over arrays)."""
     if isinstance(det, float):
         return abs(det)
     return float(np.min(np.abs(np.asarray(det, dtype=float))))
@@ -180,8 +181,8 @@ def _solve_reeb_system(A, B, C, P, Q, S):
 
     Returns (Y_u, Y_v, g, det N); the solution triple is None when det N is
     below the degeneracy floor (in any array lane), so callers can raise with
-    their own context instead of dividing by ~0.  Works for float, array, and
-    Jet1 entries alike.
+    their own context instead of dividing by ~0.  Works for float and array
+    entries alike.
     """
     n11 = A * A + P * P + Q * Q
     n12 = A * B + Q * S
@@ -205,6 +206,11 @@ def _solve_reeb_system(A, B, C, P, Q, S):
           + (n12 * n13 - n11 * n23) * B
           + (n11 * n22 - n12 * n12) * C) / det
     return x1, x2, x3, det
+
+
+def _reeb_matrix(A, B, C, P, Q, S):
+    """The 4×3 Reeb system M at one point."""
+    return np.array([[A, B, C], [0.0, -P, -Q], [P, 0.0, -S], [Q, S, 0.0]])
 
 
 def _residual_norm(A, B, C, P, Q, S, x1, x2, x3):
@@ -249,29 +255,37 @@ class BReebField:
                 f"(residual {np.max(res):.3e})")
         return x1, x2, x3
 
-    def jacobian(self, u, v, z, chart_name=None):
-        """(Y_u, Y_v, g) as Jet1s carrying ∂/∂(u, v, z) — one point only."""
-        chart_name, chart = self._chart(chart_name)
-        cf = self.form.for_chart(chart_name)
-        A, B, C, P, Q, S = frame_jets(cf, chart, u, v, z)
-        x1, x2, x3, det = _solve_reeb_system(A, B, C, P, Q, S)
-        if x1 is None:
-            raise RankDeficiencyError(
-                f"Reeb system degenerate at ({u}, {v}, {z}) on {chart_name!r}")
-        return x1, x2, x3
-
     def linearization_at(self, u, v, chart_name=None):
         """DR(p) of the ordinary field (Y_u, Y_v, g·z) at a point of Z.
 
-        The bottom row is exactly (0, 0, g(p)) because z = 0 kills the
-        in-surface derivatives of g·z.
+        With x the least-squares solution of M x = e₁ and r = e₁ − M x, the
+        normal equations N x = Mᵀ e₁ (N = MᵀM) differentiate to the exact
+
+            ∂_i x = N⁻¹ (∂_iMᵀ r − Mᵀ ∂_iM x),
+
+        with ∂_iM from the second partials of the fields.  The bottom row is
+        exactly (0, 0, g(p)) because z = 0 kills the in-surface derivatives
+        of g·z.
         """
-        x1, x2, x3 = self.jacobian(u, v, 0.0, chart_name=chart_name)
-        return np.array([
-            [x1.grad[0], x1.grad[1], x1.grad[2]],
-            [x2.grad[0], x2.grad[1], x2.grad[2]],
-            [0.0, 0.0, x3.value],
-        ])
+        chart_name, chart = self._chart(chart_name)
+        cf = self.form.for_chart(chart_name)
+        A, B, C, P, Q, S, _ = frame_values(cf, chart, u, v, 0.0)
+        x1, x2, x3, _ = _solve_reeb_system(A, B, C, P, Q, S)
+        if x1 is None:
+            raise RankDeficiencyError(
+                f"Reeb system degenerate at ({u}, {v}, 0.0) on {chart_name!r}")
+        M = _reeb_matrix(A, B, C, P, Q, S)
+        x = np.array([x1, x2, x3])
+        r = np.array([1.0, 0.0, 0.0, 0.0]) - M @ x
+        env = {chart.u_name: u, chart.v_name: v, chart.z_name: 0.0}
+        partials = [[evaluate(t, env) for t in row]
+                    for row in cf.trees(chart).frame_partials]
+        rhs = []
+        for i in range(3):
+            dM = _reeb_matrix(*(row[i] for row in partials))
+            rhs.append(dM.T @ r - M.T @ (dM @ x))
+        dx = np.linalg.solve(M.T @ M, np.column_stack(rhs))
+        return np.array([dx[0], dx[1], [0.0, 0.0, x3]])
 
 
 # ---------------------------------------------------------------------------
@@ -399,30 +413,36 @@ class ZSymplecticData:
     def _cf(self, chart_name):
         return self.form.for_chart(chart_name), self.chart.charts[chart_name]
 
-    def H_value(self, u, v, chart_name):
+    def _at_Z(self, u, v, chart_name):
+        """The chart's trees and an evaluation environment on z = 0."""
         cf, chart = self._cf(chart_name)
-        zj = 0.0 if isinstance(u, float) else np.zeros_like(u)
-        env = {chart.u_name: u, chart.v_name: v, chart.z_name: zj}
-        return -evaluate(cf.f, env)
+        z = 0.0 if isinstance(u, float) else np.zeros_like(u)
+        return cf.trees(chart), {chart.u_name: u, chart.v_name: v,
+                                 chart.z_name: z}
 
-    def H_jet2(self, u, v, chart_name):
-        """H with gradient and Hessian in the two surface variables."""
-        cf, chart = self._cf(chart_name)
-        ju, jv = Jet2.seed((u, v))
-        env = {chart.u_name: ju, chart.v_name: jv,
-               chart.z_name: Jet2.constant(0.0, 2)}
-        return -evaluate(cf.f, env)
+    def H_value(self, u, v, chart_name):
+        trees, env = self._at_Z(u, v, chart_name)
+        return -evaluate(trees.f, env)
+
+    def H_gradient(self, u, v, chart_name):
+        """(∂H/∂u, ∂H/∂v) at a point or on arrays."""
+        trees, env = self._at_Z(u, v, chart_name)
+        return tuple(-evaluate(t, env) for t in trees.f_gradient)
+
+    def H_hessian(self, u, v, chart_name):
+        """((H_uu, H_uv), (H_uv, H_vv)), exactly symmetric."""
+        trees, env = self._at_Z(u, v, chart_name)
+        return tuple(tuple(-evaluate(t, env) for t in row)
+                     for row in trees.f_hessian)
 
     def w_value(self, u, v, chart_name):
-        cf, chart = self._cf(chart_name)
-        zj = 0.0 if isinstance(u, float) else np.zeros_like(u)
-        ju, jv, _ = Jet1.seed((u, v, zj))
-        env = {chart.u_name: ju, chart.v_name: jv, chart.z_name: Jet1.constant(zj, 3)}
-        fj = evaluate(cf.f, env)
-        Aj = evaluate(cf.beta_u, env)
-        Bj = evaluate(cf.beta_v, env)
-        return (fj.value * (Bj.grad[0] - Aj.grad[1])
-                + Aj.value * fj.grad[1] - Bj.value * fj.grad[0])
+        """w = f P + A f_v − B f_u on Z, with P = ∂uB − ∂vA."""
+        trees, env = self._at_Z(u, v, chart_name)
+        A, B, _, P, _, _ = trees.frame
+        f_u, f_v = trees.f_gradient
+        f, A, B, P, f_u, f_v = (evaluate(t, env)
+                                for t in (trees.f, A, B, P, f_u, f_v))
+        return f * P + A * f_v - B * f_u
 
 
 def exceptional_hamiltonian(form, tub):
@@ -463,16 +483,12 @@ def verify_hamiltonian_identity(form, tub, reeb=None, grid=(64, 64), tol=1e-9):
     for chart in tub.surface_charts():
         if chart.name not in form.fields:
             continue
-        cf = form.for_chart(chart.name)
         U, V = _surface_points(tub, chart, nu, nv)
-        Z = np.zeros_like(U)
-        Yu, Yv, _ = reeb.components(U, V, Z, chart_name=chart.name)
+        Yu, Yv, _ = reeb.components(U, V, np.zeros_like(U), chart_name=chart.name)
         w = data.w_value(U, V, chart.name)
-        ju, jv, _ = Jet1.seed((U, V, Z))
-        env = {chart.u_name: ju, chart.v_name: jv, chart.z_name: Jet1.constant(Z, 3)}
-        fj = evaluate(cf.f, env)
-        r1 = np.abs(-w * Yv - fj.grad[0])
-        r2 = np.abs(w * Yu - fj.grad[1])
+        H_u, H_v = data.H_gradient(U, V, chart.name)
+        r1 = np.abs(-w * Yv + H_u)
+        r2 = np.abs(w * Yu + H_v)
         for ci, comp in enumerate((r1, r2)):
             comp = np.broadcast_to(np.asarray(comp, dtype=float), U.shape)
             k = int(np.argmax(comp))

@@ -128,10 +128,9 @@ class CensusBound:
 # scanning
 
 def _grad_sq_grid(zdata, chart, U, V):
-    """|∇H|² on flattened sample arrays via one array-payload jet pass."""
-    j = zdata.H_jet2(U, V, chart.name)
-    gu = np.broadcast_to(np.asarray(j.grad[0], dtype=float), U.shape)
-    gv = np.broadcast_to(np.asarray(j.grad[1], dtype=float), U.shape)
+    """|∇H|² on flattened sample arrays from the two gradient trees."""
+    gu, gv = (np.broadcast_to(np.asarray(g, dtype=float), U.shape)
+              for g in zdata.H_gradient(U, V, chart.name))
     return gu * gu + gv * gv
 
 
@@ -167,14 +166,16 @@ def _local_minima_box(G, u_periodic, v_periodic):
 
 
 def _newton_refine(zdata, chart, u0, v0, tol):
+    """Newton on ∇H = 0: (u, v, H, ∇H, Hess H) at the converged point, or None."""
     u, v = float(u0), float(v0)
     for _ in range(NEWTON_MAX_ITER):
-        j = zdata.H_jet2(u, v, chart.name)
-        gu, gv = j.grad
+        grad = zdata.H_gradient(u, v, chart.name)
+        hess = zdata.H_hessian(u, v, chart.name)
+        gu, gv = grad
         if math.hypot(gu, gv) < tol:
-            return u, v, j
-        h11, h12 = j.hess[0]
-        _, h22 = j.hess[1]
+            return u, v, zdata.H_value(u, v, chart.name), grad, hess
+        h11, h12 = hess[0]
+        _, h22 = hess[1]
         det = h11 * h22 - h12 * h12
         if abs(det) < 1e-14:
             return None
@@ -233,7 +234,7 @@ def find_critical_points(zdata, tub, coarse=(128, 128), newton_tol=NEWTON_TOL,
                 warnings.append({"kind": "newton-dropped", "chart": chart.name,
                                  "u0": float(axis_u[i]), "v0": float(axis_v[j])})
                 continue
-            u, v, jet = got
+            u, v, H, grad, hess = got
             u, v = chart.wrap(u, v)
             if not chart.contains(u, v, slack=1e-9):
                 continue  # owned by a neighbouring chart
@@ -242,11 +243,13 @@ def find_critical_points(zdata, tub, coarse=(128, 128), newton_tol=NEWTON_TOL,
             for k, (c_prev, rec) in enumerate(found):
                 if tub.distance(chart.name, (u, v), rec.chart, (rec.u, rec.v)) < DEDUP_DISTANCE:
                     dup = True
-                    if math.hypot(*jet.grad) < rec.grad_norm:
-                        found[k] = (canonical, _make_point(chart.name, u, v, jet))
+                    if math.hypot(*grad) < rec.grad_norm:
+                        found[k] = (canonical,
+                                    _make_point(chart.name, u, v, H, grad, hess))
                     break
             if not dup:
-                found.append((canonical, _make_point(chart.name, u, v, jet)))
+                found.append((canonical,
+                              _make_point(chart.name, u, v, H, grad, hess)))
     points = [rec for _, rec in found]
     for p in points:
         det = p.hess[0][0] * p.hess[1][1] - p.hess[0][1] ** 2
@@ -262,16 +265,16 @@ def find_critical_points(zdata, tub, coarse=(128, 128), newton_tol=NEWTON_TOL,
     return points
 
 
-def _make_point(chart_name, u, v, jet):
-    h11, h12 = jet.hess[0]
-    _, h22 = jet.hess[1]
+def _make_point(chart_name, u, v, H, grad, hess):
+    h11, h12 = hess[0]
+    _, h22 = hess[1]
     eigs = np.linalg.eigvalsh(np.array([[h11, h12], [h12, h22]]))
     index = int(np.sum(eigs < 0))
     return CriticalPoint(
-        chart=chart_name, u=float(u), v=float(v), H=float(jet.value),
+        chart=chart_name, u=float(u), v=float(v), H=float(H),
         hess=((float(h11), float(h12)), (float(h12), float(h22))),
-        index=index, f_value=float(-jet.value),
-        grad_norm=float(math.hypot(*jet.grad)),
+        index=index, f_value=float(-H),
+        grad_norm=float(math.hypot(*grad)),
     )
 
 

@@ -15,22 +15,40 @@ variable tuple.  The AST is a frozen dataclass tree with structural equality,
 and ``to_string`` prints with minimal parentheses so that
 ``parse(to_string(e)) == e`` for any parsed tree.
 
-Evaluation is generic over the jet payload: pass :class:`~bcontactlab.jets.Jet1`
-or :class:`~bcontactlab.jets.Jet2` objects (or plain floats) in ``env``.
+Evaluation takes python floats or numpy arrays of a common shape in ``env``,
+so the same tree walk evaluates a single point or a whole grid.  Derivatives
+are trees too: :func:`differentiate` builds the exact partial of a tree, which
+then evaluates like any other.
+
+Domain policy (shared by every consumer, and by derivative trees, whose
+``abs``/``sqrt``/quotient nodes inherit the same checks):
+
+* division by an exact zero, or a non-finite quotient, raises :class:`DomainError`;
+* ``sqrt`` requires a strictly positive argument (the slope blows up at 0);
+* ``abs`` is non-differentiable at 0 and refuses arguments with ``|x| < 1e-12``
+  rather than silently picking a subgradient;
+* integer powers with negative exponent require a non-zero base, and a
+  power that overflows is a domain error;
+* ``exp`` overflow is a domain error, not an ``inf``.
+
+On an array argument every check is an *any*: one bad lane fails the batch.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .jets import DomainError, Jet1, Jet2
+import numpy as np
 
 __all__ = [
-    "ParseError", "EvalError", "Expr", "Const", "Var", "Unary", "Binary",
-    "Power", "parse", "to_string", "evaluate", "free_vars", "differentiate",
-    "substitute", "eval_value", "eval_jet1", "eval_jet2",
+    "ParseError", "EvalError", "DomainError", "Expr", "Const", "Var", "Unary",
+    "Binary", "Power", "parse", "to_string", "evaluate", "free_vars",
+    "differentiate", "gradient", "hessian", "substitute", "eval_value",
+    "ABS_KINK_HALFWIDTH",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
+ABS_KINK_HALFWIDTH = 1e-12
 
 
 class ParseError(ValueError):
@@ -43,6 +61,10 @@ class ParseError(ValueError):
 
 class EvalError(ValueError):
     """Evaluation error independent of numeric domain issues."""
+
+
+class DomainError(ValueError):
+    """Evaluation left the domain of a primitive operation."""
 
 
 @dataclass(frozen=True)
@@ -352,23 +374,26 @@ def free_vars(e):
     raise TypeError(f"not an Expr: {e!r}")
 
 
+def _is_scalar(x):
+    return type(x) is float or type(x) is int
+
+
+def _any(mask):
+    """A comparison's outcome at a point, or whether it holds in any lane."""
+    return bool(mask.any()) if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _all_finite(x):
+    return bool(np.isfinite(x).all()) if isinstance(x, np.ndarray) else math.isfinite(x)
+
+
 def evaluate(e, env):
-    """Evaluate ``e`` with ``env`` mapping variable names to numbers or jets.
+    """Evaluate ``e`` with ``env`` mapping variable names to floats or arrays.
 
     Unknown variables raise :class:`EvalError` naming the missing identifier.
-    Numeric domain violations surface as :class:`~bcontactlab.jets.DomainError`.
+    Numeric domain violations surface as :class:`DomainError`.  A constant
+    tree evaluates to a bare float whatever the shape of ``env``.
     """
-    if isinstance(e, Const):
-        for v in env.values():
-            if isinstance(v, Jet2):
-                return Jet2.constant(e.value, v.n)
-            if isinstance(v, Jet1):
-                return Jet1.constant(e.value, len(v.grad))
-        return e.value
-    return _eval(e, env)
-
-
-def _eval(e, env):
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -377,118 +402,123 @@ def _eval(e, env):
         except KeyError:
             raise EvalError(f"unknown variable {e.name!r}") from None
     if isinstance(e, Binary):
-        l = _eval(e.left, env)
-        r = _eval(e.right, env)
+        l = evaluate(e.left, env)
+        r = evaluate(e.right, env)
         if e.op == "+":
             return l + r
         if e.op == "-":
             return l - r
         if e.op == "*":
             return l * r
-        if _is_plain_zero(r):
+        if _any(r == 0):
             raise DomainError("division by zero")
-        return l / r
+        q = l / r
+        if not _all_finite(q):
+            raise DomainError("non-finite quotient")
+        return q
     if isinstance(e, Power):
-        return _eval(e.base, env) ** e.exponent
+        return _int_power(evaluate(e.base, env), e.exponent)
     if isinstance(e, Unary):
-        a = _eval(e.arg, env)
-        if isinstance(a, (Jet1, Jet2)):
-            if e.func == "abs":
-                return a.absval()
-            return getattr(a, e.func)()
-        return _eval_plain(e.func, a)
+        return _unary(e.func, evaluate(e.arg, env))
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _is_plain_zero(r):
-    return not isinstance(r, (Jet1, Jet2)) and (
-        (type(r) is float or type(r) is int) and r == 0
-    )
+def _int_power(x, m):
+    if m < 0 and _any(x == 0):
+        raise DomainError("negative power of zero")
+    try:
+        out = x ** m
+    except OverflowError:
+        raise DomainError(f"power {m} overflow") from None
+    if not _all_finite(out):
+        raise DomainError(f"power {m} produced a non-finite value")
+    return out
 
 
-def _eval_plain(func, a):
-    import math as _m
-
-    import numpy as _np
-
-    scalar = type(a) is float or type(a) is int
+def _unary(func, a):
+    scalar = _is_scalar(a)
     if func == "sin":
-        return _m.sin(a) if scalar else _np.sin(a)
+        return math.sin(a) if scalar else np.sin(a)
     if func == "cos":
-        return _m.cos(a) if scalar else _np.cos(a)
+        return math.cos(a) if scalar else np.cos(a)
     if func == "exp":
         try:
-            out = _m.exp(a) if scalar else _np.exp(a)
+            out = math.exp(a) if scalar else np.exp(a)
         except OverflowError:
             raise DomainError("exp overflow") from None
-        if not scalar and not _np.all(_np.isfinite(out)):
+        if not _all_finite(out):
             raise DomainError("exp overflow")
         return out
     if func == "sqrt":
-        bad = a <= 0 if scalar else bool(_np.any(a <= 0))
-        if bad:
+        if _any(a <= 0):
             raise DomainError("sqrt of a non-positive argument")
-        return _m.sqrt(a) if scalar else _np.sqrt(a)
+        return math.sqrt(a) if scalar else np.sqrt(a)
     if func == "abs":
-        from .jets import ABS_KINK_HALFWIDTH
-        bad = abs(a) < ABS_KINK_HALFWIDTH if scalar else bool(
-            _np.any(_np.abs(a) < ABS_KINK_HALFWIDTH))
-        if bad:
+        out = abs(a)
+        if _any(out < ABS_KINK_HALFWIDTH):
             raise DomainError("abs evaluated at its kink")
-        return abs(a) if scalar else _np.abs(a)
+        return out
     raise EvalError(f"unknown function {func!r}")
 
 
 # --------------------------------------------------------------------------
 # symbolic differentiation and substitution
 #
-# These two are used to build derived fields (pole-chart counterparts, frame
-# coefficients of derived one-forms, Laplacians) as first-class expressions.
-# Construction helpers fold the obvious 0/1 identities so derivative trees do
-# not balloon, but user-supplied trees are never rewritten.
+# These build derived fields (pole-chart counterparts, frame coefficients and
+# their partials, Laplacians, Hessians) as first-class expressions.  The
+# construction helpers add/sub/neg/mul/div fold the obvious 0/1 identities so
+# derivative trees do not balloon, but user-supplied trees are never rewritten.
 
-def _add(a, b):
-    if a == Const(0.0):
+_ZERO = Const(0.0)
+_ONE = Const(1.0)
+
+
+def _is(e, value):
+    return type(e) is Const and e.value == value
+
+
+def add(a, b):
+    if _is(a, 0.0):
         return b
-    if b == Const(0.0):
+    if _is(b, 0.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         return Const(a.value + b.value)
     return Binary("+", a, b)
 
 
-def _sub(a, b):
-    if b == Const(0.0):
+def sub(a, b):
+    if _is(b, 0.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         return Const(a.value - b.value)
-    if a == Const(0.0):
-        return _neg(b)
+    if _is(a, 0.0):
+        return neg(b)
     return Binary("-", a, b)
 
 
-def _neg(a):
-    if isinstance(a, Const):
+def neg(a):
+    if type(a) is Const:
         return Const(-a.value)
-    return Binary("-", Const(0.0), a)
+    return Binary("-", _ZERO, a)
 
 
-def _mul(a, b):
-    if a == Const(0.0) or b == Const(0.0):
-        return Const(0.0)
-    if a == Const(1.0):
+def mul(a, b):
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    if _is(a, 1.0):
         return b
-    if b == Const(1.0):
+    if _is(b, 1.0):
         return a
-    if isinstance(a, Const) and isinstance(b, Const):
+    if type(a) is Const and type(b) is Const:
         return Const(a.value * b.value)
     return Binary("*", a, b)
 
 
-def _div(a, b):
-    if a == Const(0.0):
-        return Const(0.0)
-    if b == Const(1.0):
+def div(a, b):
+    if _is(a, 0.0):
+        return _ZERO
+    if _is(b, 1.0):
         return a
     return Binary("/", a, b)
 
@@ -496,49 +526,69 @@ def _div(a, b):
 def differentiate(e, name):
     """The partial derivative of ``e`` with respect to variable ``name``.
 
-    Purely mechanical; the result folds only multiplications by 0/1 created by
-    the rules themselves.
+    Purely mechanical; the result folds only the 0/1 identities created by
+    the rules themselves (a quotient whose denominator does not depend on
+    ``name`` differentiates as ``dl / r``).
     """
     if isinstance(e, Const):
-        return Const(0.0)
+        return _ZERO
     if isinstance(e, Var):
-        return Const(1.0) if e.name == name else Const(0.0)
+        return _ONE if e.name == name else _ZERO
     if isinstance(e, Binary):
         dl = differentiate(e.left, name)
         dr = differentiate(e.right, name)
         if e.op == "+":
-            return _add(dl, dr)
+            return add(dl, dr)
         if e.op == "-":
-            return _sub(dl, dr)
+            return sub(dl, dr)
         if e.op == "*":
-            return _add(_mul(dl, e.right), _mul(e.left, dr))
-        num = _sub(_mul(dl, e.right), _mul(e.left, dr))
-        return _div(num, Power(e.right, 2))
+            return add(mul(dl, e.right), mul(e.left, dr))
+        if _is(dr, 0.0):
+            return div(dl, e.right)
+        num = sub(mul(dl, e.right), mul(e.left, dr))
+        return div(num, Power(e.right, 2))
     if isinstance(e, Power):
-        db = differentiate(e.base, name)
-        if e.exponent == 0:
-            return Const(0.0)
-        coeff = _mul(Const(float(e.exponent)),
-                     Power(e.base, e.exponent - 1) if e.exponent != 1 else Const(1.0))
-        if e.exponent == 1:
-            return db
-        return _mul(coeff, db)
+        m = e.exponent
+        if m == 0:
+            return _ZERO
+        if m == 1:
+            return differentiate(e.base, name)
+        lowered = e.base if m == 2 else Power(e.base, m - 1)
+        return mul(mul(Const(float(m)), lowered), differentiate(e.base, name))
     if isinstance(e, Unary):
         da = differentiate(e.arg, name)
         if e.func == "sin":
             outer = Unary("cos", e.arg)
         elif e.func == "cos":
-            outer = _neg(Unary("sin", e.arg))
+            outer = neg(Unary("sin", e.arg))
         elif e.func == "exp":
             outer = e
         elif e.func == "sqrt":
-            outer = _div(Const(0.5), e)
+            outer = div(Const(0.5), e)
         elif e.func == "abs":
-            outer = _div(e, e.arg)
+            outer = div(e, e.arg)
         else:
             raise EvalError(f"unknown function {e.func!r}")
-        return _mul(outer, da)
+        return mul(outer, da)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+def gradient(e, names):
+    """The partials of ``e`` with respect to each of ``names``."""
+    return tuple(differentiate(e, name) for name in names)
+
+
+def hessian(e, names):
+    """Second partials of ``e`` as a symmetric nest of trees.
+
+    Each mixed partial is derived once and fills both of its slots, so the
+    evaluated matrix is exactly symmetric.
+    """
+    rows = [[None] * len(names) for _ in names]
+    for i, first in enumerate(gradient(e, names)):
+        for j in range(i, len(names)):
+            rows[i][j] = rows[j][i] = differentiate(first, names[j])
+    return tuple(tuple(row) for row in rows)
 
 
 def substitute(e, mapping):
@@ -560,23 +610,5 @@ def substitute(e, mapping):
 # point evaluation helpers
 
 def eval_value(e, variables, point):
-    """Plain value of ``e`` at ``point`` (floats or arrays, no derivatives)."""
-    return _eval(e, dict(zip(variables, point)))
-
-
-def eval_jet1(e, variables, point):
-    """Value and gradient of ``e`` at ``point`` as a :class:`Jet1`."""
-    seeds = Jet1.seed(tuple(point))
-    out = _eval(e, dict(zip(variables, seeds)))
-    if not isinstance(out, Jet1):  # constant expression
-        return Jet1.constant(out, len(point))
-    return out
-
-
-def eval_jet2(e, variables, point):
-    """Value, gradient and Hessian of ``e`` at ``point`` as a :class:`Jet2`."""
-    seeds = Jet2.seed(tuple(point))
-    out = _eval(e, dict(zip(variables, seeds)))
-    if not isinstance(out, Jet2):
-        return Jet2.constant(out, len(point))
-    return out
+    """Value of ``e`` at ``point`` (floats or arrays)."""
+    return evaluate(e, dict(zip(variables, point)))

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .jets import Jet1
 from .rk45 import integrate
 
 __all__ = [
@@ -78,21 +77,13 @@ class McGeheeState:
         return cls(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
 
 
-def _cos(w):
-    return w.cos() if isinstance(w, Jet1) else np.cos(w)
-
-
-def _sqrt(w):
-    return w.sqrt() if isinstance(w, Jet1) else np.sqrt(w)
-
-
 def _energy(x, a, pr, pa, mu):
-    """The Hamiltonian, generic over floats, arrays and jets."""
+    """The Hamiltonian, on floats or arrays."""
     x2 = x * x
     x4 = x2 * x2
-    c = _cos(a)
-    d1 = _sqrt(4.0 - 4.0 * mu * x2 * c + mu * mu * x4)
-    d2 = _sqrt(4.0 + 4.0 * (1.0 - mu) * x2 * c + (1.0 - mu) ** 2 * x4)
+    c = np.cos(a)
+    d1 = np.sqrt(4.0 - 4.0 * mu * x2 * c + mu * mu * x4)
+    d2 = np.sqrt(4.0 + 4.0 * (1.0 - mu) * x2 * c + (1.0 - mu) ** 2 * x4)
     return (pr * pr / 2.0 + x4 * pa * pa / 8.0 - pa
             - (1.0 - mu) * x2 / d1 - mu * x2 / d2)
 
@@ -128,13 +119,29 @@ def polar_hamiltonian(r, a, pr, pa, mu):
 
 
 def _field_values(x, a, pr, pa, mu):
+    """Hamilton's equations from the closed-form partials of ``_energy``.
+
+    With c, s = cos a, sin a and d₁, d₂ the rescaled separations,
+
+        ∂H/∂x   = x³P_a²/2 − 4(1−μ)x(2 − μx²c)/d₁³ − 4μx(2 + (1−μ)x²c)/d₂³,
+        ∂H/∂a   = 2μ(1−μ)x⁴ s (1/d₁³ − 1/d₂³),
+        ∂H/∂P_r = P_r,     ∂H/∂P_a = x⁴P_a/4 − 1.
+    """
     if x == 0.0:
         # {x = 0} is invariant and carries the rigid rotation a' = -1
         return np.array([0.0, -1.0, 0.0, 0.0])
-    jx, ja, jpr, jpa = Jet1.seed((x, a, pr, pa))
-    grad = _energy(jx, ja, jpr, jpa, mu).grad
-    k = x * x * x / 4.0
-    return np.array([-k * grad[2], grad[3], k * grad[0], -grad[1]])
+    x2 = x * x
+    x4 = x2 * x2
+    c, s = math.cos(a), math.sin(a)
+    d1 = math.sqrt(4.0 - 4.0 * mu * x2 * c + mu * mu * x4)
+    d2 = math.sqrt(4.0 + 4.0 * (1.0 - mu) * x2 * c + (1.0 - mu) ** 2 * x4)
+    d1c, d2c = d1 * d1 * d1, d2 * d2 * d2
+    h_x = (x * x2 * pa * pa / 2.0
+           - 4.0 * (1.0 - mu) * x * (2.0 - mu * x2 * c) / d1c
+           - 4.0 * mu * x * (2.0 + (1.0 - mu) * x2 * c) / d2c)
+    h_a = 2.0 * mu * (1.0 - mu) * x4 * s * (1.0 / d1c - 1.0 / d2c)
+    k = x * x2 / 4.0
+    return np.array([-k * pr, x4 * pa / 4.0 - 1.0, k * h_x, -h_a])
 
 
 def vector_field(state, params):

@@ -47,10 +47,11 @@ def test_orbit_csv_shape(sphere_run):
         assert z == pytest.approx(side * math.exp(s), rel=1e-15)
 
 
-def test_report_is_deterministic_except_timing(tmp_path):
-    a = run("sphere", "validate", tmp_path / "a").report
-    b = run("sphere", "validate", tmp_path / "b").report
-    assert a.pop("timing") != b.pop("timing") or True
+@pytest.mark.parametrize("name", ["sphere", "torus", "beltrami", "mcgehee"])
+def test_report_is_deterministic_except_timing(tmp_path, name):
+    a = run(name, "all", tmp_path / "a").report
+    b = run(name, "all", tmp_path / "b").report
+    del a["timing"], b["timing"]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 

@@ -18,12 +18,14 @@ import pytest
 from bcontactlab.charts import TubularChart
 from bcontactlab.contact import (
     BContactForm, BReebField, ChartFields, DegenerateSymplecticError,
-    RankDeficiencyError, contact_check, exceptional_hamiltonian, frame_jets,
-    frame_values, reeb_residual_report, solve_reeb, symplectic_on_Z,
+    RankDeficiencyError, contact_check, exceptional_hamiltonian, frame_values,
+    reeb_residual_report, solve_reeb, symplectic_on_Z,
     verify_hamiltonian_identity, z_ladder,
 )
+from bcontactlab.critical import find_critical_points
 from bcontactlab.expressions import parse
 from bcontactlab.scenarios import load_scenario, scenario_form
+from tests_fd import central_gradient
 
 
 def torus_setup(f="cos(v) + 0.3*cos(u)*sin(v)", beta_u="sin(v)",
@@ -171,9 +173,9 @@ def test_hamiltonian_value_is_minus_f(sphere):
     zdata = exceptional_hamiltonian(sform, stub)
     assert zdata.H_value(0.7, 0.3, "north") == pytest.approx(-math.cos(0.7), rel=1e-14)
     assert zdata.H_value(0.7, 0.3, "south") == pytest.approx(math.cos(0.7), rel=1e-14)
-    j = zdata.H_jet2(0.7, 0.3, "north")
-    assert j.grad[0] == pytest.approx(math.sin(0.7), rel=1e-12)
-    assert j.grad[1] == pytest.approx(0.0, abs=1e-14)
+    H_u, H_v = zdata.H_gradient(0.7, 0.3, "north")
+    assert H_u == pytest.approx(math.sin(0.7), rel=1e-12)
+    assert H_v == pytest.approx(0.0, abs=1e-14)
 
 
 def test_symplectic_on_Z_rejects_degenerate_area_form():
@@ -229,18 +231,35 @@ def test_sphere_chart_consistency_on_overlaps(sphere):
         assert V_n == pytest.approx(V_s, rel=1e-11)
 
 
-def test_frame_jets_agree_with_frame_values():
-    tub, form = torus_setup()
-    chart = tub.charts["torus"]
-    cf = form.for_chart("torus")
-    rng = random.Random(11)
-    for _ in range(20):
-        u, v = rng.uniform(0, 6.28), rng.uniform(0, 6.28)
-        z = rng.uniform(-0.4, 0.4)
-        vals = frame_values(cf, chart, u, v, z)[:6]
-        jets = frame_jets(cf, chart, u, v, z)
-        for plain, jet in zip(vals, jets):
-            assert jet.value == pytest.approx(plain, abs=1e-14)
+@pytest.mark.parametrize("name", ["torus", "sphere"])
+def test_linearization_matches_central_differences(name):
+    """DR(p) against central differences of (Y_u, Y_v, g·z) at every critical point."""
+    tub, form = scenario_form(load_scenario(name))
+    reeb = BReebField(form, tub)
+    points = find_critical_points(exceptional_hamiltonian(form, tub), tub)
+    assert points
+    for p in points:
+        def field(x, i):
+            yu, yv, g = reeb.components(*x, chart_name=p.chart)
+            return (yu, yv, g * x[2])[i]
+
+        dr = reeb.linearization_at(p.u, p.v, chart_name=p.chart)
+        for i in range(3):
+            fd = central_gradient(lambda x: field(x, i), (p.u, p.v, 0.0))
+            for j in range(3):
+                assert abs(dr[i, j] - fd[j]) / (1 + abs(dr[i, j])) < 1e-6
+
+
+def test_hessian_is_exactly_symmetric(sphere):
+    rng = random.Random(12)
+    for tub, form in (torus_setup(), sphere):
+        zdata = exceptional_hamiltonian(form, tub)
+        for chart in tub.surface_charts():
+            r = chart.disk_radius or 2.0
+            for _ in range(10):
+                u, v = rng.uniform(-r, r), rng.uniform(-r, r)
+                hess = zdata.H_hessian(u, v, chart.name)
+                assert hess[0][1] == hess[1][0]
 
 
 def test_z_ladder_is_symmetric():

@@ -1,14 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bcontactlab.expressions import (
-    Binary, Const, EvalError, ParseError, Power, Unary, Var,
-    differentiate, eval_jet1, eval_jet2, eval_value, free_vars, parse,
+    Binary, Const, DomainError, EvalError, ParseError, Power, Unary, Var,
+    differentiate, eval_value, free_vars, gradient, hessian, parse,
     substitute, to_string,
 )
-from bcontactlab.jets import DomainError
+from tests_fd import central_gradient, central_hessian
 
 
 def test_parse_basic_shapes():
@@ -49,14 +50,23 @@ def test_eval_unknown_variable_at_runtime():
     assert "b" in str(err.value)
 
 
-def test_eval_jet2_examples():
-    j = eval_jet2(parse("cos(y)"), ("x", "y", "z"), (0.0, 0.0, 0.0))
-    assert j.value == 1.0 and j.grad[1] == 0.0 and j.hess[1][1] == -1.0
+def _partials_at(e, names, point):
+    """Value, gradient and Hessian of ``e`` at ``point`` from derived trees."""
+    grad = [eval_value(d, names, point) for d in gradient(e, names)]
+    hess = [[eval_value(d, names, point) for d in row]
+            for row in hessian(e, names)]
+    return eval_value(e, names, point), grad, hess
 
-    j = eval_jet2(parse("x*z"), ("x", "y", "z"), (2.0, 0.0, 3.0))
-    assert j.value == 6.0
-    assert j.grad == (3.0, 0.0, 2.0)
-    assert j.hess[0][2] == 1.0 and j.hess[2][0] == 1.0
+
+def test_partial_examples():
+    names = ("x", "y", "z")
+    value, grad, hess = _partials_at(parse("cos(y)"), names, (0.0, 0.0, 0.0))
+    assert value == 1.0 and grad[1] == 0.0 and hess[1][1] == -1.0
+
+    value, grad, hess = _partials_at(parse("x*z"), names, (2.0, 0.0, 3.0))
+    assert value == 6.0
+    assert grad == [3.0, 0.0, 2.0]
+    assert hess[0][2] == 1.0 and hess[2][0] == 1.0
 
 
 def test_power_tower_folds_right_associatively():
@@ -120,8 +130,12 @@ def test_negative_base_power_prints_with_parens():
 # symbolic differentiation / substitution
 
 def test_differentiate_matches_autodiff():
+    """First and second partials against sympy's, evaluated to 30 digits."""
+    import sympy
+
     rng = random.Random(5150)
     names = ("u", "v")
+    symbols = sympy.symbols(names, real=True)
     corpus = [
         "sin(u)*cos(v) + u^3/(v + 3)",
         "exp(0.2*u - v) + sqrt(u^2 + v^2 + 1)",
@@ -130,15 +144,19 @@ def test_differentiate_matches_autodiff():
     ]
     for src in corpus:
         e = parse(src, names)
-        du = differentiate(e, "u")
-        dv = differentiate(e, "v")
+        ref = sympy.sympify(src.replace("^", "**"),
+                            locals=dict(zip(names, symbols)))
+        trees = list(gradient(e, names))
+        refs = [sympy.diff(ref, s) for s in symbols]
+        trees += [differentiate(d, n) for d in trees for n in names]
+        refs += [sympy.diff(r, s) for r in refs for s in symbols]
         for _ in range(25):
             p = (rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
-            j = eval_jet1(e, names, p)
-            assert math.isclose(eval_value(du, names, p), j.grad[0],
-                                rel_tol=1e-12, abs_tol=1e-12)
-            assert math.isclose(eval_value(dv, names, p), j.grad[1],
-                                rel_tol=1e-12, abs_tol=1e-12)
+            at = dict(zip(symbols, p))
+            for tree, r in zip(trees, refs):
+                assert math.isclose(eval_value(tree, names, p),
+                                    float(r.evalf(30, subs=at)),
+                                    rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_substitute_composes():
@@ -175,8 +193,6 @@ FD_CORPUS = [
 
 
 def test_fd_corpus_100_points_each():
-    from tests_fd import central_gradient, central_hessian
-
     rng = random.Random(31415)
     names = ("x", "y", "z")
     for src in FD_CORPUS:
@@ -185,13 +201,113 @@ def test_fd_corpus_100_points_each():
         while done < 100:
             p = tuple(rng.uniform(-1.3, 1.3) for _ in range(3))
             try:
-                j = eval_jet2(e, names, p)
+                _, grad, hess = _partials_at(e, names, p)
                 g = central_gradient(lambda q: eval_value(e, names, q), p)
                 H = central_hessian(lambda q: eval_value(e, names, q), p)
             except DomainError:
                 continue  # stencil touched a kink or pole, resample
             for i in range(3):
-                assert abs(j.grad[i] - g[i]) / (1 + abs(j.grad[i])) < 1e-6
+                assert abs(grad[i] - g[i]) / (1 + abs(grad[i])) < 1e-6
                 for k in range(3):
-                    assert abs(j.hess[i][k] - H[i][k]) / (1 + abs(j.hess[i][k])) < 1e-4
+                    assert abs(hess[i][k] - H[i][k]) / (1 + abs(hess[i][k])) < 1e-4
             done += 1
+
+
+# a small zoo of C^2 functions exercising every primitive
+ZOO = [
+    "sin(u*v) + cos(z*z - u)*v",
+    "sqrt(u^2 + v^2 + 1)/(z + 2)",
+    "exp(0.3*u - v) + z^3",
+    "abs(u + 2)*v - 1/(v - 4)",
+    "(sin(u)*cos(v) + 2.5)^-2 + (exp(z) + u)^3",
+]
+
+
+def test_zoo_partials_match_finite_differences():
+    rng = random.Random(20240915)
+    names = ("u", "v", "z")
+    for src in ZOO:
+        e = parse(src, names)
+        for _ in range(40):
+            x = tuple(rng.uniform(-1.2, 1.2) for _ in range(3))
+            _, grad, hess = _partials_at(e, names, x)
+            g = central_gradient(lambda q: eval_value(e, names, q), x)
+            H = central_hessian(lambda q: eval_value(e, names, q), x)
+            for i in range(3):
+                assert abs(grad[i] - g[i]) / (1 + abs(grad[i])) < 1e-6
+                for j in range(3):
+                    assert abs(hess[i][j] - H[i][j]) / (1 + abs(hess[i][j])) < 1e-4
+
+
+def test_array_payload_matches_scalar_loop():
+    names = ("u", "v")
+    e = parse("sin(u*v) + sqrt(v^2 + 1)", names)
+    trees = [e, differentiate(e, "v"), hessian(e, names)[0][1]]
+    pts = np.linspace(-1.0, 1.0, 17)
+    batch = [eval_value(t, names, (np.full_like(pts, 0.3), pts)) for t in trees]
+    for k, p in enumerate(pts):
+        for t, out in zip(trees, batch):
+            assert math.isclose(out[k], eval_value(t, names, (0.3, float(p))),
+                                rel_tol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# domain policy: every violation is a DomainError, never a bare arithmetic
+# exception or a silent inf
+
+def _value(src, point):
+    names = ("u", "v")[:len(point)]
+    return eval_value(parse(src, names), names, point)
+
+
+def test_division_by_zero_raises():
+    for src, point in (("1/u", (0.0,)), ("(u + 1)/u", (0.0,)),
+                       ("u^-1", (0.0,)), ("1/u", (1e-320,))):
+        with pytest.raises(DomainError):
+            _value(src, point)
+    with pytest.raises(DomainError):
+        _value("1/u", (np.array([1.0, 0.0, 2.0]),))
+
+
+def test_sqrt_domain():
+    with pytest.raises(DomainError):
+        _value("sqrt(u)", (-0.5,))
+    with pytest.raises(DomainError):
+        _value("sqrt(u)", (0.0,))  # derivative blows up at 0, refuse rather than inf
+
+
+def test_abs_kink():
+    with pytest.raises(DomainError):
+        _value("abs(u)", (1e-13,))
+    e = parse("abs(u)", ("u",))
+    assert eval_value(e, ("u",), (-0.3,)) == 0.3
+    assert eval_value(differentiate(e, "u"), ("u",), (-0.3,)) == -1.0
+    with pytest.raises(DomainError):
+        eval_value(differentiate(e, "u"), ("u",), (1e-13,))
+
+
+def test_exp_overflow():
+    with pytest.raises(DomainError):
+        _value("exp(u)", (1000.0,))
+    with pytest.raises(DomainError):
+        _value("exp(u)", (np.array([0.0, 1000.0]),))
+
+
+def test_integer_powers_only():
+    with pytest.raises(ParseError):
+        parse("u^0.5", ("u",))
+    with pytest.raises(DomainError):
+        _value("u^-1", (0.0,))
+    with pytest.raises(DomainError):
+        _value("u^2", (1e200,))
+    assert _value("u^0", (2.0,)) == 1.0
+    assert _value("u^-2", (2.0,)) == 0.25
+    e = parse("u^-2", ("u",))
+    assert eval_value(differentiate(e, "u"), ("u",), (2.0,)) == pytest.approx(
+        -2 * 2.0 ** -3)
+
+
+def test_array_payload_domain_check_is_any():
+    # one bad lane poisons the whole batch, by design
+    with pytest.raises(DomainError):
+        _value("sqrt(u)", (np.array([1.0, 0.0, 4.0]),))

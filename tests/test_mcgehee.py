@@ -1,5 +1,6 @@
 """Restricted three-body problem in the inverted radial variable."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from bcontactlab.mcgehee import (
     polar_hamiltonian,
     vector_field,
 )
+from tests_fd import central_gradient
 
 HALF = McGeheeParams(0.5)
 # r0 = 50, circular-speed angular momentum sqrt(r0)
@@ -62,6 +64,22 @@ def test_radial_chain_rule():
     s = McGeheeState(0.2, 0.9, 0.31, 7.0)
     f = vector_field(s, HALF)
     assert -4.0 * f[0] / s.x**3 == pytest.approx(s.pr, rel=1e-12)
+
+
+def test_field_matches_central_differences_of_the_energy():
+    # the closed-form partials behind Hamilton's equations, checked against
+    # the energy itself: x' = -(x^3/4) H_Pr, a' = H_Pa, Pr' = (x^3/4) H_x,
+    # Pa' = -H_a
+    rng = random.Random(4)
+    for _ in range(20):
+        params = McGeheeParams(rng.uniform(0.1, 0.9))
+        y = (rng.uniform(0.05, 0.6), rng.uniform(-3.0, 3.0),
+             rng.uniform(-1.0, 1.0), rng.uniform(-2.0, 2.0))
+        g = central_gradient(lambda q: hamiltonian(McGeheeState(*q), params), y)
+        k = y[0] ** 3 / 4.0
+        expected = (-k * g[2], g[3], k * g[0], -g[1])
+        for got, want in zip(vector_field(McGeheeState(*y), params), expected):
+            assert abs(got - want) / (1 + abs(want)) < 1e-6
 
 
 def test_angular_momentum_conserved_on_symmetry_axis():
