@@ -21,11 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Chart", "TubularChart", "Z_LEVEL_FRACTIONS"]
-
-# transverse sampling: the contact condition is uniform in dz/z, so a geometric
-# ladder of z-levels plus z = 0 itself exercises it at all scales
-Z_LEVEL_FRACTIONS = (1.0, 0.5, 0.25, 0.125)
+__all__ = ["Chart", "TubularChart"]
 
 
 @dataclass(frozen=True)
@@ -126,11 +122,6 @@ class TubularChart:
                       (-pole_radius, pole_radius), disk_radius=pole_radius)
         return TubularChart("sphere-atlas", epsilon, [north, south, npole, spole],
                             delta=delta)
-
-    # -- transverse levels ------------------------------------------------
-    def z_levels(self):
-        levels = [self.epsilon * f for f in Z_LEVEL_FRACTIONS]
-        return tuple(levels + [0.0] + [-l for l in levels])
 
     def surface_charts(self):
         """Charts to scan for surface work, primaries first."""

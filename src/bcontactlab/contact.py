@@ -25,6 +25,10 @@ keeps the solve well-posed wherever the contact condition holds.
 On the surface Z = {z = 0} the form induces the area form ω = f dβ + β∧df
 with coefficient w = f(∂uB − ∂vA) + A f_v − B f_u, and H = −f|_Z generates
 the restricted Reeb dynamics: ι_{R|_Z} ω = df|_Z.
+
+Validation is one sweep (:func:`solve_reeb`) evaluating each grid point's
+frame once; a Reeb system degenerate somewhere on the grid fails its checks
+there instead of raising, and the pipeline exits 2.
 """
 from __future__ import annotations
 
@@ -213,12 +217,34 @@ def _reeb_matrix(A, B, C, P, Q, S):
     return np.array([[A, B, C], [0.0, -P, -Q], [P, 0.0, -S], [Q, S, 0.0]])
 
 
-def _residual_norm(A, B, C, P, Q, S, x1, x2, x3):
-    r1 = A * x1 + B * x2 + C * x3 - 1.0
-    r2 = -P * x2 - Q * x3
-    r3 = P * x1 - S * x3
-    r4 = Q * x1 + S * x2
-    return np.sqrt(r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4)
+_RESIDUAL_NAMES = ("alpha(R)-1", "i_R dalpha @du", "i_R dalpha @dv",
+                   "i_R dalpha @dz/z")
+
+
+def _residual_rows(A, B, C, P, Q, S, x1, x2, x3):
+    """The four rows of M x − e₁, named by ``_RESIDUAL_NAMES``."""
+    return (A * x1 + B * x2 + C * x3 - 1.0, -P * x2 - Q * x3,
+            P * x1 - S * x3, Q * x1 + S * x2)
+
+
+def _solve_checked(A, B, C, P, Q, S):
+    """The Reeb solve judged by the rule ``BReebField.components`` raises on.
+
+    Returns (x, rows, det, cause); ``cause`` is None unless det N is below
+    the floor (x and rows are then None) or the residual norm exceeds
+    ``REEB_RESIDUAL_TOL`` somewhere.
+    """
+    x1, x2, x3, det = _solve_reeb_system(A, B, C, P, Q, S)
+    if x1 is None:
+        return None, None, det, (f"|det N| min {_det_magnitude(det):.3e} "
+                                 f"< {_DET_FLOOR:g}")
+    rows = _residual_rows(A, B, C, P, Q, S, x1, x2, x3)
+    r1, r2, r3, r4 = rows
+    res = np.sqrt(r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4)
+    bad = (res > REEB_RESIDUAL_TOL if isinstance(res, float)
+           else np.any(res > REEB_RESIDUAL_TOL))
+    cause = f"residual {np.max(res):.3e} > {REEB_RESIDUAL_TOL:g}" if bad else None
+    return (x1, x2, x3), rows, det, cause
 
 
 class BReebField:
@@ -240,20 +266,11 @@ class BReebField:
         """(Y_u, Y_v, g) at one point (floats) or arrays of points."""
         chart_name, chart = self._chart(chart_name)
         cf = self.form.for_chart(chart_name)
-        A, B, C, P, Q, S, _ = frame_values(cf, chart, u, v, z)
-        x1, x2, x3, det = _solve_reeb_system(A, B, C, P, Q, S)
-        if x1 is None:
+        x, _, _, cause = _solve_checked(*frame_values(cf, chart, u, v, z)[:6])
+        if cause is not None:
             raise RankDeficiencyError(
-                f"Reeb system rank-deficient on chart {chart_name!r} "
-                f"(|det| min {_det_magnitude(det):.3e})")
-        res = _residual_norm(A, B, C, P, Q, S, x1, x2, x3)
-        scalar = isinstance(res, float)
-        bad_res = res > REEB_RESIDUAL_TOL if scalar else bool(np.any(res > REEB_RESIDUAL_TOL))
-        if bad_res:
-            raise RankDeficiencyError(
-                f"Reeb system rank-deficient on chart {chart_name!r} "
-                f"(residual {np.max(res):.3e})")
-        return x1, x2, x3
+                f"Reeb system rank-deficient on chart {chart_name!r} ({cause})")
+        return x
 
     def linearization_at(self, u, v, chart_name=None):
         """DR(p) of the ordinary field (Y_u, Y_v, g·z) at a point of Z.
@@ -289,72 +306,124 @@ class BReebField:
 
 
 # ---------------------------------------------------------------------------
-# grid helpers
-
-def _surface_points(tub, chart, nu, nv):
-    """Flattened (U, V) sample arrays for one chart's surface domain."""
-    if chart.disk_radius > 0.0:
-        pts = chart.disk_points()
-        arr = np.array(pts)
-        return arr[:, 0], arr[:, 1]
-    gu, gv = chart.grid(nu, nv)
-    U, V = np.meshgrid(gu, gv, indexing="ij")
-    return U.ravel(), V.ravel()
-
+# validation grids
 
 def z_ladder(epsilon, nz):
-    """0 plus ±ε·2^{−k} geometric levels, nz values in total (nz odd)."""
+    """0 plus ±ε·2^{−k} geometric levels, nz values in total (nz odd): the
+    contact condition is uniform in dz/z, so this probes it at all scales."""
     half = max(1, (nz - 1) // 2)
     pos = [epsilon * 0.5 ** k for k in range(half)]
     return tuple(pos + [0.0] + [-p for p in pos])
 
 
+def _slabs(form, tub, grid):
+    """(chart, cf, U, V, z, Z) for each chart of ``form`` and each z-level of
+    a grid (nu, nv, nz), or z = 0 alone for a surface grid (nu, nv); (U, V)
+    are the chart's flattened samples and ``Z`` is z broadcast over them."""
+    levels = (0.0,)
+    if len(grid) == 3:
+        if min(grid[:2]) < 2 or grid[2] < 1:
+            raise ValueError("grid resolutions must be at least 2×2×1")
+        levels = z_ladder(tub.epsilon, grid[2])
+    for chart in tub.surface_charts():
+        if chart.name not in form.fields:
+            continue
+        if chart.disk_radius > 0.0:
+            U, V = np.array(chart.disk_points()).T
+        else:
+            U, V = np.meshgrid(*chart.grid(*grid[:2]), indexing="ij")
+            U, V = U.ravel(), V.ravel()
+        for z in levels:
+            yield (chart, form.for_chart(chart.name), U, V, z,
+                   np.full_like(U, z))
+
+
+class _Worst:
+    """The extreme of a per-point measure over the slabs, and where it is."""
+
+    def __init__(self, smallest=False):
+        self.smallest = smallest
+        self.value = math.inf if smallest else 0.0
+        self.location = {}
+
+    def update(self, values, chart, U, V, **where):
+        """Fold in one slab's values; returns the slab's own extreme."""
+        values = np.broadcast_to(np.asarray(values, dtype=float), U.shape)
+        k = int(np.argmin(values) if self.smallest else np.argmax(values))
+        m = float(values[k])
+        if (m < self.value) if self.smallest else (m > self.value):
+            self.value = m
+            self.location = {"chart": chart.name, "u": float(U[k]),
+                             "v": float(V[k]), **where}
+        return m
+
+
+def _contact_report(volume, per_chart, threshold, grid):
+    return ValidationReport(
+        "contact_check", volume.value >= threshold, threshold, volume.value,
+        volume.location, {"min_abs_volume_per_chart": per_chart,
+                          "grid": list(grid)})
+
+
+def _residual_report(check, worst, threshold, grid, degenerate=None):
+    """Passes below ``threshold``; a degenerate Reeb system (``degenerate``
+    holds a location) has no finite residual and fails at that location."""
+    if degenerate is not None and degenerate.location:
+        return ValidationReport(check, False, threshold, math.inf,
+                                degenerate.location, {"grid": list(grid)})
+    return ValidationReport(check, worst.value < threshold, threshold,
+                            worst.value, worst.location, {"grid": list(grid)})
+
+
 def contact_check(form, tub, grid=(64, 64, 9), threshold=CONTACT_THRESHOLD):
     """Validate α∧dα ≠ 0: min |V| over the validation grid of every chart."""
-    nu, nv, nz = grid
-    if nu < 2 or nv < 2 or nz < 1:
-        raise ValueError("grid resolutions must be at least 2×2×1")
-    worst = math.inf
-    worst_loc = {}
-    per_chart = {}
-    for chart in tub.surface_charts():
-        if chart.name not in form.fields:
-            continue
-        cf = form.for_chart(chart.name)
-        U, V = _surface_points(tub, chart, nu, nv)
-        chart_min = math.inf
-        for z in z_ladder(tub.epsilon, nz):
-            Z = np.full_like(U, z)
-            *_, vol = frame_values(cf, chart, U, V, Z)
-            vol = np.broadcast_to(np.asarray(vol, dtype=float), U.shape)
-            k = int(np.argmin(np.abs(vol)))
-            m = abs(float(vol[k]))
-            if m < chart_min:
-                chart_min = m
-            if m < worst:
-                worst = m
-                worst_loc = {"chart": chart.name, "u": float(U[k]),
-                             "v": float(V[k]), "z": float(z)}
-        per_chart[chart.name] = chart_min
-    passed = worst >= threshold
-    return ValidationReport(
-        check="contact_check", passed=passed, threshold=threshold,
-        worst_value=worst, worst_location=worst_loc,
-        details={"min_abs_volume_per_chart": per_chart, "grid": list(grid)},
-    )
+    volume, per_chart = _Worst(smallest=True), {}
+    for chart, cf, U, V, z, Z in _slabs(form, tub, grid):
+        *_, vol = frame_values(cf, chart, U, V, Z)
+        m = volume.update(np.abs(vol), chart, U, V, z=z)
+        per_chart[chart.name] = min(per_chart.get(chart.name, math.inf), m)
+    return _contact_report(volume, per_chart, threshold, grid)
 
 
-def solve_reeb(form, tub, probe_grid=(12, 12, 5)):
-    """Construct the Reeb evaluator, probing a coarse grid so failures surface early."""
-    reeb = BReebField(form, tub)
-    nu, nv, nz = probe_grid
-    for chart in tub.surface_charts():
-        if chart.name not in form.fields:
+def solve_reeb(form, tub, grid=(64, 64, 9), tol=1e-9):
+    """The validation sweep: ``(reeb, [contact, residuals, identity])``.
+
+    Each (chart, z-level) slab's frame is evaluated once; the contact volume,
+    the Reeb solve with its residual rows and, on z = 0, the identity
+    ι_{R|Z} ω = d(f|Z) all come from those arrays.  Where the Reeb system is
+    degenerate by the rule :meth:`BReebField.components` raises on, nothing
+    is raised: ``reeb`` is None and the residual check (and the identity
+    check, for a z = 0 slab) fails at the smallest |det N|, naming the cause.
+    """
+    volume, per_chart = _Worst(smallest=True), {}
+    residual, identity = _Worst(), _Worst()
+    degenerate, degenerate_on_Z = _Worst(smallest=True), _Worst(smallest=True)
+    for chart, cf, U, V, z, Z in _slabs(form, tub, grid):
+        A, B, C, P, Q, S, vol = frame_values(cf, chart, U, V, Z)
+        m = volume.update(np.abs(vol), chart, U, V, z=z)
+        per_chart[chart.name] = min(per_chart.get(chart.name, math.inf), m)
+        x, rows, det, cause = _solve_checked(A, B, C, P, Q, S)
+        if cause is not None:
+            degenerate.update(np.abs(det), chart, U, V, z=z, cause=cause)
+            if z == 0.0:
+                degenerate_on_Z.update(np.abs(det), chart, U, V, cause=cause)
             continue
-        U, V = _surface_points(tub, chart, nu, nv)
-        for z in z_ladder(tub.epsilon, nz):
-            reeb.components(U, V, np.full_like(U, z), chart_name=chart.name)
-    return reeb
+        for name, row in zip(_RESIDUAL_NAMES, rows):
+            residual.update(np.abs(row), chart, U, V, z=z, component=name)
+        if z == 0.0:  # ι_{R|Z}(w du∧dv) − d(f|Z), in du and dv
+            trees = cf.trees(chart)
+            env = {chart.u_name: U, chart.v_name: V, chart.z_name: Z}
+            f, f_u, f_v = (evaluate(t, env)
+                           for t in (trees.f, *trees.f_gradient))
+            w = _area_coefficient(f, A, B, P, f_u, f_v)
+            for name, row in (("du", -w * x[1] - f_u), ("dv", w * x[0] - f_v)):
+                identity.update(np.abs(row), chart, U, V, component=name)
+    return None if degenerate.location else BReebField(form, tub), [
+        _contact_report(volume, per_chart, CONTACT_THRESHOLD, grid),
+        _residual_report("reeb_residuals", residual, tol, grid, degenerate),
+        _residual_report("hamiltonian_identity", identity, tol, grid[:2],
+                         degenerate_on_Z),
+    ]
 
 
 def reeb_residual_report(form, tub, reeb=None, grid=(64, 64, 9)):
@@ -364,40 +433,14 @@ def reeb_residual_report(form, tub, reeb=None, grid=(64, 64, 9)):
     of ``form``; by default the field is the one solved from ``form`` itself,
     but any :class:`BReebField` can be audited against the form.
     """
-    if reeb is None:
-        reeb = BReebField(form, tub)
-    nu, nv, nz = grid
-    worst = 0.0
-    worst_loc = {}
-    for chart in tub.surface_charts():
-        if chart.name not in form.fields:
-            continue
-        cf = form.for_chart(chart.name)
-        U, V = _surface_points(tub, chart, nu, nv)
-        for z in z_ladder(tub.epsilon, nz):
-            Z = np.full_like(U, z)
-            A, B, C, P, Q, S, _ = frame_values(cf, chart, U, V, Z)
-            x1, x2, x3 = reeb.components(U, V, Z, chart_name=chart.name)
-            comps = (
-                np.abs(A * x1 + B * x2 + C * x3 - 1.0),
-                np.abs(-P * x2 - Q * x3),
-                np.abs(P * x1 - S * x3),
-                np.abs(Q * x1 + S * x2),
-            )
-            for ci, comp in enumerate(comps):
-                comp = np.broadcast_to(np.asarray(comp, dtype=float), U.shape)
-                k = int(np.argmax(comp))
-                m = float(comp[k])
-                if m > worst:
-                    worst = m
-                    worst_loc = {"chart": chart.name, "u": float(U[k]),
-                                 "v": float(V[k]), "z": float(z),
-                                 "component": ("alpha(R)-1", "i_R dalpha @du",
-                                               "i_R dalpha @dv", "i_R dalpha @dz/z")[ci]}
-    return ValidationReport(
-        check="reeb_residuals", passed=worst < 1e-9, threshold=1e-9,
-        worst_value=worst, worst_location=worst_loc, details={"grid": list(grid)},
-    )
+    reeb = reeb or BReebField(form, tub)
+    residual = _Worst()
+    for chart, cf, U, V, z, Z in _slabs(form, tub, grid):
+        frame = frame_values(cf, chart, U, V, Z)[:6]
+        x = reeb.components(U, V, Z, chart_name=chart.name)
+        for name, row in zip(_RESIDUAL_NAMES, _residual_rows(*frame, *x)):
+            residual.update(np.abs(row), chart, U, V, z=z, component=name)
+    return _residual_report("reeb_residuals", residual, 1e-9, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +483,12 @@ class ZSymplecticData:
         trees, env = self._at_Z(u, v, chart_name)
         A, B, _, P, _, _ = trees.frame
         f_u, f_v = trees.f_gradient
-        f, A, B, P, f_u, f_v = (evaluate(t, env)
-                                for t in (trees.f, A, B, P, f_u, f_v))
-        return f * P + A * f_v - B * f_u
+        return _area_coefficient(*(evaluate(t, env)
+                                   for t in (trees.f, A, B, P, f_u, f_v)))
+
+
+def _area_coefficient(f, A, B, P, f_u, f_v):
+    return f * P + A * f_v - B * f_u
 
 
 def exceptional_hamiltonian(form, tub):
@@ -453,51 +499,18 @@ def exceptional_hamiltonian(form, tub):
 def symplectic_on_Z(form, tub, grid=(64, 64), threshold=CONTACT_THRESHOLD):
     """ZSymplecticData with the area-form check |w| ≥ threshold on the Z grid."""
     data = ZSymplecticData(form, tub)
-    nu, nv = grid
-    for chart in tub.surface_charts():
-        if chart.name not in form.fields:
-            continue
-        U, V = _surface_points(tub, chart, nu, nv)
-        w = np.broadcast_to(
-            np.asarray(data.w_value(U, V, chart.name), dtype=float), U.shape)
-        k = int(np.argmin(np.abs(w)))
-        if abs(float(w[k])) < threshold:
+    smallest = _Worst(smallest=True)
+    for chart, _, U, V, _, _ in _slabs(form, tub, grid):
+        if smallest.update(np.abs(data.w_value(U, V, chart.name)),
+                           chart, U, V) < threshold:
+            at = smallest.location
             raise DegenerateSymplecticError(
-                f"|w| = {abs(float(w[k])):.3e} < {threshold:g} on chart "
-                f"{chart.name!r} at (u={float(U[k]):.6f}, v={float(V[k]):.6f})")
+                f"|w| = {smallest.value:.3e} < {threshold:g} on chart "
+                f"{chart.name!r} at (u={at['u']:.6f}, v={at['v']:.6f})")
     return data
 
 
-def verify_hamiltonian_identity(form, tub, reeb=None, grid=(64, 64), tol=1e-9):
-    """Check ι_{R|_Z} ω = d(f|_Z) componentwise over the Z grid.
-
-    With ω = w du∧dv the contraction is −w Y_v du + w Y_u dv, so the residual
-    components are |−w Y_v − f_u| and |w Y_u − f_v|, both evaluated at z = 0.
-    """
-    if reeb is None:
-        reeb = BReebField(form, tub)
-    data = ZSymplecticData(form, tub)
-    nu, nv = grid
-    worst = 0.0
-    worst_loc = {}
-    for chart in tub.surface_charts():
-        if chart.name not in form.fields:
-            continue
-        U, V = _surface_points(tub, chart, nu, nv)
-        Yu, Yv, _ = reeb.components(U, V, np.zeros_like(U), chart_name=chart.name)
-        w = data.w_value(U, V, chart.name)
-        H_u, H_v = data.H_gradient(U, V, chart.name)
-        r1 = np.abs(-w * Yv + H_u)
-        r2 = np.abs(w * Yu + H_v)
-        for ci, comp in enumerate((r1, r2)):
-            comp = np.broadcast_to(np.asarray(comp, dtype=float), U.shape)
-            k = int(np.argmax(comp))
-            m = float(comp[k])
-            if m > worst:
-                worst = m
-                worst_loc = {"chart": chart.name, "u": float(U[k]),
-                             "v": float(V[k]), "component": ("du", "dv")[ci]}
-    return ValidationReport(
-        check="hamiltonian_identity", passed=worst < tol, threshold=tol,
-        worst_value=worst, worst_location=worst_loc, details={"grid": list(grid)},
-    )
+def verify_hamiltonian_identity(form, tub, grid=(64, 64), tol=1e-9):
+    """Check ι_{R|_Z} ω = d(f|_Z) componentwise over the Z grid: the
+    identity check of :func:`solve_reeb` on the surface grid alone."""
+    return solve_reeb(form, tub, grid, tol)[1][2]

@@ -202,7 +202,7 @@ def find_critical_points(zdata, tub, coarse=(128, 128), newton_tol=NEWTON_TOL,
     if warnings is None:
         warnings = []
     nu, nv = coarse
-    found = []  # (canonical, CriticalPoint-args)
+    points = []
     for chart in tub.surface_charts():
         if chart.name not in zdata.form.fields:
             continue
@@ -238,19 +238,13 @@ def find_critical_points(zdata, tub, coarse=(128, 128), newton_tol=NEWTON_TOL,
             u, v = chart.wrap(u, v)
             if not chart.contains(u, v, slack=1e-9):
                 continue  # owned by a neighbouring chart
-            canonical = tub.to_canonical(chart.name, u, v)
-            dup = False
-            for k, (c_prev, rec) in enumerate(found):
+            for k, rec in enumerate(points):
                 if tub.distance(chart.name, (u, v), rec.chart, (rec.u, rec.v)) < DEDUP_DISTANCE:
-                    dup = True
                     if math.hypot(*grad) < rec.grad_norm:
-                        found[k] = (canonical,
-                                    _make_point(chart.name, u, v, H, grad, hess))
+                        points[k] = _make_point(chart.name, u, v, H, grad, hess)
                     break
-            if not dup:
-                found.append((canonical,
-                              _make_point(chart.name, u, v, H, grad, hess)))
-    points = [rec for _, rec in found]
+            else:
+                points.append(_make_point(chart.name, u, v, H, grad, hess))
     for p in points:
         det = p.hess[0][0] * p.hess[1][1] - p.hess[0][1] ** 2
         if abs(det) < MORSE_DET_FLOOR:

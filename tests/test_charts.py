@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bcontactlab.charts import Chart, TubularChart
+from bcontactlab.contact import z_ladder
 
 
 def test_torus_wrap_and_seam_distance():
@@ -24,7 +25,7 @@ def test_torus_grid_omits_duplicate_endpoint():
 
 def test_z_levels_symmetric_ladder():
     tub = TubularChart.torus(epsilon=0.5)
-    levels = tub.z_levels()
+    levels = z_ladder(tub.epsilon, 9)
     assert len(levels) == 9
     assert 0.0 in levels
     assert sorted(levels) == sorted(-l for l in levels)

@@ -65,6 +65,50 @@ def test_stage_subsets(tmp_path):
         "nonhyperbolic-1d-transverse"}
 
 
+def test_validate_tol_sets_the_residual_thresholds(tmp_path):
+    result = run("torus", "validate", tmp_path, tol=1e-16)
+    assert result.exit_status == 2
+    checks = {c["check"]: c for c in result.report["checks"]}
+    assert checks["contact_check"]["threshold"] == 1e-8
+    assert checks["contact_check"]["passed"]
+    for name in ("reeb_residuals", "hamiltonian_identity"):
+        assert checks[name]["threshold"] == 1e-16
+        assert not checks[name]["passed"]
+    assert result.report["verdict"]["failures"] == [
+        "reeb_residuals", "hamiltonian_identity"]
+
+
+def test_non_contact_form_fails_checks_and_exits_2(tmp_path):
+    # alpha∧dalpha vanishes on the circles v = π/2 and v = 3π/2
+    payload = {"kind": "bcontact", "name": "non-contact", "surface": "torus",
+               "epsilon": 0.5,
+               "fields": {"torus": {"f": "cos(v)^3 + 2", "beta_u": "sin(v)",
+                                    "beta_v": "0", "beta_z": "0"}}}
+    path = tmp_path / "non-contact.json"
+    path.write_text(json.dumps(payload))
+    result = run(str(path), "all", tmp_path / "out")
+    assert result.exit_status == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert "error" not in report
+    checks = {c["check"]: c for c in report["checks"]}
+    assert set(checks) == {"contact_check", "reeb_residuals",
+                           "hamiltonian_identity"}
+    assert not any(c["passed"] for c in checks.values())
+    assert checks["contact_check"]["worst_value"] < 1e-12
+    assert checks["contact_check"]["worst_location"]["v"] == pytest.approx(
+        math.pi / 2)
+    for name in ("reeb_residuals", "hamiltonian_identity"):
+        where = checks[name]["worst_location"]
+        assert where["chart"] == "torus"
+        assert where["v"] == pytest.approx(math.pi / 2)
+        assert where["cause"].startswith("|det N|")
+    assert report["skipped"]["stages"] == ["critical", "trace", "census"]
+    assert report["skipped"]["reason"]
+    assert not {"critical_points", "orbits", "census"} & set(report)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "report.json"]
+
+
 def test_mcgehee_trajectory_file(tmp_path):
     result = run("mcgehee", "all", tmp_path)
     assert result.exit_status == 0

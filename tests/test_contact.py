@@ -15,6 +15,7 @@ import random
 import numpy as np
 import pytest
 
+from bcontactlab import contact
 from bcontactlab.charts import TubularChart
 from bcontactlab.contact import (
     BContactForm, BReebField, ChartFields, DegenerateSymplecticError,
@@ -24,6 +25,7 @@ from bcontactlab.contact import (
 )
 from bcontactlab.critical import find_critical_points
 from bcontactlab.expressions import parse
+from bcontactlab.runner import run
 from bcontactlab.scenarios import load_scenario, scenario_form
 from tests_fd import central_gradient
 
@@ -58,7 +60,7 @@ def test_torus_volume_coefficient_is_minus_one():
 
 def test_torus_reeb_components_match_closed_form():
     tub, form = torus_setup()
-    reeb = solve_reeb(form, tub)
+    reeb, _ = solve_reeb(form, tub)
     rng = random.Random(8)
     for _ in range(50):
         u = rng.uniform(0, 2 * math.pi)
@@ -135,10 +137,16 @@ def test_contact_check_fails_when_alpha_is_closed():
     assert report.worst_location["chart"] == "torus"
 
 
-def test_solve_reeb_raises_on_rank_deficiency():
-    tub, form = torus_setup(f="1", beta_u="0")
+def test_components_raise_on_rank_deficiency():
+    # alpha∧dalpha vanishes on the circle v = π/2, where det N = 0
+    tub, form = torus_setup(f="cos(v)^3 + 2")
+    reeb = BReebField(form, tub)
+    reeb.components(0.0, 1.0, 0.0)
     with pytest.raises(RankDeficiencyError):
-        solve_reeb(form, tub)
+        reeb.components(0.0, math.pi / 2, 0.0)
+    with pytest.raises(RankDeficiencyError):
+        reeb.components(np.zeros(3), np.array([1.0, math.pi / 2, 2.0]),
+                        np.zeros(3))
 
 
 def test_reeb_residuals_tiny_on_builtins(sphere):
@@ -266,3 +274,28 @@ def test_z_ladder_is_symmetric():
     zs = z_ladder(0.5, 9)
     assert len(zs) == 9
     assert sorted(zs) == sorted(-z for z in zs)
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere"])
+def test_validate_evaluates_each_grid_point_once(name, tmp_path, monkeypatch):
+    """The validate stage hands every (chart, u, v, z) point to
+    frame_values exactly once."""
+    seen = []
+    inner = contact.frame_values
+
+    def counting(cf, chart, u, v, z):
+        seen.append((chart.name, u, v, z))
+        return inner(cf, chart, u, v, z)
+
+    monkeypatch.setattr(contact, "frame_values", counting)
+    result = run(name, "validate", tmp_path, grid=(24, 20, 5))
+    assert result.exit_status == 0
+    per_chart = {}
+    for chart, *coords in seen:
+        pts = np.column_stack(np.broadcast_arrays(
+            *(np.ravel(np.asarray(c, dtype=float)) for c in coords)))
+        per_chart.setdefault(chart, []).append(pts)
+    evaluated = sum(len(p) for pts in per_chart.values() for p in pts)
+    distinct = sum(len(np.unique(np.concatenate(pts), axis=0))
+                   for pts in per_chart.values())
+    assert evaluated == distinct > 0
