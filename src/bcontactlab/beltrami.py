@@ -28,6 +28,7 @@ from .charts import TubularChart
 from .contact import BContactForm, ChartFields, contact_check, exceptional_hamiltonian
 from .critical import (
     MORSE_DET_FLOOR, NotMorseError, RegularValueViolation, SpectrumMismatchError,
+    spectrum_mismatch,
 )
 from .expressions import (
     Const, Expr, differentiate, eval_value, hessian, parse, substitute,
@@ -111,11 +112,6 @@ class MetricOnZ:
 
     def sqrt_det(self, u, v):
         return eval_value(self.sqrt_det_expr, _NAMES, (u, v))
-
-    def inverse_entries(self, u, v):
-        a, b, c = self.entries(u, v)
-        d = a * c - b * b
-        return c / d, -b / d, a / d
 
     def validate(self, grid=(64, 64)):
         U, V = _torus_grid(grid)
@@ -373,13 +369,7 @@ def beltrami_stability_matrix(stream, metric=None, eigenvalue=1.0,
     lam_plus = cmath.sqrt(complex(-det_hess, 0.0)) / rescale
     lam_minus = -lam_plus
     lam_z = -f_p
-    order = np.argsort([abs(e - lam_z) for e in eigs])
-    ez = eigs[order[0]]
-    rest = sorted(eigs[order[1:]], key=lambda e: (e.real, e.imag))
-    targets = sorted([lam_plus, lam_minus], key=lambda e: (e.real, e.imag))
-    scale = max(abs(lam_z), abs(lam_plus), 1e-30)
-    mismatch = max(abs(ez - lam_z) / max(abs(lam_z), 1e-30),
-                   max(abs(e - t) / scale for e, t in zip(rest, targets)))
+    mismatch = spectrum_mismatch(eigs, lam_plus, lam_z)
     if mismatch > rel_tol:
         raise SpectrumMismatchError(
             f"assembled matrix disagrees with its closed-form spectrum "

@@ -42,10 +42,6 @@ class Chart:
     def variables(self):
         return (self.u_name, self.v_name, self.z_name)
 
-    @property
-    def surface_variables(self):
-        return (self.u_name, self.v_name)
-
     def wrap(self, u, v):
         """Normalize periodic coordinates into their fundamental range."""
         if self.u_periodic:
@@ -55,6 +51,16 @@ class Chart:
             lo, hi = self.v_range
             v = lo + (v - lo) % (hi - lo)
         return u, v
+
+    def offset(self, du, dv):
+        """A coordinate difference, periodic parts wrapped into [−span/2, span/2)."""
+        if self.u_periodic:
+            span = self.u_range[1] - self.u_range[0]
+            du = (du + span / 2) % span - span / 2
+        if self.v_periodic:
+            span = self.v_range[1] - self.v_range[0]
+            dv = (dv + span / 2) % span - span / 2
+        return du, dv
 
     def contains(self, u, v, slack=0.0):
         if self.disk_radius > 0.0:
@@ -154,35 +160,34 @@ class TubularChart:
         """Chart point → canonical coordinates usable across the whole atlas.
 
         Torus: wrapped (u, v).  Sphere: the unit vector in R³, which makes the
-        comparison metric chart-independent.
+        comparison metric chart-independent.  u and v may be floats or arrays.
         """
         if self.kind == "torus":
             return self.charts["torus"].wrap(u, v)
         if chart_name == "north":
             theta, phi = u, v
         elif chart_name == "south":
-            theta, phi = self.angular_transition(u, v)
+            theta, phi = np.pi - u, -v
         elif chart_name == "north-pole":
-            theta = math.hypot(u, v)
-            phi = math.atan2(v, u) if theta > 0 else 0.0
+            theta, phi = np.hypot(u, v), np.arctan2(v, u)
         elif chart_name == "south-pole":
-            rho = math.hypot(u, v)
-            theta = math.pi - rho
-            phi = -math.atan2(v, u) if rho > 0 else 0.0
+            theta, phi = np.pi - np.hypot(u, v), -np.arctan2(v, u)
         else:
             raise KeyError(chart_name)
-        st = math.sin(theta)
-        return (st * math.cos(phi), st * math.sin(phi), math.cos(theta))
+        st = np.sin(theta)
+        return (st * np.cos(phi), st * np.sin(phi), np.cos(theta))
 
     def distance(self, chart_a, pa, chart_b, pb):
-        """Intrinsic-scale distance between points given in any two charts."""
+        """Intrinsic-scale distance between points given in any two charts.
+
+        The coordinates of either point may be arrays; the result broadcasts.
+        """
         ca = self.to_canonical(chart_a, *pa)
         cb = self.to_canonical(chart_b, *pb)
         if self.kind == "torus":
-            du = _wrap_diff(ca[0] - cb[0])
-            dv = _wrap_diff(ca[1] - cb[1])
-            return math.hypot(du, dv)
-        return math.dist(ca, cb)
+            return np.hypot(*self.charts["torus"].offset(ca[0] - cb[0],
+                                                         ca[1] - cb[1]))
+        return np.hypot(np.hypot(ca[0] - cb[0], ca[1] - cb[1]), ca[2] - cb[2])
 
     def express_in(self, chart_name, canonical):
         """Canonical coordinates → this chart's (u, v), or None if outside it."""
@@ -203,7 +208,3 @@ class TubularChart:
             uv = (rho * math.cos(-phi), rho * math.sin(-phi))
         return uv if chart.contains(*uv) else None
 
-
-def _wrap_diff(d):
-    two_pi = 2 * math.pi
-    return (d + math.pi) % two_pi - math.pi

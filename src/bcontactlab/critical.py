@@ -275,6 +275,21 @@ def _make_point(chart_name, u, v, H, grad, hess):
 # ---------------------------------------------------------------------------
 # stability
 
+def spectrum_mismatch(eigs, lam_plus, lam_z):
+    """Worst relative gap between a 3×3 spectrum and its closed forms.
+
+    The eigenvalue nearest λ_z is paired with λ_z; the other two, sorted by
+    (real, imag), with ±λ_plus sorted the same way.
+    """
+    order = np.argsort([abs(e - lam_z) for e in eigs])
+    ez = eigs[order[0]]
+    rest = sorted(eigs[order[1:]], key=lambda e: (e.real, e.imag))
+    targets = sorted([lam_plus, -lam_plus], key=lambda e: (e.real, e.imag))
+    scale = max(abs(lam_z), abs(lam_plus), 1e-30)
+    return max(abs(ez - lam_z) / max(abs(lam_z), 1e-30),
+               *(abs(e - t) / scale for e, t in zip(rest, targets)))
+
+
 def stability_at(p, reeb, zdata, rel_tol=1e-6):
     """Classify DR(p): numerical spectrum cross-checked against closed forms."""
     w_p = zdata.w_value(p.u, p.v, p.chart)
@@ -287,17 +302,7 @@ def stability_at(p, reeb, zdata, rel_tol=1e-6):
     dr = reeb.linearization_at(p.u, p.v, chart_name=p.chart)
     eigs, vecs = np.linalg.eig(dr)
 
-    # pair numerical eigenvalues with the closed forms
-    order = np.argsort([abs(e - lam_z) for e in eigs])
-    ez = eigs[order[0]]
-    rest = sorted(eigs[order[1:]], key=lambda e: (e.real, e.imag))
-    targets = sorted([lam_plus, lam_minus], key=lambda e: (e.real, e.imag))
-    scale = max(abs(lam_z), abs(lam_plus), 1e-30)
-    mism = max(
-        abs(ez - lam_z) / max(abs(lam_z), 1e-30),
-        abs(rest[0] - targets[0]) / scale,
-        abs(rest[1] - targets[1]) / scale,
-    )
+    mism = spectrum_mismatch(eigs, lam_plus, lam_z)
     if mism > rel_tol:
         raise SpectrumMismatchError(
             f"DR(p) spectrum {sorted(eigs, key=abs)} deviates from closed forms "

@@ -81,11 +81,9 @@ def _energy(x, a, pr, pa, mu):
     """The Hamiltonian, on floats or arrays."""
     x2 = x * x
     x4 = x2 * x2
-    c = np.cos(a)
-    d1 = np.sqrt(4.0 - 4.0 * mu * x2 * c + mu * mu * x4)
-    d2 = np.sqrt(4.0 + 4.0 * (1.0 - mu) * x2 * c + (1.0 - mu) ** 2 * x4)
+    s1, s2 = _squared_separations(x, a, mu)
     return (pr * pr / 2.0 + x4 * pa * pa / 8.0 - pa
-            - (1.0 - mu) * x2 / d1 - mu * x2 / d2)
+            - (1.0 - mu) * x2 / np.sqrt(s1) - mu * x2 / np.sqrt(s2))
 
 
 def _squared_separations(x, a, mu):
@@ -126,6 +124,9 @@ def _field_values(x, a, pr, pa, mu):
         ∂H/∂x   = x³P_a²/2 − 4(1−μ)x(2 − μx²c)/d₁³ − 4μx(2 + (1−μ)x²c)/d₂³,
         ∂H/∂a   = 2μ(1−μ)x⁴ s (1/d₁³ − 1/d₂³),
         ∂H/∂P_r = P_r,     ∂H/∂P_a = x⁴P_a/4 − 1.
+
+    Raises ``CollisionError`` when either squared separation falls below
+    ``COLLISION_FLOOR``.
     """
     if x == 0.0:
         # {x = 0} is invariant and carries the rigid rotation a' = -1
@@ -133,8 +134,11 @@ def _field_values(x, a, pr, pa, mu):
     x2 = x * x
     x4 = x2 * x2
     c, s = math.cos(a), math.sin(a)
-    d1 = math.sqrt(4.0 - 4.0 * mu * x2 * c + mu * mu * x4)
-    d2 = math.sqrt(4.0 + 4.0 * (1.0 - mu) * x2 * c + (1.0 - mu) ** 2 * x4)
+    d1sq = 4.0 - 4.0 * mu * x2 * c + mu * mu * x4
+    d2sq = 4.0 + 4.0 * (1.0 - mu) * x2 * c + (1.0 - mu) ** 2 * x4
+    if d1sq < COLLISION_FLOOR or d2sq < COLLISION_FLOOR:
+        raise CollisionError(f"primary separation underflow at x={x:.6g}")
+    d1, d2 = math.sqrt(d1sq), math.sqrt(d2sq)
     d1c, d2c = d1 * d1 * d1, d2 * d2 * d2
     h_x = (x * x2 * pa * pa / 2.0
            - 4.0 * (1.0 - mu) * x * (2.0 - mu * x2 * c) / d1c
@@ -146,7 +150,6 @@ def _field_values(x, a, pr, pa, mu):
 
 def vector_field(state, params):
     """State derivative (ẋ, ȧ, Ṗ_r, Ṗ_a)."""
-    _guard(state.x, state.a, params.mu)
     return _field_values(state.x, state.a, state.pr, state.pa, params.mu)
 
 
@@ -170,7 +173,6 @@ def integrate_mcgehee(state0, params, t_span=(0.0, 100.0), rtol=1e-10,
     mu = params.mu
 
     def rhs(t, y):
-        _guard(y[0], y[1], mu)
         return _field_values(float(y[0]), float(y[1]), float(y[2]),
                              float(y[3]), mu)
 

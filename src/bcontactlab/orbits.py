@@ -228,18 +228,8 @@ def trace_on_surface(reeb, tub, chart_name, u0, v0, *, t_max=100.0,
         raise ValueError("surface seed sits at an equilibrium of R|_Z")
     nvec = v0vec / speed
 
-    def _wrapped_offset(y):
-        du, dv = y[0] - y0[0], y[1] - y0[1]
-        if chart.u_periodic:
-            span = chart.u_range[1] - chart.u_range[0]
-            du = (du + span / 2) % span - span / 2
-        if chart.v_periodic:
-            span = chart.v_range[1] - chart.v_range[0]
-            dv = (dv + span / 2) % span - span / 2
-        return du, dv
-
     def _anchor(t, y):
-        du, dv = _wrapped_offset(y)
+        du, dv = chart.offset(y[0] - y0[0], y[1] - y0[1])
         return du * nvec[0] + dv * nvec[1]
 
     # a full winding of a periodic coordinate must not hide inside one step,
@@ -267,12 +257,10 @@ def _tail_monotone(trace, tub, p, window=0.1):
     """
     n = trace.y.shape[0]
     tail = trace.y[max(0, n - max(5, int(n * window))):]
-    ds = [tub.distance(trace.chart, (float(r[0]), float(r[1])),
-                       p.chart, (p.u, p.v)) for r in tail]
-    backslide = max((b - a for a, b in zip(ds, ds[1:])), default=0.0)
-    monotone = all(b <= a + max(1e-12, 1e-9 * a)
-                   for a, b in zip(ds, ds[1:]))
-    return monotone, max(0.0, backslide)
+    ds = tub.distance(trace.chart, (tail[:, 0], tail[:, 1]), p.chart, (p.u, p.v))
+    steps = np.diff(ds)
+    monotone = bool(np.all(steps <= np.maximum(1e-12, 1e-9 * ds[:-1])))
+    return monotone, float(steps.max(initial=0.0))
 
 
 def detect_limit(trace, points, tub, tol=POSITION_TOL):
@@ -415,29 +403,31 @@ def trace_invariant_manifolds(reeb, reports, tub, *, offset=OFFSET,
 # ---------------------------------------------------------------------------
 # census
 
-def _same_orbit(a, b, tub, match_tol=MATCH_TOL):
-    """True when b's seed lies on a's trajectory (same side of Z)."""
-    if a.sigma != b.sigma:
-        return False
-    sb = b.seed
-    for trace in (a.toward, a.away):
-        for row in trace.y:
-            d_tan = tub.distance(sb.chart, (sb.u, sb.v),
-                                 trace.chart, (float(row[0]), float(row[1])))
-            if d_tan + abs(float(row[2]) - sb.s) < match_tol:
-                return True
-    return False
-
-
 def escape_census(orbits, bound, tub, match_tol=MATCH_TOL):
-    """Deduplicate traced orbits and compare the tally with the bound."""
+    """Deduplicate traced orbits and compare the tally with the bound.
+
+    An escaping orbit is a duplicate when its seed lies on the trajectory of
+    an orbit kept before it on the same side of Z.  The samples of the kept
+    orbits are stacked per (σ, chart), so each seed is one distance call per
+    stack.
+    """
     distinct = []
+    stacks = {}   # (sigma, chart) -> (u, v, s) samples of the kept orbits
     for orbit in orbits:
         if orbit.near_end.verdict != "limits-to":
             continue
-        if any(_same_orbit(kept, orbit, tub, match_tol) for kept in distinct):
+        sb = orbit.seed
+        if any(np.any(tub.distance(sb.chart, (sb.u, sb.v), chart,
+                                   (rows[:, 0], rows[:, 1]))
+                      + np.abs(rows[:, 2] - sb.s) < match_tol)
+               for (sigma, chart), rows in stacks.items()
+               if sigma == orbit.sigma):
             continue
         distinct.append(orbit)
+        for trace in (orbit.toward, orbit.away):
+            key = (orbit.sigma, trace.chart)
+            stacks[key] = np.concatenate([stacks.get(key, np.empty((0, 3))),
+                                          trace.y])
     weighted = sum(o.weight for o in distinct)
 
     per_point = []

@@ -162,8 +162,7 @@ def _locate_crossing(g, seg, t_lo, t_hi, g_lo):
 
 
 def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
-              max_steps=500000, first_step=None, max_step=math.inf,
-              record=True):
+              max_steps=500000, max_step=math.inf, record=True):
     """Integrate ẏ = f(t, y) over t_span, adaptively.
 
     ``events`` is a sequence of :class:`Event`; terminal ones end the run at
@@ -189,13 +188,11 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
     span = abs(t1 - t0)
     t = t0
     k1 = np.asarray(f(t, y), dtype=float)
-    n_fev = 1
     if not np.all(np.isfinite(k1)):
         raise NonFiniteState(f"non-finite derivative at t = {t!r}")
-    h = abs(first_step) if first_step else _initial_step(
-        f, t0, y, k1, direction, rtol, atol, span)
-    n_fev += 0 if first_step else 1
-    h = min(h, span, max_step)
+    h = min(_initial_step(f, t0, y, k1, direction, rtol, atol, span),
+            max_step)
+    n_fev = 2  # k1 and the initial-step probe
     err_old = 1e-4
     n_steps = n_rejected = 0
     hmin_seen, hmax_seen = math.inf, 0.0

@@ -16,6 +16,35 @@ def test_torus_wrap_and_seam_distance():
     assert d == pytest.approx(0.02, abs=1e-12)
 
 
+_ARRAY_SAMPLES = {
+    # the seam, from both sides, and coordinates outside the fundamental box
+    "torus": {"torus": [(0.0, 0.0), (1e-3, 2 * math.pi - 1e-3),
+                        (2 * math.pi - 1e-3, 1.0), (-0.5, 7.0), (3.0, 6.2)]},
+    # every chart, the pole centres included
+    "sphere": {"north": [(0.05, -math.pi), (0.2, 1.0), (1.7, math.pi - 1e-3)],
+               "south": [(0.05, 2.0), (1.4, -math.pi), (1.0, 0.3)],
+               "north-pole": [(0.0, 0.0), (0.1, -0.2), (-0.25, 0.0)],
+               "south-pole": [(0.0, 0.0), (0.05, 0.21), (0.0, -0.3)]},
+}
+
+
+@pytest.mark.parametrize("kind", ["torus", "sphere"])
+def test_distance_on_arrays_matches_pointwise(kind):
+    tub = TubularChart.torus() if kind == "torus" else TubularChart.sphere_atlas()
+    samples = _ARRAY_SAMPLES[kind]
+    for chart_a, points_a in samples.items():
+        u, v = np.array(points_a).T
+        for chart_b, points_b in samples.items():
+            for pb in points_b:
+                pointwise = [tub.distance(chart_a, pa, chart_b, pb)
+                             for pa in points_a]
+                assert np.array_equal(tub.distance(chart_a, (u, v), chart_b, pb),
+                                      pointwise)
+                assert np.array_equal(tub.distance(chart_b, pb, chart_a, (u, v)),
+                                      [tub.distance(chart_b, pb, chart_a, pa)
+                                       for pa in points_a])
+
+
 def test_torus_grid_omits_duplicate_endpoint():
     chart = TubularChart.torus().charts["torus"]
     u, v = chart.grid(8, 8)

@@ -13,14 +13,16 @@ import math
 import numpy as np
 import pytest
 
+from bcontactlab.charts import TubularChart
 from bcontactlab.contact import BReebField, exceptional_hamiltonian
 from bcontactlab.critical import (
-    CriticalPoint, census_bound, find_critical_points, stability_at,
+    CensusBound, CriticalPoint, census_bound, find_critical_points,
+    stability_at,
 )
 from bcontactlab.orbits import (
-    RegularizedState, detect_limit, escape_census, integrate_orbit,
-    refinement_check, regularized_field, seed_plan, trace_invariant_manifolds,
-    trace_on_surface,
+    EscapeOrbit, LimitReport, OrbitTrace, RegularizedState, detect_limit,
+    escape_census, integrate_orbit, refinement_check, regularized_field,
+    seed_plan, trace_invariant_manifolds, trace_on_surface,
 )
 from bcontactlab.scenarios import load_scenario, scenario_form
 
@@ -217,6 +219,60 @@ def test_census_flags_an_incomplete_sweep(sphere_run):
     assert census.weighted_total == 2
     assert not census.consistent_with_bound
     assert census.details["non_escaping_seeds"] == 2
+
+
+def _hand_orbit(chart, sigma, seed, toward=(), away=(), trace_chart=None):
+    """An escaping orbit with hand-written (u, v, s) samples."""
+    point = CriticalPoint(chart=chart, u=0.0, v=0.0, H=0.0, index=1,
+                          hess=((1.0, 0.0), (0.0, -1.0)), f_value=1.0,
+                          grad_norm=0.0)
+
+    def trace(rows):
+        rows = np.array([seed, *rows], dtype=float)
+        return OrbitTrace(chart=trace_chart or chart, sigma=sigma,
+                          direction=1, t=np.arange(len(rows), dtype=float),
+                          y=rows, status="event:reached-Z", stats={})
+
+    return EscapeOrbit(
+        point=point, chart=chart, sigma=sigma, psi=None,
+        seed=RegularizedState(chart, *seed, sigma), toward=trace(toward),
+        away=trace(away), near_end=LimitReport(verdict="limits-to",
+                                               point=point),
+        far_end=LimitReport(verdict="left-neighborhood"), weight=1)
+
+
+def test_census_drops_seeds_that_lie_on_a_kept_trajectory():
+    bound = CensusBound(n_components=1, per_component=[], counts=(0, 1, 0),
+                        verdict="infinite", lower_bound=2,
+                        expected_weighted=None)
+
+    def n_distinct(tub, kept, other):
+        return escape_census([kept, other], bound, tub).n_distinct
+
+    torus = TubularChart.torus()
+    kept = _hand_orbit("torus", 1, (1.0, 2.0, -9.0),
+                       toward=[(1.1, 2.1, -12.0), (1.2, 2.2, -15.0)],
+                       away=[(0.5, 6.2, -5.0), (0.3, 2 * math.pi - 2e-7, -2.0)])
+    # a seed taken from the kept orbit's away samples
+    assert n_distinct(torus, kept, _hand_orbit("torus", 1, (0.5, 6.2, -5.0))) == 1
+    # the same seed, moved by 2π across the seam
+    seam = (0.5, 6.2 - 2 * math.pi, -5.0)
+    assert n_distinct(torus, kept, _hand_orbit("torus", 1, seam)) == 1
+    # a seed 4e-7 away from a sample, on the other side of the seam
+    assert n_distinct(torus, kept, _hand_orbit("torus", 1, (0.3, 2e-7, -2.0))) == 1
+    # the same point on the other side of Z
+    assert n_distinct(torus, kept, _hand_orbit("torus", -1, (0.5, 6.2, -5.0))) == 2
+
+    # sphere: samples stored in the pole disk, seed given in the angular
+    # chart on their overlap δ < θ < 0.3
+    sphere = TubularChart.sphere_atlas()
+    theta, phi = 0.2, 0.7
+    kept = _hand_orbit("north-pole", 1, (0.0, 0.01, -9.0),
+                       away=[(theta * math.cos(phi), theta * math.sin(phi),
+                              -4.0)])
+    assert n_distinct(sphere, kept, _hand_orbit("north", 1, (theta, phi, -4.0))) == 1
+    assert n_distinct(sphere, kept,
+                      _hand_orbit("north", 1, (theta, phi + 0.01, -4.0))) == 2
 
 
 # ---------------------------------------------------------------------------
