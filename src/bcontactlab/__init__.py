@@ -2,7 +2,8 @@
 
 Core objects are a small expression language whose exact partial derivatives
 are expressions too (:mod:`~bcontactlab.expressions`, the one differentiation
-engine: symbolic ``differentiate`` evaluated on floats or arrays),
+engine: symbolic ``differentiate`` evaluated on floats or arrays, and trees
+compiled by ``compile`` into one generated function),
 tubular charts of a surface Z inside a 3-manifold (:mod:`~bcontactlab.charts`),
 singular contact forms f dz/z + β with their Reeb fields and the induced
 Hamiltonian system on Z (:mod:`~bcontactlab.contact`,

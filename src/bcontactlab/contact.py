@@ -39,7 +39,8 @@ from functools import cached_property
 import numpy as np
 
 from .expressions import (
-    Expr, Var, add, differentiate, evaluate, gradient, hessian, mul, sub,
+    Expr, Var, add, compile, differentiate, evaluate, gradient, hessian, mul,
+    sub,
 )
 
 __all__ = [
@@ -86,9 +87,10 @@ class ChartFields:
 class ChartTrees:
     """Frame coefficients of one chart as trees over its (u, v, z) names.
 
-    ``frame`` holds A, B, C and P, Q, S (see the module docstring); the
-    partials that the linearization and the surface data need are derived on
-    first use, once per chart.
+    ``frame`` holds A, B, C and P, Q, S (see the module docstring), and
+    ``frame_function(u, v, z)`` is their one compiled evaluation; the partials
+    that the linearization and the surface data need are derived on first
+    use, once per chart.
     """
 
     def __init__(self, cf, names):
@@ -103,6 +105,7 @@ class ChartTrees:
             sub(differentiate(C, u), mul(Var(z), differentiate(A, z))),
             sub(differentiate(C, v), mul(Var(z), differentiate(B, z))),
         )
+        self.frame_function = compile(self.frame, names)
 
     @cached_property
     def frame_partials(self):
@@ -164,8 +167,7 @@ class ValidationReport:
 
 def frame_values(cf, chart, u, v, z):
     """(A, B, C, P, Q, S, V) values at a point or an array of points."""
-    env = {chart.u_name: u, chart.v_name: v, chart.z_name: z}
-    A, B, C, P, Q, S = [evaluate(t, env) for t in cf.trees(chart).frame]
+    A, B, C, P, Q, S = cf.trees(chart).frame_function(u, v, z)
     V = A * S - B * Q + C * P
     return A, B, C, P, Q, S, V
 
@@ -240,9 +242,13 @@ def _solve_checked(A, B, C, P, Q, S):
                                  f"< {_DET_FLOOR:g}")
     rows = _residual_rows(A, B, C, P, Q, S, x1, x2, x3)
     r1, r2, r3, r4 = rows
-    res = np.sqrt(r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4)
-    bad = (res > REEB_RESIDUAL_TOL if isinstance(res, float)
-           else np.any(res > REEB_RESIDUAL_TOL))
+    square = r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4
+    if isinstance(square, float):
+        res = math.sqrt(square)
+        bad = res > REEB_RESIDUAL_TOL
+    else:
+        res = np.sqrt(square)
+        bad = np.any(res > REEB_RESIDUAL_TOL)
     cause = f"residual {np.max(res):.3e} > {REEB_RESIDUAL_TOL:g}" if bad else None
     return (x1, x2, x3), rows, det, cause
 

@@ -18,7 +18,8 @@ and ``to_string`` prints with minimal parentheses so that
 Evaluation takes python floats or numpy arrays of a common shape in ``env``,
 so the same tree walk evaluates a single point or a whole grid.  Derivatives
 are trees too: :func:`differentiate` builds the exact partial of a tree, which
-then evaluates like any other.
+then evaluates like any other.  :func:`compile` turns a tuple of trees into
+one generated function with the same values, for trees evaluated many times.
 
 Domain policy (shared by every consumer, and by derivative trees, whose
 ``abs``/``sqrt``/quotient nodes inherit the same checks):
@@ -35,6 +36,7 @@ On an array argument every check is an *any*: one bad lane fails the batch.
 """
 from __future__ import annotations
 
+import builtins
 import math
 from dataclasses import dataclass
 
@@ -44,7 +46,7 @@ __all__ = [
     "ParseError", "EvalError", "DomainError", "Expr", "Const", "Var", "Unary",
     "Binary", "Power", "parse", "to_string", "evaluate", "free_vars",
     "differentiate", "gradient", "hessian", "substitute", "eval_value",
-    "ABS_KINK_HALFWIDTH",
+    "compile", "ABS_KINK_HALFWIDTH",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
@@ -374,8 +376,7 @@ def free_vars(e):
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _is_scalar(x):
-    return type(x) is float or type(x) is int
+_PLAIN = (float, int)   # the types that go through ``math``; arrays use numpy
 
 
 def _any(mask):
@@ -410,17 +411,26 @@ def evaluate(e, env):
             return l - r
         if e.op == "*":
             return l * r
-        if _any(r == 0):
-            raise DomainError("division by zero")
-        q = l / r
-        if not _all_finite(q):
-            raise DomainError("non-finite quotient")
-        return q
+        return _div(l, r)
     if isinstance(e, Power):
         return _int_power(evaluate(e.base, env), e.exponent)
     if isinstance(e, Unary):
-        return _unary(e.func, evaluate(e.arg, env))
+        a = evaluate(e.arg, env)
+        return _unary(e.func)(a)
     raise TypeError(f"not an Expr: {e!r}")
+
+
+# The checked primitives below are the domain policy; evaluated and compiled
+# trees both call them.  A plain float goes through ``math``, anything else
+# through numpy.
+
+def _div(l, r):
+    if _any(r == 0):
+        raise DomainError("division by zero")
+    q = l / r
+    if not _all_finite(q):
+        raise DomainError("non-finite quotient")
+    return q
 
 
 def _int_power(x, m):
@@ -435,30 +445,124 @@ def _int_power(x, m):
     return out
 
 
-def _unary(func, a):
-    scalar = _is_scalar(a)
-    if func == "sin":
-        return math.sin(a) if scalar else np.sin(a)
-    if func == "cos":
-        return math.cos(a) if scalar else np.cos(a)
-    if func == "exp":
-        try:
-            out = math.exp(a) if scalar else np.exp(a)
-        except OverflowError:
-            raise DomainError("exp overflow") from None
-        if not _all_finite(out):
-            raise DomainError("exp overflow")
-        return out
-    if func == "sqrt":
-        if _any(a <= 0):
-            raise DomainError("sqrt of a non-positive argument")
-        return math.sqrt(a) if scalar else np.sqrt(a)
-    if func == "abs":
-        out = abs(a)
-        if _any(out < ABS_KINK_HALFWIDTH):
-            raise DomainError("abs evaluated at its kink")
-        return out
-    raise EvalError(f"unknown function {func!r}")
+def _sin(a):
+    return math.sin(a) if type(a) in _PLAIN else np.sin(a)
+
+
+def _cos(a):
+    return math.cos(a) if type(a) in _PLAIN else np.cos(a)
+
+
+def _exp(a):
+    try:
+        out = math.exp(a) if type(a) in _PLAIN else np.exp(a)
+    except OverflowError:
+        raise DomainError("exp overflow") from None
+    if not _all_finite(out):
+        raise DomainError("exp overflow")
+    return out
+
+
+def _sqrt(a):
+    if _any(a <= 0):
+        raise DomainError("sqrt of a non-positive argument")
+    return math.sqrt(a) if type(a) in _PLAIN else np.sqrt(a)
+
+
+def _abs(a):
+    out = abs(a)
+    if _any(out < ABS_KINK_HALFWIDTH):
+        raise DomainError("abs evaluated at its kink")
+    return out
+
+
+_UNARY = {"sin": _sin, "cos": _cos, "exp": _exp, "sqrt": _sqrt, "abs": _abs}
+
+
+def _unary(func):
+    try:
+        return _UNARY[func]
+    except KeyError:
+        raise EvalError(f"unknown function {func!r}") from None
+
+
+# --------------------------------------------------------------------------
+# compilation
+
+# Everything generated code can name: the checked primitives, and the two
+# non-finite float reprs.
+_NAMESPACE = {"__builtins__": {}, "_div": _div, "_int_power": _int_power,
+              "inf": math.inf, "nan": math.nan,
+              **{f"_{name}": fn for name, fn in _UNARY.items()}}
+
+
+def compile(trees, variables):
+    """One generated function of positional values returning ``trees``' values.
+
+    ``compile(trees, variables)(*values)`` equals ``tuple(evaluate(t, env)
+    for t in trees)`` with ``env = dict(zip(variables, values))``, bit for
+    bit, for floats and arrays alike, and raises :class:`DomainError` where
+    that does.  The source is generated from the AST alone: values are the
+    parameters ``x0, x1, ...`` by position and constants are float literals,
+    so no name from a scenario reaches it.  Each structurally distinct
+    subtree is one statement, computed once, and each temporary is deleted
+    after its last use so that array temporaries do not pile up.  A variable
+    outside ``variables`` raises :class:`EvalError` here, naming it.
+    """
+    position = {name: i for i, name in enumerate(variables)}
+    lines = []      # (temp, expression, operand temps)
+    temps = {}      # expression text -> temp: structural equality
+    seen = {}       # id(node) -> operand text, so shared nodes are walked once
+
+    def operand(e):
+        text = seen.get(id(e))
+        if text is not None:
+            return text
+        if isinstance(e, Const):
+            text = repr(float(e.value))
+        elif isinstance(e, Var):
+            if e.name not in position:
+                raise EvalError(f"unknown variable {e.name!r}")
+            text = f"x{position[e.name]}"
+        else:
+            if isinstance(e, Binary):
+                args = (operand(e.left), operand(e.right))
+                expr = (f"{args[0]} {e.op} {args[1]}" if e.op in ("+", "-", "*")
+                        else f"_div({args[0]}, {args[1]})")
+            elif isinstance(e, Power):
+                args = (operand(e.base),)
+                expr = f"_int_power({args[0]}, {int(e.exponent)})"
+            elif isinstance(e, Unary):
+                _unary(e.func)
+                args = (operand(e.arg),)
+                expr = f"_{e.func}({args[0]})"
+            else:
+                raise TypeError(f"not an Expr: {e!r}")
+            text = temps.get(expr)
+            if text is None:
+                text = temps[expr] = f"t{len(lines)}"
+                lines.append((text, expr, args))
+        seen[id(e)] = text
+        return text
+
+    results = [operand(t) for t in trees]
+    defined = set(temps.values())
+    last_use = {arg: k for k, (_, _, args) in enumerate(lines)
+                for arg in args if arg in defined}
+    dead = {}   # line -> temps it uses last; results live until the return
+    for temp, k in last_use.items():
+        if temp not in results:
+            dead.setdefault(k, []).append(temp)
+    source = [f"def _compiled({', '.join(f'x{i}' for i in range(len(variables)))}):"]
+    for k, (temp, expr, _) in enumerate(lines):
+        source.append(f"    {temp} = {expr}")
+        if k in dead:
+            source.append(f"    del {', '.join(dead[k])}")
+    source.append(f"    return ({''.join(f'{r}, ' for r in results)})")
+    namespace = dict(_NAMESPACE)
+    exec(builtins.compile("\n".join(source), "<expressions.compile>", "exec"),
+         namespace)
+    return namespace["_compiled"]
 
 
 # --------------------------------------------------------------------------

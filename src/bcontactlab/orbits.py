@@ -289,10 +289,14 @@ def detect_limit(trace, points, tub, tol=POSITION_TOL):
     uf, vf, sf = map(float, trace.final)
     if trace.status == "event:reached-Z":
         best, best_d = None, math.inf
-        for p in points:
-            d = tub.distance(trace.chart, (uf, vf), p.chart, (p.u, p.v))
-            if d < best_d:
-                best, best_d = p, d
+        if points:  # the nearest point; on a tie, the first in ``points``
+            ds = np.empty(len(points))
+            for chart in {p.chart for p in points}:
+                mine = [k for k, p in enumerate(points) if p.chart == chart]
+                uv = np.array([(points[k].u, points[k].v) for k in mine]).T
+                ds[mine] = tub.distance(trace.chart, (uf, vf), chart, uv)
+            k = int(np.argmin(ds))
+            best, best_d = points[k], ds[k]
         if best is not None and best_d < tol:
             monotone, backslide = _tail_monotone(trace, tub, best)
             if monotone:
@@ -469,7 +473,7 @@ def refinement_check(reeb, reports, tub, *, factor=10.0, rtol=1e-10,
     fine = trace_invariant_manifolds(reeb, reports, tub, rtol=rtol / factor,
                                      atol=atol / factor, tol=tol, **kwargs)
     stable = True
-    worst_shift = 0.0
+    finals = {}   # (chart, chart) -> rows (u, v) coarse then (u, v) fine
     for a, b in zip(coarse, fine):
         if a.near_end.verdict != b.near_end.verdict:
             stable = False
@@ -481,9 +485,13 @@ def refinement_check(reeb, reports, tub, *, factor=10.0, rtol=1e-10,
                 continue
         if a.toward is None or b.toward is None:
             continue
-        fa, fb = a.toward.final, b.toward.final
-        shift = tub.distance(a.chart, (float(fa[0]), float(fa[1])),
-                             b.chart, (float(fb[0]), float(fb[1])))
-        worst_shift = max(worst_shift, shift)
+        finals.setdefault((a.chart, b.chart), []).append(
+            (*a.toward.final[:2], *b.toward.final[:2]))
+    worst_shift = 0.0
+    for (chart_a, chart_b), rows in finals.items():
+        f = np.array(rows)
+        shifts = tub.distance(chart_a, (f[:, 0], f[:, 1]),
+                              chart_b, (f[:, 2], f[:, 3]))
+        worst_shift = max(worst_shift, float(shifts.max()))
     return {"coarse": coarse, "fine": fine, "stable": stable,
             "worst_final_shift": worst_shift, "factor": factor}

@@ -11,6 +11,7 @@ Two reference setups are used throughout:
 """
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from bcontactlab.contact import (
     verify_hamiltonian_identity, z_ladder,
 )
 from bcontactlab.critical import find_critical_points
-from bcontactlab.expressions import parse
+from bcontactlab.beltrami import BeltramiData, contact_from_beltrami
+from bcontactlab.expressions import evaluate, parse
 from bcontactlab.runner import run
 from bcontactlab.scenarios import load_scenario, scenario_form
 from tests_fd import central_gradient
@@ -299,3 +301,44 @@ def test_validate_evaluates_each_grid_point_once(name, tmp_path, monkeypatch):
     distinct = sum(len(np.unique(np.concatenate(pts), axis=0))
                    for pts in per_chart.values())
     assert evaluated == distinct > 0
+
+
+def _walked_frame(cf, chart, u, v, z):
+    """The frame evaluated tree by tree, as the walker does."""
+    env = {chart.u_name: u, chart.v_name: v, chart.z_name: z}
+    A, B, C, P, Q, S = [evaluate(t, env) for t in cf.trees(chart).frame]
+    return A, B, C, P, Q, S, A * S - B * Q + C * P
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.mark.parametrize("name", ["torus", "beltrami"])
+def test_compiled_frame_uses_no_more_memory_than_the_walker(name):
+    """One compiled frame on a 256x256 slab peaks no higher than the walker
+    (a quarter of one slab array of slack): each temporary is freed after
+    its last use, not held until the return."""
+    if name == "torus":
+        tub, form = scenario_form(load_scenario("torus"))
+    else:
+        tub = TubularChart.torus()
+        form, _ = contact_from_beltrami(
+            BeltramiData("cos(u) + 0.5*cos(v)"), tub=tub, grid=(8, 8, 3))
+    cf, chart = form.for_chart("torus"), tub.charts["torus"]
+    U, V = (a.ravel() for a in np.meshgrid(*chart.grid(256, 256),
+                                           indexing="ij"))
+    Z = np.full_like(U, 0.125)
+    cf.trees(chart)  # derive and compile outside the measurement
+    walked, walker_peak = _peak_bytes(_walked_frame, cf, chart, U, V, Z)
+    compiled, compiled_peak = _peak_bytes(frame_values, cf, chart, U, V, Z)
+    for a, b in zip(compiled, walked):
+        assert np.array_equal(a, b)
+    assert compiled_peak <= walker_peak + U.nbytes / 4

@@ -6,8 +6,8 @@ import pytest
 
 from bcontactlab.expressions import (
     Binary, Const, DomainError, EvalError, ParseError, Power, Unary, Var,
-    differentiate, eval_value, free_vars, gradient, hessian, parse,
-    substitute, to_string,
+    compile, differentiate, eval_value, evaluate, free_vars, gradient,
+    hessian, parse, substitute, to_string,
 )
 from tests_fd import central_gradient, central_hessian
 
@@ -111,6 +111,54 @@ def test_print_parse_round_trip_on_random_trees():
         assert parse(to_string(t2), names) == t2
         # hand-built trees may normalize once (unary-minus encoding), never twice
         assert to_string(t2) == to_string(parse(to_string(t2), names))
+
+
+def test_compiled_trees_match_the_walker_bit_for_bit():
+    """The compiled function returns the walker's values, types and domain
+    errors, at float points and on arrays, with subtrees shared between the
+    trees both by identity and by structure."""
+    rng = random.Random(4242)
+    lanes = np.random.default_rng(4242)
+    names = ("u", "v", "z")
+    outcomes = {"float": 0, "array": 0, "raised": 0}
+    for _ in range(300):
+        a, b = _random_tree(rng, names, 3), _random_tree(rng, names, 3)
+        op = rng.choice("+-*/")
+        trees = (a, b, Binary(op, a, b), Binary(op, parse(to_string(a)), b))
+        fn = compile(trees, names)
+        points = [tuple(rng.uniform(-3, 3) for _ in names) for _ in range(3)]
+        points.append(tuple(lanes.uniform(-3, 3, 5) for _ in names))
+        for point in points:
+            env = dict(zip(names, point))
+            try:
+                want = tuple(evaluate(t, env) for t in trees)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    fn(*point)
+                outcomes["raised"] += 1
+                continue
+            got = fn(*point)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert type(g) is type(w)
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+            outcomes["array" if isinstance(point[0], np.ndarray)
+                     else "float"] += 1
+    assert min(outcomes.values()) >= 50, outcomes
+
+
+def test_compile_rejects_an_unknown_variable_up_front():
+    with pytest.raises(EvalError) as err:
+        compile((parse("u + 1"), parse("u * w")), ("u", "v"))
+    assert "'w'" in str(err.value)
+
+
+def test_compiled_source_carries_no_scenario_names():
+    """Variables are positional: a name that is not even an identifier, and
+    would run code if pasted into source, is only a key."""
+    name = "__import__('os').getpid()"
+    fn = compile((Binary("*", Var(name), Const(-2.0)), Const(3.0)), (name,))
+    assert fn(1.5) == (-3.0, 3.0)
 
 
 def test_round_trip_preserves_grouping():

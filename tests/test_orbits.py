@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from bcontactlab import contact
 from bcontactlab.charts import TubularChart
 from bcontactlab.contact import BReebField, exceptional_hamiltonian
 from bcontactlab.critical import (
@@ -122,6 +123,25 @@ def test_torus_fan_orbits_are_pairwise_distinct(torus_run):
     assert census.verdict == "infinite"
     assert census.consistent_with_bound
     assert all(o.weight == 1 for o in torus_run["orbits"])
+
+
+def test_scalar_orbit_path_walks_no_tree(torus_run, monkeypatch):
+    """Tracing an orbit evaluates the compiled frame only: the tree walker
+    is never called on the RHS path."""
+    calls = []
+    inner = contact.evaluate
+
+    def counting(e, env):
+        calls.append(e)
+        return inner(e, env)
+
+    monkeypatch.setattr(contact, "evaluate", counting)
+    fan = [o for o in torus_run["orbits"] if o.psi is not None]
+    trace = integrate_orbit(torus_run["reeb"], fan[0].seed, torus_run["tub"],
+                            direction=fan[0].toward.direction)
+    assert trace.status == "event:reached-Z"
+    assert trace.stats["n_fev"] > 0
+    assert calls == []
 
 
 def test_torus_refinement_is_stable(torus_run):
