@@ -15,43 +15,10 @@ McGehee coordinates (:mod:`~bcontactlab.mcgehee`).  Scenario files, the
 pipeline runner and the CLI live in :mod:`~bcontactlab.scenarios`,
 :mod:`~bcontactlab.runner` and :mod:`~bcontactlab.cli`.
 """
-from .expressions import (
-    DomainError,
-    EvalError,
-    ParseError,
-    differentiate,
-    eval_value,
-    parse,
-    substitute,
-    to_string,
-)
-from .charts import Chart, TubularChart
-from .contact import (
-    BContactForm,
-    BReebField,
-    ChartFields,
-    contact_check,
-    exceptional_hamiltonian,
-    reeb_residual_report,
-    solve_reeb,
-    verify_hamiltonian_identity,
-)
-from .critical import (
-    CensusBound,
-    CriticalPoint,
-    StabilityReport,
-    census_bound,
-    find_critical_points,
-    stability_at,
-)
-from .orbits import (
-    EscapeCensus,
-    EscapeOrbit,
-    escape_census,
-    refinement_check,
-    trace_invariant_manifolds,
-    trace_on_surface,
-)
+from .charts import TubularChart
+from .contact import BReebField, exceptional_hamiltonian
+from .critical import census_bound, find_critical_points, stability_at
+from .orbits import escape_census, trace_invariant_manifolds
 from .beltrami import (
     BeltramiData,
     beltrami_stability_matrix,
@@ -65,27 +32,19 @@ from .mcgehee import (
     integrate_mcgehee,
     newtonian_oracle_compare,
 )
-from .scenarios import Scenario, ScenarioError, builtin_names, load_scenario
-from .runner import RunResult, run
+from .scenarios import load_scenario
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DomainError", "EvalError", "ParseError", "parse", "to_string",
-    "differentiate", "substitute", "eval_value",
-    "Chart", "TubularChart",
-    "BContactForm", "BReebField", "ChartFields", "contact_check",
-    "exceptional_hamiltonian", "reeb_residual_report", "solve_reeb",
-    "verify_hamiltonian_identity",
-    "CensusBound", "CriticalPoint", "StabilityReport", "census_bound",
-    "find_critical_points", "stability_at",
-    "EscapeCensus", "EscapeOrbit", "escape_census", "refinement_check",
-    "trace_invariant_manifolds", "trace_on_surface",
+    "TubularChart",
+    "BReebField", "exceptional_hamiltonian",
+    "census_bound", "find_critical_points", "stability_at",
+    "escape_census", "trace_invariant_manifolds",
     "BeltramiData", "beltrami_stability_matrix", "contact_from_beltrami",
     "hamiltonian_identity_check", "laplace_eigen_check",
     "McGeheeParams", "McGeheeState", "integrate_mcgehee",
     "newtonian_oracle_compare",
-    "Scenario", "ScenarioError", "builtin_names", "load_scenario",
-    "RunResult", "run",
+    "load_scenario",
     "__version__",
 ]

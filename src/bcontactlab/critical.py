@@ -1,6 +1,8 @@
 """Critical points of the surface Hamiltonian and the escape-orbit bounds.
 
-The pipeline is: coarse grid scan for local minima of |∇H|², Newton
+The pipeline is: coarse grid scan for local minima of |∇H|² (every sample
+compared with its eight neighbours by whole-array comparisons; a disk chart
+is sampled on its bounding square with +inf outside the disk), Newton
 refinement on ∇H = 0, cross-chart deduplication in canonical coordinates,
 then per-point classification.  At a nondegenerate critical point p the
 linearized Reeb field DR(p) has spectrum {λ₊, λ₋, λ_z} with
@@ -135,34 +137,25 @@ def _grad_sq_grid(zdata, chart, U, V):
 
 
 def _local_minima_box(G, u_periodic, v_periodic):
-    """Indices of non-strict local minima of a 2-d array with optional wrap."""
+    """Row-major (i, j) of the cells of G that no neighbour undercuts.
+
+    Each cell is compared with its eight neighbours, one shifted copy of the
+    padded array at a time: a periodic axis wraps, the other is padded with
+    +inf.  Only a strictly smaller neighbour disqualifies, so plateau cells
+    and NaN cells are kept.
+    """
+    padded = G
+    for axis, periodic in enumerate((u_periodic, v_periodic)):
+        width = [(0, 0), (0, 0)]
+        width[axis] = (1, 1)
+        padded = (np.pad(padded, width, mode="wrap") if periodic
+                  else np.pad(padded, width, constant_values=np.inf))
     nu, nv = G.shape
-    out = []
-    for i in range(nu):
-        for j in range(nv):
-            g0 = G[i, j]
-            best = True
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    if di == 0 and dj == 0:
-                        continue
-                    ii, jj = i + di, j + dj
-                    if u_periodic:
-                        ii %= nu
-                    elif not (0 <= ii < nu):
-                        continue
-                    if v_periodic:
-                        jj %= nv
-                    elif not (0 <= jj < nv):
-                        continue
-                    if G[ii, jj] < g0:
-                        best = False
-                        break
-                if not best:
-                    break
-            if best:
-                out.append((i, j))
-    return out
+    undercut = np.zeros(G.shape, dtype=bool)
+    for di in range(3):  # the offset (1, 1) is the cell itself: never smaller
+        for dj in range(3):
+            undercut |= padded[di:di + nu, dj:dj + nv] < G
+    return np.argwhere(~undercut)
 
 
 def _newton_refine(zdata, chart, u0, v0, tol):
@@ -207,28 +200,23 @@ def find_critical_points(zdata, tub, coarse=(128, 128), newton_tol=NEWTON_TOL,
         if chart.name not in zdata.form.fields:
             continue
         if chart.disk_radius > 0.0:
-            n = 33
-            gu = np.linspace(-chart.disk_radius, chart.disk_radius, n)
-            gv = gu
-            UU, VV = np.meshgrid(gu, gv, indexing="ij")
-            mask = UU ** 2 + VV ** 2 <= chart.disk_radius ** 2
-            G = np.full(UU.shape, np.inf)
-            Gm = _grad_sq_grid(zdata, chart, UU[mask], VV[mask])
-            G[mask] = Gm
-            cand = _local_minima_box(G, False, False)
-            cand = [(i, j) for (i, j) in cand if np.isfinite(G[i, j])]
-            axis_u, axis_v = gu, gv
+            axis_u = axis_v = np.linspace(-chart.disk_radius, chart.disk_radius, 33)
+            inside = np.add.outer(axis_u ** 2, axis_v ** 2) <= chart.disk_radius ** 2
         else:
             axis_u, axis_v = chart.grid(nu, nv)
-            UU, VV = np.meshgrid(axis_u, axis_v, indexing="ij")
-            G = _grad_sq_grid(zdata, chart, UU.ravel(), VV.ravel()).reshape(UU.shape)
-            if float(np.max(G)) < newton_tol ** 2:
-                warnings.append({"kind": "locally-constant",
-                                 "chart": chart.name,
-                                 "detail": "|grad H| below tolerance everywhere"})
+            inside = np.full((axis_u.size, axis_v.size), True)
+        UU, VV = np.meshgrid(axis_u, axis_v, indexing="ij")
+        G = np.full(inside.shape, np.inf)
+        G[inside] = _grad_sq_grid(zdata, chart, UU[inside], VV[inside])
+        # The +inf outside a disk keeps disk charts out of this check.
+        if float(np.max(G)) < newton_tol ** 2:
+            warnings.append({"kind": "locally-constant",
+                             "chart": chart.name,
+                             "detail": "|grad H| below tolerance everywhere"})
+            continue
+        for i, j in _local_minima_box(G, chart.u_periodic, chart.v_periodic):
+            if not inside[i, j]:
                 continue
-            cand = _local_minima_box(G, chart.u_periodic, chart.v_periodic)
-        for (i, j) in cand:
             got = _newton_refine(zdata, chart, axis_u[i], axis_v[j], newton_tol)
             if got is None:
                 warnings.append({"kind": "newton-dropped", "chart": chart.name,

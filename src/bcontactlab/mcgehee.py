@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .rk45 import integrate
 
@@ -214,6 +213,9 @@ def newtonian_oracle_compare(state0, params, t_span=(0.0, 10.0), rtol=1e-10,
     above — is driven through SciPy's DOP853 over the same time samples.
     The deviation is reported per component after mapping r = 2/x².
     """
+    # Imported here: scipy is slow to import and only this oracle uses it.
+    from scipy.integrate import solve_ivp
+
     if state0.x <= 0.0:
         raise ValueError("the oracle comparison needs an orbit with x > 0")
     traj = integrate_mcgehee(state0, params, t_span, rtol=rtol, atol=atol)

@@ -162,7 +162,7 @@ def _locate_crossing(g, seg, t_lo, t_hi, g_lo):
 
 
 def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
-              max_steps=500000, max_step=math.inf, record=True):
+              max_steps=500000, max_step=math.inf):
     """Integrate ẏ = f(t, y) over t_span, adaptively.
 
     ``events`` is a sequence of :class:`Event`; terminal ones end the run at
@@ -272,15 +272,13 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
         if cut is not None:
             t, y = cut[0], cut[1]
             status = cut[2]
-            if record:
-                ts.append(t)
-                ys.append(y.copy())
+            ts.append(t)
+            ys.append(y.copy())
             break
 
         t, y, k1 = t_new, y_new, k7
-        if record:
-            ts.append(t)
-            ys.append(y.copy())
+        ts.append(t)
+        ys.append(y.copy())
 
         if stop is not None:
             reason = stop(t, y)
@@ -298,9 +296,6 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
         h = min(h * factor, max_step)
         err_old = max(err, 1e-16)
 
-    if not record:
-        ts = [t0, t]
-        ys = [np.array(y0, dtype=float), y.copy()]
     return Trajectory(
         np.array(ts), np.array(ys), status, n_steps, n_rejected, n_fev,
         hmin_seen if n_steps else math.inf, hmax_seen, t_events, y_events)

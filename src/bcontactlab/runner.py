@@ -77,8 +77,6 @@ def _jsonable(value):
         return value.item()
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, float) and not math.isfinite(value):
-        return repr(value)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -1,10 +1,15 @@
 """End-to-end pipeline runs and the command-line surface."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bcontactlab
 from bcontactlab.cli import main
 from bcontactlab.runner import run
 
@@ -181,3 +186,14 @@ def test_seed_count_flag(tmp_path):
                      if o["psi"] is not None]
     assert len(saddle_orbits) == 4 * 4  # four saddles, four fan directions
     assert result.exit_status == 0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(bcontactlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, bcontactlab.cli; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -19,7 +19,8 @@ import pytest
 from bcontactlab.contact import BReebField, exceptional_hamiltonian
 from bcontactlab.critical import (
     MorseInequalityViolation, NotMorseError, RegularValueViolation,
-    SpectrumMismatchError, census_bound, find_critical_points, stability_at,
+    SpectrumMismatchError, _local_minima_box, census_bound,
+    find_critical_points, stability_at,
 )
 from bcontactlab.scenarios import load_scenario, scenario_form
 from tests.test_contact import torus_setup
@@ -211,3 +212,47 @@ def test_scan_warnings_do_not_hide_points(torus_points):
     assert len(points) == 8
     for w in warnings:
         assert w["kind"] in ("newton-dropped", "locally-constant")
+
+
+def _local_minima_loop(G, u_periodic, v_periodic):
+    """Reference scan: each cell against its eight neighbours, one at a time."""
+    nu, nv = G.shape
+    out = []
+    for i in range(nu):
+        for j in range(nv):
+            g0 = G[i, j]
+            best = True
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    if di == 0 and dj == 0:
+                        continue
+                    ii, jj = i + di, j + dj
+                    if u_periodic:
+                        ii %= nu
+                    elif not (0 <= ii < nu):
+                        continue
+                    if v_periodic:
+                        jj %= nv
+                    elif not (0 <= jj < nv):
+                        continue
+                    if G[ii, jj] < g0:
+                        best = False
+                        break
+                if not best:
+                    break
+            if best:
+                out.append((i, j))
+    return out
+
+
+def test_array_scan_matches_the_reference_loop():
+    # values from {0, 1, 2} make plateaus common, so a non-strict comparison
+    # or a lost wrap changes the candidate set
+    rng = np.random.default_rng(20231)
+    for _ in range(300):
+        G = rng.integers(0, 3, size=rng.integers(1, 9, size=2)).astype(float)
+        G[rng.random(G.shape) < 0.1] = np.inf
+        G[rng.random(G.shape) < 0.1] = np.nan
+        for periodic in ((False, False), (True, False), (False, True), (True, True)):
+            got = [tuple(int(k) for k in ij) for ij in _local_minima_box(G, *periodic)]
+            assert got == _local_minima_loop(G, *periodic), (G, periodic)

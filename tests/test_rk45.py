@@ -101,8 +101,3 @@ def test_zero_span_is_a_no_op():
     assert sol.t_final == 2.0 and sol.y_final[0] == 3.0
     assert sol.n_steps == 0
 
-
-def test_record_false_keeps_endpoints_only():
-    sol = integrate(lambda t, y: -y, [1.0], (0.0, 3.0), record=False)
-    assert sol.y.shape[0] == 2
-    assert sol.y_final[0] == pytest.approx(math.exp(-3.0), rel=1e-8)
