@@ -208,8 +208,7 @@ def find_critical_points(zdata, tub, coarse=(128, 128), newton_tol=NEWTON_TOL,
         UU, VV = np.meshgrid(axis_u, axis_v, indexing="ij")
         G = np.full(inside.shape, np.inf)
         G[inside] = _grad_sq_grid(zdata, chart, UU[inside], VV[inside])
-        # The +inf outside a disk keeps disk charts out of this check.
-        if float(np.max(G)) < newton_tol ** 2:
+        if float(np.max(G[inside])) < newton_tol ** 2:
             warnings.append({"kind": "locally-constant",
                              "chart": chart.name,
                              "detail": "|grad H| below tolerance everywhere"})

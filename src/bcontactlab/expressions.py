@@ -454,10 +454,14 @@ def _cos(a):
 
 
 def _exp(a):
-    try:
-        out = math.exp(a) if type(a) in _PLAIN else np.exp(a)
-    except OverflowError:
-        raise DomainError("exp overflow") from None
+    if type(a) in _PLAIN:
+        try:
+            out = math.exp(a)
+        except OverflowError:
+            raise DomainError("exp overflow") from None
+    else:
+        with np.errstate(over="ignore"):  # reported as a DomainError below
+            out = np.exp(a)
     if not _all_finite(out):
         raise DomainError("exp overflow")
     return out

@@ -10,9 +10,7 @@ equations become
 which is smooth down to s → −∞.  An orbit "escapes to Z at p" when s falls
 below a cut (|z| below 1e−8·ε) while (u, v) settles within tolerance of a
 critical point p of the surface Hamiltonian; it "leaves the neighborhood"
-when |z| climbs back to ε.  Orbits with σ = 0 live on Z itself and follow
-the two-dimensional restricted field; for those the meaningful limit
-behaviour is periodicity, detected by anchor-plane returns.
+when |z| climbs back to ε.
 
 Seeding near a critical point follows the linearization: extrema of H have
 a one-dimensional transverse invariant curve tangent to the z-axis (two
@@ -23,7 +21,7 @@ sign of λ_z = g(p) (a fan of seeds in that plane, avoiding the axes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,16 +29,15 @@ from .rk45 import Event, integrate
 
 __all__ = [
     "RegularizedState", "OrbitTrace", "LimitReport", "EscapeOrbit",
-    "EscapeCensus", "regularized_field", "surface_field", "integrate_orbit",
-    "trace_on_surface", "detect_limit", "seed_plan",
-    "trace_invariant_manifolds", "escape_census", "refinement_check",
+    "EscapeCensus", "regularized_field", "integrate_orbit", "detect_limit",
+    "seed_plan", "trace_invariant_manifolds", "escape_census",
+    "refinement_check",
 ]
 
 OFFSET = 1e-4            # seed displacement from the critical point
 N_FAN = 16               # seeds in a saddle fan
 Z_CUT_FACTOR = 1e-8      # |z| < factor·ε counts as "reached Z"
 POSITION_TOL = 1e-5      # tangential closeness for a limit claim
-RETURN_TOL = 1e-6        # closure distance for a periodic on-Z orbit
 T_MAX = 400.0            # time budget per trace
 MATCH_TOL = 1e-6         # seed-on-trajectory distance for orbit identity
 
@@ -52,26 +49,21 @@ class RegularizedState:
     chart: str
     u: float
     v: float
-    s: float     # log |z|; ignored when sigma == 0
-    sigma: int   # −1, 0, +1
-
-    @property
-    def z(self):
-        return 0.0 if self.sigma == 0 else self.sigma * math.exp(self.s)
+    s: float     # log |z|
+    sigma: int   # ±1, the side of Z
 
 
 @dataclass
 class OrbitTrace:
-    """One integrated arc: samples, termination status, crossing events."""
+    """One integrated arc: samples and termination status."""
 
     chart: str
     sigma: int
     direction: int
     t: np.ndarray
-    y: np.ndarray                  # columns (u, v, s); s = −inf on Z
+    y: np.ndarray                  # columns (u, v, s)
     status: str
     stats: dict
-    returns: list = field(default_factory=list)  # (t, y) anchor crossings
 
     @property
     def final(self):
@@ -80,13 +72,12 @@ class OrbitTrace:
 
 @dataclass
 class LimitReport:
-    verdict: str          # limits-to | periodic | left-neighborhood |
-    #                       undecided | integration-failed
+    verdict: str          # limits-to | left-neighborhood | undecided |
+    #                       integration-failed
     point: object = None  # CriticalPoint for limits-to verdicts
     distance: float = math.inf  # final tangential distance to that point
     monotone: bool = False      # distance non-increasing over the final window
     backslide: float = 0.0      # worst distance increase seen in that window
-    period: float | None = None
     final_state: tuple = ()
     error: str | None = None
 
@@ -97,7 +88,6 @@ class LimitReport:
             "distance": self.distance,
             "monotone": self.monotone,
             "backslide": self.backslide,
-            "period": self.period,
             "final_state": list(self.final_state),
             "error": self.error,
         }
@@ -168,17 +158,6 @@ def regularized_field(reeb, chart_name, sigma):
     return rhs
 
 
-def surface_field(reeb, chart_name):
-    """Right-hand side for (u, v) of the restriction R|_Z."""
-
-    def rhs(t, y):
-        yu, yv, _ = reeb.components(float(y[0]), float(y[1]), 0.0,
-                                    chart_name=chart_name)
-        return np.array([yu, yv])
-
-    return rhs
-
-
 # ---------------------------------------------------------------------------
 # tracing
 
@@ -211,41 +190,6 @@ def integrate_orbit(reeb, state, tub, *, direction=1, t_max=T_MAX,
                       status=sol.status, stats=sol.stats_dict())
 
 
-def trace_on_surface(reeb, tub, chart_name, u0, v0, *, t_max=100.0,
-                     rtol=1e-10, atol=1e-12):
-    """Trace R|_Z from (u0, v0), recording returns to the anchor plane.
-
-    The anchor plane passes through the seed orthogonally to the initial
-    velocity; upward crossings of it are the natural candidates for the
-    period of a closed orbit.
-    """
-    chart = tub.charts[chart_name]
-    rhs = surface_field(reeb, chart_name)
-    y0 = np.array([u0, v0])
-    v0vec = rhs(0.0, y0)
-    speed = float(np.hypot(*v0vec))
-    if speed < 1e-14:
-        raise ValueError("surface seed sits at an equilibrium of R|_Z")
-    nvec = v0vec / speed
-
-    def _anchor(t, y):
-        du, dv = chart.offset(y[0] - y0[0], y[1] - y0[1])
-        return du * nvec[0] + dv * nvec[1]
-
-    # a full winding of a periodic coordinate must not hide inside one step,
-    # so the anchor is checked on dense subsamples and the step is capped
-    anchor = Event(fn=_anchor, direction=1, terminal=False, name="anchor",
-                   subsamples=6)
-    sol = integrate(rhs, y0, (0.0, t_max), rtol=rtol, atol=atol,
-                    events=[anchor], stop=_chart_guard(chart),
-                    max_step=(math.pi / 4) / speed)
-    returns = list(zip(sol.t_events[0], sol.y_events[0]))
-    pad = np.full((sol.y.shape[0], 1), -math.inf)
-    return OrbitTrace(chart=chart_name, sigma=0, direction=1, t=sol.t,
-                      y=np.hstack([sol.y, pad]), status=sol.status,
-                      stats=sol.stats_dict(), returns=returns)
-
-
 # ---------------------------------------------------------------------------
 # limit classification
 
@@ -266,26 +210,11 @@ def _tail_monotone(trace, tub, p, window=0.1):
 def detect_limit(trace, points, tub, tol=POSITION_TOL):
     """Classify the end state of a trace against the critical-point list.
 
-    Off the surface, the verdict ``limits-to`` requires all three of: the
-    transverse coordinate fell below the cut, the final tangential position
-    is within ``tol`` of a critical point, and the distance to that point is
-    monotonically non-increasing over the final window.  On the surface the
-    candidate verdict is ``periodic``: an anchor-plane return within ``tol``
-    of the seed.
+    The verdict ``limits-to`` requires all three of: the transverse
+    coordinate fell below the cut, the final tangential position is within
+    ``tol`` of a critical point, and the distance to that point is
+    monotonically non-increasing over the final window.
     """
-    if trace.sigma == 0:
-        u0, v0 = float(trace.y[0, 0]), float(trace.y[0, 1])
-        for t_ret, y_ret in trace.returns:
-            d = tub.distance(trace.chart, (float(y_ret[0]), float(y_ret[1])),
-                             trace.chart, (u0, v0))
-            if d < max(RETURN_TOL, tol):
-                return LimitReport(verdict="periodic", period=float(t_ret),
-                                   distance=d, monotone=True,
-                                   final_state=(float(y_ret[0]),
-                                                float(y_ret[1])))
-        return LimitReport(verdict="undecided",
-                           final_state=tuple(map(float, trace.final[:2])))
-
     uf, vf, sf = map(float, trace.final)
     if trace.status == "event:reached-Z":
         best, best_d = None, math.inf

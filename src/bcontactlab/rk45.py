@@ -1,14 +1,15 @@
 """Adaptive embedded Runge–Kutta 5(4) integration (Dormand–Prince pair).
 
-One integrator serves the whole package: the regularized Reeb flow, the
-on-surface Hamiltonian flow, and the three-body dynamics.  Features:
+One integrator serves the whole package: the regularized Reeb flow and
+the three-body dynamics.  Features:
 
 * FSAL evaluation (6 right-hand-side calls per accepted step);
 * PI step-size control with safety 0.9 and growth clamped to [0.2, 10];
 * forward and backward time (pass t_span with t1 < t0);
 * the classic fourth-order dense-output interpolant, used to localize
   event crossings to machine precision in the step variable;
-* terminal/non-terminal events with crossing direction;
+* terminal events with a crossing direction, checked once per accepted
+  step at its end (no dense subsamples); the earliest crossing wins;
 * a per-step ``stop`` predicate for cheap region checks.
 
 The error estimate is the RMS of the embedded difference scaled by
@@ -18,7 +19,7 @@ that norm is at most 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,18 +65,15 @@ D7 = 69997945 / 29380423
 
 @dataclass
 class Event:
-    """Scalar crossing detector g(t, y); fires when g changes sign.
-
-    ``subsamples`` extra checkpoints per accepted step (evaluated on the
-    dense interpolant) catch crossings that enter and leave within one
-    step — needed when g oscillates faster than the step size.
-    """
+    """Terminal crossing detector g(t, y); ends the run when g changes sign."""
 
     fn: object
-    direction: int = 0  # +1: − to +, −1: + to −, 0: either
-    terminal: bool = True
-    name: str = ""
-    subsamples: int = 0
+    direction: int  # +1: − to +, −1: + to −
+    name: str
+
+    def __post_init__(self):
+        if self.direction not in (-1, 1):
+            raise ValueError("event direction must be +1 or -1")
 
 
 @dataclass
@@ -88,8 +86,6 @@ class Trajectory:
     n_fev: int
     min_step: float
     max_step: float
-    t_events: list = field(default_factory=list)
-    y_events: list = field(default_factory=list)
 
     @property
     def t_final(self):
@@ -162,14 +158,14 @@ def _locate_crossing(g, seg, t_lo, t_hi, g_lo):
 
 
 def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
-              max_steps=500000, max_step=math.inf):
+              max_steps=500000):
     """Integrate ẏ = f(t, y) over t_span, adaptively.
 
-    ``events`` is a sequence of :class:`Event`; terminal ones end the run at
-    the located crossing with status ``"event:<name>"``.  ``stop(t, y)`` is
-    checked after every accepted step; a non-None string return truncates the
-    run with that status.  Backward integration: pass t_span = (t0, t1) with
-    t1 < t0.
+    ``events`` is a sequence of :class:`Event`; the first crossing in the
+    direction of integration ends the run there with status
+    ``"event:<name>"``.  ``stop(t, y)`` is checked after every accepted
+    step; a non-None string return truncates the run with that status.
+    Backward integration: pass t_span = (t0, t1) with t1 < t0.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.array(y0, dtype=float)
@@ -177,12 +173,10 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
         raise ValueError("state must be a flat vector")
     ts = [t0]
     ys = [y.copy()]
-    t_events = [[] for _ in events]
-    y_events = [[] for _ in events]
 
     if t1 == t0:
         return Trajectory(np.array(ts), np.array(ys), "reached-end",
-                          0, 0, 0, math.inf, 0.0, t_events, y_events)
+                          0, 0, 0, math.inf, 0.0)
 
     direction = 1.0 if t1 > t0 else -1.0
     span = abs(t1 - t0)
@@ -190,8 +184,7 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
     k1 = np.asarray(f(t, y), dtype=float)
     if not np.all(np.isfinite(k1)):
         raise NonFiniteState(f"non-finite derivative at t = {t!r}")
-    h = min(_initial_step(f, t0, y, k1, direction, rtol, atol, span),
-            max_step)
+    h = _initial_step(f, t0, y, k1, direction, rtol, atol, span)
     n_fev = 2  # k1 and the initial-step probe
     err_old = 1e-4
     n_steps = n_rejected = 0
@@ -242,38 +235,20 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
         hmax_seen = max(hmax_seen, h)
         seg = _DenseSegment(t, hd, y, y_new, k1, k3, k4, k5, k6, k7)
 
-        # events on this step
-        cut = None  # (t*, y*, status)
+        # events at the step end; the earliest located crossing ends the run
+        cut = None  # (t*, status)
         for i, ev in enumerate(events):
-            n_seg = 1 + max(0, ev.subsamples)
-            t_a, g_a = t, g_prev[i]
-            for kseg in range(1, n_seg + 1):
-                if kseg == n_seg:
-                    t_b, y_b = t_new, y_new
-                else:
-                    t_b = t + hd * kseg / n_seg
-                    y_b = seg(t_b)
-                g_b = ev.fn(t_b, y_b)
-                up = g_a < 0 <= g_b
-                down = g_a > 0 >= g_b
-                fired = ((ev.direction == 0 and (up or down))
-                         or (ev.direction > 0 and up)
-                         or (ev.direction < 0 and down))
-                if fired and g_a != 0.0:
-                    t_star = _locate_crossing(ev.fn, seg, t_a, t_b, g_a)
-                    y_star = seg(t_star)
-                    t_events[i].append(t_star)
-                    y_events[i].append(y_star)
-                    if ev.terminal and (cut is None
-                                        or direction * (cut[0] - t_star) > 0):
-                        cut = (t_star, y_star, f"event:{ev.name or i}")
-                t_a, g_a = t_b, g_b
-            g_prev[i] = g_a
+            g_a, g_b = g_prev[i], ev.fn(t_new, y_new)
+            fired = (g_a < 0 <= g_b) if ev.direction > 0 else (g_a > 0 >= g_b)
+            if fired:
+                t_star = _locate_crossing(ev.fn, seg, t, t_new, g_a)
+                if cut is None or direction * (cut[0] - t_star) > 0:
+                    cut = (t_star, f"event:{ev.name}")
+            g_prev[i] = g_b
         if cut is not None:
-            t, y = cut[0], cut[1]
-            status = cut[2]
+            t, status = cut
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(seg(t))
             break
 
         t, y, k1 = t_new, y_new, k7
@@ -293,9 +268,9 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
         factor = min(MAX_FACTOR,
                      max(MIN_FACTOR,
                          SAFETY * max(err, 1e-16) ** -ALPHA * err_old ** BETA))
-        h = min(h * factor, max_step)
+        h *= factor
         err_old = max(err, 1e-16)
 
     return Trajectory(
         np.array(ts), np.array(ys), status, n_steps, n_rejected, n_fev,
-        hmin_seen if n_steps else math.inf, hmax_seen, t_events, y_events)
+        hmin_seen if n_steps else math.inf, hmax_seen)

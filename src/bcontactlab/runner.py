@@ -178,8 +178,8 @@ def _orbit_rows(orbit):
         order = range(len(t) - 1, 0, -1) if flip else range(len(t))
         for i in order:
             u, v, s = (float(c) for c in trace.y[i])
-            z = 0.0 if s == -math.inf else trace.sigma * math.exp(s)
-            rows.append((float(t[i]), u, v, s, z, trace.sigma))
+            rows.append((float(t[i]), u, v, s, trace.sigma * math.exp(s),
+                         trace.sigma))
     return rows
 
 

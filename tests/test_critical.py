@@ -11,6 +11,8 @@ Sphere, H = −cos θ: just the poles, a minimum at the north pole (H = −1)
 and a maximum at the south pole (H = 1), both found in the disk charts.
 """
 import cmath
+import copy
+import json
 import math
 
 import numpy as np
@@ -22,6 +24,7 @@ from bcontactlab.critical import (
     SpectrumMismatchError, _local_minima_box, census_bound,
     find_critical_points, stability_at,
 )
+from bcontactlab.runner import run
 from bcontactlab.scenarios import load_scenario, scenario_form
 from tests.test_contact import torus_setup
 
@@ -187,6 +190,27 @@ def test_locally_constant_chart_warns_and_census_rejects():
     assert any(w["kind"] == "locally-constant" for w in warnings)
     with pytest.raises(MorseInequalityViolation):
         census_bound(points, [{"kind": "torus", "charts": ["torus"]}])
+
+
+def test_locally_constant_disk_chart_warns_and_run_rejects(tmp_path):
+    # f = 1 on every chart: the pole disks must be skipped like the boxes,
+    # not scanned as one plateau of degenerate candidates
+    data = copy.deepcopy(load_scenario("sphere").data)
+    for fields in data["fields"].values():
+        fields["f"] = "1"
+    path = tmp_path / "flat-sphere.json"
+    path.write_text(json.dumps(data))
+    tub, form = scenario_form(load_scenario(str(path)))
+    warnings = []
+    points = find_critical_points(exceptional_hamiltonian(form, tub), tub,
+                                  warnings=warnings)
+    assert points == []
+    assert sorted(w["chart"] for w in warnings
+                  if w["kind"] == "locally-constant") == [
+        "north", "north-pole", "south", "south-pole"]
+    result = run(str(path), "critical", tmp_path / "out")
+    assert result.exit_status == 1
+    assert result.report["error"]["type"] == "MorseInequalityViolation"
 
 
 def test_missing_saddles_violate_morse_inequalities(torus_points):

@@ -4,9 +4,7 @@ Reference behaviour: on the round sphere the escape set is exactly four
 one-way transverse curves, two per pole (weighted total 4 = 4N); on the
 torus every saddle carries a whole fan of distinct escape orbits, so the
 sixteen-direction sweep returns sixteen distinct hits per saddle and the
-census verdict is "infinite".  On the surface itself the restricted field
-is area-preserving; the closed orbit of the sphere scenario through
-(theta, phi) = (1, 0.3) has period 2*pi*(1 + cos(1)^2) exactly.
+census verdict is "infinite".
 """
 import math
 
@@ -23,7 +21,7 @@ from bcontactlab.critical import (
 from bcontactlab.orbits import (
     EscapeOrbit, LimitReport, OrbitTrace, RegularizedState, detect_limit,
     escape_census, integrate_orbit, refinement_check, regularized_field,
-    seed_plan, trace_invariant_manifolds, trace_on_surface,
+    seed_plan, trace_invariant_manifolds,
 )
 from bcontactlab.scenarios import load_scenario, scenario_form
 
@@ -293,50 +291,6 @@ def test_census_drops_seeds_that_lie_on_a_kept_trajectory():
     assert n_distinct(sphere, kept, _hand_orbit("north", 1, (theta, phi, -4.0))) == 1
     assert n_distinct(sphere, kept,
                       _hand_orbit("north", 1, (theta, phi + 0.01, -4.0))) == 2
-
-
-# ---------------------------------------------------------------------------
-# the flow on the surface itself
-
-def test_sphere_surface_period_matches_closed_form(sphere_run):
-    tr = trace_on_surface(sphere_run["reeb"], sphere_run["tub"],
-                          "north", 1.0, 0.3)
-    rep = detect_limit(tr, sphere_run["points"], sphere_run["tub"])
-    assert rep.verdict == "periodic"
-    assert rep.period == pytest.approx(2 * math.pi * (1 + math.cos(1.0) ** 2),
-                                       abs=1e-9)
-
-
-def test_torus_surface_orbit_closes_and_conserves_H(torus_run):
-    tub, zdata = torus_run["tub"], torus_run["zdata"]
-    tr = trace_on_surface(torus_run["reeb"], tub, "torus", 0.5, 1.0)
-    rep = detect_limit(tr, torus_run["points"], tub)
-    assert rep.verdict == "periodic"
-    assert rep.distance < 1e-8
-    # the trace stores s = -inf to mark the surface itself
-    assert tr.y.shape[1] == 3
-    assert np.all(np.isneginf(tr.y[:, 2]))
-    values = [zdata.H_value(float(r[0]), float(r[1]), "torus") for r in tr.y]
-    assert max(values) - min(values) < 1e-8
-
-
-def test_constant_profile_wraps_in_exactly_two_pi():
-    # with f = cos v the restricted field is (sin v, 0): along v = pi/2 the
-    # orbit is a unit-speed meridian and the anchor return is one full wrap
-    tub, form = torus_setup(f="cos(v)")
-    reeb = BReebField(form, tub)
-    tr = trace_on_surface(reeb, tub, "torus", 0.3, math.pi / 2)
-    rep = detect_limit(tr, [], tub)
-    assert rep.verdict == "periodic"
-    assert rep.period == pytest.approx(2 * math.pi, abs=1e-10)
-    assert max(abs(float(r[1]) - math.pi / 2) for r in tr.y) < 1e-12
-
-
-def test_surface_seed_at_an_equilibrium_is_rejected():
-    tub, form = torus_setup(f="cos(v)")
-    reeb = BReebField(form, tub)
-    with pytest.raises(ValueError, match="equilibrium"):
-        trace_on_surface(reeb, tub, "torus", 0.3, 0.0)
 
 
 # ---------------------------------------------------------------------------

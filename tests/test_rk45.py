@@ -50,17 +50,56 @@ def test_event_is_located_to_high_precision():
     assert sol.y_final[0] == pytest.approx(target, abs=1e-10)
 
 
-def test_non_terminal_event_records_all_crossings():
-    def rhs(t, y):
-        return np.array([y[1], -y[0]])
+def _oscillator(t, y):
+    return np.array([y[1], -y[0]])
 
-    ev = Event(fn=lambda t, y: y[0], direction=1, terminal=False, name="up")
-    sol = integrate(rhs, [0.0, 1.0], (0.0, 20.0), rtol=1e-10, atol=1e-12,
-                    events=[ev])
-    assert sol.status == "reached-end"
-    # sin t crosses zero upward at multiples of 2π; the start does not count
-    expected = [2 * math.pi, 4 * math.pi, 6 * math.pi]
-    assert np.allclose(sol.t_events[0], expected, atol=1e-9)
+
+def _unit_speed(t, y):
+    return np.array([1.0])
+
+
+def _level(c, direction, name):
+    return Event(fn=lambda t, y: y[0] - c, direction=direction, name=name)
+
+
+@pytest.mark.parametrize("rhs, y0, t_span, events, winner, t_star", [
+    # y = sin t starts on g = 0; the start is no upward crossing, 2π is
+    (_oscillator, [0.0, 1.0], (0.0, 20.0), [_level(0.0, 1, "up")], "up",
+     2 * math.pi),
+    # y = t: the steps grow about 8× each, and the step from t ≈ 0.20 to
+    # 0.48 crosses 0.3 and 0.4 at once
+    (_unit_speed, [0.0], (0.0, 1.0), [_level(0.3, 1, "a"), _level(0.4, 1, "b")],
+     "a", 0.3),
+    (_unit_speed, [0.0], (0.0, 1.0), [_level(0.4, 1, "b"), _level(0.3, 1, "a")],
+     "a", 0.3),
+    # backward from t = 1 the step from t ≈ 0.70 to 0.27 crosses 0.4 first
+    (_unit_speed, [1.0], (1.0, 0.0),
+     [_level(0.3, -1, "a"), _level(0.4, -1, "b")], "b", 0.4),
+    (_unit_speed, [1.0], (1.0, 0.0),
+     [_level(0.4, -1, "b"), _level(0.3, -1, "a")], "b", 0.4),
+], ids=["not-at-start", "forward", "forward-reordered", "backward",
+        "backward-reordered"])
+def test_first_event_crossing_ends_the_run(rhs, y0, t_span, events, winner,
+                                           t_star):
+    sol = integrate(rhs, y0, t_span, rtol=1e-10, atol=1e-12, events=events)
+    assert sol.status == f"event:{winner}"
+    assert sol.t_final == pytest.approx(t_star, abs=1e-10)
+    ev = next(e for e in events if e.name == winner)
+    assert ev.fn(sol.t_final, sol.y_final) == pytest.approx(0.0, abs=1e-10)
+    # events do not steer the steps, so the event-free run shows the step the
+    # cut fell in: it starts at sol.t[-2], and every event crosses within it
+    free = integrate(rhs, y0, t_span, rtol=1e-10, atol=1e-12)
+    k = len(sol.t) - 2
+    assert np.array_equal(sol.t[:-1], free.t[:k + 1])
+    for e in events:
+        g_a = e.fn(free.t[k], free.y[k])
+        g_b = e.fn(free.t[k + 1], free.y[k + 1])
+        assert (g_a < 0 <= g_b) if e.direction > 0 else (g_a > 0 >= g_b)
+
+
+def test_event_direction_must_be_signed():
+    with pytest.raises(ValueError, match="direction"):
+        Event(fn=lambda t, y: y[0], direction=0, name="either")
 
 
 def test_stop_predicate_truncates_with_reason():
