@@ -47,8 +47,8 @@ for p in points:
 orbits = trace_invariant_manifolds(reeb, reports, tub)
 print(f"\ntraced {len(orbits)} seeds; near-end verdicts:")
 for o in orbits:
-    z0 = o.sigma * math.exp(o.seed.s)
-    print(f"  seed {o.seed.chart} side {o.sigma:+d} (z0 = {z0:+.2f})"
+    z0 = o.seed.sigma * math.exp(o.seed.s)
+    print(f"  seed {o.seed.chart} side {o.seed.sigma:+d} (z0 = {z0:+.2f})"
           f" -> {o.near_end.verdict} at distance {o.near_end.distance:.2e}")
 
 components = [{"kind": "sphere", "charts": sorted(tub.charts)}]

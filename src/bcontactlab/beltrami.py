@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -190,11 +190,6 @@ class IdentityReport:
     n_points: int
     worst_at: dict
 
-    def as_dict(self):
-        return {"passed": self.passed, "global_sign": self.global_sign,
-                "max_residual": self.max_residual, "n_points": self.n_points,
-                "worst_at": self.worst_at}
-
 
 def hamiltonian_identity_check(stream, metric=None, eigenvalue=1.0,
                                grid=(64, 64), components=None,
@@ -257,10 +252,6 @@ class LaplaceReport:
     spread: float           # worst relative deviation of the pointwise ratio
     n_tested: int
 
-    def as_dict(self):
-        return {"verdict": self.verdict, "eigenvalue": self.eigenvalue,
-                "spread": self.spread, "n_tested": self.n_tested}
-
 
 def _laplacian(data):
     """Δ_h F = (√det h)⁻¹ div(√det h h⁻¹ ∇F) as one tree."""
@@ -310,25 +301,14 @@ class BeltramiStabilityReport:
     stream_at_p: float
     det_hess: float
     rescale: float          # λ √det h at the point
-    matrix: np.ndarray
-    eigenvalues: np.ndarray
+    matrix: np.ndarray = field(metadata={"report": False})
+    eigenvalues: np.ndarray = field(metadata={"report": False})
     lambda_plus: complex
     lambda_minus: complex
     lambda_z: float
     kind: str               # hyperbolic-2d-transverse | nonhyperbolic-1d-transverse
     transverse: str         # stable | unstable
     max_rel_mismatch: float
-
-    def as_dict(self):
-        return {
-            "point": list(self.point), "stream_at_p": self.stream_at_p,
-            "det_hess": self.det_hess, "rescale": self.rescale,
-            "lambda_plus": [self.lambda_plus.real, self.lambda_plus.imag],
-            "lambda_minus": [self.lambda_minus.real, self.lambda_minus.imag],
-            "lambda_z": self.lambda_z, "kind": self.kind,
-            "transverse": self.transverse,
-            "max_rel_mismatch": self.max_rel_mismatch,
-        }
 
 
 def beltrami_stability_matrix(stream, metric=None, eigenvalue=1.0,

@@ -13,6 +13,7 @@ integration breakdown).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .runner import run
@@ -31,6 +32,9 @@ def _grid(text):
     if len(parts) not in (2, 3) or any(p < 1 for p in parts):
         raise argparse.ArgumentTypeError(
             f"grid must be 2 or 3 positive integers, got {text!r}")
+    if len(parts) == 3 and parts[2] % 2 == 0:
+        raise argparse.ArgumentTypeError(
+            f"the z count of a grid must be odd, got {text!r}")
     return parts
 
 
@@ -72,6 +76,9 @@ def main(argv=None):
         return 0 if exc.code == 0 else 1
     if args.seeds is not None and args.seeds < 1:
         print("error: --seeds must be at least 1", file=sys.stderr)
+        return 1
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        print("error: --tol must be finite and positive", file=sys.stderr)
         return 1
     try:
         result = run(args.scenario, args.subcommand, args.out, tol=args.tol,

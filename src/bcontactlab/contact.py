@@ -151,16 +151,6 @@ class ValidationReport:
     worst_location: dict
     details: dict = field(default_factory=dict)
 
-    def as_dict(self):
-        return {
-            "check": self.check,
-            "passed": bool(self.passed),
-            "threshold": self.threshold,
-            "worst_value": self.worst_value,
-            "worst_location": self.worst_location,
-            "details": self.details,
-        }
-
 
 # ---------------------------------------------------------------------------
 # frame coefficients
@@ -317,7 +307,7 @@ class BReebField:
 def z_ladder(epsilon, nz):
     """0 plus ±ε·2^{−k} geometric levels, nz values in total (nz odd): the
     contact condition is uniform in dz/z, so this probes it at all scales."""
-    half = max(1, (nz - 1) // 2)
+    half = (nz - 1) // 2
     pos = [epsilon * 0.5 ** k for k in range(half)]
     return tuple(pos + [0.0] + [-p for p in pos])
 
@@ -330,6 +320,9 @@ def _slabs(form, tub, grid):
     if len(grid) == 3:
         if min(grid[:2]) < 2 or grid[2] < 1:
             raise ValueError("grid resolutions must be at least 2×2×1")
+        if grid[2] % 2 == 0:
+            raise ValueError(
+                f"the z count of a grid must be odd, got {grid[2]}")
         levels = z_ladder(tub.epsilon, grid[2])
     for chart in tub.surface_charts():
         if chart.name not in form.fields:

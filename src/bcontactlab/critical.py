@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,15 +66,8 @@ class CriticalPoint:
     H: float
     hess: tuple  # ((H_uu, H_uv), (H_uv, H_vv)) in chart coordinates
     index: int
-    f_value: float
+    f: float
     grad_norm: float
-
-    def as_dict(self):
-        return {
-            "chart": self.chart, "u": self.u, "v": self.v, "H": self.H,
-            "hess": [list(r) for r in self.hess], "index": self.index,
-            "f": self.f_value, "grad_norm": self.grad_norm,
-        }
 
 
 @dataclass
@@ -87,23 +80,10 @@ class StabilityReport:
     transverse: str  # stable | unstable
     det_hess_darboux: float
     w_at_p: float
-    dr_matrix: np.ndarray
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    dr_matrix: np.ndarray = field(metadata={"report": False})
+    eigenvalues: np.ndarray = field(metadata={"report": False})
+    eigenvectors: np.ndarray = field(metadata={"report": False})
     max_rel_mismatch: float
-
-    def as_dict(self):
-        return {
-            "point": self.point.as_dict(),
-            "lambda_plus": [self.lambda_plus.real, self.lambda_plus.imag],
-            "lambda_minus": [self.lambda_minus.real, self.lambda_minus.imag],
-            "lambda_z": self.lambda_z,
-            "kind": self.kind,
-            "transverse": self.transverse,
-            "det_hess_darboux": self.det_hess_darboux,
-            "w_at_p": self.w_at_p,
-            "max_rel_mismatch": self.max_rel_mismatch,
-        }
 
 
 @dataclass
@@ -114,16 +94,6 @@ class CensusBound:
     verdict: str  # "at-least-2N" | "infinite"
     lower_bound: int  # 2N
     expected_weighted: int | None  # 4N when saddle-free, else None
-
-    def as_dict(self):
-        return {
-            "n_components": self.n_components,
-            "per_component": self.per_component,
-            "counts": list(self.counts),
-            "verdict": self.verdict,
-            "lower_bound": self.lower_bound,
-            "expected_weighted": self.expected_weighted,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +208,9 @@ def find_critical_points(zdata, tub, coarse=(128, 128), newton_tol=NEWTON_TOL,
             raise NotMorseError(
                 f"degenerate Hessian (det {det:.3e}) at ({p.u:.6f}, {p.v:.6f}) "
                 f"on chart {p.chart!r}")
-        if abs(p.f_value) < REGULAR_VALUE_FLOOR:
+        if abs(p.f) < REGULAR_VALUE_FLOOR:
             raise RegularValueViolation(
-                f"f({p.u:.6f}, {p.v:.6f}) = {p.f_value:.3e} vanishes at a "
+                f"f({p.u:.6f}, {p.v:.6f}) = {p.f:.3e} vanishes at a "
                 f"critical point on chart {p.chart!r}")
     points.sort(key=lambda p: (p.H, p.u, p.v))
     return points
@@ -254,7 +224,7 @@ def _make_point(chart_name, u, v, H, grad, hess):
     return CriticalPoint(
         chart=chart_name, u=float(u), v=float(v), H=float(H),
         hess=((float(h11), float(h12)), (float(h12), float(h22))),
-        index=index, f_value=float(-H),
+        index=index, f=float(-H),
         grad_norm=float(math.hypot(*grad)),
     )
 
@@ -284,7 +254,7 @@ def stability_at(p, reeb, zdata, rel_tol=1e-6):
     det_dbx = det_chart / (w_p * w_p)
     lam_plus = cmath.sqrt(complex(-det_dbx, 0.0))
     lam_minus = -lam_plus
-    lam_z = 1.0 / p.f_value
+    lam_z = 1.0 / p.f
 
     dr = reeb.linearization_at(p.u, p.v, chart_name=p.chart)
     eigs, vecs = np.linalg.eig(dr)

@@ -21,7 +21,7 @@ sign of λ_z = g(p) (a fan of seeds in that plane, avoiding the axes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,44 +81,20 @@ class LimitReport:
     final_state: tuple = ()
     error: str | None = None
 
-    def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "point": None if self.point is None else self.point.as_dict(),
-            "distance": self.distance,
-            "monotone": self.monotone,
-            "backslide": self.backslide,
-            "final_state": list(self.final_state),
-            "error": self.error,
-        }
-
 
 @dataclass
 class EscapeOrbit:
     """A traced orbit near a critical point, both ends classified."""
 
     point: object          # the critical point it was seeded at
-    chart: str
-    sigma: int
     psi: float | None      # fan angle for saddle seeds, None for extrema
     seed: RegularizedState
-    toward: OrbitTrace     # time direction in which |z| shrinks
-    away: OrbitTrace       # the opposite direction
+    # time direction in which |z| shrinks, and the opposite one
+    toward: OrbitTrace = field(metadata={"report": False})
+    away: OrbitTrace = field(metadata={"report": False})
     near_end: LimitReport
     far_end: LimitReport
     weight: int            # ends that limit onto Z (1 = one-way, 2 = both)
-
-    def as_dict(self):
-        return {
-            "point": self.point.as_dict(),
-            "seed": {"chart": self.seed.chart, "u": self.seed.u,
-                     "v": self.seed.v, "s": self.seed.s,
-                     "sigma": self.seed.sigma},
-            "psi": self.psi,
-            "near_end": self.near_end.as_dict(),
-            "far_end": self.far_end.as_dict(),
-            "weight": self.weight,
-        }
 
 
 @dataclass
@@ -130,15 +106,6 @@ class EscapeCensus:
     verdict: str                 # copied from the critical-point bound
     consistent_with_bound: bool
     details: dict
-
-    def as_dict(self):
-        return {
-            "n_seeds": self.n_seeds, "n_distinct": self.n_distinct,
-            "weighted_total": self.weighted_total,
-            "per_point": self.per_point, "verdict": self.verdict,
-            "consistent_with_bound": self.consistent_with_bound,
-            "details": self.details,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -319,17 +286,15 @@ def trace_invariant_manifolds(reeb, reports, tub, *, offset=OFFSET,
                 failed = LimitReport(verdict="integration-failed",
                                      error=f"{type(exc).__name__}: {exc}")
                 orbits.append(EscapeOrbit(
-                    point=report.point, chart=seed.chart, sigma=seed.sigma,
-                    psi=psi, seed=seed, toward=None, away=None,
-                    near_end=failed, far_end=failed, weight=0))
+                    point=report.point, psi=psi, seed=seed, toward=None,
+                    away=None, near_end=failed, far_end=failed, weight=0))
                 continue
             near = detect_limit(toward, points, tub, tol=tol)
             far = detect_limit(away, points, tub, tol=tol)
             weight = sum(1 for r in (near, far) if r.verdict == "limits-to")
             orbits.append(EscapeOrbit(
-                point=report.point, chart=seed.chart, sigma=seed.sigma,
-                psi=psi, seed=seed, toward=toward, away=away,
-                near_end=near, far_end=far, weight=weight))
+                point=report.point, psi=psi, seed=seed, toward=toward,
+                away=away, near_end=near, far_end=far, weight=weight))
     return orbits
 
 
@@ -354,11 +319,11 @@ def escape_census(orbits, bound, tub, match_tol=MATCH_TOL):
                                    (rows[:, 0], rows[:, 1]))
                       + np.abs(rows[:, 2] - sb.s) < match_tol)
                for (sigma, chart), rows in stacks.items()
-               if sigma == orbit.sigma):
+               if sigma == sb.sigma):
             continue
         distinct.append(orbit)
         for trace in (orbit.toward, orbit.away):
-            key = (orbit.sigma, trace.chart)
+            key = (sb.sigma, trace.chart)
             stacks[key] = np.concatenate([stacks.get(key, np.empty((0, 3))),
                                           trace.y])
     weighted = sum(o.weight for o in distinct)
@@ -414,7 +379,7 @@ def refinement_check(reeb, reports, tub, *, factor=10.0, rtol=1e-10,
                 continue
         if a.toward is None or b.toward is None:
             continue
-        finals.setdefault((a.chart, b.chart), []).append(
+        finals.setdefault((a.seed.chart, b.seed.chart), []).append(
             (*a.toward.final[:2], *b.toward.final[:2]))
     worst_shift = 0.0
     for (chart_a, chart_b), rows in finals.items():

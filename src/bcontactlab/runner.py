@@ -7,13 +7,17 @@ assembles them, decides an overall verdict, and writes the artifacts:
     Every fragment plus the verdict, serialized with sorted keys.  All
     wall-clock measurements live under the single top-level key
     ``"timing"``, so two runs of an unchanged scenario produce reports
-    that are byte-identical once that subtree is dropped.
+    that are byte-identical once that subtree is dropped.  One rule
+    (:func:`_reported`) turns a stage's result dataclasses into report
+    data: every field is reported under its own name, except those
+    declared ``field(metadata={"report": False})`` (the arrays); complex
+    numbers become ``[real, imag]`` and tuples lists.
 ``census.csv``
     One row per critical point with its orbit tally (``census`` stage).
 ``orbit_NNN.csv``
     One file per traced orbit, columns ``t,u,v,s,z,side``.  Time runs
     monotonically through the seed; ``side`` is the sign of z and ``s``
-    is log|z| (``-inf`` exactly on the surface).
+    is log|z|.
 ``trajectory.csv``
     The inverted-radius run, columns ``t,x,a,Pr,Pa,H``.
 
@@ -25,6 +29,8 @@ listed under ``"skipped"`` with the reason.
 """
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import time
@@ -80,6 +86,34 @@ def _jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+@functools.cache
+def _report_fields(cls):
+    """Names of the reported fields of a dataclass type, None otherwise."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls)
+                 if f.metadata.get("report", True))
+
+
+def _reported(obj):
+    """Report data for a stage result: a dataclass becomes a dict of its
+    fields minus those declared ``field(metadata={"report": False})``, a
+    complex number ``[real, imag]`` and a tuple a list; dicts and lists are
+    converted inside, and anything else passes through unchanged."""
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj  # the common leaves, before the dataclass lookup
+    names = _report_fields(type(obj))
+    if names is not None:
+        return {name: _reported(getattr(obj, name)) for name in names}
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, dict):
+        return {k: _reported(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_reported(v) for v in obj]
+    return obj
+
+
 def _scrub(obj):
     """Replace non-finite floats (json rejects them) before serializing."""
     if isinstance(obj, dict):
@@ -125,7 +159,7 @@ def _census_components(tub):
 def _stage_validate(form, tub, grid, tol):
     reeb, checks = solve_reeb(form, tub, grid,
                               RESIDUAL_TOL if tol is None else tol)
-    fragment = {"checks": [c.as_dict() for c in checks]}
+    fragment = {"checks": _reported(checks)}
     failures = [c.check for c in checks if not c.passed]
     return fragment, failures, reeb
 
@@ -138,9 +172,9 @@ def _stage_critical(form, tub, reeb, tol):
     reports = [stability_at(p, reeb, zdata) for p in points]
     bound = census_bound(points, _census_components(tub))
     fragment = {
-        "critical_points": [p.as_dict() for p in points],
-        "stability": [r.as_dict() for r in reports],
-        "bound": bound.as_dict(),
+        "critical_points": _reported(points),
+        "stability": _reported(reports),
+        "bound": _reported(bound),
         "scan_warnings": list(warnings),
     }
     return fragment, [], (zdata, points, reports, bound)
@@ -153,7 +187,7 @@ def _stage_trace(reeb, reports, tub, seeds, tol):
     if tol is not None:
         kwargs["tol"] = tol
     orbits = trace_invariant_manifolds(reeb, reports, tub, **kwargs)
-    fragment = {"orbits": [o.as_dict() for o in orbits]}
+    fragment = {"orbits": _reported(orbits)}
     failures = []
     bad = sum(1 for o in orbits if o.near_end.verdict == "integration-failed")
     if bad:
@@ -163,7 +197,7 @@ def _stage_trace(reeb, reports, tub, seeds, tol):
 
 def _stage_census(orbits, bound, tub):
     census = escape_census(orbits, bound, tub)
-    fragment = {"census": census.as_dict()}
+    fragment = {"census": _reported(census)}
     failures = [] if census.consistent_with_bound else ["census-vs-bound"]
     return fragment, failures, census
 
@@ -218,10 +252,10 @@ def _run_beltrami(scenario, grid, tol):
     stagnation = [beltrami_stability_matrix(data, point=(p.u, p.v))
                   for p in points]
     fragment = {
-        "identity": identity.as_dict(),
-        "laplace": laplace.as_dict(),
+        "identity": _reported(identity),
+        "laplace": _reported(laplace),
         "roundtrip": _scrub(dict(roundtrip)),
-        "stagnation": [r.as_dict() for r in stagnation],
+        "stagnation": _reported(stagnation),
     }
     failures = []
     if not identity.passed:
@@ -349,7 +383,7 @@ def run(source, subcommand="all", out_dir=None, *, tol=None, grid=None,
                     _stage_critical(form, tub, reeb,
                                     tol if stages == ["critical"] else None)
                 timing["critical_s"] = time.perf_counter() - t0
-                if "critical" in stages or subcommand == "all":
+                if "critical" in stages:
                     report.update(fragment)
                     failures += fails
             if set(stages) & {"trace", "census"}:

@@ -1,4 +1,5 @@
-"""End-to-end pipeline runs and the command-line surface."""
+"""End-to-end pipeline runs, the report rule and the command-line surface."""
+import dataclasses
 import json
 import math
 import os
@@ -11,9 +12,11 @@ import pytest
 
 import bcontactlab
 from bcontactlab.cli import main
-from bcontactlab.runner import run
-
-pytestmark = pytest.mark.filterwarnings("error")
+from bcontactlab.contact import ValidationReport
+from bcontactlab.critical import CensusBound, CriticalPoint, StabilityReport
+from bcontactlab.orbits import (EscapeCensus, EscapeOrbit, LimitReport,
+                                RegularizedState)
+from bcontactlab.runner import _reported, run
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +53,53 @@ def test_orbit_csv_shape(sphere_run):
         s, z, side = float(r[3]), float(r[4]), int(r[5])
         assert side in (-1, 1)
         assert z == pytest.approx(side * math.exp(s), rel=1e-15)
+
+
+@dataclasses.dataclass
+class _Inner:
+    rate: complex
+    matrix: np.ndarray = dataclasses.field(metadata={"report": False})
+
+
+@dataclasses.dataclass
+class _Outer:
+    inner: _Inner
+    table: dict
+    point: object
+
+
+def test_reported_converts_a_result_field_by_field():
+    result = _Outer(inner=_Inner(rate=1 - 2j, matrix=np.eye(3)),
+                    table={"pair": (3, np.float64(0.25)), "n": 7}, point=None)
+    data = _reported(result)
+    assert data == {"inner": {"rate": [1.0, -2.0]},
+                    "table": {"pair": [3, 0.25], "n": 7}, "point": None}
+    assert type(data["table"]["pair"][1]) is np.float64
+
+
+def _reported_keys(cls):
+    return {f.name for f in dataclasses.fields(cls)
+            if f.metadata.get("report", True)}
+
+
+def test_report_blocks_hold_every_reported_field(sphere_run):
+    """Each block of the report carries exactly its dataclass's reported
+    fields: a new field cannot be dropped, nor an array leak in."""
+    report = sphere_run.report
+    blocks = [(ValidationReport, c) for c in report["checks"]]
+    blocks += [(CriticalPoint, p) for p in report["critical_points"]]
+    blocks += [(StabilityReport, s) for s in report["stability"]]
+    blocks += [(CriticalPoint, s["point"]) for s in report["stability"]]
+    blocks += [(CensusBound, report["bound"]),
+               (EscapeCensus, report["census"])]
+    for o in report["orbits"]:
+        blocks += [(EscapeOrbit, o), (CriticalPoint, o["point"]),
+                   (RegularizedState, o["seed"]),
+                   (LimitReport, o["near_end"]), (LimitReport, o["far_end"])]
+    for cls, block in blocks:
+        assert set(block) == _reported_keys(cls), cls.__name__
+    assert "dr_matrix" not in report["stability"][0]
+    assert "toward" not in report["orbits"][0]
 
 
 @pytest.mark.parametrize("name", ["sphere", "torus", "beltrami", "mcgehee"])
@@ -163,8 +213,17 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 def test_cli_usage_errors_are_operational(tmp_path, capsys):
     assert main(["census", "--scenario", "sphere", "--grid", "x,y"]) == 1
+    assert main(["validate", "--scenario", "sphere", "--grid", "16,16,2",
+                 "--out", str(tmp_path)]) == 1
     assert main(["not-a-subcommand"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_cli_rejects_a_tol_that_is_not_positive(tmp_path, capsys, tol):
+    assert main(["trace", "--scenario", "sphere", "--tol", tol,
+                 "--out", str(tmp_path)]) == 1
+    assert "--tol" in capsys.readouterr().err
 
 
 def test_cli_captured_pipeline_error(tmp_path, capsys):

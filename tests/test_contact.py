@@ -272,9 +272,10 @@ def test_hessian_is_exactly_symmetric(sphere):
                 assert hess[0][1] == hess[1][0]
 
 
-def test_z_ladder_is_symmetric():
-    zs = z_ladder(0.5, 9)
-    assert len(zs) == 9
+@pytest.mark.parametrize("nz", [1, 3, 5, 9])
+def test_z_ladder_is_symmetric(nz):
+    zs = z_ladder(0.5, nz)
+    assert len(zs) == nz
     assert sorted(zs) == sorted(-z for z in zs)
 
 

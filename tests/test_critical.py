@@ -75,7 +75,7 @@ def test_torus_has_eight_points_with_expected_data(torus_points):
         p = _match(points, u, v, tub)
         assert p.index == index
         assert p.H == pytest.approx(H, abs=1e-12)
-        assert p.f_value == pytest.approx(-H, abs=1e-12)
+        assert p.f == pytest.approx(-H, abs=1e-12)
         assert p.grad_norm < 1e-10
 
 
@@ -117,7 +117,7 @@ def test_torus_extremum_stability(torus_points):
     assert rep.lambda_plus == pytest.approx(0.3j, abs=1e-9)
     assert rep.lambda_z == pytest.approx(1.0 / ROOT, rel=1e-12)
     # the Reeb rotation rate times f(p) is one on the invariant axis
-    assert rep.lambda_z * pmin.f_value == pytest.approx(1.0, rel=1e-12)
+    assert rep.lambda_z * pmin.f == pytest.approx(1.0, rel=1e-12)
     assert rep.transverse == "unstable"
     pmax = _match(points, 0.0, PI + T_STAR, tub)
     rep2 = stability_at(pmax, reeb, zdata)

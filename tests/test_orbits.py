@@ -217,8 +217,8 @@ def test_per_seed_failures_do_not_abort_the_sweep(sphere_run):
     orbits = trace_invariant_manifolds(broken, sphere_run["reports"],
                                        sphere_run["tub"])
     assert len(orbits) == 4
-    failed = [o for o in orbits if o.sigma == -1]
-    fine = [o for o in orbits if o.sigma == 1]
+    failed = [o for o in orbits if o.seed.sigma == -1]
+    fine = [o for o in orbits if o.seed.sigma == 1]
     for o in failed:
         assert o.near_end.verdict == "integration-failed"
         assert "RuntimeError" in o.near_end.error
@@ -242,7 +242,7 @@ def test_census_flags_an_incomplete_sweep(sphere_run):
 def _hand_orbit(chart, sigma, seed, toward=(), away=(), trace_chart=None):
     """An escaping orbit with hand-written (u, v, s) samples."""
     point = CriticalPoint(chart=chart, u=0.0, v=0.0, H=0.0, index=1,
-                          hess=((1.0, 0.0), (0.0, -1.0)), f_value=1.0,
+                          hess=((1.0, 0.0), (0.0, -1.0)), f=1.0,
                           grad_norm=0.0)
 
     def trace(rows):
@@ -252,8 +252,8 @@ def _hand_orbit(chart, sigma, seed, toward=(), away=(), trace_chart=None):
                           y=rows, status="event:reached-Z", stats={})
 
     return EscapeOrbit(
-        point=point, chart=chart, sigma=sigma, psi=None,
-        seed=RegularizedState(chart, *seed, sigma), toward=trace(toward),
+        point=point, psi=None, seed=RegularizedState(chart, *seed, sigma),
+        toward=trace(toward),
         away=trace(away), near_end=LimitReport(verdict="limits-to",
                                                point=point),
         far_end=LimitReport(verdict="left-neighborhood"), weight=1)
@@ -313,7 +313,7 @@ def test_time_reversal_returns_to_the_seed(sphere_run):
 def test_census_bound_scales_with_component_count():
     def pole(chart, index, sign):
         return CriticalPoint(chart=chart, u=0.0, v=0.0, H=-sign, index=index,
-                             hess=((sign, 0.0), (0.0, sign)), f_value=sign,
+                             hess=((sign, 0.0), (0.0, sign)), f=sign,
                              grad_norm=0.0)
 
     points = [pole("a", 0, 1.0), pole("a", 2, -1.0),
