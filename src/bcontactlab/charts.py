@@ -63,11 +63,17 @@ class Chart:
         return du, dv
 
     def contains(self, u, v, slack=0.0):
+        """Whether (u, v) lies in the domain widened by ``slack``; floats or
+        arrays (elementwise; True when both axes are periodic)."""
         if self.disk_radius > 0.0:
             return u * u + v * v <= (self.disk_radius + slack) ** 2
-        ok_u = self.u_periodic or (self.u_range[0] - slack <= u <= self.u_range[1] + slack)
-        ok_v = self.v_periodic or (self.v_range[0] - slack <= v <= self.v_range[1] + slack)
-        return ok_u and ok_v
+        inside = True
+        if not self.u_periodic:
+            inside = (self.u_range[0] - slack <= u) & (u <= self.u_range[1] + slack)
+        if not self.v_periodic:
+            inside = (inside & (self.v_range[0] - slack <= v)
+                      & (v <= self.v_range[1] + slack))
+        return inside
 
     def grid(self, nu, nv):
         """(u_values, v_values) arrays; periodic axes omit the duplicate endpoint."""

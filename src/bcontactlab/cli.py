@@ -13,7 +13,6 @@ integration breakdown).
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .runner import run
@@ -74,17 +73,14 @@ def main(argv=None):
         # argparse exits 2 on usage errors; that slot means "verdict failed"
         # here, so fold bad usage into the operational-error status
         return 0 if exc.code == 0 else 1
-    if args.seeds is not None and args.seeds < 1:
-        print("error: --seeds must be at least 1", file=sys.stderr)
-        return 1
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        print("error: --tol must be finite and positive", file=sys.stderr)
-        return 1
     try:
         result = run(args.scenario, args.subcommand, args.out, tol=args.tol,
                      grid=args.grid, seeds=args.seeds)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except ValueError as exc:  # a tol or seeds that run() rejects
+        print(f"error: --{exc}", file=sys.stderr)
         return 1
 
     report = result.report

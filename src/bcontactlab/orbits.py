@@ -17,6 +17,15 @@ a one-dimensional transverse invariant curve tangent to the z-axis (two
 seeds, one per side), saddles a two-dimensional invariant surface spanned
 by the z-axis and the tangential eigenvector whose eigenvalue matches the
 sign of λ_z = g(p) (a fan of seeds in that plane, avoiding the axes).
+
+Tracing runs in batches: every seed on one chart and one side σ, toward
+and away, is one lane of a single :func:`~bcontactlab.rk45.integrate`
+call, so the field is evaluated once per stage for all of them, and each
+lane takes the steps its own run would.  A lane that fails
+(``NonFiniteState``, ``StepSizeUnderflow``, the step budget) fails alone.
+When the field raises for a batch, the batch's lanes are traced again one
+at a time, so a seed whose field raises fails alone, with the message a
+one-seed trace gives.
 """
 from __future__ import annotations
 
@@ -40,6 +49,9 @@ Z_CUT_FACTOR = 1e-8      # |z| < factor·ε counts as "reached Z"
 POSITION_TOL = 1e-5      # tangential closeness for a limit claim
 T_MAX = 400.0            # time budget per trace
 MATCH_TOL = 1e-6         # seed-on-trajectory distance for orbit identity
+# Fewer lanes than this evaluate the field point by point on floats: one
+# array call costs what 13 (sphere pole charts) to 23 (torus) float points do.
+SMALL_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -112,15 +124,29 @@ class EscapeCensus:
 # fields
 
 def regularized_field(reeb, chart_name, sigma):
-    """Right-hand side for (u, v, s) with z = σ e^s."""
+    """Right-hand side for lanes of states (u, v, s), shape (lanes, 3), with
+    z = σ e^s.
+
+    Fewer than ``SMALL_BATCH`` lanes are evaluated point by point on
+    floats, more in one array call; the two give the same bits wherever
+    numpy's elementwise functions do what libm does (``sin`` and ``cos``
+    here; not ``power``, which integer powers in a field go through).
+    """
     if sigma not in (-1, 1):
         raise ValueError("sigma must be ±1 off the surface")
 
     def rhs(t, y):
-        z = sigma * math.exp(y[2])
-        yu, yv, g = reeb.components(float(y[0]), float(y[1]), z,
-                                    chart_name=chart_name)
-        return np.array([yu, yv, g])
+        if len(y) < SMALL_BATCH:
+            return np.array([reeb.components(u, v, sigma * math.exp(s),
+                                             chart_name=chart_name)
+                             for u, v, s in y.tolist()])
+        # libm's exp, as the float path takes it: numpy's exp differs by an
+        # ulp on some arguments
+        z = np.array([sigma * math.exp(s) for s in y[:, 2].tolist()])
+        out = np.empty(y.shape)
+        out[:, 0], out[:, 1], out[:, 2] = reeb.components(
+            y[:, 0], y[:, 1], z, chart_name=chart_name)
+        return out
 
     return rhs
 
@@ -130,31 +156,56 @@ def regularized_field(reeb, chart_name, sigma):
 
 def _chart_guard(chart, slack=0.05):
     def stop(t, y):
-        if not chart.contains(float(y[0]), float(y[1]), slack=slack):
-            return "left-chart"
-        return None
+        inside = chart.contains(y[:, 0], y[:, 1], slack=slack)
+        if np.all(inside):
+            return None
+        return [None if ok else "left-chart" for ok in inside.tolist()]
 
     return stop
+
+
+def _trace_lanes(reeb, tub, chart_name, sigma, y0, directions, t_max, rtol,
+                 atol):
+    """Trace lanes of one (chart, σ) together, each in its own direction.
+
+    Returns one :class:`OrbitTrace` per lane, or the exception that ended
+    it.  When the field itself raises for the batch, the lanes are traced
+    again one at a time, so that only the lanes that raise alone fail.
+    """
+    s_cut = math.log(Z_CUT_FACTOR * tub.epsilon)
+    s_top = math.log(tub.epsilon)
+    events = [
+        Event(fn=lambda t, y: y[:, 2] - s_cut, direction=-1, name="reached-Z"),
+        Event(fn=lambda t, y: y[:, 2] - s_top, direction=1,
+              name="left-neighborhood"),
+    ]
+    try:
+        lanes = integrate(regularized_field(reeb, chart_name, sigma), y0,
+                          (0.0, directions * t_max), rtol=rtol, atol=atol,
+                          events=events,
+                          stop=_chart_guard(tub.charts[chart_name]))
+    except Exception as exc:  # from the field: find the lanes that raise
+        if len(y0) == 1:
+            return [exc]
+        return [lane for k in range(len(y0))
+                for lane in _trace_lanes(reeb, tub, chart_name, sigma,
+                                         y0[k:k + 1], directions[k:k + 1],
+                                         t_max, rtol, atol)]
+    return [sol if isinstance(sol, Exception) else OrbitTrace(
+                chart=chart_name, sigma=sigma, direction=direction, t=sol.t,
+                y=sol.y, status=sol.status, stats=sol.stats_dict())
+            for sol, direction in zip(lanes, directions.tolist())]
 
 
 def integrate_orbit(reeb, state, tub, *, direction=1, t_max=T_MAX,
                     rtol=1e-10, atol=1e-12):
     """Trace one off-surface orbit until it reaches Z, leaves, or times out."""
-    chart = tub.charts[state.chart]
-    s_cut = math.log(Z_CUT_FACTOR * tub.epsilon)
-    s_top = math.log(tub.epsilon)
-    rhs = regularized_field(reeb, state.chart, state.sigma)
-    events = [
-        Event(fn=lambda t, y: y[2] - s_cut, direction=-1, name="reached-Z"),
-        Event(fn=lambda t, y: y[2] - s_top, direction=1,
-              name="left-neighborhood"),
-    ]
-    sol = integrate(rhs, [state.u, state.v, state.s],
-                    (0.0, direction * t_max), rtol=rtol, atol=atol,
-                    events=events, stop=_chart_guard(chart))
-    return OrbitTrace(chart=state.chart, sigma=state.sigma,
-                      direction=direction, t=sol.t, y=sol.y,
-                      status=sol.status, stats=sol.stats_dict())
+    trace, = _trace_lanes(reeb, tub, state.chart, state.sigma,
+                          np.array([[state.u, state.v, state.s]]),
+                          np.array([direction]), t_max, rtol, atol)
+    if isinstance(trace, Exception):
+        raise trace
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -271,30 +322,46 @@ def seed_plan(report, offset=OFFSET, n_fan=N_FAN):
 def trace_invariant_manifolds(reeb, reports, tub, *, offset=OFFSET,
                               n_fan=N_FAN, t_max=T_MAX, rtol=1e-10,
                               atol=1e-12, tol=POSITION_TOL):
-    """Trace every seed of every report both ways and classify the ends."""
+    """Trace every seed of every report both ways and classify the ends.
+
+    The seeds of one (chart, σ) are traced together, toward and away in
+    one batch of lanes.
+    """
     points = [r.point for r in reports]
+    plan = [(report, psi, seed) for report in reports
+            for psi, seed in seed_plan(report, offset=offset, n_fan=n_fan)]
+    groups = {}   # (chart, sigma) -> plan entries
+    for k, (_, _, seed) in enumerate(plan):
+        groups.setdefault((seed.chart, seed.sigma), []).append(k)
+    ends = {}     # plan entry -> (toward, away)
+    for (chart_name, sigma), ks in groups.items():
+        starts = [[plan[k][2].u, plan[k][2].v, plan[k][2].s] for k in ks]
+        toward = [-1 if plan[k][0].lambda_z > 0 else 1 for k in ks]
+        lanes = _trace_lanes(reeb, tub, chart_name, sigma,
+                             np.array(starts * 2),
+                             np.array(toward + [-d for d in toward]),
+                             t_max, rtol, atol)
+        for j, k in enumerate(ks):
+            ends[k] = (lanes[j], lanes[j + len(ks)])
+
     orbits = []
-    for report in reports:
-        toward_dir = -1 if report.lambda_z > 0 else 1
-        for psi, seed in seed_plan(report, offset=offset, n_fan=n_fan):
-            try:
-                toward = integrate_orbit(reeb, seed, tub, direction=toward_dir,
-                                         t_max=t_max, rtol=rtol, atol=atol)
-                away = integrate_orbit(reeb, seed, tub, direction=-toward_dir,
-                                       t_max=t_max, rtol=rtol, atol=atol)
-            except Exception as exc:  # keep the batch alive, record the seed
-                failed = LimitReport(verdict="integration-failed",
-                                     error=f"{type(exc).__name__}: {exc}")
-                orbits.append(EscapeOrbit(
-                    point=report.point, psi=psi, seed=seed, toward=None,
-                    away=None, near_end=failed, far_end=failed, weight=0))
-                continue
-            near = detect_limit(toward, points, tub, tol=tol)
-            far = detect_limit(away, points, tub, tol=tol)
-            weight = sum(1 for r in (near, far) if r.verdict == "limits-to")
+    for k, (report, psi, seed) in enumerate(plan):
+        toward, away = ends[k]
+        exc = next((e for e in (toward, away) if isinstance(e, Exception)),
+                   None)
+        if exc is not None:  # the seed fails alone
+            failed = LimitReport(verdict="integration-failed",
+                                 error=f"{type(exc).__name__}: {exc}")
             orbits.append(EscapeOrbit(
-                point=report.point, psi=psi, seed=seed, toward=toward,
-                away=away, near_end=near, far_end=far, weight=weight))
+                point=report.point, psi=psi, seed=seed, toward=None,
+                away=None, near_end=failed, far_end=failed, weight=0))
+            continue
+        near = detect_limit(toward, points, tub, tol=tol)
+        far = detect_limit(away, points, tub, tol=tol)
+        weight = sum(1 for r in (near, far) if r.verdict == "limits-to")
+        orbits.append(EscapeOrbit(
+            point=report.point, psi=psi, seed=seed, toward=toward,
+            away=away, near_end=near, far_end=far, weight=weight))
     return orbits
 
 

@@ -15,16 +15,37 @@ the three-body dynamics.  Features:
 The error estimate is the RMS of the embedded difference scaled by
 atol + rtol·max(|y_n|, |y_{n+1}|) per component; a step is accepted when
 that norm is at most 1.
+
+Lanes.  ``y0`` of shape ``(lanes, dim)`` integrates that many independent
+problems in lockstep: ``f`` is called once per stage with the states of
+every live lane, and each lane keeps its own time direction, step size,
+error history, accept/reject decision, counters, events and status, so
+every lane takes exactly the steps a run of its own would take.  A lane
+that ends (an event, ``stop``, the end of its span, or a failure) drops
+out of the live arrays; they are compacted only then, so a usual step
+indexes nothing.  A lane whose event fires ends in that step, and its
+crossing does not affect any other lane, so the crossings of all lanes are
+located after the loop: bisected together on their steps' dense
+interpolants, each frozen where a run of its own would stop bisecting.  A
+flat ``y0`` is the one-lane case.
+
+Bit identity between lanes and single runs rests on elementwise
+arithmetic, which numpy rounds as Python does.  numpy's ``power`` is not
+libm's ``pow`` (they differ by an ulp on a few percent of arguments), so
+the step controller's powers — the rejection factor ``err**-0.2``, the
+PI factor ``err**-ALPHA · err_old**BETA`` and the initial step's
+``(0.01/m)**0.2`` — are computed per lane on Python floats.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
-    "StepSizeUnderflow", "NonFiniteState", "Event", "Trajectory", "integrate",
+    "StepSizeUnderflow", "NonFiniteState", "Event", "Trajectory", "Lanes",
+    "integrate",
 ]
 
 MIN_STEP = 1e-14
@@ -54,6 +75,7 @@ A61, A62, A63, A64, A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
 B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
 BS1, BS3, BS4, BS5, BS6, BS7 = (5179 / 57600, 7571 / 16695, 393 / 640,
                                 -92097 / 339200, 187 / 2100, 1 / 40)
+NODES = np.array([C2, C3, C4, C5, C6])
 # dense-output weights for the quartic interpolant
 D1 = -12715105075 / 11282082432
 D3 = 87487479700 / 32700410799
@@ -65,7 +87,11 @@ D7 = 69997945 / 29380423
 
 @dataclass
 class Event:
-    """Terminal crossing detector g(t, y); ends the run when g changes sign."""
+    """Terminal crossing detector g(t, y); ends the run when g changes sign.
+
+    For a lane batch, ``fn`` takes the lanes' times and states and returns
+    one value per lane.
+    """
 
     fn: object
     direction: int  # +1: − to +, −1: + to −
@@ -103,58 +129,119 @@ class Trajectory:
         }
 
 
+class Lanes(list):
+    """Per-lane results of a batch: a :class:`Trajectory`, or the exception
+    that ended the lane.  The work counters are totals over the lanes that
+    finished."""
+
+    def _total(self, name):
+        return sum(getattr(lane, name) for lane in self
+                   if isinstance(lane, Trajectory))
+
+    @property
+    def n_fev(self):
+        return self._total("n_fev")
+
+    @property
+    def n_steps(self):
+        return self._total("n_steps")
+
+    @property
+    def n_rejected(self):
+        return self._total("n_rejected")
+
+
 class _DenseSegment:
-    """Quartic interpolant over one accepted step [t, t + h]."""
+    """Quartic interpolants over one accepted step [t, t + h] of some lanes."""
 
     def __init__(self, t, h, y_old, y_new, k1, k3, k4, k5, k6, k7):
+        hc = h[:, None]
         ydiff = y_new - y_old
-        bspl = h * k1 - ydiff
+        bspl = hc * k1 - ydiff
         self.t, self.h = t, h
         self.r1 = y_old
         self.r2 = ydiff
         self.r3 = bspl
-        self.r4 = ydiff - h * k7 - bspl
-        self.r5 = h * (D1 * k1 + D3 * k3 + D4 * k4 + D5 * k5 + D6 * k6 + D7 * k7)
+        self.r4 = ydiff - hc * k7 - bspl
+        self.r5 = hc * (D1 * k1 + D3 * k3 + D4 * k4 + D5 * k5 + D6 * k6
+                        + D7 * k7)
 
     def __call__(self, t):
-        s = (t - self.t) / self.h
+        s = ((t - self.t) / self.h)[:, None]
         s1 = 1.0 - s
         return self.r1 + s * (self.r2 + s1 * (self.r3 + s * (self.r4 + s1 * self.r5)))
 
 
-def _error_norm(err, y0, y1, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _bisect(events, which, seg, t_lo, t_hi, neg_lo):
+    """Bisect crossings of the events ``which`` on the dense interpolants.
+
+    ``neg_lo`` is the sign of g at each bracket's low end; it never
+    changes.  A crossing freezes once its midpoint no longer splits its
+    bracket, where a one-lane loop stops; the loop ends when all have, or
+    after 80 halvings.
+    """
+    first, *others = sorted(set(which.tolist()))
+    masks = [which == i for i in others]
+    run = np.ones(len(t_lo), dtype=bool)
+    for _ in range(80):
+        t_mid = 0.5 * (t_lo + t_hi)
+        run &= (t_mid != t_lo) & (t_mid != t_hi)
+        if not run.any():
+            break
+        y_mid = seg(t_mid)
+        g_mid = events[first].fn(t_mid, y_mid)
+        for i, mask in zip(others, masks):
+            g_mid = np.where(mask, events[i].fn(t_mid, y_mid), g_mid)
+        low = run & ((g_mid < 0) == neg_lo)
+        t_lo = np.where(low, t_mid, t_lo)
+        t_hi = np.where(run ^ low, t_mid, t_hi)
+    return t_hi
+
+
+def _rms(x, dim):
+    return np.sqrt(np.add.reduce(x * x, axis=1) / dim)
 
 
 def _initial_step(f, t0, y0, f0, direction, rtol, atol, span):
+    """First step size of each lane."""
+    dim = y0.shape[1]
     scale = atol + rtol * np.abs(y0)
-    d0 = math.sqrt(float(np.mean((y0 / scale) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / scale) ** 2)))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    y1 = y0 + h0 * direction * f0
+    d0 = _rms(y0 / scale, dim).tolist()
+    d1 = _rms(f0 / scale, dim).tolist()
+    h0 = np.array([1e-6 if a < 1e-5 or b < 1e-5 else 0.01 * a / b
+                   for a, b in zip(d0, d1)])
+    y1 = y0 + (h0 * direction)[:, None] * f0
     f1 = np.asarray(f(t0 + h0 * direction, y1), dtype=float)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / scale) ** 2))) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, span)
+    d2 = (_rms((f1 - f0) / scale, dim) / h0).tolist()
+    steps = []
+    for a, b, c, s in zip(h0.tolist(), d1, d2, span.tolist()):
+        m = max(b, c)
+        h1 = max(1e-6, a * 1e-3) if m <= 1e-15 else (0.01 / m) ** 0.2
+        steps.append(min(100 * a, h1, s))
+    return np.array(steps)
 
 
-def _locate_crossing(g, seg, t_lo, t_hi, g_lo):
-    """Bisect the event function on the dense interpolant."""
-    for _ in range(80):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if t_mid == t_lo or t_mid == t_hi:
-            break
-        g_mid = g(t_mid, seg(t_mid))
-        if (g_mid < 0) == (g_lo < 0):
-            t_lo = t_mid
-            g_lo = g_mid
-        else:
-            t_hi = t_mid
-    return t_hi
+def _one_lane(f):
+    """``f`` of one flat state, called with a batch of one lane."""
+    def batched(t, y):
+        return np.asarray(f(float(t[0]), y[0]), dtype=float)[None]
+    return batched
+
+
+def _one_lane_event(fn):
+    """Event function of one flat state, called row by row (the crossings
+    of several events in one step are bisected together)."""
+    def batched(t, y):
+        return np.array([fn(tk, yk) for tk, yk in zip(t.tolist(), y)],
+                        dtype=float)
+    return batched
+
+
+def _one_lane_stop(stop):
+    def batched(t, y):
+        reason = stop(float(t[0]), y[0])
+        return None if reason is None else [reason]
+    return batched
 
 
 def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
@@ -166,111 +253,252 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
     ``"event:<name>"``.  ``stop(t, y)`` is checked after every accepted
     step; a non-None string return truncates the run with that status.
     Backward integration: pass t_span = (t0, t1) with t1 < t0.
+
+    A flat ``y0`` returns a :class:`Trajectory` and raises what ends the
+    run early.  A ``(lanes, dim)`` ``y0`` returns :class:`Lanes`: ``t0``
+    and ``t1`` may then be one value per lane; ``f(t, y)``, each event
+    function and ``stop`` receive the live lanes' times ``(live,)`` and
+    states ``(live, dim)``; ``stop`` returns None or one reason (or None)
+    per live lane; a lane that fails holds its exception.
     """
-    t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.array(y0, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("state must be a flat vector")
-    ts = [t0]
-    ys = [y.copy()]
+    if y.ndim == 1:
+        lane, = _integrate(
+            _one_lane(f), y[None], t_span, rtol, atol,
+            [replace(ev, fn=_one_lane_event(ev.fn)) for ev in events],
+            None if stop is None else _one_lane_stop(stop), max_steps)
+        if isinstance(lane, Exception):
+            raise lane
+        return lane
+    if y.ndim != 2:
+        raise ValueError("state must be a flat vector or a (lanes, dim) array")
+    return _integrate(f, y, t_span, rtol, atol, events, stop, max_steps)
 
-    if t1 == t0:
-        return Trajectory(np.array(ts), np.array(ys), "reached-end",
-                          0, 0, 0, math.inf, 0.0)
 
-    direction = 1.0 if t1 > t0 else -1.0
-    span = abs(t1 - t0)
-    t = t0
+def _integrate(f, y0, t_span, rtol, atol, events, stop, max_steps):
+    n, dim = y0.shape
+    t0 = np.broadcast_to(np.asarray(t_span[0], dtype=float), (n,)).copy()
+    t1 = np.broadcast_to(np.asarray(t_span[1], dtype=float), (n,)).copy()
+    out = Lanes([None] * n)
+    ended = {}   # lane -> (status, attempted steps)
+    # samples in the order taken: (lanes, t, y, size of the step to them)
+    blocks = [(np.arange(n), t0, y0, np.full(n, math.nan))]
+
+    idx = np.flatnonzero(t1 != t0)
+    for lane in np.flatnonzero(t1 == t0).tolist():
+        ended[lane] = ("reached-end", 0)
+    t, t1, y = t0[idx], t1[idx], y0[idx]
+    if not len(idx):
+        return _assemble(out, ended, blocks)
+    dirn = np.where(t1 > t, 1.0, -1.0)
     k1 = np.asarray(f(t, y), dtype=float)
-    if not np.all(np.isfinite(k1)):
-        raise NonFiniteState(f"non-finite derivative at t = {t!r}")
-    h = _initial_step(f, t0, y, k1, direction, rtol, atol, span)
-    n_fev = 2  # k1 and the initial-step probe
-    err_old = 1e-4
-    n_steps = n_rejected = 0
-    hmin_seen, hmax_seen = math.inf, 0.0
-    g_prev = [ev.fn(t, y) for ev in events]
-    status = None
+    good = np.isfinite(k1).all(axis=1)
+    if not good.all():
+        for lane, tk in zip(idx[~good].tolist(), t[~good].tolist()):
+            out[lane] = NonFiniteState(f"non-finite derivative at t = {tk!r}")
+        idx, t, t1, dirn, y, k1 = (a[good] for a in (idx, t, t1, dirn, y, k1))
+        if not len(idx):
+            return _assemble(out, ended, blocks)
+    # with t1d = dirn·t1, rem = t1d − dirn·t is |t1 − t| bit for bit
+    # (negation is exact), and the lane has reached t1 once rem ≤ 0
+    t1d = dirn * t1
+    rem = t1d - dirn * t
+    h = _initial_step(f, t, y, k1, dirn, rtol, atol, rem)
+    h_low = h.min()
+    err_old = [1e-4] * len(idx)
+    g_prev = [np.asarray(ev.fn(t, y), dtype=float) for ev in events]
+    crossings = []   # blocks of fired events: lane, event, step data
+    it = 0   # attempted steps so far; the same for every live lane
 
-    while status is None:
-        if n_steps + n_rejected > max_steps:
-            raise RuntimeError(f"integration exceeded {max_steps} steps")
-        if h < MIN_STEP:
-            raise StepSizeUnderflow(
-                f"step size {h:.3e} underflowed at t = {t!r}")
-        h = min(h, abs(t1 - t))
-        hd = direction * h
+    while len(idx):
+        if it > max_steps:
+            for lane in idx.tolist():
+                out[lane] = RuntimeError(
+                    f"integration exceeded {max_steps} steps")
+            break
+        if h_low < MIN_STEP:
+            under = h < MIN_STEP
+            for lane, hk, tk in zip(idx[under].tolist(), h[under].tolist(),
+                                    t[under].tolist()):
+                out[lane] = StepSizeUnderflow(
+                    f"step size {hk:.3e} underflowed at t = {tk!r}")
+            idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev = _compact(
+                ~under, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev)
+            if not len(idx):
+                break
+        h = np.minimum(h, rem)
+        hd = dirn * h
+        hc = hd[:, None]
+        ts = t[:, None] + hc * NODES   # t + c·hd for the stages 2 to 7
 
         with np.errstate(invalid="ignore", over="ignore"):
-            k2 = np.asarray(f(t + C2 * hd, y + hd * (A21 * k1)), dtype=float)
-            k3 = np.asarray(f(t + C3 * hd, y + hd * (A31 * k1 + A32 * k2)),
+            k2 = np.asarray(f(ts[:, 0], y + hc * (A21 * k1)), dtype=float)
+            k3 = np.asarray(f(ts[:, 1], y + hc * (A31 * k1 + A32 * k2)),
                             dtype=float)
-            k4 = np.asarray(f(t + C4 * hd, y + hd * (A41 * k1 + A42 * k2
-                                                     + A43 * k3)), dtype=float)
-            k5 = np.asarray(f(t + C5 * hd, y + hd * (A51 * k1 + A52 * k2
-                                                     + A53 * k3 + A54 * k4)),
+            k4 = np.asarray(f(ts[:, 2], y + hc * (A41 * k1 + A42 * k2
+                                                  + A43 * k3)), dtype=float)
+            k5 = np.asarray(f(ts[:, 3], y + hc * (A51 * k1 + A52 * k2
+                                                  + A53 * k3 + A54 * k4)),
                             dtype=float)
-            k6 = np.asarray(f(t + hd, y + hd * (A61 * k1 + A62 * k2 + A63 * k3
-                                                + A64 * k4 + A65 * k5)),
-                            dtype=float)
-            y_new = y + hd * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
-            t_new = t + hd
+            k6 = np.asarray(f(ts[:, 4], y + hc * (A61 * k1 + A62 * k2
+                                                  + A63 * k3 + A64 * k4
+                                                  + A65 * k5)), dtype=float)
+            y_new = y + hc * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
+            t_new = ts[:, 4]
             k7 = np.asarray(f(t_new, y_new), dtype=float)
-        n_fev += 6
-        if not (np.all(np.isfinite(y_new)) and np.all(np.isfinite(k7))):
-            raise NonFiniteState(f"non-finite state near t = {t_new!r}")
+            err_vec = hc * ((B1 - BS1) * k1 + (B3 - BS3) * k3
+                            + (B4 - BS4) * k4 + (B5 - BS5) * k5
+                            + (B6 - BS6) * k6 - BS7 * k7)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err = _rms(err_vec / scale, dim)
+            # a finite sum means finite terms; an overflowing one only
+            # sends the step through the per-lane check below
+            finite = math.isfinite(np.add.reduce(y_new, axis=None)
+                                   + np.add.reduce(k7, axis=None))
+        it += 1
 
-        err_vec = hd * ((B1 - BS1) * k1 + (B3 - BS3) * k3 + (B4 - BS4) * k4
-                        + (B5 - BS5) * k5 + (B6 - BS6) * k6 - BS7 * k7)
-        err = _error_norm(err_vec, y, y_new, rtol, atol)
+        # step control, per lane on Python floats (see the module docstring)
+        h_next, err_next = [], []
+        every = finite
+        for hk, e, old in zip(h.tolist(), err.tolist(), err_old):
+            e = max(e, 1e-16)
+            if e > 1.0:
+                h_next.append(hk * max(MIN_FACTOR, SAFETY * e ** -0.2))
+                err_next.append(old)
+                every = False
+            else:
+                h_next.append(hk * min(MAX_FACTOR, max(
+                    MIN_FACTOR, SAFETY * e ** -ALPHA * old ** BETA)))
+                err_next.append(e)
 
-        if err > 1.0:  # reject
-            n_rejected += 1
-            h *= max(MIN_FACTOR, SAFETY * max(err, 1e-16) ** -0.2)
-            continue
+        done = None   # lanes that end in this step
+        if every:
+            acc = a = slice(None)
+        else:
+            ok = np.isfinite(y_new).all(axis=1) & np.isfinite(k7).all(axis=1)
+            done = ~ok
+            for lane, tk in zip(idx[done].tolist(), t_new[done].tolist()):
+                out[lane] = NonFiniteState(f"non-finite state near t = {tk!r}")
+            acc = ok & ~(err > 1.0)
+            a = np.flatnonzero(acc)
 
-        # accepted
-        n_steps += 1
-        hmin_seen = min(hmin_seen, h)
-        hmax_seen = max(hmax_seen, h)
-        seg = _DenseSegment(t, hd, y, y_new, k1, k3, k4, k5, k6, k7)
+        # events at the step end: a lane where one fires ends in this step;
+        # its crossings are located after the loop (see _cut)
+        hit = None
+        for i, ev in enumerate(events if every or len(a) else ()):
+            g_b = np.asarray(ev.fn(t_new[a], y_new[a]), dtype=float)
+            g_a = g_prev[i][a]
+            fired = ((g_a < 0) & (0 <= g_b) if ev.direction > 0
+                     else (g_a > 0) & (0 >= g_b))
+            if every:
+                g_prev[i] = g_b
+            else:
+                g_prev[i] = g_prev[i].copy()
+                g_prev[i][a] = g_b
+            if not fired.any():
+                continue
+            rows = np.flatnonzero(fired) if every else a[fired]
+            crossings.append((
+                idx[rows], np.full(len(rows), i), np.full(len(rows), it),
+                dirn[rows], h[rows], g_a[fired] < 0, t[rows], t_new[rows],
+                hd[rows], y[rows], y_new[rows], k1[rows], k3[rows], k4[rows],
+                k5[rows], k6[rows], k7[rows]))
+            if hit is None:
+                hit = np.zeros(len(idx), dtype=bool)
+            hit[rows] = True
 
-        # events at the step end; the earliest located crossing ends the run
-        cut = None  # (t*, status)
-        for i, ev in enumerate(events):
-            g_a, g_b = g_prev[i], ev.fn(t_new, y_new)
-            fired = (g_a < 0 <= g_b) if ev.direction > 0 else (g_a > 0 >= g_b)
-            if fired:
-                t_star = _locate_crossing(ev.fn, seg, t, t_new, g_a)
-                if cut is None or direction * (cut[0] - t_star) > 0:
-                    cut = (t_star, f"event:{ev.name}")
-            g_prev[i] = g_b
-        if cut is not None:
-            t, status = cut
-            ts.append(t)
-            ys.append(seg(t))
-            break
+        rem_new = t1d - dirn * t_new
+        if every:
+            t, y, k1, rem = t_new, y_new, k7, rem_new
+        else:
+            t = np.where(acc, t_new, t)
+            y = np.where(acc[:, None], y_new, y)
+            k1 = np.where(acc[:, None], k7, k1)
+            rem = np.where(acc, rem_new, rem)
+        if hit is None:   # go: the lanes that took a step and go on
+            go = acc
+        else:
+            go = ~hit if every else acc & ~hit
+            done = hit if done is None else done | hit
+        blocks.append((idx, t, y, h) if isinstance(go, slice)
+                      else (idx[go], t[go], y[go], h[go]))
 
-        t, y, k1 = t_new, y_new, k7
-        ts.append(t)
-        ys.append(y.copy())
+        reasons = None
+        if stop is not None and (isinstance(go, slice) or go.any()):
+            reasons = stop(t[go], y[go])
+        if reasons is not None:
+            rows = np.arange(len(idx))[go].tolist()
+            for row, reason in zip(rows, reasons):
+                if reason is not None:
+                    ended[int(idx[row])] = (reason, it)
+                    if done is None:
+                        done = np.zeros(len(idx), dtype=bool)
+                    done[row] = True
+        if min(rem.tolist()) <= 0:   # only lanes that stepped can get there
+            end = rem <= 0
+            if done is not None:
+                end &= ~done
+            for row in np.flatnonzero(end).tolist():
+                ended[int(idx[row])] = ("reached-end", it)
+            done = end if done is None else done | end
 
-        if stop is not None:
-            reason = stop(t, y)
-            if reason is not None:
-                status = reason
-                break
+        h = np.array(h_next)
+        h_low = min(h_next)
+        err_old = err_next
+        if done is not None and done.any():
+            idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev = _compact(
+                ~done, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev)
+            h_low = h.min(initial=math.inf)
 
-        if direction * (t1 - t) <= 0:
-            status = "reached-end"
-            break
+    if crossings:
+        _cut(events, crossings, ended, blocks)
+    return _assemble(out, ended, blocks)
 
-        factor = min(MAX_FACTOR,
-                     max(MIN_FACTOR,
-                         SAFETY * max(err, 1e-16) ** -ALPHA * err_old ** BETA))
-        h *= factor
-        err_old = max(err, 1e-16)
 
-    return Trajectory(
-        np.array(ts), np.array(ys), status, n_steps, n_rejected, n_fev,
-        hmin_seen if n_steps else math.inf, hmax_seen)
+def _cut(events, crossings, ended, blocks):
+    """Locate every recorded event crossing and end its lane there.
+
+    All crossings are bisected together on their steps' dense
+    interpolants; a lane where several events fired in one step ends at
+    the earliest crossing, the first event winning a tie.
+    """
+    (lanes, which, steps, dirn, h, neg, t_lo, t_hi, hd, y, y_new, k1, k3,
+     k4, k5, k6, k7) = (np.concatenate(c) for c in zip(*crossings))
+    seg = _DenseSegment(t_lo, hd, y, y_new, k1, k3, k4, k5, k6, k7)
+    t_star = _bisect(events, which, seg, t_lo, t_hi, neg)
+    first = {}   # lane -> its winning crossing
+    ts = t_star.tolist()
+    for k, (lane, d) in enumerate(zip(lanes.tolist(), dirn.tolist())):
+        if lane not in first or d * (ts[first[lane]] - ts[k]) > 0:
+            first[lane] = k
+    rows = np.array(list(first.values()))
+    blocks.append((lanes[rows], t_star[rows], seg(t_star)[rows], h[rows]))
+    for k in rows.tolist():
+        ended[int(lanes[k])] = (f"event:{events[which[k]].name}",
+                                int(steps[k]))
+
+
+def _compact(keep, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev):
+    """The live-lane state without the lanes that ended."""
+    return (*(a[keep] for a in (idx, t, t1d, dirn, rem, y, k1, h)),
+            [e for e, k in zip(err_old, keep.tolist()) if k],
+            [g[keep] for g in g_prev])
+
+
+def _assemble(out, ended, blocks):
+    """Split the recorded samples per lane into the ended lanes'
+    trajectories: a lane's samples after the first are its accepted steps."""
+    lanes = np.concatenate([b[0] for b in blocks])
+    order = np.argsort(lanes, kind="stable")
+    ts, ys, hs = (np.concatenate([b[k] for b in blocks])[order]
+                  for k in (1, 2, 3))
+    bounds = np.searchsorted(lanes[order], np.arange(len(out) + 1)).tolist()
+    for lane, (status, attempts) in ended.items():
+        a, b = bounds[lane], bounds[lane + 1]
+        steps = b - a - 1
+        out[lane] = Trajectory(
+            ts[a:b], ys[a:b], status, steps, attempts - steps,
+            6 * attempts + 2 if attempts else 0,
+            float(hs[a + 1:b].min()) if steps else math.inf,
+            float(hs[a + 1:b].max()) if steps else 0.0)
+    return out

@@ -332,8 +332,14 @@ def run(source, subcommand="all", out_dir=None, *, tol=None, grid=None,
 
     Returns a :class:`RunResult` whose ``exit_status`` is 0 when every
     check passed, 2 when one came out false, and 1 when a stage raised.
-    ``report.json`` is written in all three cases.
+    ``report.json`` is written in all three cases.  A ``tol`` that is not
+    finite and positive, or ``seeds`` below 1, raises ``ValueError`` before
+    anything is written, as a bad scenario raises ``ScenarioError``.
     """
+    if seeds is not None and seeds < 1:
+        raise ValueError("seeds must be at least 1")
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be finite and positive")
     t_start = time.perf_counter()
     timing = {}
     scenario = (source if isinstance(source, Scenario)

@@ -226,6 +226,23 @@ def test_cli_rejects_a_tol_that_is_not_positive(tmp_path, capsys, tol):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_run_rejects_a_tol_that_is_not_positive(tmp_path, tol):
+    with pytest.raises(ValueError, match="tol"):
+        run("sphere", "trace", tmp_path / "out", tol=tol)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seeds", [0, -3])
+def test_run_rejects_a_seed_count_below_one(tmp_path, capsys, seeds):
+    with pytest.raises(ValueError, match="seeds"):
+        run("torus", "all", tmp_path / "out", seeds=seeds)
+    assert not (tmp_path / "out").exists()
+    assert main(["all", "--scenario", "torus", "--seeds", str(seeds),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "error: --seeds must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_captured_pipeline_error(tmp_path, capsys):
     payload = {"kind": "mcgehee", "name": "crash", "mu": 0.5, "x0": 2.0}
     path = tmp_path / "crash.json"

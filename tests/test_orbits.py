@@ -207,7 +207,7 @@ class _OneSidedField:
         self._inner = inner
 
     def components(self, u, v, z, chart_name=None):
-        if z < 0:
+        if np.any(np.asarray(z) < 0):
             raise RuntimeError("field unavailable below the surface")
         return self._inner.components(u, v, z, chart_name=chart_name)
 
@@ -226,6 +226,64 @@ def test_per_seed_failures_do_not_abort_the_sweep(sphere_run):
         assert o.weight == 0
     for o in fine:
         assert o.near_end.verdict == "limits-to"
+
+
+class _PoisonedField:
+    """Delegates to a real field but raises for any batch holding one seed."""
+
+    def __init__(self, inner, seed):
+        self._inner, self._seed = inner, seed
+
+    def components(self, u, v, z, chart_name=None):
+        at = ((np.asarray(u) == self._seed.u) & (np.asarray(v) == self._seed.v)
+              & (np.sign(z) == self._seed.sigma))
+        if np.any(at):
+            raise RuntimeError("poisoned point")
+        return self._inner.components(u, v, z, chart_name=chart_name)
+
+
+def test_a_seed_whose_field_raises_fails_alone(torus_run):
+    reference = torus_run["orbits"]
+    victim = [o for o in reference if o.psi is not None][5].seed
+    broken = _PoisonedField(torus_run["reeb"], victim)
+    orbits = trace_invariant_manifolds(broken, torus_run["reports"],
+                                       torus_run["tub"])
+    assert len(orbits) == len(reference)
+    for o, ref in zip(orbits, reference):
+        assert o.seed == ref.seed
+        if o.seed == victim:
+            assert o.near_end.verdict == "integration-failed"
+            assert o.near_end.error == "RuntimeError: poisoned point"
+            assert o.toward is None and o.away is None and o.weight == 0
+            continue
+        for got, want in ((o.toward, ref.toward), (o.away, ref.away)):
+            assert np.array_equal(got.y, want.y)
+            assert got.stats == want.stats
+        assert o.near_end == ref.near_end and o.far_end == ref.far_end
+
+
+def test_traced_lanes_equal_one_seed_runs(torus_run):
+    for o in torus_run["orbits"]:
+        for trace in (o.toward, o.away):
+            one = integrate_orbit(torus_run["reeb"], o.seed, torus_run["tub"],
+                                  direction=trace.direction)
+            assert np.array_equal(one.t, trace.t)
+            assert np.array_equal(one.y, trace.y)
+            assert one.status == trace.status
+            assert one.stats == trace.stats
+
+
+def test_torus_trace_batches_the_field(torus_run):
+    class Counting:
+        calls = 0
+
+        def components(self, u, v, z, chart_name=None):
+            Counting.calls += 1
+            return torus_run["reeb"].components(u, v, z, chart_name=chart_name)
+
+    trace_invariant_manifolds(Counting(), torus_run["reports"],
+                              torus_run["tub"])
+    assert Counting.calls < 1000   # one call per seed and stage: 15.8k
 
 
 def test_census_flags_an_incomplete_sweep(sphere_run):

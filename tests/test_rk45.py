@@ -140,3 +140,72 @@ def test_zero_span_is_a_no_op():
     assert sol.t_final == 2.0 and sol.y_final[0] == 3.0
     assert sol.n_steps == 0
 
+
+
+def _swirl(a, b, c):
+    """A nonlinear field of flat states and of lanes alike."""
+    def rhs(t, y):
+        u, v, w = y[..., 0], y[..., 1], y[..., 2]
+        return np.stack([v + a * np.sin(w * t), -u + b * np.sin(v * w),
+                         c * np.cos(u) - w], axis=-1)
+    return rhs
+
+
+def _far(t, y):
+    far = np.abs(y[..., 1]) > 2.0
+    if y.ndim == 1:
+        return "far" if far else None
+    return ["far" if k else None for k in far.tolist()] if far.any() else None
+
+
+_SWIRL_EVENTS = [
+    Event(fn=lambda t, y: y[..., 0] - 1.5, direction=1, name="up"),
+    Event(fn=lambda t, y: y[..., 2] + 1.0, direction=-1, name="down"),
+]
+
+
+def test_lanes_take_the_steps_of_their_own_runs():
+    rng = np.random.default_rng(3)
+    rhs = _swirl(*rng.uniform(0.5, 2.0, 3))
+    y0 = rng.uniform(-1.0, 1.0, (20, 3))
+    t1 = rng.uniform(0.5, 6.0, 20) * np.where(rng.random(20) < 0.5, -1, 1)
+    lanes = integrate(rhs, y0, (0.0, t1), rtol=1e-9, atol=1e-11,
+                      events=_SWIRL_EVENTS, stop=_far)
+    # both directions, every way to end, at different steps, and rejections
+    assert (t1 > 0).any() and (t1 < 0).any()
+    assert {lane.status for lane in lanes} == {
+        "event:up", "event:down", "far", "reached-end"}
+    assert len({lane.n_steps for lane in lanes}) > 10
+    assert any(lane.n_rejected for lane in lanes)
+    for k, lane in enumerate(lanes):
+        one = integrate(rhs, y0[k], (0.0, t1[k]), rtol=1e-9, atol=1e-11,
+                        events=_SWIRL_EVENTS, stop=_far)
+        assert np.array_equal(lane.t, one.t)
+        assert np.array_equal(lane.y, one.y)
+        assert lane.status == one.status
+        assert np.array_equal(
+            [lane.n_steps, lane.n_rejected, lane.n_fev, lane.min_step,
+             lane.max_step],
+            [one.n_steps, one.n_rejected, one.n_fev, one.min_step,
+             one.max_step])
+    assert lanes.n_fev == sum(lane.n_fev for lane in lanes)
+    assert lanes.n_steps == sum(lane.n_steps for lane in lanes)
+    assert lanes.n_rejected == sum(lane.n_rejected for lane in lanes)
+
+
+def test_a_failing_lane_fails_alone():
+    def rhs(t, y):  # blows up once u passes 1, for the lane that gets there
+        return np.stack([np.where(y[:, 0] > 1.0, math.inf, 1.0),
+                         -y[:, 1]], axis=-1)
+
+    y0 = np.array([[-1.0, 1.0], [0.5, 1.0], [-3.0, 1.0]])
+    lanes = integrate(rhs, y0, (0.0, 1.0))
+    assert isinstance(lanes[1], NonFiniteState)
+    with pytest.raises(NonFiniteState) as alone:
+        integrate(lambda t, y: rhs(t, y[None])[0], y0[1], (0.0, 1.0))
+    assert str(lanes[1]) == str(alone.value)
+    for k in (0, 2):
+        one = integrate(lambda t, y: rhs(t, y[None])[0], y0[k], (0.0, 1.0))
+        assert lanes[k].status == "reached-end"
+        assert np.array_equal(lanes[k].y, one.y)
+    assert lanes.n_steps == lanes[0].n_steps + lanes[2].n_steps
