@@ -18,9 +18,6 @@ import sys
 from .runner import run
 from .scenarios import ScenarioError, builtin_names
 
-SUBCOMMANDS = ("validate", "critical", "trace", "census", "beltrami",
-               "mcgehee", "all")
-
 
 def _grid(text):
     try:

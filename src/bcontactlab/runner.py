@@ -1,7 +1,12 @@
 """Scenario pipelines and artifact emission.
 
-Each pipeline stage returns a plain-dict report fragment; :func:`run`
-assembles them, decides an overall verdict, and writes the artifacts:
+Each scenario kind runs one table of stages (``_PIPELINES``): ``build ->
+validate -> critical -> trace -> census`` for bcontact, a single
+``beltrami`` or ``mcgehee`` stage for the other two kinds.  :func:`run`
+runs a table up to the last stage reported for the subcommand, timing
+each stage as ``timing["<name>_s"]`` and all artifact writing as
+``timing["write_s"]``, merges the reported stages' fragments, and
+decides the verdict.  The artifacts:
 
 ``report.json``
     Every fragment plus the verdict, serialized with sorted keys.  All
@@ -23,17 +28,21 @@ assembles them, decides an overall verdict, and writes the artifacts:
 
 Stages raise; :func:`run` converts the failure into an ``error`` block,
 keeps whatever artifacts exist, and reports exit status 1.  Verdict
-failures (checks that ran and came out false) exit with status 2; a
-degenerate Reeb system is one, and the stages after validation are then
-listed under ``"skipped"`` with the reason.
+failures (checks that ran and came out false) exit with status 2.  A
+stage may ask for a skip (validate does on a degenerate Reeb system):
+the run stops there, that stage's fragment is reported, and the stages
+after it that the subcommand names (every one under ``all``) are listed
+under ``"skipped"`` with the reason.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import json
 import math
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -156,70 +165,73 @@ def _census_components(tub):
     return [{"kind": kind, "charts": sorted(tub.charts)}]
 
 
-def _stage_validate(form, tub, grid, tol):
-    reeb, checks = solve_reeb(form, tub, grid,
-                              RESIDUAL_TOL if tol is None else tol)
-    fragment = {"checks": _reported(checks)}
-    failures = [c.check for c in checks if not c.passed]
-    return fragment, failures, reeb
+def _stage_build(ctx, tol):
+    ctx.tub, ctx.form = scenario_form(ctx.scenario)
+    return {}, []
 
 
-def _stage_critical(form, tub, reeb, tol):
-    zdata = exceptional_hamiltonian(form, tub)
+def _stage_validate(ctx, tol):
+    ctx.reeb, checks = solve_reeb(ctx.form, ctx.tub, ctx.grid,
+                                  RESIDUAL_TOL if tol is None else tol)
+    if ctx.reeb is None:
+        ctx.skip = "degenerate Reeb system; see the reeb_residuals check"
+    return ({"checks": _reported(checks)},
+            [c.check for c in checks if not c.passed])
+
+
+def _stage_critical(ctx, tol):
+    zdata = exceptional_hamiltonian(ctx.form, ctx.tub)
     kwargs = {} if tol is None else {"newton_tol": tol}
     warnings = []
-    points = find_critical_points(zdata, tub, warnings=warnings, **kwargs)
-    reports = [stability_at(p, reeb, zdata) for p in points]
-    bound = census_bound(points, _census_components(tub))
+    points = find_critical_points(zdata, ctx.tub, warnings=warnings, **kwargs)
+    ctx.reports = [stability_at(p, ctx.reeb, zdata) for p in points]
+    ctx.bound = census_bound(points, _census_components(ctx.tub))
     fragment = {
         "critical_points": _reported(points),
-        "stability": _reported(reports),
-        "bound": _reported(bound),
+        "stability": _reported(ctx.reports),
+        "bound": _reported(ctx.bound),
         "scan_warnings": list(warnings),
     }
-    return fragment, [], (zdata, points, reports, bound)
+    return fragment, []
 
 
-def _stage_trace(reeb, reports, tub, seeds, tol):
+def _stage_trace(ctx, tol):
     kwargs = {}
-    if seeds is not None:
-        kwargs["n_fan"] = seeds
+    if ctx.seeds is not None:
+        kwargs["n_fan"] = ctx.seeds
     if tol is not None:
         kwargs["tol"] = tol
-    orbits = trace_invariant_manifolds(reeb, reports, tub, **kwargs)
-    fragment = {"orbits": _reported(orbits)}
+    ctx.orbits = trace_invariant_manifolds(ctx.reeb, ctx.reports, ctx.tub,
+                                           **kwargs)
     failures = []
-    bad = sum(1 for o in orbits if o.near_end.verdict == "integration-failed")
+    bad = sum(1 for o in ctx.orbits
+              if o.near_end.verdict == "integration-failed")
     if bad:
         failures.append(f"integration-failed x{bad}")
-    return fragment, failures, orbits
+    return {"orbits": _reported(ctx.orbits)}, failures
 
 
-def _stage_census(orbits, bound, tub):
-    census = escape_census(orbits, bound, tub)
-    fragment = {"census": _reported(census)}
-    failures = [] if census.consistent_with_bound else ["census-vs-bound"]
-    return fragment, failures, census
+def _stage_census(ctx, tol):
+    ctx.census = escape_census(ctx.orbits, ctx.bound, ctx.tub)
+    failures = [] if ctx.census.consistent_with_bound else ["census-vs-bound"]
+    return {"census": _reported(ctx.census)}, failures
 
 
 def _orbit_rows(orbit):
-    """Merge the two traces into one time-ordered pass through the seed."""
+    """Merge the two traces into one time-ordered pass through the seed:
+    the away trace backwards, less the seed the toward trace repeats."""
     rows = []
-    for trace, flip in ((orbit.away, True), (orbit.toward, False)):
-        t = trace.direction * trace.t
-        if flip:
-            t = -t
-        order = range(len(t) - 1, 0, -1) if flip else range(len(t))
-        for i in order:
-            u, v, s = (float(c) for c in trace.y[i])
-            rows.append((float(t[i]), u, v, s, trace.sigma * math.exp(s),
-                         trace.sigma))
+    for trace, sign, order in ((orbit.away, -1, slice(None, 0, -1)),
+                               (orbit.toward, 1, slice(None))):
+        t = (sign * trace.direction * trace.t).tolist()
+        for ti, (u, v, s) in list(zip(t, trace.y.tolist()))[order]:
+            rows.append((ti, u, v, s, trace.sigma * math.exp(s), trace.sigma))
     return rows
 
 
-def _write_orbit_files(orbits, out_dir):
+def _write_orbit_files(ctx, out_dir):
     paths = []
-    for k, orbit in enumerate(orbits):
+    for k, orbit in enumerate(ctx.orbits):
         if orbit.toward is None:
             continue
         path = Path(out_dir) / f"orbit_{k:03d}.csv"
@@ -227,25 +239,25 @@ def _write_orbit_files(orbits, out_dir):
     return paths
 
 
-def _write_census_file(census, out_dir):
+def _write_census_file(ctx, out_dir):
     rows = [(d["chart"], d["u"], d["v"], d["index"], d["n_orbits"],
              "|".join(str(w) for w in d["weights"]))
-            for d in census.per_point]
-    return _write_csv(Path(out_dir) / "census.csv",
-                      "chart,u,v,index,n_orbits,weights", rows)
+            for d in ctx.census.per_point]
+    return [_write_csv(Path(out_dir) / "census.csv",
+                       "chart,u,v,index,n_orbits,weights", rows)]
 
 
 # ---------------------------------------------------------------------------
 # beltrami / mcgehee pipelines
 
-def _run_beltrami(scenario, grid, tol):
+def _run_beltrami(ctx, tol):
     threshold = RESIDUAL_TOL if tol is None else tol
-    data = BeltramiData.from_scenario(scenario.data)
-    surface_grid = tuple(grid[:2])
+    data = BeltramiData.from_scenario(ctx.scenario.data)
+    surface_grid = tuple(ctx.grid[:2])
     identity = hamiltonian_identity_check(data, grid=surface_grid,
                                           threshold=max(threshold, 1e-12))
     laplace = laplace_eigen_check(data, grid=surface_grid)
-    form, roundtrip = contact_from_beltrami(data, grid=grid)
+    form, roundtrip = contact_from_beltrami(data, grid=ctx.grid)
     tub = TubularChart.torus()
     zdata = exceptional_hamiltonian(form, tub)
     points = find_critical_points(zdata, tub)
@@ -266,18 +278,19 @@ def _run_beltrami(scenario, grid, tol):
         failures.append("stream-roundtrip")
     if not roundtrip["contact_passed"]:
         failures.append("contact-condition")
-    return fragment, failures, []
+    return fragment, failures
 
 
-def _run_mcgehee(scenario, out_dir, tol):
+def _run_mcgehee(ctx, tol):
     drift_tol = DRIFT_TOL if tol is None else tol
-    params = McGeheeParams(float(scenario.option("mu")))
-    state0 = McGeheeState(float(scenario.option("x0", 0.2)),
-                          float(scenario.option("a0", 0.0)),
-                          float(scenario.option("pr0", 0.0)),
-                          float(scenario.option("pa0", 0.0)))
-    t_end = float(scenario.option("t_end", 100.0))
-    traj = integrate_mcgehee(state0, params, t_span=(0.0, t_end))
+    params = McGeheeParams(float(ctx.scenario.option("mu")))
+    state0 = McGeheeState(float(ctx.scenario.option("x0", 0.2)),
+                          float(ctx.scenario.option("a0", 0.0)),
+                          float(ctx.scenario.option("pr0", 0.0)),
+                          float(ctx.scenario.option("pa0", 0.0)))
+    t_end = float(ctx.scenario.option("t_end", 100.0))
+    traj = ctx.trajectory = integrate_mcgehee(state0, params,
+                                              t_span=(0.0, t_end))
 
     checks = {"energy_drift": {"value": traj.energy_drift,
                                "threshold": drift_tol,
@@ -288,13 +301,11 @@ def _run_mcgehee(scenario, out_dir, tol):
         wrapped[1] = math.remainder(wrapped[1] - state0.a, 2 * math.pi)
         gap = float(np.abs(wrapped - np.array(
             [state0.x, 0.0, state0.pr, state0.pa])).max())
+        stays = bool(np.all(period.y[:, 0] == 0.0))
         checks["periodicity"] = {
             "value": gap, "threshold": PERIODICITY_TOL,
-            "passed": gap < PERIODICITY_TOL,
-            "x_stays_zero": bool(np.all(period.y[:, 0] == 0.0)),
+            "passed": gap < PERIODICITY_TOL and stays, "x_stays_zero": stays,
         }
-        if not checks["periodicity"]["x_stays_zero"]:
-            checks["periodicity"]["passed"] = False
     else:
         oracle = newtonian_oracle_compare(state0, params,
                                           t_span=(0.0, min(10.0, t_end)))
@@ -312,18 +323,48 @@ def _run_mcgehee(scenario, out_dir, tol):
         "integrator": traj.stats,
         "checks": checks,
     }
-    failures = [name for name, c in checks.items() if not c["passed"]]
-    rows = [(float(t), *[float(c) for c in y], float(h))
-            for t, y, h in zip(traj.t, traj.y, traj.energy)]
-    artifacts = [_write_csv(Path(out_dir) / "trajectory.csv",
-                            "t,x,a,Pr,Pa,H", rows)]
-    return fragment, failures, artifacts
+    return fragment, [name for name, c in checks.items() if not c["passed"]]
+
+
+def _write_trajectory_file(ctx, out_dir):
+    traj = ctx.trajectory
+    rows = np.column_stack((traj.t, traj.y, traj.energy)).tolist()
+    return [_write_csv(Path(out_dir) / "trajectory.csv", "t,x,a,Pr,Pa,H",
+                       rows)]
 
 
 # ---------------------------------------------------------------------------
 # orchestration
 
-_BCONTACT_STAGES = ("validate", "critical", "trace", "census")
+# A pipeline row.  ``fn(ctx, tol)`` returns the stage's fragment and failures,
+# reported under the subcommands in ``reported``, and leaves on ``ctx`` what
+# later stages use (``ctx.skip = reason`` asks for a skip); ``tol`` is --tol
+# under ``tol_under``, else None.  ``write(ctx, out_dir)`` returns paths.
+_Stage = collections.namedtuple("_Stage", "name fn reported tol_under write",
+                                defaults=((), (), None))
+
+
+_PIPELINES = {
+    "bcontact": (
+        _Stage("build", _stage_build),
+        _Stage("validate", _stage_validate, ("validate", "all"),
+               ("validate", "all")),
+        _Stage("critical", _stage_critical, ("critical", "all"),
+               ("critical",)),
+        _Stage("trace", _stage_trace, ("trace", "census", "all"),
+               ("trace", "census", "all"), _write_orbit_files),
+        _Stage("census", _stage_census, ("census", "all"), (),
+               _write_census_file),
+    ),
+    "beltrami": (
+        _Stage("beltrami", _run_beltrami, ("beltrami", "validate", "all"),
+               ("beltrami", "validate", "all")),
+    ),
+    "mcgehee": (
+        _Stage("mcgehee", _run_mcgehee, ("mcgehee", "validate", "all"),
+               ("mcgehee", "validate", "all"), _write_trajectory_file),
+    ),
+}
 
 
 def run(source, subcommand="all", out_dir=None, *, tol=None, grid=None,
@@ -359,77 +400,34 @@ def run(source, subcommand="all", out_dir=None, *, tol=None, grid=None,
     failures = []
     error = None
 
-    wanted = _BCONTACT_STAGES if subcommand == "all" else (subcommand,)
+    stages = _PIPELINES[scenario.kind]
+    ctx = types.SimpleNamespace(scenario=scenario, grid=grid3, seeds=seeds,
+                                skip=None)
     try:
-        if scenario.kind == "bcontact":
-            stages = [s for s in _BCONTACT_STAGES if s in wanted]
-            if not stages:
-                raise ValueError(
-                    f"subcommand {subcommand!r} does not apply to a "
-                    f"'bcontact' scenario")
-            # later stages need the earlier ones' outputs
+        last = max((k for k, stage in enumerate(stages)
+                    if subcommand in stage.reported), default=None)
+        if last is None:
+            raise ValueError(f"subcommand {subcommand!r} does not apply to "
+                             f"a {scenario.kind!r} scenario")
+        for k, stage in enumerate(stages[:last + 1]):
             t0 = time.perf_counter()
-            tub, form = scenario_form(scenario)
-            timing["build_s"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            fragment, fails, reeb = _stage_validate(
-                form, tub, grid3, tol if "validate" in stages else None)
-            timing["validate_s"] = time.perf_counter() - t0
-            later = [s for s in stages if s != "validate"]
-            if reeb is None and later:
-                report["skipped"] = {"stages": later, "reason": (
-                    "degenerate Reeb system; see the reeb_residuals check")}
-                stages = ["validate"]
-            if "validate" in stages:
+            fragment, fails = stage.fn(
+                ctx, tol if subcommand in stage.tol_under else None)
+            timing[f"{stage.name}_s"] = time.perf_counter() - t0
+            later = [s.name for s in stages[k + 1:last + 1]
+                     if subcommand in (s.name, "all")]
+            skip = ctx.skip if later else None
+            if subcommand in stage.reported or skip:
                 report.update(fragment)
                 failures += fails
-            if set(stages) - {"validate"}:
+            if stage.write is not None:
                 t0 = time.perf_counter()
-                fragment, fails, (zdata, points, reports, bound) = \
-                    _stage_critical(form, tub, reeb,
-                                    tol if stages == ["critical"] else None)
-                timing["critical_s"] = time.perf_counter() - t0
-                if "critical" in stages:
-                    report.update(fragment)
-                    failures += fails
-            if set(stages) & {"trace", "census"}:
-                t0 = time.perf_counter()
-                fragment, fails, orbits = _stage_trace(
-                    reeb, reports, tub, seeds,
-                    tol if stages[-1] in ("trace", "census") else None)
-                timing["trace_s"] = time.perf_counter() - t0
-                report.update(fragment)
-                failures += fails
-                artifacts += _write_orbit_files(orbits, out_dir)
-            if "census" in stages:
-                t0 = time.perf_counter()
-                fragment, fails, census = _stage_census(orbits, bound, tub)
-                timing["census_s"] = time.perf_counter() - t0
-                report.update(fragment)
-                failures += fails
-                artifacts.append(_write_census_file(census, out_dir))
-        elif scenario.kind == "beltrami":
-            if subcommand not in ("beltrami", "all", "validate"):
-                raise ValueError(
-                    f"subcommand {subcommand!r} does not apply to a "
-                    f"'beltrami' scenario")
-            t0 = time.perf_counter()
-            fragment, fails, extra = _run_beltrami(scenario, grid3, tol)
-            timing["beltrami_s"] = time.perf_counter() - t0
-            report.update(fragment)
-            failures += fails
-            artifacts += extra
-        else:
-            if subcommand not in ("mcgehee", "all", "validate"):
-                raise ValueError(
-                    f"subcommand {subcommand!r} does not apply to a "
-                    f"'mcgehee' scenario")
-            t0 = time.perf_counter()
-            fragment, fails, extra = _run_mcgehee(scenario, out_dir, tol)
-            timing["mcgehee_s"] = time.perf_counter() - t0
-            report.update(fragment)
-            failures += fails
-            artifacts += extra
+                artifacts += stage.write(ctx, out_dir)
+                timing["write_s"] = (timing.get("write_s", 0.0)
+                                     + time.perf_counter() - t0)
+            if skip:
+                report["skipped"] = {"stages": later, "reason": skip}
+                break
     except Exception as exc:
         error = {"type": type(exc).__name__, "message": str(exc)}
 

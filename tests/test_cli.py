@@ -110,6 +110,19 @@ def test_report_is_deterministic_except_timing(tmp_path, name):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
+_ORBIT_FILES = [f"orbit_{k:03d}.csv" for k in range(16)]
+_STAGE_SUBSETS = {  # subcommand: (report keys beyond the common ones, files)
+    "validate": ({"checks"}, []),
+    "critical": ({"critical_points", "stability", "bound", "scan_warnings"},
+                 []),
+    "trace": ({"orbits"}, _ORBIT_FILES),
+    "census": ({"orbits", "census"}, _ORBIT_FILES + ["census.csv"]),
+    "all": ({"checks", "critical_points", "stability", "bound",
+             "scan_warnings", "orbits", "census"},
+            _ORBIT_FILES + ["census.csv"]),
+}
+
+
 def test_stage_subsets(tmp_path):
     validate = run("sphere", "validate", tmp_path / "v").report
     assert "checks" in validate and "census" not in validate
@@ -118,6 +131,29 @@ def test_stage_subsets(tmp_path):
     assert len(critical["critical_points"]) == 2
     assert {s["kind"] for s in critical["stability"]} == {
         "nonhyperbolic-1d-transverse"}
+
+    common = {"scenario", "subcommand", "kind", "verdict", "timing"}
+    for sub, (keys, files) in _STAGE_SUBSETS.items():
+        result = run("torus", sub, tmp_path / sub, seeds=2)
+        assert result.exit_status == 0, sub
+        assert set(result.report) == common | keys, sub
+        names = [p.name for p in result.artifacts]
+        assert names == ["report.json", *files], sub
+        assert sorted(p.name for p in (tmp_path / sub).iterdir()) == sorted(
+            names)
+        assert ("write_s" in result.report["timing"]) == bool(files), sub
+
+    for name, sub in (("mcgehee", "critical"), ("torus", "beltrami")):
+        result = run(name, sub, tmp_path / f"{name}-{sub}")
+        assert result.exit_status == 1
+        assert set(result.report) == common | {"error"}
+        assert result.report["error"] == {
+            "type": "ValueError",
+            "message": f"subcommand {sub!r} does not apply to a "
+                       f"{result.report['kind']!r} scenario"}
+        assert result.report["verdict"] == {"passed": False, "failures": []}
+        assert [p.name for p in result.artifacts] == ["report.json"]
+        assert "write_s" not in result.report["timing"]
 
 
 def test_validate_tol_sets_the_residual_thresholds(tmp_path):
@@ -133,7 +169,31 @@ def test_validate_tol_sets_the_residual_thresholds(tmp_path):
         "reeb_residuals", "hamiltonian_identity"]
 
 
-def test_non_contact_form_fails_checks_and_exits_2(tmp_path):
+def test_tol_reaches_validate_and_trace_but_not_critical_under_all(
+        tmp_path):
+    strict = run("torus", "all", tmp_path / "strict", tol=1e-30, seeds=2)
+    plain = run("torus", "all", tmp_path / "plain", seeds=2)
+    assert strict.exit_status == 2 and plain.exit_status == 0
+    checks = {c["check"]: c["threshold"] for c in strict.report["checks"]}
+    assert checks == {"contact_check": 1e-8, "reeb_residuals": 1e-30,
+                      "hamiltonian_identity": 1e-30}
+    verdicts = [o["near_end"]["verdict"] for o in strict.report["orbits"]]
+    assert len(verdicts) == 16 and verdicts.count("undecided") == 8
+    assert {o["near_end"]["verdict"] for o in plain.report["orbits"]} == {
+        "limits-to"}
+    # the Newton tolerance reaches the scan only when critical runs alone
+    assert strict.report["critical_points"] == plain.report["critical_points"]
+    alone = run("torus", "critical", tmp_path / "alone", tol=1e-30, seeds=2)
+    assert alone.exit_status == 1
+    assert alone.report["error"]["type"] == "MorseInequalityViolation"
+
+
+@pytest.mark.parametrize("subcommand,skipped", [
+    ("critical", ["critical"]), ("trace", ["trace"]), ("census", ["census"]),
+    ("all", ["critical", "trace", "census"])],
+    ids=["critical", "trace", "census", "all"])
+def test_non_contact_form_fails_checks_and_exits_2(tmp_path, subcommand,
+                                                   skipped):
     # alpha∧dalpha vanishes on the circles v = π/2 and v = 3π/2
     payload = {"kind": "bcontact", "name": "non-contact", "surface": "torus",
                "epsilon": 0.5,
@@ -141,7 +201,7 @@ def test_non_contact_form_fails_checks_and_exits_2(tmp_path):
                                     "beta_v": "0", "beta_z": "0"}}}
     path = tmp_path / "non-contact.json"
     path.write_text(json.dumps(payload))
-    result = run(str(path), "all", tmp_path / "out")
+    result = run(str(path), subcommand, tmp_path / "out")
     assert result.exit_status == 2
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert "error" not in report
@@ -157,7 +217,9 @@ def test_non_contact_form_fails_checks_and_exits_2(tmp_path):
         assert where["chart"] == "torus"
         assert where["v"] == pytest.approx(math.pi / 2)
         assert where["cause"].startswith("|det N|")
-    assert report["skipped"]["stages"] == ["critical", "trace", "census"]
+    assert report["verdict"]["failures"] == [
+        "contact_check", "reeb_residuals", "hamiltonian_identity"]
+    assert report["skipped"]["stages"] == skipped
     assert report["skipped"]["reason"]
     assert not {"critical_points", "orbits", "census"} & set(report)
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
