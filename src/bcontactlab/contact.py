@@ -24,11 +24,15 @@ keeps the solve well-posed wherever the contact condition holds.
 
 On the surface Z = {z = 0} the form induces the area form ω = f dβ + β∧df
 with coefficient w = f(∂uB − ∂vA) + A f_v − B f_u, and H = −f|_Z generates
-the restricted Reeb dynamics: ι_{R|_Z} ω = df|_Z.
+the restricted Reeb dynamics: ι_{R|_Z} ω = df|_Z.  The frame at z = 0 holds
+all of it: C = f, Q = f_u, S = f_v and V = w, so :class:`ZSymplecticData`
+reads H, ∇H and w from ``frame_values`` and Hess H from the partials of Q
+and S.
 
 Validation is one sweep (:func:`solve_reeb`) evaluating each grid point's
 frame once; a Reeb system degenerate somewhere on the grid fails its checks
-there instead of raising, and the pipeline exits 2.
+there instead of raising, and the pipeline exits 2.  On the z = 0 level the
+contact volume V is w, so the contact check also bounds |w| away from zero.
 """
 from __future__ import annotations
 
@@ -39,14 +43,13 @@ from functools import cached_property
 import numpy as np
 
 from .expressions import (
-    Expr, Var, add, compile, differentiate, evaluate, gradient, hessian, mul,
-    sub,
+    Expr, Var, add, compile, differentiate, evaluate, gradient, mul, sub,
 )
 
 __all__ = [
     "ChartFields", "BContactForm", "BReebField", "ZSymplecticData",
-    "ValidationReport", "RankDeficiencyError", "DegenerateSymplecticError",
-    "contact_check", "solve_reeb", "exceptional_hamiltonian", "symplectic_on_Z",
+    "ValidationReport", "RankDeficiencyError",
+    "contact_check", "solve_reeb", "exceptional_hamiltonian",
     "verify_hamiltonian_identity", "reeb_residual_report",
     "CONTACT_THRESHOLD", "REEB_RESIDUAL_TOL",
 ]
@@ -58,10 +61,6 @@ _DET_FLOOR = 1e-12
 
 class RankDeficiencyError(RuntimeError):
     """The Reeb system could not be solved to tolerance at some point."""
-
-
-class DegenerateSymplecticError(RuntimeError):
-    """|w| fell below threshold somewhere on Z: ω is not an area form there."""
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ class ChartTrees:
 
     ``frame`` holds A, B, C and P, Q, S (see the module docstring), and
     ``frame_function(u, v, z)`` is their one compiled evaluation; the partials
-    that the linearization and the surface data need are derived on first
+    that the linearization and the Hessian of H need are derived on first
     use, once per chart.
     """
 
@@ -98,7 +97,6 @@ class ChartTrees:
         A, B = cf.beta_u, cf.beta_v
         C = add(cf.f, mul(Var(z), cf.beta_z))
         self.names = names
-        self.f = cf.f
         self.frame = (
             A, B, C,
             sub(differentiate(B, u), differentiate(A, v)),
@@ -111,16 +109,6 @@ class ChartTrees:
     def frame_partials(self):
         """∂(A, B, C, P, Q, S)/∂(u, v, z): six rows of three trees."""
         return tuple(gradient(t, self.names) for t in self.frame)
-
-    @cached_property
-    def f_gradient(self):
-        """(∂f/∂u, ∂f/∂v)."""
-        return gradient(self.f, self.names[:2])
-
-    @cached_property
-    def f_hessian(self):
-        """Second partials of f in (u, v), each mixed partial derived once."""
-        return hessian(self.f, self.names[:2])
 
 
 class BContactForm:
@@ -410,12 +398,8 @@ def solve_reeb(form, tub, grid=(64, 64, 9), tol=1e-9):
         for name, row in zip(_RESIDUAL_NAMES, rows):
             residual.update(np.abs(row), chart, U, V, z=z, component=name)
         if z == 0.0:  # ι_{R|Z}(w du∧dv) − d(f|Z), in du and dv
-            trees = cf.trees(chart)
-            env = {chart.u_name: U, chart.v_name: V, chart.z_name: Z}
-            f, f_u, f_v = (evaluate(t, env)
-                           for t in (trees.f, *trees.f_gradient))
-            w = _area_coefficient(f, A, B, P, f_u, f_v)
-            for name, row in (("du", -w * x[1] - f_u), ("dv", w * x[0] - f_v)):
+            w = _area_coefficient(C, A, B, P, Q, S)  # (C, Q, S) = (f, f_u, f_v)
+            for name, row in (("du", -w * x[1] - Q), ("dv", w * x[0] - S)):
                 identity.update(np.abs(row), chart, U, V, component=name)
     return None if degenerate.location else BReebField(form, tub), [
         _contact_report(volume, per_chart, CONTACT_THRESHOLD, grid),
@@ -446,7 +430,8 @@ def reeb_residual_report(form, tub, reeb=None, grid=(64, 64, 9)):
 # restriction to Z
 
 class ZSymplecticData:
-    """H = −f|_Z and the du∧dv coefficient w of ω = (f dβ + β∧df)|_Z."""
+    """H = −f|_Z and the du∧dv coefficient w of ω = (f dβ + β∧df)|_Z, read
+    from the frame at z = 0, where C = f, Q = f_u and S = f_v."""
 
     def __init__(self, form, tub):
         self.form = form
@@ -455,35 +440,31 @@ class ZSymplecticData:
     def _cf(self, chart_name):
         return self.form.for_chart(chart_name), self.chart.charts[chart_name]
 
-    def _at_Z(self, u, v, chart_name):
-        """The chart's trees and an evaluation environment on z = 0."""
-        cf, chart = self._cf(chart_name)
-        z = 0.0 if isinstance(u, float) else np.zeros_like(u)
-        return cf.trees(chart), {chart.u_name: u, chart.v_name: v,
-                                 chart.z_name: z}
+    def _frame_on_Z(self, u, v, chart_name):
+        """(A, B, C, P, Q, S) at z = 0."""
+        return frame_values(*self._cf(chart_name), u, v, 0.0)[:6]
 
     def H_value(self, u, v, chart_name):
-        trees, env = self._at_Z(u, v, chart_name)
-        return -evaluate(trees.f, env)
+        return -self._frame_on_Z(u, v, chart_name)[2]
 
     def H_gradient(self, u, v, chart_name):
         """(∂H/∂u, ∂H/∂v) at a point or on arrays."""
-        trees, env = self._at_Z(u, v, chart_name)
-        return tuple(-evaluate(t, env) for t in trees.f_gradient)
+        *_, Q, S = self._frame_on_Z(u, v, chart_name)
+        return -Q, -S
 
     def H_hessian(self, u, v, chart_name):
-        """((H_uu, H_uv), (H_uv, H_vv)), exactly symmetric."""
-        trees, env = self._at_Z(u, v, chart_name)
-        return tuple(tuple(-evaluate(t, env) for t in row)
-                     for row in trees.f_hessian)
+        """((H_uu, H_uv), (H_uv, H_vv)) from ∂(Q, S) at z = 0, exactly
+        symmetric: the mixed partial is ∂Q/∂v, evaluated once."""
+        cf, chart = self._cf(chart_name)
+        dQ, dS = cf.trees(chart).frame_partials[4:]
+        env = {chart.u_name: u, chart.v_name: v, chart.z_name: 0.0}
+        h11, h12, h22 = (-evaluate(t, env) for t in (dQ[0], dQ[1], dS[1]))
+        return (h11, h12), (h12, h22)
 
     def w_value(self, u, v, chart_name):
         """w = f P + A f_v − B f_u on Z, with P = ∂uB − ∂vA."""
-        trees, env = self._at_Z(u, v, chart_name)
-        A, B, _, P, _, _ = trees.frame
-        f_u, f_v = trees.f_gradient
-        return _area_coefficient(*(evaluate(t, env)
-                                   for t in (trees.f, A, B, P, f_u, f_v)))
+        A, B, C, P, Q, S = self._frame_on_Z(u, v, chart_name)
+        return _area_coefficient(C, A, B, P, Q, S)
 
 
 def _area_coefficient(f, A, B, P, f_u, f_v):
@@ -493,20 +474,6 @@ def _area_coefficient(f, A, B, P, f_u, f_v):
 def exceptional_hamiltonian(form, tub):
     """The generator H = −f|_Z of the restricted Reeb dynamics."""
     return ZSymplecticData(form, tub)
-
-
-def symplectic_on_Z(form, tub, grid=(64, 64), threshold=CONTACT_THRESHOLD):
-    """ZSymplecticData with the area-form check |w| ≥ threshold on the Z grid."""
-    data = ZSymplecticData(form, tub)
-    smallest = _Worst(smallest=True)
-    for chart, _, U, V, _, _ in _slabs(form, tub, grid):
-        if smallest.update(np.abs(data.w_value(U, V, chart.name)),
-                           chart, U, V) < threshold:
-            at = smallest.location
-            raise DegenerateSymplecticError(
-                f"|w| = {smallest.value:.3e} < {threshold:g} on chart "
-                f"{chart.name!r} at (u={at['u']:.6f}, v={at['v']:.6f})")
-    return data
 
 
 def verify_hamiltonian_identity(form, tub, grid=(64, 64), tol=1e-9):

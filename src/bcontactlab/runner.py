@@ -67,6 +67,9 @@ RESIDUAL_TOL = 1e-9
 DRIFT_TOL = 1e-8
 ORACLE_TOL = 1e-6
 PERIODICITY_TOL = 1e-8
+# --tol floor for the scan's Newton: |∇H| stalls at rounding level near some
+# critical points, and a tighter tolerance would drop them
+NEWTON_TOL_FLOOR = 1e-12
 
 
 class RunResult:
@@ -181,7 +184,7 @@ def _stage_validate(ctx, tol):
 
 def _stage_critical(ctx, tol):
     zdata = exceptional_hamiltonian(ctx.form, ctx.tub)
-    kwargs = {} if tol is None else {"newton_tol": tol}
+    kwargs = {} if tol is None else {"newton_tol": max(tol, NEWTON_TOL_FLOOR)}
     warnings = []
     points = find_critical_points(zdata, ctx.tub, warnings=warnings, **kwargs)
     ctx.reports = [stability_at(p, ctx.reeb, zdata) for p in points]
@@ -415,7 +418,7 @@ def run(source, subcommand="all", out_dir=None, *, tol=None, grid=None,
                 ctx, tol if subcommand in stage.tol_under else None)
             timing[f"{stage.name}_s"] = time.perf_counter() - t0
             later = [s.name for s in stages[k + 1:last + 1]
-                     if subcommand in (s.name, "all")]
+                     if subcommand in s.reported]
             skip = ctx.skip if later else None
             if subcommand in stage.reported or skip:
                 report.update(fragment)

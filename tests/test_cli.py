@@ -181,15 +181,37 @@ def test_tol_reaches_validate_and_trace_but_not_critical_under_all(
     assert len(verdicts) == 16 and verdicts.count("undecided") == 8
     assert {o["near_end"]["verdict"] for o in plain.report["orbits"]} == {
         "limits-to"}
-    # the Newton tolerance reaches the scan only when critical runs alone
-    assert strict.report["critical_points"] == plain.report["critical_points"]
-    alone = run("torus", "critical", tmp_path / "alone", tol=1e-30, seeds=2)
-    assert alone.exit_status == 1
-    assert alone.report["error"]["type"] == "MorseInequalityViolation"
+    # the Newton tolerance reaches the scan only when critical runs alone:
+    # a loose one stops Newton early, with |∇H| far above the default run's
+    points = plain.report["critical_points"]
+    assert strict.report["critical_points"] == points
+    alone = run("torus", "critical", tmp_path / "alone", tol=1e-6)
+    loose = alone.report["critical_points"]
+    assert alone.exit_status == 0 and len(loose) == len(points) == 8
+    assert max(p["grad_norm"] for p in loose) > 1e-9
+    assert max(p["grad_norm"] for p in points) < 1e-15
+
+
+@pytest.mark.parametrize("tol", [1e-16, 1e-30])
+def test_tight_tol_under_critical_keeps_every_critical_point(tmp_path, tol):
+    # --tol is floored for the scan's Newton, which cannot bring |∇H| below
+    # rounding level at some points and would drop them
+    plain = run("torus", "critical", tmp_path / "plain")
+    tight = run("torus", "critical", tmp_path / "tight", tol=tol)
+    assert plain.exit_status == tight.exit_status == 0
+    points = plain.report["critical_points"]
+    assert len(points) == 8
+    got = tight.report["critical_points"]
+    assert [(p["chart"], p["index"]) for p in got] == [
+        (p["chart"], p["index"]) for p in points]
+    for p, q in zip(got, points):
+        assert (p["u"], p["v"], p["H"]) == pytest.approx(
+            (q["u"], q["v"], q["H"]), abs=1e-12)
 
 
 @pytest.mark.parametrize("subcommand,skipped", [
-    ("critical", ["critical"]), ("trace", ["trace"]), ("census", ["census"]),
+    ("critical", ["critical"]), ("trace", ["trace"]),
+    ("census", ["trace", "census"]),
     ("all", ["critical", "trace", "census"])],
     ids=["critical", "trace", "census", "all"])
 def test_non_contact_form_fails_checks_and_exits_2(tmp_path, subcommand,

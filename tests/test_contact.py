@@ -19,14 +19,13 @@ import pytest
 from bcontactlab import contact
 from bcontactlab.charts import TubularChart
 from bcontactlab.contact import (
-    BContactForm, BReebField, ChartFields, DegenerateSymplecticError,
-    RankDeficiencyError, contact_check, exceptional_hamiltonian, frame_values,
-    reeb_residual_report, solve_reeb, symplectic_on_Z,
+    BContactForm, BReebField, ChartFields, RankDeficiencyError, contact_check,
+    exceptional_hamiltonian, frame_values, reeb_residual_report, solve_reeb,
     verify_hamiltonian_identity, z_ladder,
 )
 from bcontactlab.critical import find_critical_points
 from bcontactlab.beltrami import BeltramiData, contact_from_beltrami
-from bcontactlab.expressions import evaluate, parse
+from bcontactlab.expressions import evaluate, gradient, hessian, parse
 from bcontactlab.runner import run
 from bcontactlab.scenarios import load_scenario, scenario_form
 from tests_fd import central_gradient
@@ -188,16 +187,19 @@ def test_hamiltonian_value_is_minus_f(sphere):
     assert H_v == pytest.approx(0.0, abs=1e-14)
 
 
-def test_symplectic_on_Z_rejects_degenerate_area_form():
-    # with beta = 0 the restriction of d(alpha) to Z has no du∧dv part
+def test_contact_check_rejects_degenerate_area_form_on_Z():
+    # with beta = 0 the restriction of d(alpha) to Z has no du∧dv part; on
+    # z = 0 the contact volume V is the area coefficient w, so the contact
+    # check fails there
     tub, form = torus_setup(f="cos(v)", beta_u="0")
-    with pytest.raises(DegenerateSymplecticError):
-        symplectic_on_Z(form, tub)
+    report = contact_check(form, tub, grid=(64, 64, 1))
+    assert not report.passed
+    assert report.worst_location["z"] == 0.0
 
 
 def test_torus_w_is_minus_one_everywhere():
     tub, form = torus_setup()
-    zdata = symplectic_on_Z(form, tub)
+    zdata = exceptional_hamiltonian(form, tub)
     U = np.linspace(0, 6.0, 40)
     V = np.linspace(0, 6.0, 40)
     w = zdata.w_value(U, V, "torus")
@@ -270,6 +272,45 @@ def test_hessian_is_exactly_symmetric(sphere):
                 u, v = rng.uniform(-r, r), rng.uniform(-r, r)
                 hess = zdata.H_hessian(u, v, chart.name)
                 assert hess[0][1] == hess[1][0]
+
+
+def test_surface_data_from_the_frame_matches_f_where_the_trees_differ():
+    """With β_z ≠ 0 and z in β the frame trees C, Q, S and their partials
+    are not f's own trees, yet at z = 0 they take f's values (up to the
+    sign of a zero, which == ignores), on floats and on arrays alike."""
+    tub, form = torus_setup(beta_u="sin(v) + z*cos(u)", beta_v="0.5*cos(u)",
+                            beta_z="0.2*sin(u)")
+    cf = form.for_chart("torus")
+    trees = cf.trees(tub.charts["torus"])
+    A, B, _, P = trees.frame[:4]
+    f_u, f_v = gradient(cf.f, ("u", "v"))
+    assert trees.frame[4] != f_u  # the trees really differ
+    hess = hessian(cf.f, ("u", "v"))
+    zdata = exceptional_hamiltonian(form, tub)
+    rng = random.Random(13)
+    U = np.array([rng.uniform(0, 2 * math.pi) for _ in range(50)])
+    V = np.array([rng.uniform(0, 2 * math.pi) for _ in range(50)])
+
+    def reference(u, v):
+        env = {"u": u, "v": v, "z": 0.0 * u}
+        f, a, b, p, fu, fv = (evaluate(t, env)
+                              for t in (cf.f, A, B, P, f_u, f_v))
+        return (-f, (-fu, -fv),
+                tuple(tuple(-evaluate(t, env) for t in row) for row in hess),
+                f * p + a * fv - b * fu)
+
+    def got(u, v):
+        return (zdata.H_value(u, v, "torus"), zdata.H_gradient(u, v, "torus"),
+                zdata.H_hessian(u, v, "torus"), zdata.w_value(u, v, "torus"))
+
+    for u, v in zip(U.tolist(), V.tolist()):
+        assert got(u, v) == reference(u, v)
+    H, grad, hess_got, w = got(U, V)
+    H_ref, grad_ref, hess_ref, w_ref = reference(U, V)
+    assert np.array_equal(H, H_ref) and np.array_equal(w, w_ref)
+    assert all(np.array_equal(g, r) for g, r in zip(grad, grad_ref))
+    assert all(np.array_equal(g, r) for g_row, r_row in zip(hess_got, hess_ref)
+               for g, r in zip(g_row, r_row))
 
 
 @pytest.mark.parametrize("nz", [1, 3, 5, 9])
