@@ -18,9 +18,14 @@ The Reeb field R = Y_u ∂u + Y_v ∂v + g z∂z solves the 4×3 system
     [P  0 −S ] ( g )   (0)
     [Q  S  0 ]
 
-(α(R) = 1 plus ι_R dα contracted with each frame vector), solved in the
-least-squares sense through the normal equations — the redundant fourth row
-keeps the solve well-posed wherever the contact condition holds.
+(α(R) = 1 plus ι_R dα contracted with each frame vector).  In three
+dimensions it has the closed form R = ⋆dα/(α∧dα): ker dα is spanned by
+(S, −Q, P), on which α takes the value V, so
+
+    (Y_u, Y_v, g) = (S, −Q, P)/V,
+
+and the normal matrix N = MᵀM has det N = V²(P² + Q² + S²) (Cauchy–Binet),
+so det N vanishes exactly where the contact condition fails.
 
 On the surface Z = {z = 0} the form induces the area form ω = f dβ + β∧df
 with coefficient w = f(∂uB − ∂vA) + A f_v − B f_u, and H = −f|_Z generates
@@ -151,7 +156,7 @@ def frame_values(cf, chart, u, v, z):
 
 
 # ---------------------------------------------------------------------------
-# the least-squares Reeb solve, generic over floats / arrays
+# the closed-form Reeb solve, generic over floats / arrays
 
 def _det_magnitude(det):
     """Smallest |det| across the payload (the min over arrays)."""
@@ -160,41 +165,18 @@ def _det_magnitude(det):
     return float(np.min(np.abs(np.asarray(det, dtype=float))))
 
 
-def _solve_reeb_system(A, B, C, P, Q, S):
-    """Solve the 4×3 system via normal equations and a closed-form 3×3 inverse.
+def _solve_reeb_system(P, Q, S, V):
+    """The Reeb solve (S, −Q, P)/V of the 4×3 system.
 
-    Returns (Y_u, Y_v, g, det N); the solution triple is None when det N is
-    below the degeneracy floor (in any array lane), so callers can raise with
-    their own context instead of dividing by ~0.  Works for float and array
-    entries alike.
+    Returns (Y_u, Y_v, g, det N) with det N = V²(P² + Q² + S²); the solution
+    triple is None when det N is below the degeneracy floor (in any array
+    lane), so callers can raise with their own context instead of dividing
+    by ~0.  Works for float and array entries alike.
     """
-    n11 = A * A + P * P + Q * Q
-    n12 = A * B + Q * S
-    n13 = A * C - P * S
-    n22 = B * B + P * P + S * S
-    n23 = B * C + P * Q
-    n33 = C * C + Q * Q + S * S
-    det = (n11 * (n22 * n33 - n23 * n23)
-           - n12 * (n12 * n33 - n23 * n13)
-           + n13 * (n12 * n23 - n22 * n13))
+    det = V * V * (P * P + Q * Q + S * S)
     if _det_magnitude(det) < _DET_FLOOR:
         return None, None, None, det
-    # adjugate rows applied to the right-hand side (A, B, C)
-    x1 = ((n22 * n33 - n23 * n23) * A
-          + (n13 * n23 - n12 * n33) * B
-          + (n12 * n23 - n13 * n22) * C) / det
-    x2 = ((n23 * n13 - n12 * n33) * A
-          + (n11 * n33 - n13 * n13) * B
-          + (n12 * n13 - n11 * n23) * C) / det
-    x3 = ((n12 * n23 - n22 * n13) * A
-          + (n12 * n13 - n11 * n23) * B
-          + (n11 * n22 - n12 * n12) * C) / det
-    return x1, x2, x3, det
-
-
-def _reeb_matrix(A, B, C, P, Q, S):
-    """The 4×3 Reeb system M at one point."""
-    return np.array([[A, B, C], [0.0, -P, -Q], [P, 0.0, -S], [Q, S, 0.0]])
+    return S / V, -Q / V, P / V, det
 
 
 _RESIDUAL_NAMES = ("alpha(R)-1", "i_R dalpha @du", "i_R dalpha @dv",
@@ -207,14 +189,14 @@ def _residual_rows(A, B, C, P, Q, S, x1, x2, x3):
             P * x1 - S * x3, Q * x1 + S * x2)
 
 
-def _solve_checked(A, B, C, P, Q, S):
+def _solve_checked(A, B, C, P, Q, S, V):
     """The Reeb solve judged by the rule ``BReebField.components`` raises on.
 
     Returns (x, rows, det, cause); ``cause`` is None unless det N is below
     the floor (x and rows are then None) or the residual norm exceeds
     ``REEB_RESIDUAL_TOL`` somewhere.
     """
-    x1, x2, x3, det = _solve_reeb_system(A, B, C, P, Q, S)
+    x1, x2, x3, det = _solve_reeb_system(P, Q, S, V)
     if x1 is None:
         return None, None, det, (f"|det N| min {_det_magnitude(det):.3e} "
                                  f"< {_DET_FLOOR:g}")
@@ -250,7 +232,7 @@ class BReebField:
         """(Y_u, Y_v, g) at one point (floats) or arrays of points."""
         chart_name, chart = self._chart(chart_name)
         cf = self.form.for_chart(chart_name)
-        x, _, _, cause = _solve_checked(*frame_values(cf, chart, u, v, z)[:6])
+        x, _, _, cause = _solve_checked(*frame_values(cf, chart, u, v, z))
         if cause is not None:
             raise RankDeficiencyError(
                 f"Reeb system rank-deficient on chart {chart_name!r} ({cause})")
@@ -259,34 +241,29 @@ class BReebField:
     def linearization_at(self, u, v, chart_name=None):
         """DR(p) of the ordinary field (Y_u, Y_v, g·z) at a point of Z.
 
-        With x the least-squares solution of M x = e₁ and r = e₁ − M x, the
-        normal equations N x = Mᵀ e₁ (N = MᵀM) differentiate to the exact
+        Differentiating the closed form x = (S, −Q, P)/V gives
 
-            ∂_i x = N⁻¹ (∂_iMᵀ r − Mᵀ ∂_iM x),
+            ∂_i x = (∂_i(S, −Q, P) − x ∂_iV)/V,
+            ∂_iV = ∂_iA S + A ∂_iS − ∂_iB Q − B ∂_iQ + ∂_iC P + C ∂_iP,
 
-        with ∂_iM from the second partials of the fields.  The bottom row is
-        exactly (0, 0, g(p)) because z = 0 kills the in-surface derivatives
-        of g·z.
+        with the first partials of the frame coefficients.  The bottom row
+        is exactly (0, 0, g(p)) because z = 0 kills the in-surface
+        derivatives of g·z.
         """
         chart_name, chart = self._chart(chart_name)
         cf = self.form.for_chart(chart_name)
-        A, B, C, P, Q, S, _ = frame_values(cf, chart, u, v, 0.0)
-        x1, x2, x3, _ = _solve_reeb_system(A, B, C, P, Q, S)
+        A, B, C, P, Q, S, V = frame_values(cf, chart, u, v, 0.0)
+        x1, x2, x3, _ = _solve_reeb_system(P, Q, S, V)
         if x1 is None:
             raise RankDeficiencyError(
                 f"Reeb system degenerate at ({u}, {v}, 0.0) on {chart_name!r}")
-        M = _reeb_matrix(A, B, C, P, Q, S)
-        x = np.array([x1, x2, x3])
-        r = np.array([1.0, 0.0, 0.0, 0.0]) - M @ x
         env = {chart.u_name: u, chart.v_name: v, chart.z_name: 0.0}
-        partials = [[evaluate(t, env) for t in row]
-                    for row in cf.trees(chart).frame_partials]
-        rhs = []
-        for i in range(3):
-            dM = _reeb_matrix(*(row[i] for row in partials))
-            rhs.append(dM.T @ r - M.T @ (dM @ x))
-        dx = np.linalg.solve(M.T @ M, np.column_stack(rhs))
-        return np.array([dx[0], dx[1], [0.0, 0.0, x3]])
+        dA, dB, dC, dP, dQ, dS = (
+            np.array([evaluate(t, env) for t in row])
+            for row in cf.trees(chart).frame_partials)
+        dV = dA * S + A * dS - dB * Q - B * dQ + dC * P + C * dP
+        return np.array([(dS - x1 * dV) / V, (-dQ - x2 * dV) / V,
+                         [0.0, 0.0, x3]])
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +303,14 @@ def _slabs(form, tub, grid):
 
 
 class _Worst:
-    """The extreme of a per-point measure over the slabs, and where it is."""
+    """The extreme of a per-point measure over the slabs, and where it is.
+
+    It starts at ±inf, so the first slab names a location even when every
+    value is 0 (an exact residual)."""
 
     def __init__(self, smallest=False):
         self.smallest = smallest
-        self.value = math.inf if smallest else 0.0
+        self.value = math.inf if smallest else -math.inf
         self.location = {}
 
     def update(self, values, chart, U, V, **where):
@@ -389,7 +369,7 @@ def solve_reeb(form, tub, grid=(64, 64, 9), tol=1e-9):
         A, B, C, P, Q, S, vol = frame_values(cf, chart, U, V, Z)
         m = volume.update(np.abs(vol), chart, U, V, z=z)
         per_chart[chart.name] = min(per_chart.get(chart.name, math.inf), m)
-        x, rows, det, cause = _solve_checked(A, B, C, P, Q, S)
+        x, rows, det, cause = _solve_checked(A, B, C, P, Q, S, vol)
         if cause is not None:
             degenerate.update(np.abs(det), chart, U, V, z=z, cause=cause)
             if z == 0.0:

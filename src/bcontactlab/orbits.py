@@ -50,7 +50,7 @@ POSITION_TOL = 1e-5      # tangential closeness for a limit claim
 T_MAX = 400.0            # time budget per trace
 MATCH_TOL = 1e-6         # seed-on-trajectory distance for orbit identity
 # Fewer lanes than this evaluate the field point by point on floats: one
-# array call costs what 13 (sphere pole charts) to 23 (torus) float points do.
+# array call costs what 11 (sphere pole charts) to 16 (torus) float points do.
 SMALL_BATCH = 16
 
 

@@ -157,16 +157,36 @@ def test_stage_subsets(tmp_path):
 
 
 def test_validate_tol_sets_the_residual_thresholds(tmp_path):
-    result = run("torus", "validate", tmp_path, tol=1e-16)
+    # on the torus V = −1, so the closed-form solve makes the identity
+    # residual exactly 0 and no positive tol fails it
+    result = run("torus", "validate", tmp_path / "torus", tol=1e-16)
     assert result.exit_status == 2
     checks = {c["check"]: c for c in result.report["checks"]}
     assert checks["contact_check"]["threshold"] == 1e-8
     assert checks["contact_check"]["passed"]
     for name in ("reeb_residuals", "hamiltonian_identity"):
         assert checks[name]["threshold"] == 1e-16
+    assert checks["hamiltonian_identity"]["worst_value"] == 0.0
+    assert result.report["verdict"]["failures"] == ["reeb_residuals"]
+    # the sphere's rounding-level residuals fail both checks
+    result = run("sphere", "validate", tmp_path / "sphere", tol=1e-17)
+    assert result.exit_status == 2
+    checks = {c["check"]: c for c in result.report["checks"]}
+    for name in ("reeb_residuals", "hamiltonian_identity"):
+        assert checks[name]["threshold"] == 1e-17
         assert not checks[name]["passed"]
     assert result.report["verdict"]["failures"] == [
         "reeb_residuals", "hamiltonian_identity"]
+
+
+def test_every_check_names_its_worst_location(tmp_path):
+    # the torus identity residual is exactly 0, a worst value like any other
+    result = run("torus", "validate", tmp_path)
+    checks = {c["check"]: c for c in result.report["checks"]}
+    assert checks["hamiltonian_identity"]["worst_value"] == 0.0
+    for check in checks.values():
+        assert check["passed"]
+        assert {"chart", "u", "v"} <= set(check["worst_location"])
 
 
 def test_tol_reaches_validate_and_trace_but_not_critical_under_all(
@@ -177,8 +197,13 @@ def test_tol_reaches_validate_and_trace_but_not_critical_under_all(
     checks = {c["check"]: c["threshold"] for c in strict.report["checks"]}
     assert checks == {"contact_check": 1e-8, "reeb_residuals": 1e-30,
                       "hamiltonian_identity": 1e-30}
-    verdicts = [o["near_end"]["verdict"] for o in strict.report["orbits"]]
-    assert len(verdicts) == 16 and verdicts.count("undecided") == 8
+    # with POSITION_TOL = 1e-30 only an end at distance exactly 0 limits
+    # to its point
+    ends = [o["near_end"] for o in strict.report["orbits"]]
+    verdicts = [e["verdict"] for e in ends]
+    assert len(verdicts) == 16 and verdicts.count("undecided") == 10
+    assert all(e["distance"] == 0.0 for e in ends
+               if e["verdict"] == "limits-to")
     assert {o["near_end"]["verdict"] for o in plain.report["orbits"]} == {
         "limits-to"}
     # the Newton tolerance reaches the scan only when critical runs alone:

@@ -150,6 +150,46 @@ def test_components_raise_on_rank_deficiency():
                         np.zeros(3))
 
 
+def test_closed_form_solves_the_reeb_system_symbolically():
+    """(S, −Q, P)/V satisfies all four rows of M x = e₁ identically, and
+    det(MᵀM) = V²(P² + Q² + S²) (Cauchy–Binet)."""
+    import sympy
+
+    A, B, C, P, Q, S = sympy.symbols("A B C P Q S", real=True)
+    V = A * S - B * Q + C * P
+    M = sympy.Matrix([[A, B, C], [0, -P, -Q], [P, 0, -S], [Q, S, 0]])
+    x = sympy.Matrix([S, -Q, P]) / V
+    assert all(sympy.cancel(r) == 0
+               for r in M * x - sympy.Matrix([1, 0, 0, 0]))
+    assert sympy.expand((M.T * M).det() - V**2 * (P**2 + Q**2 + S**2)) == 0
+
+
+@pytest.mark.parametrize("fields", [
+    {}, {"beta_u": "sin(v) + z*cos(u)", "beta_v": "0.5*cos(u)",
+         "beta_z": "0.2*sin(u)"}], ids=["builtin", "beta_z"])
+def test_components_match_least_squares(fields):
+    tub, form = torus_setup(**fields)
+    cf = form.for_chart("torus")
+    chart = tub.charts["torus"]
+    reeb = BReebField(form, tub)
+    rng = random.Random(14)
+    U, V = (np.array([rng.uniform(0, 2 * math.pi) for _ in range(50)])
+            for _ in range(2))
+    Z = np.array([rng.choice((-1, 1)) * rng.uniform(0.05, 0.5)
+                  for _ in range(50)])
+
+    def lstsq(u, v, z):
+        A, B, C, P, Q, S, _ = frame_values(cf, chart, u, v, z)
+        M = np.array([[A, B, C], [0.0, -P, -Q], [P, 0.0, -S], [Q, S, 0.0]])
+        return np.linalg.lstsq(M, [1.0, 0.0, 0.0, 0.0], rcond=None)[0]
+
+    lanes = np.column_stack(reeb.components(U, V, Z))
+    for k, (u, v, z) in enumerate(zip(U.tolist(), V.tolist(), Z.tolist())):
+        ref = lstsq(u, v, z)
+        for got in (np.array(reeb.components(u, v, z)), lanes[k]):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 def test_reeb_residuals_tiny_on_builtins(sphere):
     tub, form = torus_setup()
     report = reeb_residual_report(form, tub, grid=(48, 48, 5))
@@ -258,6 +298,26 @@ def test_linearization_matches_central_differences(name):
         dr = reeb.linearization_at(p.u, p.v, chart_name=p.chart)
         for i in range(3):
             fd = central_gradient(lambda x: field(x, i), (p.u, p.v, 0.0))
+            for j in range(3):
+                assert abs(dr[i, j] - fd[j]) / (1 + abs(dr[i, j])) < 1e-6
+
+
+@pytest.mark.parametrize("fields", [
+    {}, {"beta_u": "sin(v) + z*cos(u)", "beta_v": "0.5*cos(u)",
+         "beta_z": "0.2*sin(u)"}], ids=["builtin", "beta_z"])
+def test_linearization_off_critical_points(fields):
+    """At a critical point (S, −Q, P)/V has S = Q = 0, so the x·∂V term of
+    DR vanishes there; random points of Z exercise it."""
+    tub, form = torus_setup(**fields)
+    reeb = BReebField(form, tub)
+    rng = random.Random(15)
+    for _ in range(10):
+        p = (rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi), 0.0)
+        dr = reeb.linearization_at(*p[:2])
+        for i in range(3):
+            fd = central_gradient(
+                lambda x: (*reeb.components(*x)[:2],
+                           reeb.components(*x)[2] * x[2])[i], p)
             for j in range(3):
                 assert abs(dr[i, j] - fd[j]) / (1 + abs(dr[i, j])) < 1e-6
 
