@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import TubularChart
-from .contact import BContactForm, ChartFields, contact_check, exceptional_hamiltonian
+from .contact import BContactForm, ChartFields, contact_sweep
 from .critical import (
     MORSE_DET_FLOOR, NotMorseError, RegularValueViolation, SpectrumMismatchError,
     spectrum_mismatch,
@@ -401,9 +401,10 @@ def contact_from_beltrami(stream, metric=None, eigenvalue=1.0,
     if tub is None:
         tub = TubularChart.torus()
 
-    contact = contact_check(form, tub, grid=grid)
-    U, V = _torus_grid(grid[:2])
-    recovered = exceptional_hamiltonian(form, tub).H_value(U, V, "torus")
+    # H = −f|_Z, with f read from the contact check's own frame on Z
+    contact, f_on_Z = contact_sweep(form, tub, grid=grid)
+    U, V, f = f_on_Z["torus"]
+    recovered = -f
     target = data.stream_value(U, V)
     gap = float(np.max(np.abs(_on_grid(recovered, U.shape)
                               - _on_grid(target, U.shape))))

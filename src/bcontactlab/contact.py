@@ -36,8 +36,13 @@ and S.
 
 Validation is one sweep (:func:`solve_reeb`) evaluating each grid point's
 frame once; a Reeb system degenerate somewhere on the grid fails its checks
-there instead of raising, and the pipeline exits 2.  On the z = 0 level the
-contact volume V is w, so the contact check also bounds |w| away from zero.
+there instead of raising, and the pipeline exits 2.  A chart whose frame
+reads no z gives the same arrays on every level of the z-ladder, so the
+sweep evaluates it once, at the ladder's first level, and that slab stands
+for every level (z = 0 included); the worst values and their locations are
+the ones a level-by-level sweep finds, because a later equal value never
+replaces an earlier extreme.  On the z = 0 level the contact volume V is w,
+so the contact check also bounds |w| away from zero.
 """
 from __future__ import annotations
 
@@ -48,13 +53,14 @@ from functools import cached_property
 import numpy as np
 
 from .expressions import (
-    Expr, Var, add, compile, differentiate, evaluate, gradient, mul, sub,
+    Expr, Var, add, compile, differentiate, evaluate, free_vars, gradient, mul,
+    sub,
 )
 
 __all__ = [
     "ChartFields", "BContactForm", "BReebField", "ZSymplecticData",
     "ValidationReport", "RankDeficiencyError",
-    "contact_check", "solve_reeb", "exceptional_hamiltonian",
+    "contact_check", "contact_sweep", "solve_reeb", "exceptional_hamiltonian",
     "verify_hamiltonian_identity", "reeb_residual_report",
     "CONTACT_THRESHOLD", "REEB_RESIDUAL_TOL",
 ]
@@ -91,10 +97,11 @@ class ChartFields:
 class ChartTrees:
     """Frame coefficients of one chart as trees over its (u, v, z) names.
 
-    ``frame`` holds A, B, C and P, Q, S (see the module docstring), and
-    ``frame_function(u, v, z)`` is their one compiled evaluation; the partials
-    that the linearization and the Hessian of H need are derived on first
-    use, once per chart.
+    ``frame`` holds A, B, C and P, Q, S (see the module docstring),
+    ``frame_function(u, v, z)`` is their one compiled evaluation, and
+    ``reads_z`` says whether any of the six (simplified) trees names z; the
+    partials that the linearization and the Hessian of H need are derived on
+    first use, once per chart.
     """
 
     def __init__(self, cf, names):
@@ -109,6 +116,7 @@ class ChartTrees:
             sub(differentiate(C, v), mul(Var(z), differentiate(B, z))),
         )
         self.frame_function = compile(self.frame, names)
+        self.reads_z = any(z in free_vars(t) for t in self.frame)
 
     @cached_property
     def frame_partials(self):
@@ -277,10 +285,16 @@ def z_ladder(epsilon, nz):
     return tuple(pos + [0.0] + [-p for p in pos])
 
 
-def _slabs(form, tub, grid):
-    """(chart, cf, U, V, z, Z) for each chart of ``form`` and each z-level of
-    a grid (nu, nv, nz), or z = 0 alone for a surface grid (nu, nv); (U, V)
-    are the chart's flattened samples and ``Z`` is z broadcast over them."""
+def _slabs(form, tub, grid, *audited):
+    """(chart, cf, U, V, z, Z, levels) for each chart of ``form`` and each
+    z-level of a grid (nu, nv, nz), or z = 0 alone for a surface grid
+    (nu, nv); (U, V) are the chart's flattened samples and ``Z`` is z
+    broadcast over them.
+
+    A chart whose frame trees read no z, in ``form`` and in each
+    ``audited`` form, yields one slab at the ladder's first level, standing
+    for all of them: ``levels`` holds the levels a slab stands for, (z,)
+    for a chart whose frame reads z."""
     levels = (0.0,)
     if len(grid) == 3:
         if min(grid[:2]) < 2 or grid[2] < 1:
@@ -297,9 +311,11 @@ def _slabs(form, tub, grid):
         else:
             U, V = np.meshgrid(*chart.grid(*grid[:2]), indexing="ij")
             U, V = U.ravel(), V.ravel()
-        for z in levels:
-            yield (chart, form.for_chart(chart.name), U, V, z,
-                   np.full_like(U, z))
+        cf = form.for_chart(chart.name)
+        reads_z = any(f.for_chart(chart.name).trees(chart).reads_z
+                      for f in (form, *audited))
+        for zs in ([(z,) for z in levels] if reads_z else [levels]):
+            yield chart, cf, U, V, zs[0], np.full_like(U, zs[0]), zs
 
 
 class _Worst:
@@ -342,42 +358,56 @@ def _residual_report(check, worst, threshold, grid, degenerate=None):
                             worst.value, worst.location, {"grid": list(grid)})
 
 
-def contact_check(form, tub, grid=(64, 64, 9), threshold=CONTACT_THRESHOLD):
-    """Validate α∧dα ≠ 0: min |V| over the validation grid of every chart."""
-    volume, per_chart = _Worst(smallest=True), {}
-    for chart, cf, U, V, z, Z in _slabs(form, tub, grid):
-        *_, vol = frame_values(cf, chart, U, V, Z)
+def contact_sweep(form, tub, grid=(64, 64, 9), threshold=CONTACT_THRESHOLD):
+    """:func:`contact_check`'s report, and f on Z from the same sweep:
+    ``{chart name: (U, V, f)}``, the chart's samples and C = f from the
+    slab that stands for z = 0."""
+    volume, per_chart, f_on_Z = _Worst(smallest=True), {}, {}
+    for chart, cf, U, V, z, Z, levels in _slabs(form, tub, grid):
+        _, _, C, *_, vol = frame_values(cf, chart, U, V, Z)
         m = volume.update(np.abs(vol), chart, U, V, z=z)
         per_chart[chart.name] = min(per_chart.get(chart.name, math.inf), m)
-    return _contact_report(volume, per_chart, threshold, grid)
+        if 0.0 in levels:
+            f_on_Z[chart.name] = U, V, C
+    return _contact_report(volume, per_chart, threshold, grid), f_on_Z
+
+
+def contact_check(form, tub, grid=(64, 64, 9), threshold=CONTACT_THRESHOLD):
+    """Validate α∧dα ≠ 0: min |V| over the validation grid of every chart,
+    each chart's frame evaluated once per slab of :func:`_slabs` (once in
+    all for a chart whose frame reads no z)."""
+    return contact_sweep(form, tub, grid, threshold)[0]
 
 
 def solve_reeb(form, tub, grid=(64, 64, 9), tol=1e-9):
     """The validation sweep: ``(reeb, [contact, residuals, identity])``.
 
-    Each (chart, z-level) slab's frame is evaluated once; the contact volume,
-    the Reeb solve with its residual rows and, on z = 0, the identity
-    ι_{R|Z} ω = d(f|Z) all come from those arrays.  Where the Reeb system is
-    degenerate by the rule :meth:`BReebField.components` raises on, nothing
-    is raised: ``reeb`` is None and the residual check (and the identity
-    check, for a z = 0 slab) fails at the smallest |det N|, naming the cause.
+    Each slab's frame is evaluated once: one slab per (chart, z-level), or
+    one per chart for a chart whose frame reads no z (see :func:`_slabs`).
+    The contact volume, the Reeb solve with its residual rows and, on the
+    slab standing for z = 0, the identity ι_{R|Z} ω = d(f|Z) all come from
+    those arrays.  Where the Reeb system is degenerate by the rule
+    :meth:`BReebField.components` raises on, nothing is raised: ``reeb`` is
+    None and the residual check (and the identity check, for the slab
+    standing for z = 0) fails at the smallest |det N|, naming the cause.
     """
     volume, per_chart = _Worst(smallest=True), {}
     residual, identity = _Worst(), _Worst()
     degenerate, degenerate_on_Z = _Worst(smallest=True), _Worst(smallest=True)
-    for chart, cf, U, V, z, Z in _slabs(form, tub, grid):
+    for chart, cf, U, V, z, Z, levels in _slabs(form, tub, grid):
+        on_Z = 0.0 in levels
         A, B, C, P, Q, S, vol = frame_values(cf, chart, U, V, Z)
         m = volume.update(np.abs(vol), chart, U, V, z=z)
         per_chart[chart.name] = min(per_chart.get(chart.name, math.inf), m)
         x, rows, det, cause = _solve_checked(A, B, C, P, Q, S, vol)
         if cause is not None:
             degenerate.update(np.abs(det), chart, U, V, z=z, cause=cause)
-            if z == 0.0:
+            if on_Z:
                 degenerate_on_Z.update(np.abs(det), chart, U, V, cause=cause)
             continue
         for name, row in zip(_RESIDUAL_NAMES, rows):
             residual.update(np.abs(row), chart, U, V, z=z, component=name)
-        if z == 0.0:  # ι_{R|Z}(w du∧dv) − d(f|Z), in du and dv
+        if on_Z:  # ι_{R|Z}(w du∧dv) − d(f|Z), in du and dv
             w = _area_coefficient(C, A, B, P, Q, S)  # (C, Q, S) = (f, f_u, f_v)
             for name, row in (("du", -w * x[1] - Q), ("dv", w * x[0] - S)):
                 identity.update(np.abs(row), chart, U, V, component=name)
@@ -398,7 +428,7 @@ def reeb_residual_report(form, tub, reeb=None, grid=(64, 64, 9)):
     """
     reeb = reeb or BReebField(form, tub)
     residual = _Worst()
-    for chart, cf, U, V, z, Z in _slabs(form, tub, grid):
+    for chart, cf, U, V, z, Z, _ in _slabs(form, tub, grid, reeb.form):
         frame = frame_values(cf, chart, U, V, Z)[:6]
         x = reeb.components(U, V, Z, chart_name=chart.name)
         for name, row in zip(_RESIDUAL_NAMES, _residual_rows(*frame, *x)):

@@ -15,11 +15,12 @@ import math
 import numpy as np
 import pytest
 
+from bcontactlab import contact
 from bcontactlab.beltrami import (
     BeltramiData, MetricDegeneracyError, MetricOnZ, SignInconsistencyError,
     beltrami_stability_matrix, contact_from_beltrami,
     hamiltonian_identity_check, laplace_eigen_check, tangential_components,
-    tangential_expressions,
+    tangential_expressions, _torus_grid,
 )
 from bcontactlab.charts import TubularChart
 from bcontactlab.contact import exceptional_hamiltonian
@@ -251,3 +252,39 @@ def test_explicit_transverse_extension_is_honored():
     data = exceptional_hamiltonian(form, tub)
     target = math.cos(0.3) + math.cos(0.7) / 2
     assert data.H_value(0.3, 0.7, "torus") == pytest.approx(target, abs=1e-14)
+
+
+def test_torus_chart_samples_the_beltrami_grid():
+    """The contact sweep's torus samples are the points of the Beltrami
+    grid checks, in the same order."""
+    chart = TubularChart.torus().charts["torus"]
+    for grid in ((8, 8), (64, 64), (256, 256), (12, 20)):
+        U, V = np.meshgrid(*chart.grid(*grid), indexing="ij")
+        want = _torus_grid(grid)
+        assert np.array_equal(U.ravel(), want[0])
+        assert np.array_equal(V.ravel(), want[1])
+
+
+@pytest.mark.parametrize("extension", [
+    None, {"X_z": "(0 - (cos(u) + 0.5*cos(v))) * (1 + z)"}])
+def test_roundtrip_reads_f_from_the_contact_sweep(extension, monkeypatch):
+    calls = []
+    inner = contact.frame_values
+
+    def counting(cf, chart, u, v, z):
+        calls.append(z)
+        return inner(cf, chart, u, v, z)
+
+    monkeypatch.setattr(contact, "frame_values", counting)
+    grid = (32, 24, 5)
+    data = BeltramiData("cos(u) + 0.5*cos(v)")
+    form, report = contact_from_beltrami(data, extension=extension, grid=grid)
+    assert len(calls) == (1 if extension is None else 5)
+    monkeypatch.undo()
+    # the same error from H = −f|_Z evaluated on its own
+    U, V = _torus_grid(grid[:2])
+    H = exceptional_hamiltonian(form, TubularChart.torus()).H_value(
+        U, V, "torus")
+    gap = float(np.max(np.abs(H - data.stream_value(U, V))))
+    assert report["roundtrip_max_error"] == gap
+    assert report["stream_recovered"]

@@ -1,0 +1,33 @@
+"""tools/compare_runs.py: the report-and-CSV oracle for refactors."""
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+from bcontactlab.runner import run
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
+
+
+def _compare(a, b):
+    return subprocess.run([sys.executable, str(TOOL), str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_compare_runs_passes_two_runs_and_fails_one_changed_byte(tmp_path):
+    a, b = tmp_path / "a" / "torus", tmp_path / "b" / "nested" / "torus"
+    assert run("torus", "all", a).exit_status == 0
+    assert run("torus", "all", b).exit_status == 0
+    same = _compare(a, b)
+    assert same.returncode == 0, same.stdout
+    assert same.stdout.startswith("0 of ")
+
+    c = tmp_path / "c"
+    shutil.copytree(b, c)
+    csv = sorted(c.glob("orbit_*.csv"))[3]
+    data = bytearray(csv.read_bytes())
+    data[-2] = ord("0") if data[-2] != ord("0") else ord("1")
+    csv.write_bytes(bytes(data))
+    changed = _compare(a, c)
+    assert changed.returncode == 1
+    assert changed.stdout.splitlines()[0] == f"{csv.name}: differs"

@@ -9,6 +9,7 @@ Two reference setups are used throughout:
   volume coefficient is sin θ (1 + cos²θ) and the Reeb field is
   (0, 1/(1 + cos²θ), 2 cos θ/(1 + cos²θ)).
 """
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -19,9 +20,9 @@ import pytest
 from bcontactlab import contact
 from bcontactlab.charts import TubularChart
 from bcontactlab.contact import (
-    BContactForm, BReebField, ChartFields, RankDeficiencyError, contact_check,
-    exceptional_hamiltonian, frame_values, reeb_residual_report, solve_reeb,
-    verify_hamiltonian_identity, z_ladder,
+    BContactForm, BReebField, ChartFields, RankDeficiencyError,
+    ValidationReport, contact_check, exceptional_hamiltonian, frame_values,
+    reeb_residual_report, solve_reeb, verify_hamiltonian_identity, z_ladder,
 )
 from bcontactlab.critical import find_critical_points
 from bcontactlab.beltrami import BeltramiData, contact_from_beltrami
@@ -444,3 +445,137 @@ def test_compiled_frame_uses_no_more_memory_than_the_walker(name):
     for a, b in zip(compiled, walked):
         assert np.array_equal(a, b)
     assert compiled_peak <= walker_peak + U.nbytes / 4
+
+
+# ---------------------------------------------------------------------------
+# one slab for a chart whose frame reads no z
+
+Z_TORUS = dict(beta_u="sin(v) + z*cos(u)", beta_z="0.2*sin(u)")
+# V = −1 − z everywhere, so |V| is smallest on the level z = −ε
+Z_TORUS_MIN_BELOW = dict(beta_z="cos(v)")
+NON_CONTACT = dict(f="cos(v)^3 + 2")
+
+
+def _counting_frame_values(monkeypatch):
+    calls = []
+    inner = contact.frame_values
+
+    def counting(cf, chart, u, v, z):
+        calls.append((chart.name, float(np.ravel(z)[0])))
+        return inner(cf, chart, u, v, z)
+
+    monkeypatch.setattr(contact, "frame_values", counting)
+    return calls
+
+
+def test_only_z_dependent_frames_read_z(sphere):
+    tub, form = torus_setup(**Z_TORUS)
+    assert form.for_chart("torus").trees(tub.charts["torus"]).reads_z
+    for tub, form in (torus_setup(), sphere,
+                      scenario_form(load_scenario("torus"))):
+        for name in form.chart_names():
+            assert not form.for_chart(name).trees(tub.charts[name]).reads_z
+
+
+def test_z_dependent_chart_keeps_the_full_sweep(monkeypatch):
+    tub, form = torus_setup(**Z_TORUS)
+    calls = _counting_frame_values(monkeypatch)
+    solve_reeb(form, tub, grid=(16, 12, 9))
+    assert calls == [("torus", z) for z in z_ladder(tub.epsilon, 9)]
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere"])
+def test_z_free_chart_is_evaluated_once(name, monkeypatch):
+    tub, form = scenario_form(load_scenario(name))
+    calls = _counting_frame_values(monkeypatch)
+    solve_reeb(form, tub, grid=(16, 12, 9))
+    first = z_ladder(tub.epsilon, 9)[0]
+    assert sorted(calls) == sorted((c, first) for c in form.chart_names())
+
+
+def test_an_audited_z_dependent_field_keeps_the_full_sweep(monkeypatch):
+    tub, form = torus_setup()
+    _, zform = torus_setup(**Z_TORUS)
+    calls = _counting_frame_values(monkeypatch)
+    reeb_residual_report(form, tub, grid=(16, 12, 9))
+    assert len(calls) == 2  # the form's frame and the field's, one slab
+    calls.clear()
+    report = reeb_residual_report(form, tub, BReebField(zform, tub),
+                                  grid=(16, 12, 9))
+    assert len(calls) == 2 * 9
+    assert not report.passed
+
+
+def test_worst_location_names_the_level_of_the_smallest_volume():
+    tub, form = torus_setup(**Z_TORUS_MIN_BELOW)
+    report = contact_check(form, tub, grid=(16, 12, 9))
+    assert report.worst_location["z"] == -tub.epsilon != z_ladder(
+        tub.epsilon, 9)[0]
+    assert report.worst_value == pytest.approx(1.0 - tub.epsilon)
+
+
+def _per_level_reports(form, tub, grid, tol=1e-9):
+    """solve_reeb's (reeb is None, checks) by a plain loop that evaluates
+    every (chart, z-level) slab of the grid."""
+    volume, per_chart = contact._Worst(smallest=True), {}
+    residual, identity = contact._Worst(), contact._Worst()
+    degenerate = contact._Worst(smallest=True)
+    degenerate_on_Z = contact._Worst(smallest=True)
+    for chart in tub.surface_charts():
+        if chart.name not in form.fields:
+            continue
+        cf = form.for_chart(chart.name)
+        if chart.disk_radius > 0.0:
+            U, V = np.array(chart.disk_points()).T
+        else:
+            U, V = (a.ravel() for a in np.meshgrid(*chart.grid(*grid[:2]),
+                                                   indexing="ij"))
+        for z in z_ladder(tub.epsilon, grid[2]):
+            A, B, C, P, Q, S, vol = frame_values(cf, chart, U, V,
+                                                 np.full_like(U, z))
+            m = volume.update(np.abs(vol), chart, U, V, z=z)
+            per_chart[chart.name] = min(per_chart.get(chart.name, math.inf),
+                                        m)
+            x, rows, det, cause = contact._solve_checked(A, B, C, P, Q, S, vol)
+            if cause is not None:
+                degenerate.update(np.abs(det), chart, U, V, z=z, cause=cause)
+                if z == 0.0:
+                    degenerate_on_Z.update(np.abs(det), chart, U, V,
+                                           cause=cause)
+                continue
+            for name, row in zip(contact._RESIDUAL_NAMES, rows):
+                residual.update(np.abs(row), chart, U, V, z=z, component=name)
+            if z == 0.0:
+                w = contact._area_coefficient(C, A, B, P, Q, S)
+                for name, row in (("du", -w * x[1] - Q), ("dv", w * x[0] - S)):
+                    identity.update(np.abs(row), chart, U, V, component=name)
+    return not degenerate.location, [
+        contact._contact_report(volume, per_chart, contact.CONTACT_THRESHOLD,
+                                grid),
+        contact._residual_report("reeb_residuals", residual, tol, grid,
+                                 degenerate),
+        contact._residual_report("hamiltonian_identity", identity, tol,
+                                 grid[:2], degenerate_on_Z),
+    ]
+
+
+@pytest.mark.parametrize("case", [
+    "torus", "sphere", "z-dependent", "min-below", "non-contact"])
+def test_reports_equal_a_per_level_sweep(case, sphere):
+    if case == "torus":
+        tub, form = scenario_form(load_scenario("torus"))
+    elif case == "sphere":
+        tub, form = sphere
+    else:
+        tub, form = torus_setup(**{"z-dependent": Z_TORUS,
+                                   "min-below": Z_TORUS_MIN_BELOW,
+                                   "non-contact": NON_CONTACT}[case])
+    grid = (64, 64, 9)
+    solved, expected = _per_level_reports(form, tub, grid)
+    reeb, checks = solve_reeb(form, tub, grid)
+    assert (reeb is not None) == solved == (case != "non-contact")
+    assert len(checks) == len(expected)
+    for got, want in zip(checks, expected):
+        for f in dataclasses.fields(ValidationReport):
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert contact_check(form, tub, grid) == expected[0]
