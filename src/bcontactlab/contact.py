@@ -27,6 +27,11 @@ dimensions it has the closed form R = ⋆dα/(α∧dα): ker dα is spanned by
 and the normal matrix N = MᵀM has det N = V²(P² + Q² + S²) (Cauchy–Binet),
 so det N vanishes exactly where the contact condition fails.
 
+One rule judges the solve for the orbit right-hand side, the linearization
+and the validation sweep alike (:func:`_solve_reeb_system`): det N clears a
+floor, then |V| clears a floor relative to |A·S| + |B·Q| + |C·P|, the terms
+that cancel in V.  The residual rows of M x = e₁ only measure rounding.
+
 On the surface Z = {z = 0} the form induces the area form ω = f dβ + β∧df
 with coefficient w = f(∂uB − ∂vA) + A f_v − B f_u, and H = −f|_Z generates
 the restricted Reeb dynamics: ι_{R|_Z} ω = df|_Z.  The frame at z = 0 holds
@@ -35,8 +40,9 @@ reads H, ∇H and w from ``frame_values`` and Hess H from the partials of Q
 and S.
 
 Validation is one sweep (:func:`solve_reeb`) evaluating each grid point's
-frame once; a Reeb system degenerate somewhere on the grid fails its checks
-there instead of raising, and the pipeline exits 2.  A chart whose frame
+frame once; a Reeb system that fails the rule somewhere on the grid, or a
+frame that overflows or turns NaN, fails its checks there instead of
+raising, and the pipeline exits 2.  A chart whose frame
 reads no z gives the same arrays on every level of the z-ladder, so the
 sweep evaluates it once, at the ladder's first level, and that slab stands
 for every level (z = 0 included); the worst values and their locations are
@@ -62,12 +68,16 @@ __all__ = [
     "ValidationReport", "RankDeficiencyError",
     "contact_check", "contact_sweep", "solve_reeb", "exceptional_hamiltonian",
     "verify_hamiltonian_identity", "reeb_residual_report",
-    "CONTACT_THRESHOLD", "REEB_RESIDUAL_TOL",
+    "CONTACT_THRESHOLD", "RESIDUAL_TOL",
 ]
 
 CONTACT_THRESHOLD = 1e-8
-REEB_RESIDUAL_TOL = 1e-8
+RESIDUAL_TOL = 1e-9       # default threshold of the validation residuals
 _DET_FLOOR = 1e-12
+# fl(V) = fl(A·S − B·Q + C·P) errs by about 3ε·T, T = |A·S| + |B·Q| + |C·P|,
+# so |V| ≥ c·T bounds the relative error of V, and of x = (S, −Q, P)/V, by
+# about 3ε/c: c = 1e-7 gives 7e-9, the accuracy the Reeb solve is held to.
+_V_FLOOR = 1e-7
 
 
 class RankDeficiencyError(RuntimeError):
@@ -166,25 +176,27 @@ def frame_values(cf, chart, u, v, z):
 # ---------------------------------------------------------------------------
 # the closed-form Reeb solve, generic over floats / arrays
 
-def _det_magnitude(det):
-    """Smallest |det| across the payload (the min over arrays)."""
-    if isinstance(det, float):
-        return abs(det)
-    return float(np.min(np.abs(np.asarray(det, dtype=float))))
+def _solve_reeb_system(A, B, C, P, Q, S, V):
+    """The Reeb solve x = (S, −Q, P)/V and the one rule that judges it:
+    |det N| ≥ ``_DET_FLOOR`` (the contact condition) first, then
+    |V|/(|A·S| + |B·Q| + |C·P|) ≥ ``_V_FLOOR`` (no cancellation in V),
+    each tested as ``not (m >= floor)`` so that a NaN fails it.
 
-
-def _solve_reeb_system(P, Q, S, V):
-    """The Reeb solve (S, −Q, P)/V of the 4×3 system.
-
-    Returns (Y_u, Y_v, g, det N) with det N = V²(P² + Q² + S²); the solution
-    triple is None when det N is below the degeneracy floor (in any array
-    lane), so callers can raise with their own context instead of dividing
-    by ~0.  Works for float and array entries alike.
+    Returns (x, None, None) with x = (Y_u, Y_v, g) where every lane clears
+    both floors, else (None, measure, cause): ``cause`` names the floor
+    that failed, ``measure`` its per-lane values, smallest where furthest
+    below.  Works for float and array entries alike.
     """
-    det = V * V * (P * P + Q * Q + S * S)
-    if _det_magnitude(det) < _DET_FLOOR:
-        return None, None, None, det
-    return S / V, -Q / V, P / V, det
+    det = abs(V * V * (P * P + Q * Q + S * S))
+    m = det if isinstance(det, float) else float(np.min(det))  # NaN-preserving
+    if not (m >= _DET_FLOOR):
+        return None, det, f"|det N| min {m:.3e} < {_DET_FLOOR:g}"
+    ratio = abs(V) / (abs(A * S) + abs(B * Q) + abs(C * P))
+    m = ratio if isinstance(ratio, float) else float(np.min(ratio))
+    if not (m >= _V_FLOOR):
+        return None, ratio, (f"|V|/(|A·S| + |B·Q| + |C·P|) min {m:.3e} "
+                             f"< {_V_FLOOR:g}")
+    return (S / V, -Q / V, P / V), None, None
 
 
 _RESIDUAL_NAMES = ("alpha(R)-1", "i_R dalpha @du", "i_R dalpha @dv",
@@ -197,30 +209,6 @@ def _residual_rows(A, B, C, P, Q, S, x1, x2, x3):
             P * x1 - S * x3, Q * x1 + S * x2)
 
 
-def _solve_checked(A, B, C, P, Q, S, V):
-    """The Reeb solve judged by the rule ``BReebField.components`` raises on.
-
-    Returns (x, rows, det, cause); ``cause`` is None unless det N is below
-    the floor (x and rows are then None) or the residual norm exceeds
-    ``REEB_RESIDUAL_TOL`` somewhere.
-    """
-    x1, x2, x3, det = _solve_reeb_system(P, Q, S, V)
-    if x1 is None:
-        return None, None, det, (f"|det N| min {_det_magnitude(det):.3e} "
-                                 f"< {_DET_FLOOR:g}")
-    rows = _residual_rows(A, B, C, P, Q, S, x1, x2, x3)
-    r1, r2, r3, r4 = rows
-    square = r1 * r1 + r2 * r2 + r3 * r3 + r4 * r4
-    if isinstance(square, float):
-        res = math.sqrt(square)
-        bad = res > REEB_RESIDUAL_TOL
-    else:
-        res = np.sqrt(square)
-        bad = np.any(res > REEB_RESIDUAL_TOL)
-    cause = f"residual {np.max(res):.3e} > {REEB_RESIDUAL_TOL:g}" if bad else None
-    return (x1, x2, x3), rows, det, cause
-
-
 class BReebField:
     """Pointwise-solved Reeb field R = Y_u ∂u + Y_v ∂v + g z∂z."""
 
@@ -228,23 +216,25 @@ class BReebField:
         self.form = form
         self.chart = chart
 
-    def _chart(self, chart_name):
+    def _solve(self, u, v, z, chart_name):
+        """(x, frame, cf, chart) at (u, v, z); raises where the solve fails."""
         if chart_name is None:
             names = self.form.chart_names()
             if len(names) != 1:
                 raise ValueError("chart_name is required for a multi-chart atlas")
             chart_name = names[0]
-        return chart_name, self.chart.charts[chart_name]
-
-    def components(self, u, v, z, chart_name=None):
-        """(Y_u, Y_v, g) at one point (floats) or arrays of points."""
-        chart_name, chart = self._chart(chart_name)
+        chart = self.chart.charts[chart_name]
         cf = self.form.for_chart(chart_name)
-        x, _, _, cause = _solve_checked(*frame_values(cf, chart, u, v, z))
+        frame = frame_values(cf, chart, u, v, z)
+        x, _, cause = _solve_reeb_system(*frame)
         if cause is not None:
             raise RankDeficiencyError(
                 f"Reeb system rank-deficient on chart {chart_name!r} ({cause})")
-        return x
+        return x, frame, cf, chart
+
+    def components(self, u, v, z, chart_name=None):
+        """(Y_u, Y_v, g) at one point (floats) or arrays of points."""
+        return self._solve(u, v, z, chart_name)[0]
 
     def linearization_at(self, u, v, chart_name=None):
         """DR(p) of the ordinary field (Y_u, Y_v, g·z) at a point of Z.
@@ -258,13 +248,8 @@ class BReebField:
         is exactly (0, 0, g(p)) because z = 0 kills the in-surface
         derivatives of g·z.
         """
-        chart_name, chart = self._chart(chart_name)
-        cf = self.form.for_chart(chart_name)
-        A, B, C, P, Q, S, V = frame_values(cf, chart, u, v, 0.0)
-        x1, x2, x3, _ = _solve_reeb_system(P, Q, S, V)
-        if x1 is None:
-            raise RankDeficiencyError(
-                f"Reeb system degenerate at ({u}, {v}, 0.0) on {chart_name!r}")
+        (x1, x2, x3), (A, B, C, P, Q, S, V), cf, chart = self._solve(
+            u, v, 0.0, chart_name)
         env = {chart.u_name: u, chart.v_name: v, chart.z_name: 0.0}
         dA, dB, dC, dP, dQ, dS = (
             np.array([evaluate(t, env) for t in row])
@@ -321,29 +306,36 @@ def _slabs(form, tub, grid, *audited):
 class _Worst:
     """The extreme of a per-point measure over the slabs, and where it is.
 
-    It starts at ±inf, so the first slab names a location even when every
-    value is 0 (an exact residual)."""
+    A non-finite ``value`` ranks as the failing extreme in ``rank``, which
+    thresholds are compared with.  The fold starts at ±inf, so the first
+    slab names a location even when every value is 0 (an exact residual)."""
 
     def __init__(self, smallest=False):
         self.smallest = smallest
-        self.value = math.inf if smallest else -math.inf
+        self.value = self.rank = math.inf if smallest else -math.inf
         self.location = {}
 
     def update(self, values, chart, U, V, **where):
-        """Fold in one slab's values; returns the slab's own extreme."""
+        """Fold in one slab's values."""
         values = np.broadcast_to(np.asarray(values, dtype=float), U.shape)
-        k = int(np.argmin(values) if self.smallest else np.argmax(values))
+        bad = ~np.isfinite(values)  # the first non-finite lane, if any
+        k = int(np.argmax(bad) if bad.any() else np.argmin(values)
+                if self.smallest else np.argmax(values))
         m = float(values[k])
-        if (m < self.value) if self.smallest else (m > self.value):
-            self.value = m
+        r = m if math.isfinite(m) else -math.inf if self.smallest else math.inf
+        if (r < self.rank) if self.smallest else (r > self.rank):
+            self.value, self.rank = m, r
             self.location = {"chart": chart.name, "u": float(U[k]),
                              "v": float(V[k]), **where}
-        return m
 
 
-def _contact_report(volume, per_chart, threshold, grid):
+def _contact_report(per_chart, threshold, grid):
+    """The contact report from one ``_Worst`` of |V| per chart; on a tie the
+    first chart's minimum is the overall one, as one fold over all slabs."""
+    volume = min(per_chart.values(), key=lambda w: w.rank)
+    per_chart = {c: w.value for c, w in per_chart.items()}
     return ValidationReport(
-        "contact_check", volume.value >= threshold, threshold, volume.value,
+        "contact_check", volume.rank >= threshold, threshold, volume.value,
         volume.location, {"min_abs_volume_per_chart": per_chart,
                           "grid": list(grid)})
 
@@ -354,22 +346,26 @@ def _residual_report(check, worst, threshold, grid, degenerate=None):
     if degenerate is not None and degenerate.location:
         return ValidationReport(check, False, threshold, math.inf,
                                 degenerate.location, {"grid": list(grid)})
-    return ValidationReport(check, worst.value < threshold, threshold,
+    return ValidationReport(check, worst.rank < threshold, threshold,
                             worst.value, worst.location, {"grid": list(grid)})
 
 
+_quiet = np.errstate(over="ignore", invalid="ignore")  # checks report these
+
+
+@_quiet
 def contact_sweep(form, tub, grid=(64, 64, 9), threshold=CONTACT_THRESHOLD):
     """:func:`contact_check`'s report, and f on Z from the same sweep:
     ``{chart name: (U, V, f)}``, the chart's samples and C = f from the
     slab that stands for z = 0."""
-    volume, per_chart, f_on_Z = _Worst(smallest=True), {}, {}
+    per_chart, f_on_Z = {}, {}
     for chart, cf, U, V, z, Z, levels in _slabs(form, tub, grid):
         _, _, C, *_, vol = frame_values(cf, chart, U, V, Z)
-        m = volume.update(np.abs(vol), chart, U, V, z=z)
-        per_chart[chart.name] = min(per_chart.get(chart.name, math.inf), m)
+        per_chart.setdefault(chart.name, _Worst(smallest=True)).update(
+            np.abs(vol), chart, U, V, z=z)
         if 0.0 in levels:
             f_on_Z[chart.name] = U, V, C
-    return _contact_report(volume, per_chart, threshold, grid), f_on_Z
+    return _contact_report(per_chart, threshold, grid), f_on_Z
 
 
 def contact_check(form, tub, grid=(64, 64, 9), threshold=CONTACT_THRESHOLD):
@@ -379,32 +375,33 @@ def contact_check(form, tub, grid=(64, 64, 9), threshold=CONTACT_THRESHOLD):
     return contact_sweep(form, tub, grid, threshold)[0]
 
 
-def solve_reeb(form, tub, grid=(64, 64, 9), tol=1e-9):
+@_quiet
+def solve_reeb(form, tub, grid=(64, 64, 9), tol=RESIDUAL_TOL):
     """The validation sweep: ``(reeb, [contact, residuals, identity])``.
 
     Each slab's frame is evaluated once: one slab per (chart, z-level), or
     one per chart for a chart whose frame reads no z (see :func:`_slabs`).
     The contact volume, the Reeb solve with its residual rows and, on the
     slab standing for z = 0, the identity ι_{R|Z} ω = d(f|Z) all come from
-    those arrays.  Where the Reeb system is degenerate by the rule
-    :meth:`BReebField.components` raises on, nothing is raised: ``reeb`` is
-    None and the residual check (and the identity check, for the slab
-    standing for z = 0) fails at the smallest |det N|, naming the cause.
+    those arrays.  Where the rule of :func:`_solve_reeb_system` fails,
+    nothing is raised: ``reeb`` is None and the residual check (and the
+    identity check, for the slab standing for z = 0) fails at the lane
+    where the floor that fired is furthest below it, naming the cause.
     """
-    volume, per_chart = _Worst(smallest=True), {}
-    residual, identity = _Worst(), _Worst()
+    per_chart, residual, identity = {}, _Worst(), _Worst()
     degenerate, degenerate_on_Z = _Worst(smallest=True), _Worst(smallest=True)
     for chart, cf, U, V, z, Z, levels in _slabs(form, tub, grid):
         on_Z = 0.0 in levels
         A, B, C, P, Q, S, vol = frame_values(cf, chart, U, V, Z)
-        m = volume.update(np.abs(vol), chart, U, V, z=z)
-        per_chart[chart.name] = min(per_chart.get(chart.name, math.inf), m)
-        x, rows, det, cause = _solve_checked(A, B, C, P, Q, S, vol)
+        per_chart.setdefault(chart.name, _Worst(smallest=True)).update(
+            np.abs(vol), chart, U, V, z=z)
+        x, measure, cause = _solve_reeb_system(A, B, C, P, Q, S, vol)
         if cause is not None:
-            degenerate.update(np.abs(det), chart, U, V, z=z, cause=cause)
+            degenerate.update(measure, chart, U, V, z=z, cause=cause)
             if on_Z:
-                degenerate_on_Z.update(np.abs(det), chart, U, V, cause=cause)
+                degenerate_on_Z.update(measure, chart, U, V, cause=cause)
             continue
+        rows = _residual_rows(A, B, C, P, Q, S, *x)
         for name, row in zip(_RESIDUAL_NAMES, rows):
             residual.update(np.abs(row), chart, U, V, z=z, component=name)
         if on_Z:  # ι_{R|Z}(w du∧dv) − d(f|Z), in du and dv
@@ -412,13 +409,14 @@ def solve_reeb(form, tub, grid=(64, 64, 9), tol=1e-9):
             for name, row in (("du", -w * x[1] - Q), ("dv", w * x[0] - S)):
                 identity.update(np.abs(row), chart, U, V, component=name)
     return None if degenerate.location else BReebField(form, tub), [
-        _contact_report(volume, per_chart, CONTACT_THRESHOLD, grid),
+        _contact_report(per_chart, CONTACT_THRESHOLD, grid),
         _residual_report("reeb_residuals", residual, tol, grid, degenerate),
         _residual_report("hamiltonian_identity", identity, tol, grid[:2],
                          degenerate_on_Z),
     ]
 
 
+@_quiet
 def reeb_residual_report(form, tub, reeb=None, grid=(64, 64, 9)):
     """Max |α(R) − 1| and max |ι_R dα| component over the validation grid.
 
@@ -433,7 +431,7 @@ def reeb_residual_report(form, tub, reeb=None, grid=(64, 64, 9)):
         x = reeb.components(U, V, Z, chart_name=chart.name)
         for name, row in zip(_RESIDUAL_NAMES, _residual_rows(*frame, *x)):
             residual.update(np.abs(row), chart, U, V, z=z, component=name)
-    return _residual_report("reeb_residuals", residual, 1e-9, grid)
+    return _residual_report("reeb_residuals", residual, RESIDUAL_TOL, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -486,7 +484,7 @@ def exceptional_hamiltonian(form, tub):
     return ZSymplecticData(form, tub)
 
 
-def verify_hamiltonian_identity(form, tub, grid=(64, 64), tol=1e-9):
+def verify_hamiltonian_identity(form, tub, grid=(64, 64), tol=RESIDUAL_TOL):
     """Check ι_{R|_Z} ω = d(f|_Z) componentwise over the Z grid: the
     identity check of :func:`solve_reeb` on the surface grid alone."""
     return solve_reeb(form, tub, grid, tol)[1][2]

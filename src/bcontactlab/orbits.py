@@ -50,7 +50,8 @@ POSITION_TOL = 1e-5      # tangential closeness for a limit claim
 T_MAX = 400.0            # time budget per trace
 MATCH_TOL = 1e-6         # seed-on-trajectory distance for orbit identity
 # Fewer lanes than this evaluate the field point by point on floats: one
-# array call costs what 11 (sphere pole charts) to 16 (torus) float points do.
+# array call costs what 10 (sphere pole charts) to 13 (torus) float points do
+# (tools/small_batch_sweep.py); kept at 16: a lane's bits depend on the path.
 SMALL_BATCH = 16
 
 

@@ -52,9 +52,9 @@ from .beltrami import (BeltramiData, beltrami_stability_matrix,
                        laplace_eigen_check)
 from .charts import TubularChart
 # perfbench/tracer.py wraps all four validation entry points by these names
-from .contact import (contact_check, exceptional_hamiltonian,  # noqa: F401
-                      reeb_residual_report, solve_reeb,
-                      verify_hamiltonian_identity)
+from .contact import (RESIDUAL_TOL, contact_check,  # noqa: F401
+                      exceptional_hamiltonian, reeb_residual_report,
+                      solve_reeb, verify_hamiltonian_identity)
 from .critical import census_bound, find_critical_points, stability_at
 from .mcgehee import (McGeheeParams, McGeheeState, integrate_mcgehee,
                       newtonian_oracle_compare)
@@ -63,7 +63,6 @@ from .scenarios import Scenario, load_scenario, scenario_form
 
 __all__ = ["run", "RunResult", "default_out_dir", "write_report"]
 
-RESIDUAL_TOL = 1e-9
 DRIFT_TOL = 1e-8
 ORACLE_TOL = 1e-6
 PERIODICITY_TOL = 1e-8

@@ -273,6 +273,35 @@ def test_non_contact_form_fails_checks_and_exits_2(tmp_path, subcommand,
         "report.json"]
 
 
+@pytest.mark.parametrize("f", [
+    "1e200*cos(v)*1e200",
+    "cos(v) + 0.3*cos(u)*sin(v) + 1e300*u*1e300*0"],
+    ids=["overflow", "nan"])
+@pytest.mark.parametrize("subcommand,skipped", [
+    ("validate", None), ("all", ["critical", "trace", "census"])])
+def test_non_finite_frame_fails_validation_and_exits_2(tmp_path, f,
+                                                       subcommand, skipped):
+    # the frame overflows to ±inf, or to NaN where u > 0, on most samples
+    payload = {"kind": "bcontact", "name": "non-finite", "surface": "torus",
+               "epsilon": 0.5,
+               "fields": {"torus": {"f": f, "beta_u": "sin(v)",
+                                    "beta_v": "0", "beta_z": "0"}}}
+    path = tmp_path / "non-finite.json"
+    path.write_text(json.dumps(payload))
+    out = tmp_path / "out"
+    assert main([subcommand, "--scenario", str(path), "--out", str(out)]) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert "error" not in report
+    checks = {c["check"]: c for c in report["checks"]}
+    assert not any(c["passed"] for c in checks.values())
+    contact = checks["contact_check"]
+    assert contact["worst_value"] in ("inf", "nan")
+    assert contact["worst_location"]["chart"] == "torus"
+    for name in ("reeb_residuals", "hamiltonian_identity"):
+        assert checks[name]["worst_location"]["cause"]
+    assert report.get("skipped", {}).get("stages") == skipped
+
+
 def test_mcgehee_trajectory_file(tmp_path):
     result = run("mcgehee", "all", tmp_path)
     assert result.exit_status == 0

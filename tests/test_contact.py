@@ -151,6 +151,46 @@ def test_components_raise_on_rank_deficiency():
                         np.zeros(3))
 
 
+def _cancelling_torus(L):
+    """f = L sin v + cos v, β = sin v du: V = −1 exactly, while
+    T = |A·S| + |B·Q| + |C·P| reaches about L at v = π/4."""
+    return torus_setup(f=f"{L:g}*sin(v) + cos(v)", beta_u="sin(v)")
+
+
+def test_relative_floor_passes_a_form_above_it():
+    tub, form = _cancelling_torus(1e6)
+    U, V = (a.ravel() for a in np.meshgrid(*tub.charts["torus"].grid(64, 64),
+                                           indexing="ij"))
+    reeb = BReebField(form, tub)
+    for z in (0.0, 0.01):
+        reeb.components(U, V, np.full_like(U, z))
+    assert solve_reeb(form, tub)[0] is not None
+
+
+def test_relative_floor_rejects_cancellation_in_V():
+    tub, form = _cancelling_torus(1e8)
+    reeb = BReebField(form, tub)
+    floor = r"\|V\|/\(\|A·S\| \+ \|B·Q\| \+ \|C·P\|\) min .* < 1e-07"
+    with pytest.raises(RankDeficiencyError, match=floor):
+        reeb.components(0.3, math.pi / 4, 0.01)
+    with pytest.raises(RankDeficiencyError, match=floor):
+        reeb.linearization_at(0.3, math.pi / 4)
+    solved, (contact_rep, residuals, identity) = solve_reeb(form, tub)
+    assert solved is None
+    assert contact_rep.passed  # |V| = 1: the form is contact, but ill-posed
+    chart = tub.charts["torus"]
+    U, V = (a.ravel() for a in np.meshgrid(*chart.grid(64, 64),
+                                           indexing="ij"))
+    A, B, C, P, Q, S, vol = frame_values(form.for_chart("torus"), chart, U, V,
+                                         np.full_like(U, tub.epsilon))
+    k = int(np.argmin(np.abs(vol) / (abs(A * S) + abs(B * Q) + abs(C * P))))
+    for report in (residuals, identity):
+        where = report.worst_location
+        assert not report.passed
+        assert (where["u"], where["v"]) == (U[k], V[k])
+        assert where["cause"].startswith("|V|/(|A·S|")
+
+
 def test_closed_form_solves_the_reeb_system_symbolically():
     """(S, −Q, P)/V satisfies all four rows of M x = e₁ identically, and
     det(MᵀM) = V²(P² + Q² + S²) (Cauchy–Binet)."""
@@ -533,16 +573,18 @@ def _per_level_reports(form, tub, grid, tol=1e-9):
         for z in z_ladder(tub.epsilon, grid[2]):
             A, B, C, P, Q, S, vol = frame_values(cf, chart, U, V,
                                                  np.full_like(U, z))
-            m = volume.update(np.abs(vol), chart, U, V, z=z)
-            per_chart[chart.name] = min(per_chart.get(chart.name, math.inf),
-                                        m)
-            x, rows, det, cause = contact._solve_checked(A, B, C, P, Q, S, vol)
+            volume.update(np.abs(vol), chart, U, V, z=z)
+            chart_volume = per_chart.setdefault(
+                chart.name, contact._Worst(smallest=True))
+            chart_volume.update(np.abs(vol), chart, U, V, z=z)
+            x, measure, cause = contact._solve_reeb_system(A, B, C, P, Q, S,
+                                                           vol)
             if cause is not None:
-                degenerate.update(np.abs(det), chart, U, V, z=z, cause=cause)
+                degenerate.update(measure, chart, U, V, z=z, cause=cause)
                 if z == 0.0:
-                    degenerate_on_Z.update(np.abs(det), chart, U, V,
-                                           cause=cause)
+                    degenerate_on_Z.update(measure, chart, U, V, cause=cause)
                 continue
+            rows = contact._residual_rows(A, B, C, P, Q, S, *x)
             for name, row in zip(contact._RESIDUAL_NAMES, rows):
                 residual.update(np.abs(row), chart, U, V, z=z, component=name)
             if z == 0.0:
@@ -550,8 +592,12 @@ def _per_level_reports(form, tub, grid, tol=1e-9):
                 for name, row in (("du", -w * x[1] - Q), ("dv", w * x[0] - S)):
                     identity.update(np.abs(row), chart, U, V, component=name)
     return not degenerate.location, [
-        contact._contact_report(volume, per_chart, contact.CONTACT_THRESHOLD,
-                                grid),
+        ValidationReport(
+            "contact_check", volume.rank >= contact.CONTACT_THRESHOLD,
+            contact.CONTACT_THRESHOLD, volume.value, volume.location,
+            {"min_abs_volume_per_chart": {c: w.value
+                                          for c, w in per_chart.items()},
+             "grid": list(grid)}),
         contact._residual_report("reeb_residuals", residual, tol, grid,
                                  degenerate),
         contact._residual_report("hamiltonian_identity", identity, tol,

@@ -1,0 +1,95 @@
+"""Time the two evaluation paths of the orbit right-hand side by lane count.
+
+Usage: python3 tools/small_batch_sweep.py [--repeat R]
+
+``orbits.regularized_field`` evaluates fewer than ``orbits.SMALL_BATCH``
+lanes point by point on floats and more in one array call.  For 4 to 24
+lanes on three charts (the torus builtin's chart and the sphere builtin's
+``north`` and ``north-pole`` charts), this prints the time of one array
+call over the time of the float path for the same lanes; the two cost the
+same where the ratio is 1.  The last lines give, per chart, the lane
+count where straight lines fitted to the two paths' times cross, which
+single noisy ratios move less.  Each time is the minimum over ``R``
+repeats of a loop of about 10 ms, since a shared host only ever slows a
+run down.  It measures the checkout it sits in: the package is imported
+from the ``src`` directory beside this one.
+"""
+from __future__ import annotations
+
+import argparse
+import math
+import random
+import sys
+import timeit
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from bcontactlab import orbits  # noqa: E402
+from bcontactlab.contact import BReebField  # noqa: E402
+from bcontactlab.scenarios import load_scenario, scenario_form  # noqa: E402
+
+CHARTS = (("torus", "torus"), ("sphere", "north"), ("sphere", "north-pole"))
+LANES = range(4, 25)
+
+
+def _lanes(chart, n, rng):
+    """n states (u, v, s) inside ``chart``, with z = e^s in (e^-8, e^-1)."""
+    rows = []
+    for _ in range(n):
+        if chart.disk_radius > 0.0:
+            r = 0.8 * chart.disk_radius * math.sqrt(rng.random())
+            a = rng.uniform(0.0, 2.0 * math.pi)
+            u, v = r * math.cos(a), r * math.sin(a)
+        else:
+            (u0, u1), (v0, v1) = chart.u_range, chart.v_range
+            u = rng.uniform(u0 + 0.1 * (u1 - u0), u1 - 0.1 * (u1 - u0))
+            v = rng.uniform(v0 + 0.1 * (v1 - v0), v1 - 0.1 * (v1 - v0))
+        rows.append((u, v, rng.uniform(-8.0, -1.0)))
+    return np.array(rows)
+
+
+def _seconds(rhs, y, batch, repeat):
+    """Minimum time of one ``rhs(0, y)`` with ``SMALL_BATCH`` at ``batch``."""
+    saved, orbits.SMALL_BATCH = orbits.SMALL_BATCH, batch
+    try:
+        once = timeit.timeit(lambda: rhs(0.0, y), number=1)
+        loops = max(1, int(0.01 / once))  # about 10 ms per repeat
+        return min(timeit.repeat(lambda: rhs(0.0, y), number=loops,
+                                 repeat=repeat)) / loops
+    finally:
+        orbits.SMALL_BATCH = saved
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=7)
+    args = parser.parse_args(argv)
+    rng = random.Random(16)
+    times = {}
+    for scenario, name in CHARTS:
+        tub, form = scenario_form(load_scenario(scenario))
+        rhs = orbits.regularized_field(BReebField(form, tub), name, 1)
+        times[name] = {n: (_seconds(rhs, y, 0, args.repeat),  # one array call
+                           _seconds(rhs, y, n + 1, args.repeat))  # by point
+                       for n, y in ((n, _lanes(tub.charts[name], n, rng))
+                                    for n in LANES)}
+    print(f"current SMALL_BATCH = {orbits.SMALL_BATCH}")
+    print("array/float time ratio of regularized_field by lane count")
+    print("lanes " + "".join(f"{name:>12}" for name in times))
+    for n in LANES:
+        print(f"{n:5d} " + "".join(f"{t[n][0] / t[n][1]:12.2f}"
+                                  for t in times.values()))
+    for name, t in times.items():
+        (b_arr, a_arr), (b_flt, a_flt) = (
+            np.polyfit(list(LANES), [t[n][k] for n in LANES], 1)
+            for k in (0, 1))
+        print(f"{name}: break-even at {(a_arr - a_flt) / (b_flt - b_arr):.1f}"
+              f" lanes (array {a_arr * 1e6:.0f} us + {b_arr * 1e6:.2f} us/lane,"
+              f" float {b_flt * 1e6:.2f} us/lane)")
+
+
+if __name__ == "__main__":
+    main()
