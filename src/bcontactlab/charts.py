@@ -195,8 +195,9 @@ class TubularChart:
                                                          ca[1] - cb[1]))
         return np.hypot(np.hypot(ca[0] - cb[0], ca[1] - cb[1]), ca[2] - cb[2])
 
-    def express_in(self, chart_name, canonical):
-        """Canonical coordinates → this chart's (u, v), or None if outside it."""
+    def express_in(self, chart_name, canonical, slack=0.0):
+        """Canonical coordinates → this chart's (u, v), or None if outside its
+        domain widened by ``slack`` (narrowed, for a negative ``slack``)."""
         chart = self.charts[chart_name]
         if self.kind == "torus":
             return chart.wrap(*canonical)
@@ -212,5 +213,13 @@ class TubularChart:
         else:  # south-pole
             rho = math.pi - theta
             uv = (rho * math.cos(-phi), rho * math.sin(-phi))
-        return uv if chart.contains(*uv) else None
+        return uv if chart.contains(*uv, slack=slack) else None
+
+    def held_inside(self, chart_name, u, v, others, margin):
+        """Whether one of the charts named in ``others``, other than
+        ``chart_name``, holds the point (u, v) of ``chart_name`` at least
+        ``margin`` inside its domain."""
+        canonical = self.to_canonical(chart_name, u, v)
+        return any(self.express_in(name, canonical, slack=-margin) is not None
+                   for name in others if name != chart_name)
 

@@ -4,7 +4,12 @@ The pipeline is: coarse grid scan for local minima of |∇H|² (every sample
 compared with its eight neighbours by whole-array comparisons; a disk chart
 is sampled on its bounding square with +inf outside the disk), Newton
 refinement on ∇H = 0, cross-chart deduplication in canonical coordinates,
-then per-point classification.  At a nondegenerate critical point p the
+then per-point classification.  A minimum on the edge of a chart's sampled
+domain is refined only where no other scanned chart holds the sample at
+least one coarse cell inside its own domain: past the edge the +inf
+padding makes a |∇H|² that falls toward the edge look like a minimum, and a
+chart holding the point scans it in its interior.  An edge that no other
+chart covers keeps its candidates.  At a nondegenerate critical point p the
 linearized Reeb field DR(p) has spectrum {λ₊, λ₋, λ_z} with
 
     λ± = ±√(−det Hess H(p))   (Hessian in Darboux-normalized coordinates,
@@ -106,6 +111,20 @@ def _grad_sq_grid(zdata, chart, U, V):
     return gu * gu + gv * gv
 
 
+def _neighbours(A, u_periodic, v_periodic, fill):
+    """The nine copies of A shifted by −1, 0, 1 cells along each axis, the
+    fifth being A itself: a periodic axis wraps, the other is padded with
+    ``fill``."""
+    padded = A
+    for axis, periodic in enumerate((u_periodic, v_periodic)):
+        width = [(0, 0), (0, 0)]
+        width[axis] = (1, 1)
+        padded = (np.pad(padded, width, mode="wrap") if periodic
+                  else np.pad(padded, width, constant_values=fill))
+    nu, nv = A.shape
+    return [padded[di:di + nu, dj:dj + nv] for di in range(3) for dj in range(3)]
+
+
 def _local_minima_box(G, u_periodic, v_periodic):
     """Row-major (i, j) of the cells of G that no neighbour undercuts.
 
@@ -114,18 +133,18 @@ def _local_minima_box(G, u_periodic, v_periodic):
     +inf.  Only a strictly smaller neighbour disqualifies, so plateau cells
     and NaN cells are kept.
     """
-    padded = G
-    for axis, periodic in enumerate((u_periodic, v_periodic)):
-        width = [(0, 0), (0, 0)]
-        width[axis] = (1, 1)
-        padded = (np.pad(padded, width, mode="wrap") if periodic
-                  else np.pad(padded, width, constant_values=np.inf))
-    nu, nv = G.shape
     undercut = np.zeros(G.shape, dtype=bool)
-    for di in range(3):  # the offset (1, 1) is the cell itself: never smaller
-        for dj in range(3):
-            undercut |= padded[di:di + nu, dj:dj + nv] < G
+    for shifted in _neighbours(G, u_periodic, v_periodic, np.inf):
+        undercut |= shifted < G  # the unshifted copy is G: never smaller
     return np.argwhere(~undercut)
+
+
+def _edge_cells(inside, u_periodic, v_periodic):
+    """The cells of ``inside`` with a neighbour outside the sampled domain:
+    past a non-periodic edge of the grid, or outside a disk."""
+    held = np.logical_and.reduce(_neighbours(inside, u_periodic, v_periodic,
+                                             False))
+    return inside & ~held
 
 
 def _newton_refine(zdata, chart, u0, v0, tol):
@@ -183,9 +202,14 @@ def find_critical_points(zdata, tub, coarse=(128, 128), newton_tol=NEWTON_TOL,
                              "chart": chart.name,
                              "detail": "|grad H| below tolerance everywhere"})
             continue
+        edge = _edge_cells(inside, chart.u_periodic, chart.v_periodic)
+        cell = math.hypot(axis_u[1] - axis_u[0], axis_v[1] - axis_v[0])
         for i, j in _local_minima_box(G, chart.u_periodic, chart.v_periodic):
             if not inside[i, j]:
                 continue
+            if edge[i, j] and tub.held_inside(chart.name, axis_u[i], axis_v[j],
+                                              zdata.form.fields, cell):
+                continue  # another chart scans this point in its interior
             got = _newton_refine(zdata, chart, axis_u[i], axis_v[j], newton_tol)
             if got is None:
                 warnings.append({"kind": "newton-dropped", "chart": chart.name,

@@ -29,9 +29,16 @@ rho^8 leaves a remainder below 1e-16 for rho <= 0.09, i.e. they are exact
 to double precision on a cap of radius 0.3.  The JSON files store the
 resulting polynomial strings; :func:`sphere_field_strings` regenerates
 them so a test can pin the shipped files to the generator.
+
+Field strings are parsed once per process: validation and
+:func:`scenario_form` share one bounded parse memo, and a second bounded
+memo hands every scenario with the same strings in a chart the same
+:class:`ChartFields`, whose frame trees, compiled frame function and
+partials are then derived once, not once per run.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -227,11 +234,34 @@ def _check_number(origin, data, key, lo=None, hi=None):
     return value
 
 
+# Memo bounds.  Neither memo needs invalidation: Expr trees are frozen, the
+# compiled frame function is pure, and lru_cache never caches an exception,
+# so a string that fails to parse fails again.  Retained memory (tracemalloc,
+# parse entries, trees, compiled function and partials): the torus builtin
+# ~14 KB, the sphere's four charts ~381 KB, of which a pole disk's derived
+# trees are ~185 KB; so a memo full of charts that size retains about
+# 32 x 190 KB = 6 MB (larger field strings retain more per chart).
+FIELD_MEMO_SIZE = 32  # charts in the ChartFields memo
+PARSE_MEMO_SIZE = 4 * FIELD_MEMO_SIZE  # strings: four fields per chart
+
+
+@functools.lru_cache(maxsize=PARSE_MEMO_SIZE)
+def _parse(text, variables):
+    return parse(text, variables)
+
+
+@functools.lru_cache(maxsize=FIELD_MEMO_SIZE)
+def _chart_fields(variables, f, beta_u, beta_v, beta_z):
+    """The one ChartFields of these strings over ``variables``."""
+    return ChartFields(*(_parse(text, variables)
+                         for text in (f, beta_u, beta_v, beta_z)))
+
+
 def _check_expression(origin, text, variables, where):
     if not isinstance(text, str):
         _fail(origin, f"{where} must be an expression string, got {text!r}")
     try:
-        parse(text, variables)
+        _parse(text, variables)
     except ParseError as exc:
         _fail(origin, f"{where}: {exc}")
 
@@ -365,7 +395,8 @@ def load_scenario(source):
 
 
 def scenario_form(scenario):
-    """Build the atlas and field bundle for a ``bcontact`` scenario."""
+    """Build the atlas and field bundle for a ``bcontact`` scenario; charts
+    with the strings of an earlier scenario share its :class:`ChartFields`."""
     if scenario.kind != "bcontact":
         raise ScenarioError(
             f"{scenario.origin}: expected a 'bcontact' scenario, "
@@ -374,11 +405,7 @@ def scenario_form(scenario):
     atlas = _surface_atlas(scenario.data["surface"], epsilon)
     fields = {}
     for chart_name, entry in scenario.data["fields"].items():
-        variables = atlas.charts[chart_name].variables
-        fields[chart_name] = ChartFields(
-            f=parse(entry["f"], variables),
-            beta_u=parse(entry.get("beta_u", "0"), variables),
-            beta_v=parse(entry.get("beta_v", "0"), variables),
-            beta_z=parse(entry.get("beta_z", "0"), variables),
-        )
+        fields[chart_name] = _chart_fields(
+            atlas.charts[chart_name].variables, entry["f"],
+            *(entry.get(key, "0") for key in ("beta_u", "beta_v", "beta_z")))
     return atlas, BContactForm(fields)

@@ -34,6 +34,12 @@ def test_sphere_pipeline_passes(sphere_run):
     assert sphere_run.report["bound"]["expected_weighted"] == 4
 
 
+def test_sphere_scan_refines_no_phantom_edge_candidate(sphere_run):
+    # the angular charts' θ edges lie inside the pole disks and the other
+    # angular chart, which scan those points in their interiors
+    assert sphere_run.report["scan_warnings"] == []
+
+
 def test_sphere_artifacts(sphere_run):
     names = sorted(p.name for p in sphere_run.out_dir.iterdir())
     assert names == ["census.csv", "orbit_000.csv", "orbit_001.csv",

@@ -1,9 +1,13 @@
 """tools/compare_runs.py: the report-and-CSV oracle for refactors."""
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import bcontactlab
+from bcontactlab import scenarios
+from bcontactlab.cli import main
 from bcontactlab.runner import run
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_runs.py"
@@ -31,3 +35,25 @@ def test_compare_runs_passes_two_runs_and_fails_one_changed_byte(tmp_path):
     changed = _compare(a, c)
     assert changed.returncode == 1
     assert changed.stdout.splitlines()[0] == f"{csv.name}: differs"
+
+
+def test_runs_on_a_warm_field_memo_equal_a_fresh_process(tmp_path):
+    # cold and warm in this process, then cold again in a new interpreter
+    scenarios._chart_fields.cache_clear()
+    scenarios._parse.cache_clear()
+    src = str(Path(bcontactlab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    for name in ("torus", "sphere"):
+        for side in ("cold", "warm"):
+            argv = ["all", "--scenario", name, "--out", str(tmp_path / side / name)]
+            assert main(argv) == 0
+        fresh = subprocess.run(
+            [sys.executable, "-m", "bcontactlab.cli", "all", "--scenario",
+             name, "--out", str(tmp_path / "fresh" / name)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert fresh.returncode == 0, fresh.stderr
+    for a, b in (("cold", "warm"), ("cold", "fresh"), ("warm", "fresh")):
+        same = _compare(tmp_path / a, tmp_path / b)
+        assert same.returncode == 0, same.stdout
+        assert same.stdout.startswith("0 of ")

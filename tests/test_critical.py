@@ -18,12 +18,15 @@ import math
 import numpy as np
 import pytest
 
-from bcontactlab.contact import BReebField, exceptional_hamiltonian
+from bcontactlab.charts import TubularChart
+from bcontactlab.contact import (BContactForm, BReebField, ChartFields,
+                                 exceptional_hamiltonian)
 from bcontactlab.critical import (
     MorseInequalityViolation, NotMorseError, RegularValueViolation,
-    SpectrumMismatchError, _local_minima_box, census_bound,
+    SpectrumMismatchError, _edge_cells, _local_minima_box, census_bound,
     find_critical_points, stability_at,
 )
+from bcontactlab.expressions import parse
 from bcontactlab.runner import run
 from bcontactlab.scenarios import load_scenario, scenario_form
 from tests.test_contact import torus_setup
@@ -280,3 +283,61 @@ def test_array_scan_matches_the_reference_loop():
         for periodic in ((False, False), (True, False), (False, True), (True, True)):
             got = [tuple(int(k) for k in ij) for ij in _local_minima_box(G, *periodic)]
             assert got == _local_minima_loop(G, *periodic), (G, periodic)
+
+
+def test_edge_cells_are_the_cells_next_to_the_outside():
+    inside = np.ones((4, 5), dtype=bool)
+    inside[3, 4] = False
+    for u_periodic, v_periodic in ((False, False), (True, False), (False, True),
+                                   (True, True)):
+        got = _edge_cells(inside, u_periodic, v_periodic)
+        for i in range(4):
+            for j in range(5):
+                out = [(i + di, j + dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)
+                       if not (u_periodic or 0 <= i + di < 4)
+                       or not (v_periodic or 0 <= j + dj < 5)
+                       or not inside[(i + di) % 4, (j + dj) % 5]]
+                assert got[i, j] == (inside[i, j] and bool(out)), (i, j)
+
+
+# A minimum of f at colatitude 0.055, between the north chart's first two
+# rows (0.05 and 0.0636): its nearest sample is on the chart's edge, and the
+# north-pole disk holds it far inside.  f is 2 + |(u, v) − (a, b)|² in the
+# disk's coordinates (u, v) = θ (cos φ, sin φ), and the same in (θ, φ).
+THETA0, PHI0 = 0.055, 0.4
+A0, B0 = THETA0 * math.cos(PHI0), THETA0 * math.sin(PHI0)
+NEAR_EDGE = {
+    "north": f"2 + (theta*cos(phi) - {A0!r})^2 + (theta*sin(phi) - {B0!r})^2",
+    "north-pole": f"2 + (u - {A0!r})^2 + (v - {B0!r})^2",
+}
+
+
+def _near_edge_scan(charts):
+    tub = TubularChart.sphere_atlas()
+    zero = parse("0")
+    form = BContactForm({
+        name: ChartFields(parse(NEAR_EDGE[name], tub.charts[name].variables),
+                          zero, zero, zero) for name in charts})
+    warnings = []
+    points = find_critical_points(exceptional_hamiltonian(form, tub), tub,
+                                  warnings=warnings)
+    hits = [p for p in points if tub.distance(
+        "north-pole", (A0, B0), p.chart, (p.u, p.v)) < 1e-7]
+    return points, hits, warnings
+
+
+def test_point_in_the_overlap_next_to_an_edge_is_found_once():
+    points, hits, warnings = _near_edge_scan(("north", "north-pole"))
+    assert len(points) == len(hits) == 1
+    assert hits[0].chart == "north-pole" and hits[0].index == 2
+    assert warnings == []
+
+
+def test_edge_candidate_that_no_other_chart_holds_is_refined():
+    # the same minimum with the disk chart left out of the form: only the
+    # north chart's edge sample leads to it, so it must still be refined
+    points, hits, _ = _near_edge_scan(("north",))
+    assert len(points) == len(hits) == 1
+    assert hits[0].chart == "north" and hits[0].index == 2
+    assert hits[0].u == pytest.approx(THETA0, abs=1e-9)
+    assert hits[0].v == pytest.approx(PHI0, abs=1e-9)

@@ -4,8 +4,12 @@ import math
 
 import pytest
 
+from bcontactlab import contact, expressions, scenarios
+from bcontactlab.contact import frame_values
 from bcontactlab.expressions import eval_value, parse
 from bcontactlab.scenarios import (
+    FIELD_MEMO_SIZE,
+    PARSE_MEMO_SIZE,
     ScenarioError,
     builtin_names,
     builtin_scenario_dict,
@@ -102,6 +106,91 @@ def test_mass_ratio_bounds(tmp_path):
 def test_nonexistent_path_lists_builtins():
     with pytest.raises(ScenarioError, match="built-in"):
         load_scenario("no-such-scenario")
+
+
+# ---------------------------------------------------------------------------
+# the field memo: strings parsed and trees derived once per process
+
+
+def _counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+def _derive_all(atlas, form):
+    """Every chart's ChartTrees, with its partials derived."""
+    trees = {}
+    for name, cf in form.fields.items():
+        trees[name] = cf.trees(atlas.charts[name])
+        trees[name].frame_partials
+    return trees
+
+
+def test_a_second_build_derives_and_compiles_nothing(tmp_path, monkeypatch):
+    counts = {}
+    _counting(monkeypatch, contact, "differentiate", counts)
+    _counting(monkeypatch, contact, "compile", counts)
+    _counting(monkeypatch, expressions, "differentiate", counts)
+    payload = builtin_scenario_dict("torus")  # strings no other test builds
+    payload["fields"]["torus"]["f"] = "cos(v) + 0.3125*cos(u)*sin(v)"
+    path = _write(tmp_path, payload)
+    first = _derive_all(*scenario_form(load_scenario(path)))
+    assert counts["differentiate"] > 0 and counts["compile"] == 1
+    counts.clear()
+    second = _derive_all(*scenario_form(load_scenario(path)))
+    assert counts == {}
+    assert second["torus"] is first["torus"]
+
+
+def test_epsilons_share_trees_and_a_changed_string_does_not(tmp_path):
+    payload = builtin_scenario_dict("sphere")
+    payload["epsilon"] = 0.3
+    atlas_a, form_a = scenario_form(load_scenario(_write(tmp_path, payload)))
+    payload["epsilon"] = 0.6
+    atlas_b, form_b = scenario_form(load_scenario(_write(tmp_path, payload)))
+    assert (atlas_a.epsilon, atlas_b.epsilon) == (0.3, 0.6)
+    for name in form_a.fields:
+        assert form_b.fields[name] is form_a.fields[name]
+
+    pole = payload["fields"]["north-pole"]
+    assert pole["f"].startswith("1 - ")
+    pole["f"] = "2" + pole["f"][1:]  # one character differs
+    atlas_c, form_c = scenario_form(load_scenario(_write(tmp_path, payload)))
+    for name in form_a.fields:
+        assert (form_c.fields[name] is form_a.fields[name]) == (
+            name != "north-pole"), name
+    chart = atlas_c.charts["north-pole"]
+    trees_a = form_a.fields["north-pole"].trees(chart)
+    trees_c = form_c.fields["north-pole"].trees(chart)
+    assert trees_c is not trees_a
+    f_a = frame_values(form_a.fields["north-pole"], chart, 0.1, 0.2, 0.0)[2]
+    f_c = frame_values(form_c.fields["north-pole"], chart, 0.1, 0.2, 0.0)[2]
+    assert f_c == pytest.approx(f_a + 1.0, abs=1e-15)
+
+
+def test_memos_stay_within_their_bounds(tmp_path):
+    payload = builtin_scenario_dict("torus")
+    for k in range(FIELD_MEMO_SIZE + 5):
+        payload["fields"]["torus"]["f"] = f"cos(v) + {k + 1}e-3*sin(u)"
+        payload["fields"]["torus"]["beta_z"] = f"{k}*sin(u)"
+        scenario_form(load_scenario(_write(tmp_path, payload)))
+    assert scenarios._chart_fields.cache_info().currsize <= FIELD_MEMO_SIZE
+    assert scenarios._parse.cache_info().currsize <= PARSE_MEMO_SIZE
+
+
+def test_a_string_that_fails_to_parse_fails_every_time(tmp_path):
+    payload = builtin_scenario_dict("sphere")
+    payload["fields"]["north"]["beta_v"] = "sin(theta)^"
+    path = _write(tmp_path, payload)
+    for _ in range(2):
+        with pytest.raises(ScenarioError,
+                           match=r"fields\['north'\]\['beta_v'\]"):
+            load_scenario(path)
 
 
 # ---------------------------------------------------------------------------
