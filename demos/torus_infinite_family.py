@@ -51,5 +51,5 @@ print(f"\nbound verdict: {bound.verdict!r}  (b1 > 0 forces an infinite family)")
 print(f"distinct sampled orbits: {census.n_distinct}, "
       f"consistent with the bound: {census.consistent_with_bound}")
 
-# the same trajectories, one CSV per orbit plus report.json, come from
+# the same trajectories, in orbits.csv beside report.json, come from
 #     bcontactlab census --scenario torus --out runs/torus

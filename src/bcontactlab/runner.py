@@ -9,22 +9,26 @@ each stage as ``timing["<name>_s"]`` and all artifact writing as
 decides the verdict.  The artifacts:
 
 ``report.json``
-    Every fragment plus the verdict, serialized with sorted keys.  All
-    wall-clock measurements live under the single top-level key
-    ``"timing"``, so two runs of an unchanged scenario produce reports
+    Every fragment plus the verdict, serialized on one line with sorted
+    keys.  All wall-clock measurements live under the single top-level
+    key ``"timing"``, so two runs of an unchanged scenario produce reports
     that are byte-identical once that subtree is dropped.  One rule
     (:func:`_reported`) turns a stage's result dataclasses into report
     data: every field is reported under its own name, except those
     declared ``field(metadata={"report": False})`` (the arrays); complex
-    numbers become ``[real, imag]`` and tuples lists.
+    numbers become ``[real, imag]``, tuples lists and non-finite floats
+    their ``repr``.
 ``census.csv``
     One row per critical point with its orbit tally (``census`` stage).
-``orbit_NNN.csv``
-    One file per traced orbit, columns ``t,u,v,s,z,side``.  Time runs
-    monotonically through the seed; ``side`` is the sign of z and ``s``
-    is log|z|.
+``orbits.csv``
+    Every traced orbit, columns ``orbit,t,u,v,s,z,side``; ``orbit`` is
+    the orbit's index in the report's ``orbits`` list.  Within an orbit
+    time runs monotonically through the seed; ``side`` is the sign of z
+    and ``s`` is log|z|.
 ``trajectory.csv``
     The inverted-radius run, columns ``t,x,a,Pr,Pa,H``.
+
+A CSV cell is its value's ``str``: a float's shortest round-trip repr.
 
 Stages raise; :func:`run` converts the failure into an ``error`` block,
 keeps whatever artifacts exist, and reports exit status 1.  Verdict
@@ -109,15 +113,18 @@ def _report_fields(cls):
 def _reported(obj):
     """Report data for a stage result: a dataclass becomes a dict of its
     fields minus those declared ``field(metadata={"report": False})``, a
-    complex number ``[real, imag]`` and a tuple a list; dicts and lists are
-    converted inside, and anything else passes through unchanged."""
-    if obj is None or isinstance(obj, (str, int, float)):
+    complex number ``[real, imag]``, a tuple a list and a non-finite float
+    (json rejects it) its ``repr``; dicts and lists are converted inside,
+    and anything else passes through unchanged."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(float(obj))
+    if obj is None or isinstance(obj, (str, int)):
         return obj  # the common leaves, before the dataclass lookup
     names = _report_fields(type(obj))
     if names is not None:
         return {name: _reported(getattr(obj, name)) for name in names}
     if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+        return [_reported(obj.real), _reported(obj.imag)]
     if isinstance(obj, dict):
         return {k: _reported(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -125,37 +132,26 @@ def _reported(obj):
     return obj
 
 
-def _scrub(obj):
-    """Replace non-finite floats (json rejects them) before serializing."""
-    if isinstance(obj, dict):
-        return {k: _scrub(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_scrub(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
-
-
 def write_report(report, out_dir):
+    """Write ``report.json`` on one line with sorted keys.  Without an
+    indent json runs its C encoder; non-finite floats are already strings
+    (:func:`_reported`), and ``allow_nan=False`` keeps the JSON strict."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "report.json"
-    payload = json.dumps(_scrub(report), indent=2, sort_keys=True,
-                         default=_jsonable, allow_nan=False)
+    payload = json.dumps(report, sort_keys=True, default=_jsonable,
+                         allow_nan=False)
     path.write_text(payload + "\n")
     return path
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _write_csv(path, header, rows):
-    lines = [header]
-    lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n")
+def _write_csv(path, header, blocks):
+    """Write a CSV from blocks of rows, one ``write`` per block, so that
+    no more than a block is ever held as text; a cell is its ``str``."""
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for rows in blocks:
+            f.write("".join([",".join(map(str, row)) + "\n" for row in rows]))
     return Path(path)
 
 
@@ -219,26 +215,25 @@ def _stage_census(ctx, tol):
     return {"census": _reported(ctx.census)}, failures
 
 
-def _orbit_rows(orbit):
-    """Merge the two traces into one time-ordered pass through the seed:
-    the away trace backwards, less the seed the toward trace repeats."""
+def _orbit_rows(k, orbit):
+    """Orbit ``k``'s rows, its two traces merged into one time-ordered pass
+    through the seed: the away trace backwards, less the seed the toward
+    trace repeats."""
     rows = []
     for trace, sign, order in ((orbit.away, -1, slice(None, 0, -1)),
                                (orbit.toward, 1, slice(None))):
         t = (sign * trace.direction * trace.t).tolist()
-        for ti, (u, v, s) in list(zip(t, trace.y.tolist()))[order]:
-            rows.append((ti, u, v, s, trace.sigma * math.exp(s), trace.sigma))
+        sigma = trace.sigma
+        rows += [(k, ti, u, v, s, sigma * math.exp(s), sigma)
+                 for ti, (u, v, s) in list(zip(t, trace.y.tolist()))[order]]
     return rows
 
 
-def _write_orbit_files(ctx, out_dir):
-    paths = []
-    for k, orbit in enumerate(ctx.orbits):
-        if orbit.toward is None:
-            continue
-        path = Path(out_dir) / f"orbit_{k:03d}.csv"
-        paths.append(_write_csv(path, "t,u,v,s,z,side", _orbit_rows(orbit)))
-    return paths
+def _write_orbits_file(ctx, out_dir):
+    blocks = (_orbit_rows(k, orbit) for k, orbit in enumerate(ctx.orbits)
+              if orbit.toward is not None)
+    return [_write_csv(Path(out_dir) / "orbits.csv", "orbit,t,u,v,s,z,side",
+                       blocks)]
 
 
 def _write_census_file(ctx, out_dir):
@@ -246,7 +241,7 @@ def _write_census_file(ctx, out_dir):
              "|".join(str(w) for w in d["weights"]))
             for d in ctx.census.per_point]
     return [_write_csv(Path(out_dir) / "census.csv",
-                       "chart,u,v,index,n_orbits,weights", rows)]
+                       "chart,u,v,index,n_orbits,weights", [rows])]
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +263,7 @@ def _run_beltrami(ctx, tol):
     fragment = {
         "identity": _reported(identity),
         "laplace": _reported(laplace),
-        "roundtrip": _scrub(dict(roundtrip)),
+        "roundtrip": _reported(roundtrip),
         "stagnation": _reported(stagnation),
     }
     failures = []
@@ -318,13 +313,13 @@ def _run_mcgehee(ctx, tol):
             "n_samples": oracle["n_samples"],
         }
 
-    fragment = {
+    fragment = _reported({
         "mu": params.mu,
         "state0": list(state0.as_array()),
         "t_end": t_end,
         "integrator": traj.stats,
         "checks": checks,
-    }
+    })
     return fragment, [name for name, c in checks.items() if not c["passed"]]
 
 
@@ -332,7 +327,7 @@ def _write_trajectory_file(ctx, out_dir):
     traj = ctx.trajectory
     rows = np.column_stack((traj.t, traj.y, traj.energy)).tolist()
     return [_write_csv(Path(out_dir) / "trajectory.csv", "t,x,a,Pr,Pa,H",
-                       rows)]
+                       [rows])]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +349,7 @@ _PIPELINES = {
         _Stage("critical", _stage_critical, ("critical", "all"),
                ("critical",)),
         _Stage("trace", _stage_trace, ("trace", "census", "all"),
-               ("trace", "census", "all"), _write_orbit_files),
+               ("trace", "census", "all"), _write_orbits_file),
         _Stage("census", _stage_census, ("census", "all"), (),
                _write_census_file),
     ),
@@ -394,7 +389,8 @@ def run(source, subcommand="all", out_dir=None, *, tol=None, grid=None,
         grid3 = (*grid3, 9)
 
     report = {
-        "scenario": {"origin": scenario.origin, **scenario.data},
+        "scenario": _reported({"origin": scenario.origin,
+                               **scenario.data}),
         "subcommand": subcommand,
         "kind": scenario.kind,
     }

@@ -42,23 +42,130 @@ def test_sphere_scan_refines_no_phantom_edge_candidate(sphere_run):
 
 def test_sphere_artifacts(sphere_run):
     names = sorted(p.name for p in sphere_run.out_dir.iterdir())
-    assert names == ["census.csv", "orbit_000.csv", "orbit_001.csv",
-                     "orbit_002.csv", "orbit_003.csv", "report.json"]
+    assert names == ["census.csv", "orbits.csv", "report.json"]
     census_lines = (sphere_run.out_dir / "census.csv").read_text().splitlines()
     assert census_lines[0] == "chart,u,v,index,n_orbits,weights"
     assert len(census_lines) == 3  # header + one row per pole
 
 
 def test_orbit_csv_shape(sphere_run):
-    lines = (sphere_run.out_dir / "orbit_000.csv").read_text().splitlines()
-    assert lines[0] == "t,u,v,s,z,side"
-    rows = [line.split(",") for line in lines[1:]]
+    lines = (sphere_run.out_dir / "orbits.csv").read_text().splitlines()
+    assert lines[0] == "orbit,t,u,v,s,z,side"
+    rows = [r[1:] for r in (line.split(",") for line in lines[1:])
+            if r[0] == "0"]
+    assert rows
     t = [float(r[0]) for r in rows]
     assert t == sorted(t)  # one time-ordered pass through the seed
     for r in rows:
         s, z, side = float(r[3]), float(r[4]), int(r[5])
         assert side in (-1, 1)
         assert z == pytest.approx(side * math.exp(s), rel=1e-15)
+
+
+@pytest.fixture(scope="module")
+def torus_run(tmp_path_factory):
+    return run("torus", "all", tmp_path_factory.mktemp("torus-all"))
+
+
+@pytest.fixture(scope="module")
+def mcgehee_run(tmp_path_factory):
+    return run("mcgehee", "all", tmp_path_factory.mktemp("mcgehee-all"))
+
+
+def _csv(path):
+    header, *lines = path.read_text().splitlines()
+    return header.split(","), [line.split(",") for line in lines]
+
+
+@pytest.mark.parametrize("name", ["torus", "sphere"])
+def test_orbits_csv_agrees_with_the_report(request, name):
+    result = request.getfixturevalue(f"{name}_run")
+    orbits = result.report["orbits"]
+    _, rows = _csv(result.out_dir / "orbits.csv")
+    ks = [int(row[0]) for row in rows]
+    assert ks == sorted(ks)  # each orbit's rows together, in report order
+    samples = {}
+    for row in rows:
+        samples.setdefault(int(row[0]), []).append(
+            [float(cell) for cell in row[1:5]])
+    traced = {k for k, o in enumerate(orbits)
+              if o["near_end"]["verdict"] != "integration-failed"}
+    assert set(samples) == traced
+    for k, orbit_rows in samples.items():
+        t = [r[0] for r in orbit_rows]
+        assert t == sorted(t), k
+        # (u, v, s) at either end is the state its limit was judged on
+        assert orbit_rows[0][1:] == orbits[k]["far_end"]["final_state"], k
+        assert orbit_rows[-1][1:] == orbits[k]["near_end"]["final_state"], k
+
+
+def test_every_numeric_csv_cell_parses(torus_run, sphere_run, mcgehee_run):
+    # a numpy scalar written by its repr ("np.float64(0.5)") would not parse
+    for result in (torus_run, sphere_run):
+        _, rows = _csv(result.out_dir / "orbits.csv")
+        for row in rows:
+            assert len(row) == 7
+            int(row[0]), int(row[6])
+            [float(cell) for cell in row[1:6]]
+        _, rows = _csv(result.out_dir / "census.csv")
+        assert rows
+        for _chart, u, v, index, n_orbits, weights in rows:
+            float(u), float(v), int(index), int(n_orbits)
+            [int(w) for w in weights.split("|")]
+    header, rows = _csv(mcgehee_run.out_dir / "trajectory.csv")
+    assert header == ["t", "x", "a", "Pr", "Pa", "H"] and rows
+    for row in rows:
+        assert len(row) == 6
+        [float(cell) for cell in row]
+
+
+def _strict_report(out_dir):
+    """The report, parsed without the NaN and Infinity tokens of lax JSON."""
+    def reject(token):
+        raise ValueError(f"non-strict JSON token {token}")
+    text = (Path(out_dir) / "report.json").read_text()
+    assert text.endswith("\n") and text.count("\n") == 1  # one line
+    return json.loads(text, parse_constant=reject)
+
+
+def test_reports_are_strict_json_with_non_finite_floats_as_strings(
+        torus_run, mcgehee_run):
+    torus = _strict_report(torus_run.out_dir)
+    assert "inf" in {o["far_end"]["distance"] for o in torus["orbits"]}
+    assert torus == json.loads(json.dumps(_reported(torus_run.report)))
+    mcgehee = _strict_report(mcgehee_run.out_dir)
+    assert mcgehee["checks"] == json.loads(json.dumps(
+        mcgehee_run.report["checks"]))
+
+
+def test_non_finite_values_outside_the_stage_results_become_strings(
+        tmp_path, monkeypatch):
+    import bcontactlab.runner as runner
+    oracle = runner.newtonian_oracle_compare
+    monkeypatch.setattr(runner, "newtonian_oracle_compare", lambda *a, **k: {
+        **oracle(*a, **k), "max_deviation": math.nan})
+    result = run("mcgehee", "all", tmp_path / "mcgehee")
+    assert result.exit_status == 2
+    report = _strict_report(tmp_path / "mcgehee")
+    assert report["checks"]["oracle"]["value"] == "nan"
+
+    to_contact = runner.contact_from_beltrami
+    def roundtrip_inf(*args, **kwargs):
+        form, roundtrip = to_contact(*args, **kwargs)
+        return form, {**roundtrip, "roundtrip_max_error": -math.inf}
+    monkeypatch.setattr(runner, "contact_from_beltrami", roundtrip_inf)
+    run("beltrami", "all", tmp_path / "beltrami")
+    report = _strict_report(tmp_path / "beltrami")
+    assert report["roundtrip"]["roundtrip_max_error"] == "-inf"
+
+    # the scenario echo: lax JSON input may hold a non-finite description
+    path = tmp_path / "described.json"
+    path.write_text(json.dumps({"kind": "mcgehee", "name": "described",
+                                "mu": 0.5, "t_end": 1.0,
+                                "description": [math.inf, "x"]}))
+    run(str(path), "all", tmp_path / "described")
+    report = _strict_report(tmp_path / "described")
+    assert report["scenario"]["description"] == ["inf", "x"]
 
 
 @dataclasses.dataclass
@@ -116,7 +223,7 @@ def test_report_is_deterministic_except_timing(tmp_path, name):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-_ORBIT_FILES = [f"orbit_{k:03d}.csv" for k in range(16)]
+_ORBIT_FILES = ["orbits.csv"]
 _STAGE_SUBSETS = {  # subcommand: (report keys beyond the common ones, files)
     "validate": ({"checks"}, []),
     "critical": ({"critical_points", "stability", "bound", "scan_warnings"},
