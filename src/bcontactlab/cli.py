@@ -13,6 +13,7 @@ integration breakdown).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .runner import run
@@ -63,9 +64,14 @@ def build_parser():
     return parser
 
 
+# main's parser: built on the first call, then reused for every run in the
+# process (parse_args leaves a parser as it found it)
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; that slot means "verdict failed"
         # here, so fold bad usage into the operational-error status

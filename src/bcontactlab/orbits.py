@@ -18,9 +18,10 @@ seeds, one per side), saddles a two-dimensional invariant surface spanned
 by the z-axis and the tangential eigenvector whose eigenvalue matches the
 sign of λ_z = g(p) (a fan of seeds in that plane, avoiding the axes).
 
-Tracing runs in batches: every seed on one chart and one side σ, toward
-and away, is one lane of a single :func:`~bcontactlab.rk45.integrate`
-call, so the field is evaluated once per stage for all of them, and each
+Tracing runs in one batch per chart: every seed on that chart, on both
+sides of Z, toward and away, is one lane of a single
+:func:`~bcontactlab.rk45.integrate` call, which hands the field each live
+lane's σ.  The field is evaluated once per stage for all of them, and each
 lane takes the steps its own run would.  A lane that fails
 (``NonFiniteState``, ``StepSizeUnderflow``, the step budget) fails alone.
 When the field raises for a batch, the batch's lanes are traced again one
@@ -124,26 +125,25 @@ class EscapeCensus:
 # ---------------------------------------------------------------------------
 # fields
 
-def regularized_field(reeb, chart_name, sigma):
-    """Right-hand side for lanes of states (u, v, s), shape (lanes, 3), with
-    z = σ e^s.
+def regularized_field(reeb, chart_name):
+    """Right-hand side ``rhs(t, y, sigma)`` for lanes of states (u, v, s),
+    shape (lanes, 3), with z = σ e^s and ``sigma`` the lanes' sides (±1).
 
     Fewer than ``SMALL_BATCH`` lanes are evaluated point by point on
     floats, more in one array call; the two give the same bits wherever
     numpy's elementwise functions do what libm does (``sin`` and ``cos``
     here; not ``power``, which integer powers in a field go through).
     """
-    if sigma not in (-1, 1):
-        raise ValueError("sigma must be ±1 off the surface")
-
-    def rhs(t, y):
+    def rhs(t, y, sigma):
         if len(y) < SMALL_BATCH:
-            return np.array([reeb.components(u, v, sigma * math.exp(s),
+            return np.array([reeb.components(u, v, side * math.exp(s),
                                              chart_name=chart_name)
-                             for u, v, s in y.tolist()])
+                             for (u, v, s), side in zip(y.tolist(),
+                                                        sigma.tolist())])
         # libm's exp, as the float path takes it: numpy's exp differs by an
         # ulp on some arguments
-        z = np.array([sigma * math.exp(s) for s in y[:, 2].tolist()])
+        z = np.array([side * math.exp(s) for s, side in zip(
+            y[:, 2].tolist(), sigma.tolist())])
         out = np.empty(y.shape)
         out[:, 0], out[:, 1], out[:, 2] = reeb.components(
             y[:, 0], y[:, 1], z, chart_name=chart_name)
@@ -165,14 +165,17 @@ def _chart_guard(chart, slack=0.05):
     return stop
 
 
-def _trace_lanes(reeb, tub, chart_name, sigma, y0, directions, t_max, rtol,
+def _trace_lanes(reeb, tub, chart_name, sigmas, y0, directions, t_max, rtol,
                  atol):
-    """Trace lanes of one (chart, σ) together, each in its own direction.
+    """Trace lanes of one chart together, each on its own side σ and in its
+    own direction.
 
     Returns one :class:`OrbitTrace` per lane, or the exception that ended
     it.  When the field itself raises for the batch, the lanes are traced
     again one at a time, so that only the lanes that raise alone fail.
     """
+    if not np.isin(sigmas, (-1, 1)).all():
+        raise ValueError("sigma must be ±1 off the surface")
     s_cut = math.log(Z_CUT_FACTOR * tub.epsilon)
     s_top = math.log(tub.epsilon)
     events = [
@@ -181,27 +184,30 @@ def _trace_lanes(reeb, tub, chart_name, sigma, y0, directions, t_max, rtol,
               name="left-neighborhood"),
     ]
     try:
-        lanes = integrate(regularized_field(reeb, chart_name, sigma), y0,
+        lanes = integrate(regularized_field(reeb, chart_name), y0,
                           (0.0, directions * t_max), rtol=rtol, atol=atol,
                           events=events,
-                          stop=_chart_guard(tub.charts[chart_name]))
+                          stop=_chart_guard(tub.charts[chart_name]),
+                          per_lane=sigmas)
     except Exception as exc:  # from the field: find the lanes that raise
         if len(y0) == 1:
             return [exc]
         return [lane for k in range(len(y0))
-                for lane in _trace_lanes(reeb, tub, chart_name, sigma,
-                                         y0[k:k + 1], directions[k:k + 1],
-                                         t_max, rtol, atol)]
+                for lane in _trace_lanes(reeb, tub, chart_name,
+                                         sigmas[k:k + 1], y0[k:k + 1],
+                                         directions[k:k + 1], t_max, rtol,
+                                         atol)]
     return [sol if isinstance(sol, Exception) else OrbitTrace(
                 chart=chart_name, sigma=sigma, direction=direction, t=sol.t,
                 y=sol.y, status=sol.status, stats=sol.stats_dict())
-            for sol, direction in zip(lanes, directions.tolist())]
+            for sol, sigma, direction in zip(lanes, sigmas.tolist(),
+                                             directions.tolist())]
 
 
 def integrate_orbit(reeb, state, tub, *, direction=1, t_max=T_MAX,
                     rtol=1e-10, atol=1e-12):
     """Trace one off-surface orbit until it reaches Z, leaves, or times out."""
-    trace, = _trace_lanes(reeb, tub, state.chart, state.sigma,
+    trace, = _trace_lanes(reeb, tub, state.chart, np.array([state.sigma]),
                           np.array([[state.u, state.v, state.s]]),
                           np.array([direction]), t_max, rtol, atol)
     if isinstance(trace, Exception):
@@ -325,20 +331,21 @@ def trace_invariant_manifolds(reeb, reports, tub, *, offset=OFFSET,
                               atol=1e-12, tol=POSITION_TOL):
     """Trace every seed of every report both ways and classify the ends.
 
-    The seeds of one (chart, σ) are traced together, toward and away in
-    one batch of lanes.
+    The seeds of one chart, on both sides of Z, are traced together,
+    toward and away in one batch of lanes.
     """
     points = [r.point for r in reports]
     plan = [(report, psi, seed) for report in reports
             for psi, seed in seed_plan(report, offset=offset, n_fan=n_fan)]
-    groups = {}   # (chart, sigma) -> plan entries
+    groups = {}   # chart -> plan entries
     for k, (_, _, seed) in enumerate(plan):
-        groups.setdefault((seed.chart, seed.sigma), []).append(k)
+        groups.setdefault(seed.chart, []).append(k)
     ends = {}     # plan entry -> (toward, away)
-    for (chart_name, sigma), ks in groups.items():
+    for chart_name, ks in groups.items():
         starts = [[plan[k][2].u, plan[k][2].v, plan[k][2].s] for k in ks]
+        sigmas = [plan[k][2].sigma for k in ks]
         toward = [-1 if plan[k][0].lambda_z > 0 else 1 for k in ks]
-        lanes = _trace_lanes(reeb, tub, chart_name, sigma,
+        lanes = _trace_lanes(reeb, tub, chart_name, np.array(sigmas * 2),
                              np.array(starts * 2),
                              np.array(toward + [-d for d in toward]),
                              t_max, rtol, atol)

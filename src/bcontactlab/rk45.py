@@ -29,6 +29,10 @@ located after the loop: bisected together on their steps' dense
 interpolants, each frozen where a run of its own would stop bisecting.  A
 flat ``y0`` is the one-lane case.
 
+A lane may carry a constant of its own (``per_lane``, one entry per lane):
+it is compacted with the lanes and handed to ``f`` beside the live states,
+so problems that differ only in a parameter share one batch.
+
 Bit identity between lanes and single runs rests on elementwise
 arithmetic, which numpy rounds as Python does.  numpy's ``power`` is not
 libm's ``pow`` (they differ by an ulp on a few percent of arguments), so
@@ -245,7 +249,7 @@ def _one_lane_stop(stop):
 
 
 def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
-              max_steps=500000):
+              max_steps=500000, per_lane=None):
     """Integrate ẏ = f(t, y) over t_span, adaptively.
 
     ``events`` is a sequence of :class:`Event`; the first crossing in the
@@ -260,9 +264,16 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
     function and ``stop`` receive the live lanes' times ``(live,)`` and
     states ``(live, dim)``; ``stop`` returns None or one reason (or None)
     per live lane; a lane that fails holds its exception.
+
+    ``per_lane``, for a ``(lanes, dim)`` ``y0`` only, is an array with one
+    entry per lane.  ``f`` is then called as ``f(t, y, values)`` with the
+    live lanes' entries, in the order of their states; events and ``stop``
+    do not see them.  Without it ``f`` is called as ``f(t, y)``.
     """
     y = np.array(y0, dtype=float)
     if y.ndim == 1:
+        if per_lane is not None:
+            raise ValueError("per-lane values need a (lanes, dim) state")
         lane, = _integrate(
             _one_lane(f), y[None], t_span, rtol, atol,
             [replace(ev, fn=_one_lane_event(ev.fn)) for ev in events],
@@ -272,10 +283,16 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
         return lane
     if y.ndim != 2:
         raise ValueError("state must be a flat vector or a (lanes, dim) array")
-    return _integrate(f, y, t_span, rtol, atol, events, stop, max_steps)
+    if per_lane is not None:
+        per_lane = np.asarray(per_lane)
+        if per_lane.shape[:1] != y.shape[:1]:
+            raise ValueError("per_lane needs one entry per lane")
+    return _integrate(f, y, t_span, rtol, atol, events, stop, max_steps,
+                      per_lane)
 
 
-def _integrate(f, y0, t_span, rtol, atol, events, stop, max_steps):
+def _integrate(f, y0, t_span, rtol, atol, events, stop, max_steps,
+               per_lane=None):
     n, dim = y0.shape
     t0 = np.broadcast_to(np.asarray(t_span[0], dtype=float), (n,)).copy()
     t1 = np.broadcast_to(np.asarray(t_span[1], dtype=float), (n,)).copy()
@@ -290,6 +307,14 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, max_steps):
     t, t1, y = t0[idx], t1[idx], y0[idx]
     if not len(idx):
         return _assemble(out, ended, blocks)
+    # the call is chosen once: ``f`` as given, or ``f`` with the live lanes'
+    # values, where ``arg`` is compacted with the lanes and read at each call
+    arg = None if per_lane is None else per_lane[idx]
+    if arg is not None:
+        f_lanes = f
+
+        def f(t, y):
+            return f_lanes(t, y, arg)
     dirn = np.where(t1 > t, 1.0, -1.0)
     k1 = np.asarray(f(t, y), dtype=float)
     good = np.isfinite(k1).all(axis=1)
@@ -297,6 +322,8 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, max_steps):
         for lane, tk in zip(idx[~good].tolist(), t[~good].tolist()):
             out[lane] = NonFiniteState(f"non-finite derivative at t = {tk!r}")
         idx, t, t1, dirn, y, k1 = (a[good] for a in (idx, t, t1, dirn, y, k1))
+        if arg is not None:
+            arg = arg[good]
         if not len(idx):
             return _assemble(out, ended, blocks)
     # with t1d = dirn·t1, rem = t1d − dirn·t is |t1 − t| bit for bit
@@ -322,8 +349,8 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, max_steps):
                                     t[under].tolist()):
                 out[lane] = StepSizeUnderflow(
                     f"step size {hk:.3e} underflowed at t = {tk!r}")
-            idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev = _compact(
-                ~under, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev)
+            idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev, arg = _compact(
+                ~under, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev, arg)
             if not len(idx):
                 break
         h = np.minimum(h, rem)
@@ -446,8 +473,8 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, max_steps):
         h_low = min(h_next)
         err_old = err_next
         if done is not None and done.any():
-            idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev = _compact(
-                ~done, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev)
+            idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev, arg = _compact(
+                ~done, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev, arg)
             h_low = h.min(initial=math.inf)
 
     if crossings:
@@ -478,11 +505,11 @@ def _cut(events, crossings, ended, blocks):
                                 int(steps[k]))
 
 
-def _compact(keep, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev):
+def _compact(keep, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev, arg):
     """The live-lane state without the lanes that ended."""
     return (*(a[keep] for a in (idx, t, t1d, dirn, rem, y, k1, h)),
             [e for e, k in zip(err_old, keep.tolist()) if k],
-            [g[keep] for g in g_prev])
+            [g[keep] for g in g_prev], None if arg is None else arg[keep])
 
 
 def _assemble(out, ended, blocks):

@@ -294,6 +294,8 @@ def _validate(raw, origin):
         _fail(origin, f"missing required key {missing[0]!r}")
     if not isinstance(raw.get("name"), str) or not raw["name"]:
         _fail(origin, "'name' must be a non-empty string")
+    if not isinstance(raw.get("description", ""), str):
+        _fail(origin, "'description' must be a string")
 
     if kind == "bcontact":
         _validate_bcontact(raw, origin)

@@ -17,6 +17,7 @@ from bcontactlab.critical import CensusBound, CriticalPoint, StabilityReport
 from bcontactlab.orbits import (EscapeCensus, EscapeOrbit, LimitReport,
                                 RegularizedState)
 from bcontactlab.runner import _reported, run
+from bcontactlab.scenarios import ScenarioError
 
 
 @pytest.fixture(scope="module")
@@ -158,14 +159,15 @@ def test_non_finite_values_outside_the_stage_results_become_strings(
     report = _strict_report(tmp_path / "beltrami")
     assert report["roundtrip"]["roundtrip_max_error"] == "-inf"
 
-    # the scenario echo: lax JSON input may hold a non-finite description
+    # the scenario echo: lax JSON input may hold a non-finite value only in
+    # a key that is not checked, and no key is left unchecked
     path = tmp_path / "described.json"
     path.write_text(json.dumps({"kind": "mcgehee", "name": "described",
                                 "mu": 0.5, "t_end": 1.0,
                                 "description": [math.inf, "x"]}))
-    run(str(path), "all", tmp_path / "described")
-    report = _strict_report(tmp_path / "described")
-    assert report["scenario"]["description"] == ["inf", "x"]
+    with pytest.raises(ScenarioError, match="'description'"):
+        run(str(path), "all", tmp_path / "described")
+    assert not (tmp_path / "described").exists()
 
 
 @dataclasses.dataclass

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from bcontactlab import contact
+from bcontactlab import contact, rk45
 from bcontactlab.charts import TubularChart
 from bcontactlab.contact import BReebField, exceptional_hamiltonian
 from bcontactlab.critical import (
@@ -19,13 +19,13 @@ from bcontactlab.critical import (
     stability_at,
 )
 from bcontactlab.orbits import (
-    EscapeOrbit, LimitReport, OrbitTrace, RegularizedState, detect_limit,
-    escape_census, integrate_orbit, refinement_check, regularized_field,
-    seed_plan, trace_invariant_manifolds,
+    SMALL_BATCH, EscapeOrbit, LimitReport, OrbitTrace, RegularizedState,
+    _trace_lanes, detect_limit, escape_census, integrate_orbit,
+    refinement_check, seed_plan, trace_invariant_manifolds,
 )
 from bcontactlab.scenarios import load_scenario, scenario_form
 
-from tests.test_contact import torus_setup
+from tests.test_contact import Z_TORUS, torus_setup
 
 
 def _components_for(tub):
@@ -183,8 +183,13 @@ def test_saddle_fan_avoids_both_axes(torus_run):
 def test_regularized_field_needs_a_side():
     tub, form = torus_setup()
     reeb = BReebField(form, tub)
-    with pytest.raises(ValueError):
-        regularized_field(reeb, "torus", 0)
+    with pytest.raises(ValueError, match="sigma"):
+        integrate_orbit(reeb, RegularizedState("torus", 0.1, 0.2, -5.0, 0),
+                        tub)
+    with pytest.raises(ValueError, match="sigma"):  # one bad lane in a batch
+        _trace_lanes(reeb, tub, "torus", np.array([1, -1, 2]),
+                     np.full((3, 3), -5.0), np.array([1, 1, -1]), 1.0,
+                     1e-10, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +278,19 @@ def test_traced_lanes_equal_one_seed_runs(torus_run):
             assert one.stats == trace.stats
 
 
-def test_torus_trace_batches_the_field(torus_run):
+def _integrate_calls(monkeypatch):
+    """The lane count and per-lane values of each orbit integration."""
+    calls = []
+
+    def counting(f, y0, *args, **kwargs):
+        calls.append((len(y0), kwargs.get("per_lane")))
+        return rk45.integrate(f, y0, *args, **kwargs)
+
+    monkeypatch.setattr("bcontactlab.orbits.integrate", counting)
+    return calls
+
+
+def test_torus_trace_batches_the_field(torus_run, sphere_run, monkeypatch):
     class Counting:
         calls = 0
 
@@ -281,9 +298,43 @@ def test_torus_trace_batches_the_field(torus_run):
             Counting.calls += 1
             return torus_run["reeb"].components(u, v, z, chart_name=chart_name)
 
+    calls = _integrate_calls(monkeypatch)
     trace_invariant_manifolds(Counting(), torus_run["reports"],
                               torus_run["tub"])
     assert Counting.calls < 1000   # one call per seed and stage: 15.8k
+    # one batch per chart that holds seeds, both sides of Z in it
+    assert len(calls) == 1
+    assert sorted(set(calls[0][1].tolist())) == [-1, 1]
+    calls.clear()
+    trace_invariant_manifolds(sphere_run["reeb"], sphere_run["reports"],
+                              sphere_run["tub"])
+    assert len({p.chart for p in sphere_run["points"]}) == len(calls) == 2
+    assert [sorted(sides.tolist()) for _, sides in calls] == [[-1, -1, 1, 1]] * 2
+
+
+def test_z_reading_torus_lanes_equal_one_seed_runs(monkeypatch):
+    # the frame reads z, so a lane traced on the other side's σ would move
+    # differently; the lanes end at different steps, so the batch is
+    # compacted many times before its last lane ends
+    tub, form = torus_setup(**Z_TORUS)
+    zdata = exceptional_hamiltonian(form, tub)
+    reeb = BReebField(form, tub)
+    reports = [stability_at(p, reeb, zdata)
+               for p in find_critical_points(zdata, tub)]
+    calls = _integrate_calls(monkeypatch)
+    traced = trace_invariant_manifolds(reeb, reports, tub, n_fan=4)
+    monkeypatch.undo()
+    (lanes, sides), = calls
+    assert lanes >= SMALL_BATCH and sorted(set(sides.tolist())) == [-1, 1]
+    assert len({len(o.toward.t) for o in traced}) > 4
+    for o in traced:
+        for trace in (o.toward, o.away):
+            assert trace.sigma == o.seed.sigma
+            one = integrate_orbit(reeb, o.seed, tub, direction=trace.direction)
+            assert np.array_equal(one.t, trace.t)
+            assert np.array_equal(one.y, trace.y)
+            assert one.status == trace.status
+            assert one.stats == trace.stats
 
 
 def test_census_flags_an_incomplete_sweep(sphere_run):

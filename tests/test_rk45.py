@@ -209,3 +209,39 @@ def test_a_failing_lane_fails_alone():
         assert lanes[k].status == "reached-end"
         assert np.array_equal(lanes[k].y, one.y)
     assert lanes.n_steps == lanes[0].n_steps + lanes[2].n_steps
+
+
+def test_per_lane_values_follow_their_lanes_through_compaction():
+    # y' = a_k·y until y crosses 2; lane 3 has a zero span and lane 4 a
+    # non-finite derivative at the start, so both leave before the first step
+    a = np.array([0.3, 1.7, -0.4, 0.9, math.inf, 2.5, 1.1, 0.6])
+    t1 = np.array([5.0, 5.0, 5.0, 0.0, 5.0, 5.0, -5.0, 1.0])
+    y0 = np.ones((8, 1))
+    crossing = [Event(fn=lambda t, y: y[..., 0] - 2.0, direction=1,
+                      name="up")]
+    lanes = integrate(lambda t, y, a: a[:, None] * y, y0, (0.0, t1),
+                      events=crossing, per_lane=a)
+    assert {lane.status for lane in lanes if not isinstance(lane, Exception)
+            } == {"event:up", "reached-end"}
+    assert len({lane.n_steps for lane in lanes
+                if not isinstance(lane, Exception)}) > 4
+    with pytest.raises(NonFiniteState) as alone:
+        integrate(lambda t, y: a[4] * y, y0[4], (0.0, t1[4]), events=crossing)
+    assert str(lanes[4]) == str(alone.value)
+    for k, lane in enumerate(lanes):
+        if k == 4:
+            continue
+        one = integrate(lambda t, y: a[k] * y, y0[k], (0.0, t1[k]),
+                        events=crossing)
+        assert np.array_equal(lane.t, one.t)
+        assert np.array_equal(lane.y, one.y)
+        assert lane.stats_dict() == one.stats_dict()
+
+
+def test_per_lane_values_need_one_entry_per_lane():
+    with pytest.raises(ValueError, match="one entry per lane"):
+        integrate(lambda t, y, a: y, np.ones((3, 1)), (0.0, 1.0),
+                  per_lane=np.ones(2))
+    with pytest.raises(ValueError, match="lanes, dim"):
+        integrate(lambda t, y, a: y, np.ones(3), (0.0, 1.0),
+                  per_lane=np.ones(1))

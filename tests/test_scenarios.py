@@ -96,6 +96,18 @@ def test_stray_chart_is_named(tmp_path):
         load_scenario(_write(tmp_path, payload))
 
 
+@pytest.mark.parametrize("text", ['["a", "b"]', "NaN", '"Height field."'])
+def test_description_must_be_a_string(tmp_path, text):
+    # lax JSON: json.loads reads NaN and Infinity as floats
+    payload = {**builtin_scenario_dict("torus"), "description": "@"}
+    path = _write(tmp_path, json.dumps(payload).replace('"@"', text))
+    if text.startswith('"'):
+        assert load_scenario(path).data["description"] == json.loads(text)
+        return
+    with pytest.raises(ScenarioError, match="'description' must be a string"):
+        load_scenario(path)
+
+
 def test_mass_ratio_bounds(tmp_path):
     payload = builtin_scenario_dict("mcgehee")
     payload["mu"] = 1.0

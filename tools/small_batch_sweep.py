@@ -52,12 +52,14 @@ def _lanes(chart, n, rng):
 
 
 def _seconds(rhs, y, batch, repeat):
-    """Minimum time of one ``rhs(0, y)`` with ``SMALL_BATCH`` at ``batch``."""
+    """Minimum time of one ``rhs(0, y, sigma)`` with ``SMALL_BATCH`` at
+    ``batch``, every lane above Z."""
+    sigma = np.ones(len(y), dtype=int)
     saved, orbits.SMALL_BATCH = orbits.SMALL_BATCH, batch
     try:
-        once = timeit.timeit(lambda: rhs(0.0, y), number=1)
+        once = timeit.timeit(lambda: rhs(0.0, y, sigma), number=1)
         loops = max(1, int(0.01 / once))  # about 10 ms per repeat
-        return min(timeit.repeat(lambda: rhs(0.0, y), number=loops,
+        return min(timeit.repeat(lambda: rhs(0.0, y, sigma), number=loops,
                                  repeat=repeat)) / loops
     finally:
         orbits.SMALL_BATCH = saved
@@ -71,7 +73,7 @@ def main(argv=None):
     times = {}
     for scenario, name in CHARTS:
         tub, form = scenario_form(load_scenario(scenario))
-        rhs = orbits.regularized_field(BReebField(form, tub), name, 1)
+        rhs = orbits.regularized_field(BReebField(form, tub), name)
         times[name] = {n: (_seconds(rhs, y, 0, args.repeat),  # one array call
                            _seconds(rhs, y, n + 1, args.repeat))  # by point
                        for n, y in ((n, _lanes(tub.charts[name], n, rng))
