@@ -49,6 +49,8 @@ EIGEN_RATIO_TOL = 1e-6
 LEVEL_FLOOR = 0.1        # ratio test only where |F| exceeds this times max|F|
 GRAD_TOL = 1e-8          # acceptance threshold for "p is a stagnation point"
 ROUNDTRIP_TOL = 1e-10
+SPECTRUM_TOL = 1e-10     # stagnation spectrum against its closed forms
+METRIC_GRID = (64, 64)   # samples of the metric's positive-definiteness test
 
 
 class MetricDegeneracyError(RuntimeError):
@@ -113,8 +115,8 @@ class MetricOnZ:
     def sqrt_det(self, u, v):
         return eval_value(self.sqrt_det_expr, _NAMES, (u, v))
 
-    def validate(self, grid=(64, 64)):
-        U, V = _torus_grid(grid)
+    def validate(self):
+        U, V = _torus_grid(METRIC_GRID)
         a = _on_grid(self.entries(U, V)[0], U.shape)
         d = _on_grid(self.det(U, V), U.shape)
         for name, values in (("h_uu", a), ("det h", d)):
@@ -129,14 +131,13 @@ class MetricOnZ:
 class BeltramiData:
     """Stream function, eigenvalue and metric, with derived field components."""
 
-    def __init__(self, stream, metric=None, eigenvalue=1.0, validate=True):
+    def __init__(self, stream, metric=None, eigenvalue=1.0):
         if eigenvalue == 0.0:
             raise ValueError("the proportionality constant must be nonzero")
         self.stream = _expr(stream)
         self.metric = metric if metric is not None else MetricOnZ()
         self.eigenvalue = float(eigenvalue)
-        if validate:
-            self.metric.validate()
+        self.metric.validate()
         self._stream_u = differentiate(self.stream, "u")
         self._stream_v = differentiate(self.stream, "v")
 
@@ -159,18 +160,14 @@ class BeltramiData:
         return -fv / scale, fu / scale
 
 
-def tangential_components(stream, metric=None, eigenvalue=1.0):
+def tangential_components(data):
     """Evaluators (u, v) → X_u and (u, v) → X_v for the tangential field."""
-    data = (stream if isinstance(stream, BeltramiData)
-            else BeltramiData(stream, metric, eigenvalue))
     return (lambda u, v: data.tangential(u, v)[0],
             lambda u, v: data.tangential(u, v)[1])
 
 
-def tangential_expressions(stream, metric=None, eigenvalue=1.0):
+def tangential_expressions(data):
     """(X_u, X_v) as expression trees rather than evaluators."""
-    data = (stream if isinstance(stream, BeltramiData)
-            else BeltramiData(stream, metric, eigenvalue))
     m = data.metric
     x_u = _build("(0 - dv) / (lam * s)", dv=data._stream_v,
                  lam=data.eigenvalue, s=m.sqrt_det_expr)
@@ -191,8 +188,7 @@ class IdentityReport:
     worst_at: dict
 
 
-def hamiltonian_identity_check(stream, metric=None, eigenvalue=1.0,
-                               grid=(64, 64), components=None,
+def hamiltonian_identity_check(data, grid=(64, 64), components=None,
                                threshold=IDENTITY_TOL):
     """Compare ι_X(λ·dA_h) with dF on a grid, under one global sign.
 
@@ -202,8 +198,6 @@ def hamiltonian_identity_check(stream, metric=None, eigenvalue=1.0,
     midway across a connected surface.  ``components`` may supply a pair of
     evaluators to audit in place of the derived ones.
     """
-    data = (stream if isinstance(stream, BeltramiData)
-            else BeltramiData(stream, metric, eigenvalue))
     U, V = _torus_grid(grid)
     fu, fv = data.stream_gradient(U, V)
     if components is None:
@@ -264,28 +258,25 @@ def _laplacian(data):
                   dv=differentiate(flux_v, "v"), s=m.sqrt_det_expr)
 
 
-def laplace_eigen_check(stream, metric=None, grid=(64, 64),
-                        rel_tol=EIGEN_RATIO_TOL, level_floor=LEVEL_FLOOR):
+def laplace_eigen_check(data, grid=(64, 64)):
     """Estimate Δ_h F / F on a grid and test it for constancy.
 
     Δ_h is div∘grad, so eigenvalues on the torus come out negative.  The
-    ratio is sampled away from the zero level of F (|F| above ``level_floor``
-    times its grid maximum); it must be constant to ``rel_tol`` for an
-    eigenfunction verdict.
+    ratio is sampled away from the zero level of F (|F| above
+    ``LEVEL_FLOOR`` times its grid maximum); it must be constant to
+    ``EIGEN_RATIO_TOL`` for an eigenfunction verdict.
     """
-    data = (stream if isinstance(stream, BeltramiData)
-            else BeltramiData(stream, metric))
     U, V = _torus_grid(grid)
     laplacian = _on_grid(eval_value(_laplacian(data), _NAMES, (U, V)), U.shape)
     values = _on_grid(data.stream_value(U, V), U.shape)
     top = float(np.max(np.abs(values)))
     if top == 0.0:
         raise ValueError("the stream function vanishes on the whole grid")
-    mask = np.abs(values) > level_floor * top
+    mask = np.abs(values) > LEVEL_FLOOR * top
     ratios = laplacian[mask] / values[mask]
     center = float(np.median(ratios))
     spread = float(np.max(np.abs(ratios - center))) / max(1.0, abs(center))
-    if spread < rel_tol:
+    if spread < EIGEN_RATIO_TOL:
         return LaplaceReport(verdict="eigenfunction", eigenvalue=center,
                              spread=spread, n_tested=int(mask.sum()))
     return LaplaceReport(verdict="not-eigenfunction", eigenvalue=None,
@@ -311,17 +302,15 @@ class BeltramiStabilityReport:
     max_rel_mismatch: float
 
 
-def beltrami_stability_matrix(stream, metric=None, eigenvalue=1.0,
-                              point=(0.0, 0.0), rel_tol=1e-10):
+def beltrami_stability_matrix(data, point=(0.0, 0.0)):
     """Linearization of the full field at a stagnation point, with spectrum.
 
     The tangential block is (λ √det h)⁻¹ [[−F_uv, −F_vv], [F_uu, F_uv]] and
     the transverse rate is −F(p); eigenvalues are cross-checked against
-    ±√(−det Hess F)/(λ √det h) and −F(p).  Requires a nondegenerate Hessian
-    and F(p) ≠ 0 (zero must be a regular value of the stream function).
+    ±√(−det Hess F)/(λ √det h) and −F(p) to ``SPECTRUM_TOL``.  Requires a
+    nondegenerate Hessian and F(p) ≠ 0 (zero must be a regular value of the
+    stream function).
     """
-    data = (stream if isinstance(stream, BeltramiData)
-            else BeltramiData(stream, metric, eigenvalue))
     u, v = float(point[0]), float(point[1])
     grad_norm = math.hypot(*data.stream_gradient(u, v))
     if grad_norm > GRAD_TOL:
@@ -350,7 +339,7 @@ def beltrami_stability_matrix(stream, metric=None, eigenvalue=1.0,
     lam_minus = -lam_plus
     lam_z = -f_p
     mismatch = spectrum_mismatch(eigs, lam_plus, lam_z)
-    if mismatch > rel_tol:
+    if mismatch > SPECTRUM_TOL:
         raise SpectrumMismatchError(
             f"assembled matrix disagrees with its closed-form spectrum "
             f"(relative {mismatch:.3e} at u={u:.6f}, v={v:.6f})")
@@ -368,8 +357,7 @@ def beltrami_stability_matrix(stream, metric=None, eigenvalue=1.0,
 # ---------------------------------------------------------------------------
 # back to a contact form
 
-def contact_from_beltrami(stream, metric=None, eigenvalue=1.0,
-                          extension=None, tub=None, grid=(64, 64, 9)):
+def contact_from_beltrami(data, extension=None, grid=(64, 64, 9)):
     """Build α = g(X, ·) from the field data and audit it.
 
     With g = h + dz²/z² and X = X_u ∂u + X_v ∂v + (z X_z) ∂z the one-form is
@@ -381,8 +369,6 @@ def contact_from_beltrami(stream, metric=None, eigenvalue=1.0,
     whether the form passes the contact condition (it legitimately may not —
     that requires X to be nonvanishing — so failure is recorded, not raised).
     """
-    data = (stream if isinstance(stream, BeltramiData)
-            else BeltramiData(stream, metric, eigenvalue))
     m = data.metric
     x_u, x_v = tangential_expressions(data)
     x_z = _build("0 - F", F=data.stream)
@@ -398,11 +384,9 @@ def contact_from_beltrami(stream, metric=None, eigenvalue=1.0,
     beta_v = _build("b*xu + c*xv", b=m.h_uv, c=m.h_vv, xu=x_u, xv=x_v)
     form = BContactForm({"torus": ChartFields(x_z, beta_u, beta_v,
                                               Const(0.0))})
-    if tub is None:
-        tub = TubularChart.torus()
 
     # H = −f|_Z, with f read from the contact check's own frame on Z
-    contact, f_on_Z = contact_sweep(form, tub, grid=grid)
+    contact, f_on_Z = contact_sweep(form, TubularChart.torus(), grid=grid)
     U, V, f = f_on_Z["torus"]
     recovered = -f
     target = data.stream_value(U, V)

@@ -23,6 +23,12 @@ import numpy as np
 
 __all__ = ["Chart", "TubularChart"]
 
+POLE_CAP = 0.05          # δ: the θ-cap an angular sphere chart leaves out
+POLE_RADIUS = 0.3        # of the pole disks; > δ, so they overlap the charts
+EQUATOR_MARGIN = 0.2     # an angular chart reaches θ = π/2 + this
+DISK_RINGS = 9           # a disk chart's samples: its centre, then rings
+DISK_SPOKES = 24         # points per ring
+
 
 @dataclass(frozen=True)
 class Chart:
@@ -83,13 +89,15 @@ class Chart:
         v = np.linspace(*self.v_range, nv, endpoint=not self.v_periodic)
         return u, v
 
-    def disk_points(self, n_r=9, n_psi=24):
+    def disk_points(self):
         """Polar sampling of a disk chart, center included once."""
         if self.disk_radius <= 0.0:
             raise ValueError(f"chart {self.name!r} is not a disk chart")
         pts = [(0.0, 0.0)]
-        for r in np.linspace(self.disk_radius / n_r, self.disk_radius, n_r):
-            for psi in np.linspace(0.0, 2 * math.pi, n_psi, endpoint=False):
+        for r in np.linspace(self.disk_radius / DISK_RINGS, self.disk_radius,
+                             DISK_RINGS):
+            for psi in np.linspace(0.0, 2 * math.pi, DISK_SPOKES,
+                                   endpoint=False):
                 pts.append((r * math.cos(psi), r * math.sin(psi)))
         return pts
 
@@ -97,13 +105,12 @@ class Chart:
 class TubularChart:
     """The tubular neighborhood Z × (−ε, ε) as a set of glued charts."""
 
-    def __init__(self, kind, epsilon, charts, delta=0.0):
+    def __init__(self, kind, epsilon, charts):
         if epsilon <= 0:
             raise ValueError("tubular half-width epsilon must be positive")
         self.kind = kind
         self.epsilon = epsilon
         self.charts = {c.name: c for c in charts}
-        self.delta = delta
 
     @staticmethod
     def torus(epsilon=0.5):
@@ -113,27 +120,25 @@ class TubularChart:
         return TubularChart("torus", epsilon, [chart])
 
     @staticmethod
-    def sphere_atlas(epsilon=0.5, delta=0.05, pole_radius=0.3, margin=0.2):
+    def sphere_atlas(epsilon=0.5):
         """Two angular charts plus two pole disks.
 
-        The angular charts exclude a δ-cap around their own pole (where the
-        (θ, φ) coordinates degenerate); the disk charts cover those caps with
-        honest Cartesian coordinates and overlap the angular charts on
-        δ < θ < pole_radius.
+        The angular charts exclude a ``POLE_CAP`` cap around their own pole
+        (where the (θ, φ) coordinates degenerate); the disk charts cover
+        those caps with honest Cartesian coordinates and overlap the angular
+        charts on ``POLE_CAP`` < θ < ``POLE_RADIUS``.
         """
-        if not (0 < delta < pole_radius):
-            raise ValueError("need 0 < delta < pole_radius")
-        theta_hi = math.pi / 2 + margin
+        delta, radius = POLE_CAP, POLE_RADIUS
+        theta_hi = math.pi / 2 + EQUATOR_MARGIN
         north = Chart("north", "theta", "phi", "z", (delta, theta_hi),
                       (-math.pi, math.pi), v_periodic=True)
         south = Chart("south", "theta", "phi", "z", (delta, theta_hi),
                       (-math.pi, math.pi), v_periodic=True)
-        npole = Chart("north-pole", "u", "v", "z", (-pole_radius, pole_radius),
-                      (-pole_radius, pole_radius), disk_radius=pole_radius)
-        spole = Chart("south-pole", "u", "v", "z", (-pole_radius, pole_radius),
-                      (-pole_radius, pole_radius), disk_radius=pole_radius)
-        return TubularChart("sphere-atlas", epsilon, [north, south, npole, spole],
-                            delta=delta)
+        npole = Chart("north-pole", "u", "v", "z", (-radius, radius),
+                      (-radius, radius), disk_radius=radius)
+        spole = Chart("south-pole", "u", "v", "z", (-radius, radius),
+                      (-radius, radius), disk_radius=radius)
+        return TubularChart("sphere-atlas", epsilon, [north, south, npole, spole])
 
     def surface_charts(self):
         """Charts to scan for surface work, primaries first."""

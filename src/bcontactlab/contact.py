@@ -354,7 +354,7 @@ _quiet = np.errstate(over="ignore", invalid="ignore")  # checks report these
 
 
 @_quiet
-def contact_sweep(form, tub, grid=(64, 64, 9), threshold=CONTACT_THRESHOLD):
+def contact_sweep(form, tub, grid=(64, 64, 9)):
     """:func:`contact_check`'s report, and f on Z from the same sweep:
     ``{chart name: (U, V, f)}``, the chart's samples and C = f from the
     slab that stands for z = 0."""
@@ -365,14 +365,14 @@ def contact_sweep(form, tub, grid=(64, 64, 9), threshold=CONTACT_THRESHOLD):
             np.abs(vol), chart, U, V, z=z)
         if 0.0 in levels:
             f_on_Z[chart.name] = U, V, C
-    return _contact_report(per_chart, threshold, grid), f_on_Z
+    return _contact_report(per_chart, CONTACT_THRESHOLD, grid), f_on_Z
 
 
-def contact_check(form, tub, grid=(64, 64, 9), threshold=CONTACT_THRESHOLD):
+def contact_check(form, tub, grid=(64, 64, 9)):
     """Validate α∧dα ≠ 0: min |V| over the validation grid of every chart,
     each chart's frame evaluated once per slab of :func:`_slabs` (once in
     all for a chart whose frame reads no z)."""
-    return contact_sweep(form, tub, grid, threshold)[0]
+    return contact_sweep(form, tub, grid)[0]
 
 
 @_quiet

@@ -40,11 +40,13 @@ __all__ = [
 BETTI = {"torus": (1, 2, 1), "sphere": (1, 0, 1)}
 EULER = {"torus": 0, "sphere": 2}
 
+COARSE_GRID = (128, 128)  # scan samples of a box chart
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 DEDUP_DISTANCE = 1e-6
 MORSE_DET_FLOOR = 1e-10
 REGULAR_VALUE_FLOOR = 1e-8
+SPECTRUM_TOL = 1e-6      # DR(p) spectrum against its closed forms, relative
 
 
 class NotMorseError(RuntimeError):
@@ -172,8 +174,7 @@ def _newton_refine(zdata, chart, u0, v0, tol):
     return None
 
 
-def find_critical_points(zdata, tub, coarse=(128, 128), newton_tol=NEWTON_TOL,
-                         warnings=None):
+def find_critical_points(zdata, tub, newton_tol=NEWTON_TOL, warnings=None):
     """All nondegenerate critical points of H on Z, deduplicated across charts.
 
     ``warnings`` (a list, when given) collects non-fatal records: dropped
@@ -183,7 +184,7 @@ def find_critical_points(zdata, tub, coarse=(128, 128), newton_tol=NEWTON_TOL,
     """
     if warnings is None:
         warnings = []
-    nu, nv = coarse
+    nu, nv = COARSE_GRID
     points = []
     for chart in tub.surface_charts():
         if chart.name not in zdata.form.fields:
@@ -271,7 +272,7 @@ def spectrum_mismatch(eigs, lam_plus, lam_z):
                *(abs(e - t) / scale for e, t in zip(rest, targets)))
 
 
-def stability_at(p, reeb, zdata, rel_tol=1e-6):
+def stability_at(p, reeb, zdata):
     """Classify DR(p): numerical spectrum cross-checked against closed forms."""
     w_p = zdata.w_value(p.u, p.v, p.chart)
     det_chart = p.hess[0][0] * p.hess[1][1] - p.hess[0][1] ** 2
@@ -284,7 +285,7 @@ def stability_at(p, reeb, zdata, rel_tol=1e-6):
     eigs, vecs = np.linalg.eig(dr)
 
     mism = spectrum_mismatch(eigs, lam_plus, lam_z)
-    if mism > rel_tol:
+    if mism > SPECTRUM_TOL:
         raise SpectrumMismatchError(
             f"DR(p) spectrum {sorted(eigs, key=abs)} deviates from closed forms "
             f"{[lam_plus, lam_minus, lam_z]} by {mism:.3e} (rel) at "

@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 COLLISION_FLOOR = 1e-12   # minimum squared primary distance (rescaled)
-ENERGY_DRIFT_TOL = 1e-8
 
 
 class CollisionError(RuntimeError):

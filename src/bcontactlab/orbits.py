@@ -24,9 +24,9 @@ sides of Z, toward and away, is one lane of a single
 lane's σ.  The field is evaluated once per stage for all of them, and each
 lane takes the steps its own run would.  A lane that fails
 (``NonFiniteState``, ``StepSizeUnderflow``, the step budget) fails alone.
-When the field raises for a batch, the batch's lanes are traced again one
-at a time, so a seed whose field raises fails alone, with the message a
-one-seed trace gives.
+When the field raises for a batch, each half is traced again the same
+way, so a seed whose field raises fails alone, with the message a
+one-seed trace gives, after about 2·log₂(lanes) runs per raising lane.
 """
 from __future__ import annotations
 
@@ -50,8 +50,11 @@ Z_CUT_FACTOR = 1e-8      # |z| < factor·ε counts as "reached Z"
 POSITION_TOL = 1e-5      # tangential closeness for a limit claim
 T_MAX = 400.0            # time budget per trace
 MATCH_TOL = 1e-6         # seed-on-trajectory distance for orbit identity
+CHART_SLACK = 0.05       # a trace ends "left-chart" this far outside its chart
+TAIL_WINDOW = 0.1        # share of a trace's samples the monotone test reads
+REFINEMENT_FACTOR = 10.0  # tolerance tightening of refinement_check
 # Fewer lanes than this evaluate the field point by point on floats: one
-# array call costs what 10 (sphere pole charts) to 13 (torus) float points do
+# array call costs what 11 (pole charts) to 15 (torus) float points do
 # (tools/small_batch_sweep.py); kept at 16: a lane's bits depend on the path.
 SMALL_BATCH = 16
 
@@ -155,9 +158,9 @@ def regularized_field(reeb, chart_name):
 # ---------------------------------------------------------------------------
 # tracing
 
-def _chart_guard(chart, slack=0.05):
+def _chart_guard(chart):
     def stop(t, y):
-        inside = chart.contains(y[:, 0], y[:, 1], slack=slack)
+        inside = chart.contains(y[:, 0], y[:, 1], slack=CHART_SLACK)
         if np.all(inside):
             return None
         return [None if ok else "left-chart" for ok in inside.tolist()]
@@ -165,14 +168,13 @@ def _chart_guard(chart, slack=0.05):
     return stop
 
 
-def _trace_lanes(reeb, tub, chart_name, sigmas, y0, directions, t_max, rtol,
-                 atol):
+def _trace_lanes(reeb, tub, chart_name, sigmas, y0, directions, rtol, atol):
     """Trace lanes of one chart together, each on its own side σ and in its
-    own direction.
+    own direction, for ``T_MAX`` at most.
 
     Returns one :class:`OrbitTrace` per lane, or the exception that ended
-    it.  When the field itself raises for the batch, the lanes are traced
-    again one at a time, so that only the lanes that raise alone fail.
+    it.  When the field raises for the batch, each half is traced again the
+    same way, so that only the lanes that raise fail.
     """
     if not np.isin(sigmas, (-1, 1)).all():
         raise ValueError("sigma must be ±1 off the surface")
@@ -185,17 +187,17 @@ def _trace_lanes(reeb, tub, chart_name, sigmas, y0, directions, t_max, rtol,
     ]
     try:
         lanes = integrate(regularized_field(reeb, chart_name), y0,
-                          (0.0, directions * t_max), rtol=rtol, atol=atol,
+                          (0.0, directions * T_MAX), rtol=rtol, atol=atol,
                           events=events,
                           stop=_chart_guard(tub.charts[chart_name]),
                           per_lane=sigmas)
     except Exception as exc:  # from the field: find the lanes that raise
         if len(y0) == 1:
             return [exc]
-        return [lane for k in range(len(y0))
-                for lane in _trace_lanes(reeb, tub, chart_name,
-                                         sigmas[k:k + 1], y0[k:k + 1],
-                                         directions[k:k + 1], t_max, rtol,
+        half = len(y0) // 2
+        return [lane for part in (slice(None, half), slice(half, None))
+                for lane in _trace_lanes(reeb, tub, chart_name, sigmas[part],
+                                         y0[part], directions[part], rtol,
                                          atol)]
     return [sol if isinstance(sol, Exception) else OrbitTrace(
                 chart=chart_name, sigma=sigma, direction=direction, t=sol.t,
@@ -204,12 +206,11 @@ def _trace_lanes(reeb, tub, chart_name, sigmas, y0, directions, t_max, rtol,
                                              directions.tolist())]
 
 
-def integrate_orbit(reeb, state, tub, *, direction=1, t_max=T_MAX,
-                    rtol=1e-10, atol=1e-12):
+def integrate_orbit(reeb, state, tub, *, direction=1, rtol=1e-10, atol=1e-12):
     """Trace one off-surface orbit until it reaches Z, leaves, or times out."""
     trace, = _trace_lanes(reeb, tub, state.chart, np.array([state.sigma]),
                           np.array([[state.u, state.v, state.s]]),
-                          np.array([direction]), t_max, rtol, atol)
+                          np.array([direction]), rtol, atol)
     if isinstance(trace, Exception):
         raise trace
     return trace
@@ -218,14 +219,14 @@ def integrate_orbit(reeb, state, tub, *, direction=1, t_max=T_MAX,
 # ---------------------------------------------------------------------------
 # limit classification
 
-def _tail_monotone(trace, tub, p, window=0.1):
+def _tail_monotone(trace, tub, p):
     """Distance to p over the final window: (non-increasing?, worst backslide).
 
     Small numerical wiggles are tolerated: each sample may exceed its
     predecessor by 1e−12 absolute or one part in 1e9, nothing more.
     """
     n = trace.y.shape[0]
-    tail = trace.y[max(0, n - max(5, int(n * window))):]
+    tail = trace.y[max(0, n - max(5, int(n * TAIL_WINDOW))):]
     ds = tub.distance(trace.chart, (tail[:, 0], tail[:, 1]), p.chart, (p.u, p.v))
     steps = np.diff(ds)
     monotone = bool(np.all(steps <= np.maximum(1e-12, 1e-9 * ds[:-1])))
@@ -299,35 +300,31 @@ def _tangential_eigenvector(report):
     return w / norm
 
 
-def seed_plan(report, offset=OFFSET, n_fan=N_FAN):
-    """Seed states for the invariant manifold transverse to Z at one point.
+def seed_plan(report, n_fan=N_FAN):
+    """Seed states ``OFFSET`` from a point, on its manifold transverse to Z.
 
     Extrema: the curve is tangent to the z-axis — one seed per side.
     Saddles: a fan of ``n_fan`` directions ψ in the (tangential, z) plane,
     offset by half a slot so no seed sits on either axis.
     """
-    if offset <= 0.0:
-        raise ValueError("seed offset must be positive (a zero offset would "
-                         "sit exactly on the fixed point)")
     p = report.point
     if report.kind == "nonhyperbolic-1d-transverse":
-        s0 = math.log(offset)
+        s0 = math.log(OFFSET)
         return [(None, RegularizedState(p.chart, p.u, p.v, s0, sigma))
                 for sigma in (1, -1)]
     e_t = _tangential_eigenvector(report)
     seeds = []
     for k in range(n_fan):
         psi = 2.0 * math.pi * (k + 0.5) / n_fan
-        du, dv = offset * math.cos(psi) * e_t
-        zk = offset * math.sin(psi)
+        du, dv = OFFSET * math.cos(psi) * e_t
+        zk = OFFSET * math.sin(psi)
         seeds.append((psi, RegularizedState(
             p.chart, p.u + du, p.v + dv, math.log(abs(zk)),
             1 if zk > 0 else -1)))
     return seeds
 
 
-def trace_invariant_manifolds(reeb, reports, tub, *, offset=OFFSET,
-                              n_fan=N_FAN, t_max=T_MAX, rtol=1e-10,
+def trace_invariant_manifolds(reeb, reports, tub, *, n_fan=N_FAN, rtol=1e-10,
                               atol=1e-12, tol=POSITION_TOL):
     """Trace every seed of every report both ways and classify the ends.
 
@@ -336,7 +333,7 @@ def trace_invariant_manifolds(reeb, reports, tub, *, offset=OFFSET,
     """
     points = [r.point for r in reports]
     plan = [(report, psi, seed) for report in reports
-            for psi, seed in seed_plan(report, offset=offset, n_fan=n_fan)]
+            for psi, seed in seed_plan(report, n_fan=n_fan)]
     groups = {}   # chart -> plan entries
     for k, (_, _, seed) in enumerate(plan):
         groups.setdefault(seed.chart, []).append(k)
@@ -348,7 +345,7 @@ def trace_invariant_manifolds(reeb, reports, tub, *, offset=OFFSET,
         lanes = _trace_lanes(reeb, tub, chart_name, np.array(sigmas * 2),
                              np.array(starts * 2),
                              np.array(toward + [-d for d in toward]),
-                             t_max, rtol, atol)
+                             rtol, atol)
         for j, k in enumerate(ks):
             ends[k] = (lanes[j], lanes[j + len(ks)])
 
@@ -376,7 +373,7 @@ def trace_invariant_manifolds(reeb, reports, tub, *, offset=OFFSET,
 # ---------------------------------------------------------------------------
 # census
 
-def escape_census(orbits, bound, tub, match_tol=MATCH_TOL):
+def escape_census(orbits, bound, tub):
     """Deduplicate traced orbits and compare the tally with the bound.
 
     An escaping orbit is a duplicate when its seed lies on the trajectory of
@@ -392,7 +389,7 @@ def escape_census(orbits, bound, tub, match_tol=MATCH_TOL):
         sb = orbit.seed
         if any(np.any(tub.distance(sb.chart, (sb.u, sb.v), chart,
                                    (rows[:, 0], rows[:, 1]))
-                      + np.abs(rows[:, 2] - sb.s) < match_tol)
+                      + np.abs(rows[:, 2] - sb.s) < MATCH_TOL)
                for (sigma, chart), rows in stacks.items()
                if sigma == sb.sigma):
             continue
@@ -423,24 +420,25 @@ def escape_census(orbits, bound, tub, match_tol=MATCH_TOL):
         n_seeds=len(orbits), n_distinct=len(distinct),
         weighted_total=weighted, per_point=per_point,
         verdict=bound.verdict, consistent_with_bound=consistent,
-        details={"match_tol": match_tol,
+        details={"match_tol": MATCH_TOL,
                  "non_escaping_seeds": sum(
                      1 for o in orbits
                      if o.near_end.verdict != "limits-to")})
 
 
-def refinement_check(reeb, reports, tub, *, factor=10.0, rtol=1e-10,
-                     atol=1e-12, tol=POSITION_TOL, **kwargs):
-    """Re-trace everything at ``factor``-tighter tolerances and compare.
+def refinement_check(reeb, reports, tub, *, rtol=1e-10, atol=1e-12,
+                     tol=POSITION_TOL):
+    """Re-trace at ``REFINEMENT_FACTOR``-times tighter tolerances; compare.
 
     Returns a dict with both orbit lists, whether every near-end verdict and
     limit point survived, and the worst displacement of a final tangential
     position between the two passes.
     """
+    factor = REFINEMENT_FACTOR
     coarse = trace_invariant_manifolds(reeb, reports, tub, rtol=rtol,
-                                       atol=atol, tol=tol, **kwargs)
+                                       atol=atol, tol=tol)
     fine = trace_invariant_manifolds(reeb, reports, tub, rtol=rtol / factor,
-                                     atol=atol / factor, tol=tol, **kwargs)
+                                     atol=atol / factor, tol=tol)
     stable = True
     finals = {}   # (chart, chart) -> rows (u, v) coarse then (u, v) fine
     for a, b in zip(coarse, fine):

@@ -58,6 +58,7 @@ MIN_FACTOR = 0.2
 SAFETY = 0.9
 ALPHA = 0.7 / 5.0  # PI proportional exponent
 BETA = 0.4 / 5.0   # PI integral exponent
+MAX_STEPS = 500000  # attempted steps before a lane fails
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -249,7 +250,7 @@ def _one_lane_stop(stop):
 
 
 def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
-              max_steps=500000, per_lane=None):
+              per_lane=None):
     """Integrate ẏ = f(t, y) over t_span, adaptively.
 
     ``events`` is a sequence of :class:`Event`; the first crossing in the
@@ -277,7 +278,7 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
         lane, = _integrate(
             _one_lane(f), y[None], t_span, rtol, atol,
             [replace(ev, fn=_one_lane_event(ev.fn)) for ev in events],
-            None if stop is None else _one_lane_stop(stop), max_steps)
+            None if stop is None else _one_lane_stop(stop))
         if isinstance(lane, Exception):
             raise lane
         return lane
@@ -287,12 +288,10 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
         per_lane = np.asarray(per_lane)
         if per_lane.shape[:1] != y.shape[:1]:
             raise ValueError("per_lane needs one entry per lane")
-    return _integrate(f, y, t_span, rtol, atol, events, stop, max_steps,
-                      per_lane)
+    return _integrate(f, y, t_span, rtol, atol, events, stop, per_lane)
 
 
-def _integrate(f, y0, t_span, rtol, atol, events, stop, max_steps,
-               per_lane=None):
+def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
     n, dim = y0.shape
     t0 = np.broadcast_to(np.asarray(t_span[0], dtype=float), (n,)).copy()
     t1 = np.broadcast_to(np.asarray(t_span[1], dtype=float), (n,)).copy()
@@ -338,10 +337,10 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, max_steps,
     it = 0   # attempted steps so far; the same for every live lane
 
     while len(idx):
-        if it > max_steps:
+        if it > MAX_STEPS:
             for lane in idx.tolist():
                 out[lane] = RuntimeError(
-                    f"integration exceeded {max_steps} steps")
+                    f"integration exceeded {MAX_STEPS} steps")
             break
         if h_low < MIN_STEP:
             under = h < MIN_STEP

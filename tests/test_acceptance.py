@@ -211,7 +211,8 @@ def test_c8_autodiff_corpus():
 def test_c9_verdicts_survive_tightening():
     for name in ("sphere", "torus"):
         tub, reeb, reports = _library_setup(name)
-        outcome = refinement_check(reeb, reports, tub, factor=10.0)
+        outcome = refinement_check(reeb, reports, tub)
+        assert outcome["factor"] == 10.0
         assert outcome["stable"] is True
         assert outcome["worst_final_shift"] < 1e-5
         for orbit in outcome["fine"]:

@@ -42,17 +42,17 @@ def _grid(n=40):
 
 def test_components_match_hand_values():
     U, V = _grid()
-    xu, xv = tangential_components("cos(u)")
+    xu, xv = tangential_components(BeltramiData("cos(u)"))
     assert np.max(np.abs(np.asarray(xu(U, V)))) == 0.0
     assert np.max(np.abs(xv(U, V) + np.sin(U))) < 1e-15
 
-    xu2, xv2 = tangential_components("cos(v)", eigenvalue=2.0)
+    xu2, xv2 = tangential_components(BeltramiData("cos(v)", eigenvalue=2.0))
     assert np.max(np.abs(xu2(U, V) - np.sin(V) / 2)) < 1e-15
     assert np.max(np.abs(np.asarray(xv2(U, V)))) == 0.0
 
 
 def test_constant_stream_gives_the_zero_field():
-    xu, xv = tangential_components("3")
+    xu, xv = tangential_components(BeltramiData("3"))
     assert xu(0.4, 1.2) == 0.0 and xv(0.4, 1.2) == 0.0
 
 
@@ -69,14 +69,14 @@ def test_metric_must_be_positive_definite():
 
 
 def test_stagnation_points_are_exactly_the_field_zeros():
-    xu, xv = tangential_components(BUILTIN_STREAM)
+    xu, xv = tangential_components(BeltramiData(BUILTIN_STREAM))
     for p in ((0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi)):
         assert abs(xu(*p)) < 1e-12 and abs(xv(*p)) < 1e-12
 
 
 def test_field_is_divergence_free_for_a_curved_metric():
     met = MetricOnZ(h_uu="2 + sin(v)")
-    xu_ast, xv_ast = tangential_expressions(BUILTIN_STREAM, met)
+    xu_ast, xv_ast = tangential_expressions(BeltramiData(BUILTIN_STREAM, met))
     weigh = parse("s*x", ("s", "x"))
     div = None
     for var, ast in (("u", xu_ast), ("v", xv_ast)):
@@ -93,12 +93,12 @@ def test_field_is_divergence_free_for_a_curved_metric():
 # the area-form identity
 
 def test_identity_holds_with_a_single_sign():
-    rep = hamiltonian_identity_check("cos(u)")
+    rep = hamiltonian_identity_check(BeltramiData("cos(u)"))
     assert rep.passed
     assert rep.global_sign == -1.0
     assert rep.max_residual < 1e-12
 
-    rep2 = hamiltonian_identity_check("cos(u)*cos(v)")
+    rep2 = hamiltonian_identity_check(BeltramiData("cos(u)*cos(v)"))
     assert rep2.passed and rep2.max_residual < 1e-10
 
 
@@ -127,8 +127,9 @@ def test_identity_rejects_a_pointwise_sign_flip():
 # Laplace eigenfunctions
 
 def test_single_modes_have_their_wave_number_eigenvalues():
-    assert laplace_eigen_check("cos(u)").eigenvalue == pytest.approx(-1.0)
-    rep = laplace_eigen_check("cos(2*u)*cos(v)")
+    rep = laplace_eigen_check(BeltramiData("cos(u)"))
+    assert rep.eigenvalue == pytest.approx(-1.0)
+    rep = laplace_eigen_check(BeltramiData("cos(2*u)*cos(v)"))
     assert rep.verdict == "eigenfunction"
     assert rep.eigenvalue == pytest.approx(-5.0, abs=1e-12)
 
@@ -138,19 +139,19 @@ def test_every_low_mode_is_detected():
         for n in range(-3, 4):
             if m == 0 and n == 0:
                 continue
-            rep = laplace_eigen_check(f"cos({m}*u + {n}*v)")
+            rep = laplace_eigen_check(BeltramiData(f"cos({m}*u + {n}*v)"))
             assert rep.verdict == "eigenfunction"
             assert abs(rep.eigenvalue + (m * m + n * n)) < 1e-8
 
 
 def test_mixed_modes_are_not_an_eigenfunction():
-    rep = laplace_eigen_check("cos(u) + cos(2*u)")
+    rep = laplace_eigen_check(BeltramiData("cos(u) + cos(2*u)"))
     assert rep.verdict == "not-eigenfunction"
     assert rep.eigenvalue is None
 
 
 def test_anisotropic_metric_rescales_the_eigenvalue():
-    rep = laplace_eigen_check("cos(u + 2*v)", MetricOnZ(h_uu="2"))
+    rep = laplace_eigen_check(BeltramiData("cos(u + 2*v)", MetricOnZ(h_uu="2")))
     assert rep.verdict == "eigenfunction"
     assert rep.eigenvalue == pytest.approx(-4.5, abs=1e-12)
 
@@ -177,7 +178,7 @@ def test_center_and_saddle_spectra_of_the_builtin_stream():
                              "unstable"),
     }
     for p, (kind, lam_plus, lam_z, transverse) in expected.items():
-        rep = beltrami_stability_matrix(BUILTIN_STREAM, point=p)
+        rep = beltrami_stability_matrix(BeltramiData(BUILTIN_STREAM), point=p)
         assert rep.kind == kind
         assert rep.lambda_plus == pytest.approx(lam_plus, abs=1e-14)
         assert rep.lambda_z == pytest.approx(lam_z, abs=1e-14)
@@ -186,7 +187,8 @@ def test_center_and_saddle_spectra_of_the_builtin_stream():
 
 
 def test_stability_matrix_entries_are_the_hessian_block():
-    rep = beltrami_stability_matrix(BUILTIN_STREAM, point=(0.0, math.pi))
+    rep = beltrami_stability_matrix(BeltramiData(BUILTIN_STREAM),
+                                    point=(0.0, math.pi))
     # F_uu = -1, F_uv = 0, F_vv = 1/2 there, and the rescaling is 1
     assert np.allclose(rep.matrix,
                        [[0.0, -0.5, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -0.5]],
@@ -195,20 +197,21 @@ def test_stability_matrix_entries_are_the_hessian_block():
 
 def test_degenerate_hessian_is_refused():
     with pytest.raises(NotMorseError):
-        beltrami_stability_matrix("cos(u)", point=(0.0, 1.3))
+        beltrami_stability_matrix(BeltramiData("cos(u)"), point=(0.0, 1.3))
 
 
 def test_zero_stream_value_is_refused():
     # (pi/2, pi/2) is a genuine saddle of cos u cos v but sits on the zero
     # level, where the transverse rate would vanish
     with pytest.raises(RegularValueViolation):
-        beltrami_stability_matrix("cos(u)*cos(v)",
+        beltrami_stability_matrix(BeltramiData("cos(u)*cos(v)"),
                                   point=(math.pi / 2, math.pi / 2))
 
 
 def test_non_stagnation_point_is_refused():
     with pytest.raises(ValueError, match="stagnation"):
-        beltrami_stability_matrix("cos(u)*cos(v)", point=(math.pi / 2, 0.0))
+        beltrami_stability_matrix(BeltramiData("cos(u)*cos(v)"),
+                                  point=(math.pi / 2, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +219,25 @@ def test_non_stagnation_point_is_refused():
 
 def test_roundtrip_recovers_the_stream_function():
     for stream in (BUILTIN_STREAM, "cos(u)*cos(v)"):
-        form, rep = contact_from_beltrami(stream)
+        form, rep = contact_from_beltrami(BeltramiData(stream))
         assert rep["stream_recovered"]
         assert rep["roundtrip_max_error"] < 1e-12
 
 
 def test_builtin_stream_produces_a_contact_form():
-    _, rep = contact_from_beltrami(BUILTIN_STREAM)
+    _, rep = contact_from_beltrami(BeltramiData(BUILTIN_STREAM))
     assert rep["contact_passed"]
 
 
 def test_vanishing_field_fails_the_contact_condition():
-    _, rep = contact_from_beltrami("1")
+    _, rep = contact_from_beltrami(BeltramiData("1"))
     assert rep["stream_recovered"]       # H = F still holds
     assert not rep["contact_passed"]     # but alpha wedge dalpha vanishes
 
 
 def test_product_stream_fails_contact_where_the_field_vanishes():
     # cos u cos v and its gradient vanish together at (pi/2, pi/2)
-    _, rep = contact_from_beltrami("cos(u)*cos(v)")
+    _, rep = contact_from_beltrami(BeltramiData("cos(u)*cos(v)"))
     assert not rep["contact_passed"]
     loc = rep["contact_worst_location"]
     assert math.cos(loc["u"]) ** 2 + math.cos(loc["v"]) ** 2 < 1e-12
@@ -242,7 +245,8 @@ def test_product_stream_fails_contact_where_the_field_vanishes():
 
 def test_explicit_transverse_extension_is_honored():
     ext = {"X_z": f"(0 - ({BUILTIN_STREAM})) * (1 + z^2)"}
-    form, rep = contact_from_beltrami(BUILTIN_STREAM, extension=ext)
+    form, rep = contact_from_beltrami(BeltramiData(BUILTIN_STREAM),
+                                      extension=ext)
     assert rep["stream_recovered"]
     tub = TubularChart.torus()
     cf = form.for_chart("torus")

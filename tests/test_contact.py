@@ -474,7 +474,7 @@ def test_compiled_frame_uses_no_more_memory_than_the_walker(name):
     else:
         tub = TubularChart.torus()
         form, _ = contact_from_beltrami(
-            BeltramiData("cos(u) + 0.5*cos(v)"), tub=tub, grid=(8, 8, 3))
+            BeltramiData("cos(u) + 0.5*cos(v)"), grid=(8, 8, 3))
     cf, chart = form.for_chart("torus"), tub.charts["torus"]
     U, V = (a.ravel() for a in np.meshgrid(*chart.grid(256, 256),
                                            indexing="ij"))

@@ -152,14 +152,9 @@ def test_torus_refinement_is_stable(torus_run):
 # ---------------------------------------------------------------------------
 # seeding geometry
 
-def test_seed_plan_rejects_zero_offset(sphere_run):
-    with pytest.raises(ValueError, match="offset"):
-        seed_plan(sphere_run["reports"][0], offset=0.0)
-
-
 def test_extremum_seeds_sit_on_the_transverse_axis(sphere_run):
     rep = sphere_run["reports"][0]
-    seeds = seed_plan(rep, offset=1e-4)
+    seeds = seed_plan(rep)
     assert [s.sigma for _, s in seeds] == [1, -1]
     for psi, s in seeds:
         assert psi is None
@@ -170,7 +165,7 @@ def test_extremum_seeds_sit_on_the_transverse_axis(sphere_run):
 def test_saddle_fan_avoids_both_axes(torus_run):
     rep = next(r for r in torus_run["reports"]
                if r.kind == "hyperbolic-2d-transverse")
-    seeds = seed_plan(rep, offset=1e-4)
+    seeds = seed_plan(rep)
     assert len(seeds) == 16
     assert sum(1 for _, s in seeds if s.sigma == 1) == 8
     for psi, s in seeds:
@@ -188,18 +183,19 @@ def test_regularized_field_needs_a_side():
                         tub)
     with pytest.raises(ValueError, match="sigma"):  # one bad lane in a batch
         _trace_lanes(reeb, tub, "torus", np.array([1, -1, 2]),
-                     np.full((3, 3), -5.0), np.array([1, 1, -1]), 1.0,
-                     1e-10, 1e-12)
+                     np.full((3, 3), -5.0), np.array([1, 1, -1]), 1e-10,
+                     1e-12)
 
 
 # ---------------------------------------------------------------------------
 # verdicts on awkward inputs
 
-def test_short_horizon_is_undecided(sphere_run):
+def test_short_horizon_is_undecided(sphere_run, monkeypatch):
     seed = RegularizedState("north-pole", 0.05, 0.02,
                             math.log(sphere_run["tub"].epsilon / 2), 1)
+    monkeypatch.setattr("bcontactlab.orbits.T_MAX", 0.01)
     tr = integrate_orbit(sphere_run["reeb"], seed, sphere_run["tub"],
-                         direction=-1, t_max=0.01)
+                         direction=-1)
     assert tr.status == "reached-end"
     rep = detect_limit(tr, sphere_run["points"], sphere_run["tub"])
     assert rep.verdict == "undecided"
@@ -265,6 +261,21 @@ def test_a_seed_whose_field_raises_fails_alone(torus_run):
             assert np.array_equal(got.y, want.y)
             assert got.stats == want.stats
         assert o.near_end == ref.near_end and o.far_end == ref.far_end
+
+
+def test_a_raising_batch_is_traced_again_in_halves(torus_run, monkeypatch):
+    # the victim's two lanes (toward and away) raise among the 144 of the
+    # torus batch; halving finds each in about 2·log2(144) runs, where a
+    # retrace lane by lane takes 1 + 144
+    victim = [o for o in torus_run["orbits"] if o.psi is not None][5].seed
+    calls = _integrate_calls(monkeypatch)
+    orbits = trace_invariant_manifolds(
+        _PoisonedField(torus_run["reeb"], victim), torus_run["reports"],
+        torus_run["tub"])
+    assert calls[0][0] == 144
+    assert len(calls) <= 4 * math.ceil(math.log2(144)) + 1
+    assert [o.seed for o in orbits
+            if o.near_end.verdict == "integration-failed"] == [victim]
 
 
 def test_traced_lanes_equal_one_seed_runs(torus_run):
@@ -405,14 +416,15 @@ def test_census_drops_seeds_that_lie_on_a_kept_trajectory():
 # ---------------------------------------------------------------------------
 # dynamical invariants
 
-def test_time_reversal_returns_to_the_seed(sphere_run):
+def test_time_reversal_returns_to_the_seed(sphere_run, monkeypatch):
     tub, reeb = sphere_run["tub"], sphere_run["reeb"]
     seed = RegularizedState("north-pole", 0.05, 0.02, math.log(1e-4), 1)
-    fwd = integrate_orbit(reeb, seed, tub, direction=-1, t_max=5.0)
+    monkeypatch.setattr("bcontactlab.orbits.T_MAX", 5.0)
+    fwd = integrate_orbit(reeb, seed, tub, direction=-1)
     assert fwd.status == "reached-end"
     uf, vf, sf = map(float, fwd.final)
     back = integrate_orbit(reeb, RegularizedState("north-pole", uf, vf, sf, 1),
-                           tub, direction=1, t_max=5.0)
+                           tub, direction=1)
     ub, vb, sb = map(float, back.final)
     d = tub.distance("north-pole", (ub, vb), "north-pole", (seed.u, seed.v))
     assert d < 1e-4

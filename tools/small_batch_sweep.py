@@ -7,18 +7,20 @@ lanes point by point on floats and more in one array call.  For 4 to 24
 lanes on three charts (the torus builtin's chart and the sphere builtin's
 ``north`` and ``north-pole`` charts), this prints the time of one array
 call over the time of the float path for the same lanes; the two cost the
-same where the ratio is 1.  The last lines give, per chart, the lane
-count where straight lines fitted to the two paths' times cross, which
-single noisy ratios move less.  Each time is the minimum over ``R``
-repeats of a loop of about 10 ms, since a shared host only ever slows a
-run down.  It measures the checkout it sits in: the package is imported
-from the ``src`` directory beside this one.
+same where the ratio is 1.  Each ratio is the median over ``R`` repeats,
+and a repeat times a loop of about 10 ms of each path back to back, so
+that a host whose speed shifts between repeats moves both times of a
+ratio together.  The last lines give, per chart, the break-even: the
+first lane count whose ratio is at most 1.  It measures the checkout it
+sits in: the package is imported from the ``src`` directory beside this
+one.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import random
+import statistics
 import sys
 import timeit
 from pathlib import Path
@@ -51,18 +53,27 @@ def _lanes(chart, n, rng):
     return np.array(rows)
 
 
-def _seconds(rhs, y, batch, repeat):
-    """Minimum time of one ``rhs(0, y, sigma)`` with ``SMALL_BATCH`` at
-    ``batch``, every lane above Z."""
+def _seconds(rhs, y, batch, loops):
+    """Mean time of ``loops`` calls ``rhs(0, y, sigma)`` with
+    ``SMALL_BATCH`` at ``batch``, every lane above Z."""
     sigma = np.ones(len(y), dtype=int)
     saved, orbits.SMALL_BATCH = orbits.SMALL_BATCH, batch
     try:
-        once = timeit.timeit(lambda: rhs(0.0, y, sigma), number=1)
-        loops = max(1, int(0.01 / once))  # about 10 ms per repeat
-        return min(timeit.repeat(lambda: rhs(0.0, y, sigma), number=loops,
-                                 repeat=repeat)) / loops
+        return timeit.timeit(lambda: rhs(0.0, y, sigma), number=loops) / loops
     finally:
         orbits.SMALL_BATCH = saved
+
+
+def _ratio(rhs, y, repeat):
+    """Median over ``repeat`` repeats of the array time over the float
+    time; a repeat times a loop of about 10 ms of each, back to back."""
+    batches = (0, len(y) + 1)  # one array call; point by point
+    loops = [max(1, int(0.01 / _seconds(rhs, y, b, 1))) for b in batches]
+    ratios = []
+    for _ in range(repeat):
+        arr, flt = (_seconds(rhs, y, b, n) for b, n in zip(batches, loops))
+        ratios.append(arr / flt)
+    return statistics.median(ratios)
 
 
 def main(argv=None):
@@ -70,27 +81,21 @@ def main(argv=None):
     parser.add_argument("--repeat", type=int, default=7)
     args = parser.parse_args(argv)
     rng = random.Random(16)
-    times = {}
+    ratios = {}
     for scenario, name in CHARTS:
         tub, form = scenario_form(load_scenario(scenario))
         rhs = orbits.regularized_field(BReebField(form, tub), name)
-        times[name] = {n: (_seconds(rhs, y, 0, args.repeat),  # one array call
-                           _seconds(rhs, y, n + 1, args.repeat))  # by point
-                       for n, y in ((n, _lanes(tub.charts[name], n, rng))
-                                    for n in LANES)}
+        ratios[name] = {n: _ratio(rhs, _lanes(tub.charts[name], n, rng),
+                                  args.repeat) for n in LANES}
     print(f"current SMALL_BATCH = {orbits.SMALL_BATCH}")
     print("array/float time ratio of regularized_field by lane count")
-    print("lanes " + "".join(f"{name:>12}" for name in times))
+    print("lanes " + "".join(f"{name:>12}" for name in ratios))
     for n in LANES:
-        print(f"{n:5d} " + "".join(f"{t[n][0] / t[n][1]:12.2f}"
-                                  for t in times.values()))
-    for name, t in times.items():
-        (b_arr, a_arr), (b_flt, a_flt) = (
-            np.polyfit(list(LANES), [t[n][k] for n in LANES], 1)
-            for k in (0, 1))
-        print(f"{name}: break-even at {(a_arr - a_flt) / (b_flt - b_arr):.1f}"
-              f" lanes (array {a_arr * 1e6:.0f} us + {b_arr * 1e6:.2f} us/lane,"
-              f" float {b_flt * 1e6:.2f} us/lane)")
+        print(f"{n:5d} " + "".join(f"{r[n]:12.2f}" for r in ratios.values()))
+    for name, r in ratios.items():
+        even = next((n for n in LANES if r[n] <= 1.0), None)
+        print(f"{name}: break-even at {even} lanes" if even is not None else
+              f"{name}: no break-even up to {LANES[-1]} lanes")
 
 
 if __name__ == "__main__":
