@@ -25,13 +25,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .charts import TubularChart
+from . import contact
 from .contact import BContactForm, ChartFields, contact_sweep
 from .critical import (
     MORSE_DET_FLOOR, NotMorseError, RegularValueViolation, SpectrumMismatchError,
     spectrum_mismatch,
 )
 from .expressions import (
-    Const, Expr, differentiate, eval_value, hessian, parse, substitute,
+    Const, Expr, compile, differentiate, eval_value, hessian, parse,
+    substitute,
 )
 
 __all__ = [
@@ -44,7 +46,6 @@ __all__ = [
 ]
 
 _NAMES = ("u", "v")
-IDENTITY_TOL = 1e-8
 EIGEN_RATIO_TOL = 1e-6
 LEVEL_FLOOR = 0.1        # ratio test only where |F| exceeds this times max|F|
 GRAD_TOL = 1e-8          # acceptance threshold for "p is a stagnation point"
@@ -156,8 +157,12 @@ class BeltramiData:
     def tangential(self, u, v):
         """The field components (X_u, X_v) at a point or grid."""
         fu, fv = self.stream_gradient(u, v)
-        scale = self.eigenvalue * self.metric.sqrt_det(u, v)
-        return -fv / scale, fu / scale
+        return _tangential(fu, fv, self.eigenvalue * self.metric.sqrt_det(u, v))
+
+
+def _tangential(fu, fv, scale):
+    """(X_u, X_v) = (−F_v, F_u) / (λ √det h) from values; ``scale`` is λ √det h."""
+    return -fv / scale, fu / scale
 
 
 def tangential_components(data):
@@ -189,22 +194,27 @@ class IdentityReport:
 
 
 def hamiltonian_identity_check(data, grid=(64, 64), components=None,
-                               threshold=IDENTITY_TOL):
+                               threshold=None):
     """Compare ι_X(λ·dA_h) with dF on a grid, under one global sign.
 
     The sign is fixed by the first sample where both sides are nonzero and
     must then work everywhere: a point where only the *opposite* sign fits
     raises :class:`SignInconsistencyError`, since an orientation cannot flip
     midway across a connected surface.  ``components`` may supply a pair of
-    evaluators to audit in place of the derived ones.
+    evaluators to audit in place of the derived ones.  F_u, F_v and √det h
+    come from one compiled evaluation, and the derived X from those values.
+    ``threshold`` defaults to :data:`contact.RESIDUAL_TOL`, the pipeline's.
     """
+    if threshold is None:
+        threshold = contact.RESIDUAL_TOL
     U, V = _torus_grid(grid)
-    fu, fv = data.stream_gradient(U, V)
+    fu, fv, sqrt_det = compile((data._stream_u, data._stream_v,
+                                data.metric.sqrt_det_expr), _NAMES)(U, V)
+    scale = data.eigenvalue * sqrt_det
     if components is None:
-        xu, xv = data.tangential(U, V)
+        xu, xv = _tangential(fu, fv, scale)
     else:
         xu, xv = components[0](U, V), components[1](U, V)
-    scale = data.eigenvalue * data.metric.sqrt_det(U, V)
 
     # ι_X(λ √det h du∧dv) = λ √det h (X_u dv − X_v du), matched against
     # dF = F_u du + F_v dv, component by component, point-major
@@ -264,11 +274,12 @@ def laplace_eigen_check(data, grid=(64, 64)):
     Δ_h is div∘grad, so eigenvalues on the torus come out negative.  The
     ratio is sampled away from the zero level of F (|F| above
     ``LEVEL_FLOOR`` times its grid maximum); it must be constant to
-    ``EIGEN_RATIO_TOL`` for an eigenfunction verdict.
+    ``EIGEN_RATIO_TOL`` for an eigenfunction verdict.  Δ_h F and F come
+    from one compiled evaluation.
     """
     U, V = _torus_grid(grid)
-    laplacian = _on_grid(eval_value(_laplacian(data), _NAMES, (U, V)), U.shape)
-    values = _on_grid(data.stream_value(U, V), U.shape)
+    laplacian, values = (_on_grid(x, U.shape) for x in compile(
+        (_laplacian(data), data.stream), _NAMES)(U, V))
     top = float(np.max(np.abs(values)))
     if top == 0.0:
         raise ValueError("the stream function vanishes on the whole grid")

@@ -25,11 +25,15 @@ Domain policy (shared by every consumer, and by derivative trees, whose
 ``abs``/``sqrt``/quotient nodes inherit the same checks):
 
 * division by an exact zero, or a non-finite quotient, raises :class:`DomainError`;
+  a literal divisor ``c`` that is finite with ``|c| >= 1`` is not checked, since
+  it cannot be zero and its quotient is non-finite only where the numerator is;
 * ``sqrt`` requires a strictly positive argument (the slope blows up at 0);
 * ``abs`` is non-differentiable at 0 and refuses arguments with ``|x| < 1e-12``
   rather than silently picking a subgradient;
 * integer powers with negative exponent require a non-zero base, and a
-  power that overflows is a domain error;
+  power that overflows is a domain error; a positive power is one
+  left-to-right multiplication chain ``x * x * ... * x``, so a float and an
+  array lane get the same bits, checked once for finiteness;
 * ``exp`` overflow is a domain error, not an ``inf``.
 
 On an array argument every check is an *any*: one bad lane fails the batch.
@@ -46,11 +50,12 @@ __all__ = [
     "ParseError", "EvalError", "DomainError", "Expr", "Const", "Var", "Unary",
     "Binary", "Power", "parse", "to_string", "evaluate", "free_vars",
     "differentiate", "gradient", "hessian", "substitute", "eval_value",
-    "compile", "ABS_KINK_HALFWIDTH",
+    "compile", "ABS_KINK_HALFWIDTH", "MAX_POWER",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 ABS_KINK_HALFWIDTH = 1e-12
+MAX_POWER = 64   # largest positive exponent: x^m is m - 1 multiplications
 
 
 class ParseError(ValueError):
@@ -221,7 +226,11 @@ class _Parser:
         return base
 
     def parse_exponent(self):
-        """Integer exponent; a literal tower like 2^3 folds right-associatively."""
+        """Integer exponent; a literal tower like 2^3 folds right-associatively.
+
+        A positive exponent above ``MAX_POWER`` is a :class:`ParseError`:
+        a positive power evaluates as a chain of multiplications.
+        """
         sign = 1
         t = self.peek()
         if t.kind == "OP" and t.text == "-":
@@ -239,6 +248,8 @@ class _Parser:
             if inner < 0:
                 raise ParseError("negative exponent inside an exponent tower", nxt.offset)
             base = base ** inner
+        if sign * base > MAX_POWER:
+            raise ParseError(f"exponent above {MAX_POWER}", t.offset)
         return sign * base
 
     def parse_atom(self):
@@ -411,6 +422,8 @@ def evaluate(e, env):
             return l - r
         if e.op == "*":
             return l * r
+        if _literal_divisor(e.right):
+            return l / r
         return _div(l, r)
     if isinstance(e, Power):
         return _int_power(evaluate(e.base, env), e.exponent)
@@ -424,6 +437,11 @@ def evaluate(e, env):
 # trees both call them.  A plain float goes through ``math``, anything else
 # through numpy.
 
+def _literal_divisor(e):
+    """Whether dividing by ``e`` needs no check: a finite literal, |c| >= 1."""
+    return type(e) is Const and math.isfinite(e.value) and abs(e.value) >= 1.0
+
+
 def _div(l, r):
     if _any(r == 0):
         raise DomainError("division by zero")
@@ -434,12 +452,21 @@ def _div(l, r):
 
 
 def _int_power(x, m):
+    if m > 0:
+        out = x
+        for _ in range(m - 1):
+            out = out * x
+        return _finite_power(out, m)
     if m < 0 and _any(x == 0):
         raise DomainError("negative power of zero")
     try:
         out = x ** m
     except OverflowError:
         raise DomainError(f"power {m} overflow") from None
+    return _finite_power(out, m)
+
+
+def _finite_power(out, m):
     if not _all_finite(out):
         raise DomainError(f"power {m} produced a non-finite value")
     return out
@@ -496,7 +523,7 @@ def _unary(func):
 # Everything generated code can name: the checked primitives, and the two
 # non-finite float reprs.
 _NAMESPACE = {"__builtins__": {}, "_div": _div, "_int_power": _int_power,
-              "inf": math.inf, "nan": math.nan,
+              "_finite_power": _finite_power, "inf": math.inf, "nan": math.nan,
               **{f"_{name}": fn for name, fn in _UNARY.items()}}
 
 
@@ -509,14 +536,23 @@ def compile(trees, variables):
     that does.  The source is generated from the AST alone: values are the
     parameters ``x0, x1, ...`` by position and constants are float literals,
     so no name from a scenario reaches it.  Each structurally distinct
-    subtree is one statement, computed once, and each temporary is deleted
-    after its last use so that array temporaries do not pile up.  A variable
+    subtree is one statement, computed once; a positive power is a chain of
+    product statements that the powers of one base share.  Each temporary
+    is deleted after its last use so that array temporaries do not pile
+    up.  A variable
     outside ``variables`` raises :class:`EvalError` here, naming it.
     """
     position = {name: i for i, name in enumerate(variables)}
     lines = []      # (temp, expression, operand temps)
     temps = {}      # expression text -> temp: structural equality
     seen = {}       # id(node) -> operand text, so shared nodes are walked once
+
+    def statement(expr, args):
+        text = temps.get(expr)
+        if text is None:
+            text = temps[expr] = f"t{len(lines)}"
+            lines.append((text, expr, args))
+        return text
 
     def operand(e):
         text = seen.get(id(e))
@@ -531,8 +567,16 @@ def compile(trees, variables):
         else:
             if isinstance(e, Binary):
                 args = (operand(e.left), operand(e.right))
-                expr = (f"{args[0]} {e.op} {args[1]}" if e.op in ("+", "-", "*")
+                plain = e.op != "/" or _literal_divisor(e.right)
+                expr = (f"{args[0]} {e.op} {args[1]}" if plain
                         else f"_div({args[0]}, {args[1]})")
+            elif isinstance(e, Power) and e.exponent > 0:
+                # x^k is x^(k-1) * x, as in _int_power; the check is per power
+                base = chain = operand(e.base)
+                for _ in range(int(e.exponent) - 1):
+                    chain = statement(f"{chain} * {base}", (chain, base))
+                args = (chain,)
+                expr = f"_finite_power({chain}, {int(e.exponent)})"
             elif isinstance(e, Power):
                 args = (operand(e.base),)
                 expr = f"_int_power({args[0]}, {int(e.exponent)})"
@@ -542,10 +586,7 @@ def compile(trees, variables):
                 expr = f"_{e.func}({args[0]})"
             else:
                 raise TypeError(f"not an Expr: {e!r}")
-            text = temps.get(expr)
-            if text is None:
-                text = temps[expr] = f"t{len(lines)}"
-                lines.append((text, expr, args))
+            text = statement(expr, args)
         seen[id(e)] = text
         return text
 

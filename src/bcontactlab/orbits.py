@@ -54,8 +54,9 @@ CHART_SLACK = 0.05       # a trace ends "left-chart" this far outside its chart
 TAIL_WINDOW = 0.1        # share of a trace's samples the monotone test reads
 REFINEMENT_FACTOR = 10.0  # tolerance tightening of refinement_check
 # Fewer lanes than this evaluate the field point by point on floats: one
-# array call costs what 11 (pole charts) to 15 (torus) float points do
-# (tools/small_batch_sweep.py); kept at 16: a lane's bits depend on the path.
+# array call costs what 13 (`north`) to 15 (torus) float points do, and 21
+# to 24 on a pole chart (tools/small_batch_sweep.py).  A speed constant:
+# on a field of arithmetic and integer powers both paths give the same bits.
 SMALL_BATCH = 16
 
 
@@ -135,7 +136,8 @@ def regularized_field(reeb, chart_name):
     Fewer than ``SMALL_BATCH`` lanes are evaluated point by point on
     floats, more in one array call; the two give the same bits wherever
     numpy's elementwise functions do what libm does (``sin`` and ``cos``
-    here; not ``power``, which integer powers in a field go through).
+    here).  Arithmetic and integer powers, which are multiplication chains,
+    round alike on both paths.
     """
     def rhs(t, y, sigma):
         if len(y) < SMALL_BATCH:

@@ -102,6 +102,20 @@ def test_identity_holds_with_a_single_sign():
     assert rep2.passed and rep2.max_residual < 1e-10
 
 
+def test_identity_threshold_defaults_to_the_pipeline_residual_tol(monkeypatch):
+    """A residual of 5e-9 fails the default threshold, ``contact.RESIDUAL_TOL``
+    = 1e-9, and passes once that constant is 1e-8: the default is read when
+    the check runs."""
+    data = BeltramiData("cos(u)")
+    xu = lambda u, v: data.tangential(u, v)[0]
+    off = lambda u, v: data.tangential(u, v)[1] + 5e-9
+    rep = hamiltonian_identity_check(data, components=(xu, off))
+    assert 1e-9 < rep.max_residual < 1e-8
+    assert not rep.passed
+    monkeypatch.setattr(contact, "RESIDUAL_TOL", 1e-8)
+    assert hamiltonian_identity_check(data, components=(xu, off)).passed
+
+
 def test_identity_fails_for_a_corrupted_component():
     data = BeltramiData("cos(u)")
     xu = lambda u, v: data.tangential(u, v)[0]

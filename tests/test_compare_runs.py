@@ -1,4 +1,5 @@
 """tools/compare_runs.py: the report-and-CSV oracle for refactors."""
+import json
 import os
 import shutil
 import subprocess
@@ -57,3 +58,39 @@ def test_runs_on_a_warm_field_memo_equal_a_fresh_process(tmp_path):
         same = _compare(tmp_path / a, tmp_path / b)
         assert same.returncode == 0, same.stdout
         assert same.stdout.startswith("0 of ")
+
+
+def _tree(root, u, weight, label):
+    run = root / "run"
+    run.mkdir(parents=True)
+    (run / "report.json").write_text(json.dumps(
+        {"timing": {"total_s": weight}, "counts": [3, weight], "ok": True}))
+    (run / "orbits.csv").write_text(f"u,v,label\n{u},-2.0,{label}\n")
+    (run / "notes.txt").write_text(label)
+
+
+def test_shift_names_the_worst_numeric_difference(tmp_path):
+    _tree(tmp_path / "a", 0.5, 4.0, "x")
+    _tree(tmp_path / "b", 0.5000001, 4.0, "x")
+    _tree(tmp_path / "c", 0.5, 5.0, "y")
+    (tmp_path / "c" / "run" / "extra.csv").write_text("u\n1\n")
+    shifted = _compare(tmp_path / "a", tmp_path / "c")
+    assert shifted.returncode == 1
+    assert shifted.stdout.splitlines() == [
+        f"run/extra.csv: only in {tmp_path / 'c'}",
+        "run/notes.txt: differs",
+        "run/orbits.csv: differs",
+        "  no number differs",
+        "run/report.json: differs",
+        "  worst shift abs 1 at report.counts[1], rel 0.2 at report.counts[1]",
+        "4 of 4 files differ",
+        "over all files: worst shift abs 1 at run/report.json "
+        "report.counts[1], rel 0.2 at run/report.json report.counts[1]",
+    ]
+    csv_shift = _compare(tmp_path / "a", tmp_path / "b")
+    assert csv_shift.stdout.splitlines()[1] == (
+        "  worst shift abs 1e-07 at rows[0].u, rel 2e-07 at rows[0].u")
+
+    same = _compare(tmp_path / "a", tmp_path / "a")
+    assert same.returncode == 0
+    assert same.stdout == "0 of 3 files differ\n"

@@ -116,6 +116,24 @@ def test_sphere_pole_chart_reeb_is_vertical(sphere):
     assert zdata.w_value(0.0, 0.0, "south-pole") == pytest.approx(2.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("name", ["north-pole", "south-pole"])
+def test_pole_frame_lanes_equal_their_float_points(sphere, name):
+    """One rounding: each lane of an array evaluation of a pole chart's
+    frame has the bits of the same point evaluated as floats, whatever the
+    batch size, so a lane does not depend on whether its batch crossed
+    ``orbits.SMALL_BATCH``.  The points reach |u|, |v| = 2, where the high
+    powers of the series carry weight (inside the disk they round away)."""
+    tub, form = sphere
+    frame = form.for_chart(name).trees(tub.charts[name]).frame_function
+    rng = np.random.default_rng(2501)
+    for lanes in (4, 15, 16, 40):
+        u, v, z = (rng.uniform(-2.0, 2.0, lanes) for _ in range(3))
+        columns = np.stack(np.broadcast_arrays(*frame(u, v, z)), axis=1)
+        for k in range(lanes):
+            point = np.array(frame(float(u[k]), float(v[k]), float(z[k])))
+            assert columns[k].tobytes() == point.tobytes(), (lanes, k)
+
+
 def test_contact_check_passes_on_builtin_scenarios(sphere):
     tub, form = torus_setup()
     report = contact_check(form, tub)

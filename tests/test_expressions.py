@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from bcontactlab.expressions import (
-    Binary, Const, DomainError, EvalError, ParseError, Power, Unary, Var,
-    compile, differentiate, eval_value, evaluate, free_vars, gradient,
+    MAX_POWER, Binary, Const, DomainError, EvalError, ParseError, Power,
+    Unary, Var, compile, differentiate, eval_value, evaluate, free_vars, gradient,
     hessian, parse, substitute, to_string,
 )
 from tests_fd import central_gradient, central_hessian
@@ -145,6 +145,85 @@ def test_compiled_trees_match_the_walker_bit_for_bit():
             outcomes["array" if isinstance(point[0], np.ndarray)
                      else "float"] += 1
     assert min(outcomes.values()) >= 50, outcomes
+
+
+def _same_outcome(trees, names, point):
+    """The walker and the compiled function agree on ``point``: both raise
+    :class:`DomainError`, or both return the same values bit for bit.
+    Returns whether they raised."""
+    env = dict(zip(names, point))
+    fn = compile(trees, names)
+    with np.errstate(over="ignore"):  # an overflow is reported as DomainError
+        try:
+            want = tuple(evaluate(t, env) for t in trees)
+        except DomainError:
+            with pytest.raises(DomainError):
+                fn(*point)
+            return True
+        got = fn(*point)
+    for g, w in zip(got, want, strict=True):
+        assert type(g) is type(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    return False
+
+
+@pytest.mark.parametrize("divisor", [0.0, 0.5, -0.5, 1.0, 3.0, 1e300])
+def test_division_by_a_literal_has_one_policy(divisor):
+    """A literal divisor with |c| >= 1 divides unchecked, any other stays
+    checked; walker and compiled function raise and round alike."""
+    trees = (Binary("/", Var("u"), Const(divisor)),
+             Binary("/", Binary("*", Var("u"), Var("u")), Const(divisor)))
+    numerators = [1.5, -2.25, 0.0, 1e300, 1e-300, math.inf]
+    points = [(x,) for x in numerators] + [(np.array(numerators[:4]),),
+                                           (np.array(numerators),)]
+    raised = [_same_outcome(trees, ("u",), point) for point in points]
+    if divisor == 0.0:
+        assert all(raised)
+    elif abs(divisor) < 1.0:
+        assert raised == [False, False, False, True, False, True, True, True]
+    else:
+        # unchecked: an infinite numerator passes through as it is
+        assert not any(raised)
+        assert evaluate(trees[0], {"u": math.inf}) == math.inf / divisor
+
+
+@pytest.mark.parametrize("src", ["u^2", "u^7"])
+def test_power_overflow_raises_on_both_paths(src):
+    """A positive power is a multiplication chain checked once: it raises
+    where it overflows, at a float point and in any lane of an array."""
+    trees = (parse(src, ("u",)),)
+    for point in [(1e200,), (-1e200,), (np.array([1.0, 1e200, 2.0]),)]:
+        assert _same_outcome(trees, ("u",), point)
+    for point in [(1.5,), (-1e-200,), (np.array([1.0, -3.0, 2.0]),)]:
+        assert not _same_outcome(trees, ("u",), point)
+
+
+def test_a_positive_exponent_above_max_power_is_a_parse_error():
+    """x^m is m - 1 multiplications, so the parser bounds a positive m: no
+    scenario string makes an evaluation or a compiled function that long.
+    A tower is bounded as it folds, before it grows."""
+    assert parse(f"u^{MAX_POWER}", ("u",)) == Power(Var("u"), MAX_POWER)
+    assert _value("u^-100", (2.0,)) == 2.0 ** -100
+    for src in (f"u^{MAX_POWER + 1}", "u^1000000", "u^2^30", "u^9^9^9"):
+        with pytest.raises(ParseError) as err:
+            parse(src, ("u",))
+        assert "exponent above 64" in str(err.value)
+
+
+def test_positive_powers_are_one_left_to_right_chain():
+    """x^m is ((x*x)*x)..., so a float point and an array lane round alike
+    (libm pow and numpy power differ in the last bit)."""
+    rng = np.random.default_rng(17)
+    x = rng.uniform(-3.0, 3.0, 200)
+    for m in (2, 3, 5, 8):
+        chain = x.copy()
+        for _ in range(m - 1):
+            chain = chain * x
+        tree = Power(Var("u"), m)
+        lanes = evaluate(tree, {"u": x})
+        assert lanes.tobytes() == chain.tobytes()
+        assert compile((tree,), ("u",))(x)[0].tobytes() == chain.tobytes()
+        assert [evaluate(tree, {"u": float(a)}) for a in x] == chain.tolist()
 
 
 def test_compile_rejects_an_unknown_variable_up_front():
