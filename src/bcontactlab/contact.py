@@ -376,7 +376,7 @@ def contact_check(form, tub, grid=(64, 64, 9)):
 
 
 @_quiet
-def solve_reeb(form, tub, grid=(64, 64, 9), tol=RESIDUAL_TOL):
+def solve_reeb(form, tub, grid=(64, 64, 9), tol=None):
     """The validation sweep: ``(reeb, [contact, residuals, identity])``.
 
     Each slab's frame is evaluated once: one slab per (chart, z-level), or
@@ -387,7 +387,11 @@ def solve_reeb(form, tub, grid=(64, 64, 9), tol=RESIDUAL_TOL):
     nothing is raised: ``reeb`` is None and the residual check (and the
     identity check, for the slab standing for z = 0) fails at the lane
     where the floor that fired is furthest below it, naming the cause.
+    ``tol``, the threshold of both residual checks, defaults to
+    ``RESIDUAL_TOL``.
     """
+    if tol is None:
+        tol = RESIDUAL_TOL
     per_chart, residual, identity = {}, _Worst(), _Worst()
     degenerate, degenerate_on_Z = _Worst(smallest=True), _Worst(smallest=True)
     for chart, cf, U, V, z, Z, levels in _slabs(form, tub, grid):
@@ -484,7 +488,7 @@ def exceptional_hamiltonian(form, tub):
     return ZSymplecticData(form, tub)
 
 
-def verify_hamiltonian_identity(form, tub, grid=(64, 64), tol=RESIDUAL_TOL):
+def verify_hamiltonian_identity(form, tub, grid=(64, 64), tol=None):
     """Check ι_{R|_Z} ω = d(f|_Z) componentwise over the Z grid: the
     identity check of :func:`solve_reeb` on the surface grid alone."""
     return solve_reeb(form, tub, grid, tol)[1][2]

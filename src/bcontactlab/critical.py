@@ -174,14 +174,17 @@ def _newton_refine(zdata, chart, u0, v0, tol):
     return None
 
 
-def find_critical_points(zdata, tub, newton_tol=NEWTON_TOL, warnings=None):
+def find_critical_points(zdata, tub, newton_tol=None, warnings=None):
     """All nondegenerate critical points of H on Z, deduplicated across charts.
 
-    ``warnings`` (a list, when given) collects non-fatal records: dropped
-    candidates, locally-constant charts.  Degenerate Hessians at converged
-    points raise :class:`NotMorseError`; |f(p)| ≈ 0 raises
-    :class:`RegularValueViolation`.
+    ``newton_tol`` bounds |∇H| at a refined point (default
+    ``NEWTON_TOL``).  ``warnings`` (a list, when given) collects non-fatal
+    records: dropped candidates, locally-constant charts.  Degenerate
+    Hessians at converged points raise :class:`NotMorseError`; |f(p)| ≈ 0
+    raises :class:`RegularValueViolation`.
     """
+    if newton_tol is None:
+        newton_tol = NEWTON_TOL
     if warnings is None:
         warnings = []
     nu, nv = COARSE_GRID

@@ -160,21 +160,23 @@ class McGeheeTrajectory:
     status: str
     stats: dict
 
-    @property
-    def final(self):
-        return McGeheeState.from_array(self.y[-1])
-
 
 def integrate_mcgehee(state0, params, t_span=(0.0, 100.0), rtol=1e-10,
                       atol=1e-12):
-    """Integrate the system and report the worst energy drift along the way."""
+    """Integrate the system and report the worst energy drift along the way.
+
+    Raises what ends the run early: ``CollisionError`` from the field, or
+    the integrator's failure.
+    """
     mu = params.mu
 
     def rhs(t, y):
-        return _field_values(float(y[0]), float(y[1]), float(y[2]),
-                             float(y[3]), mu)
+        return _field_values(*y[0].tolist(), mu)[None]
 
-    sol = integrate(rhs, state0.as_array(), t_span, rtol=rtol, atol=atol)
+    sol, = integrate(rhs, state0.as_array()[None], t_span, rtol=rtol,
+                     atol=atol)
+    if isinstance(sol, Exception):
+        raise sol
     energy = np.asarray(_energy(sol.y[:, 0], sol.y[:, 1], sol.y[:, 2],
                                 sol.y[:, 3], mu), dtype=float)
     drift = float(np.max(np.abs(energy - energy[0])))

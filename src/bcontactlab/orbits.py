@@ -39,9 +39,8 @@ from .rk45 import Event, integrate
 
 __all__ = [
     "RegularizedState", "OrbitTrace", "LimitReport", "EscapeOrbit",
-    "EscapeCensus", "regularized_field", "integrate_orbit", "detect_limit",
-    "seed_plan", "trace_invariant_manifolds", "escape_census",
-    "refinement_check",
+    "EscapeCensus", "regularized_field", "detect_limit", "seed_plan",
+    "trace_invariant_manifolds", "escape_census", "refinement_check",
 ]
 
 OFFSET = 1e-4            # seed displacement from the critical point
@@ -208,16 +207,6 @@ def _trace_lanes(reeb, tub, chart_name, sigmas, y0, directions, rtol, atol):
                                              directions.tolist())]
 
 
-def integrate_orbit(reeb, state, tub, *, direction=1, rtol=1e-10, atol=1e-12):
-    """Trace one off-surface orbit until it reaches Z, leaves, or times out."""
-    trace, = _trace_lanes(reeb, tub, state.chart, np.array([state.sigma]),
-                          np.array([[state.u, state.v, state.s]]),
-                          np.array([direction]), rtol, atol)
-    if isinstance(trace, Exception):
-        raise trace
-    return trace
-
-
 # ---------------------------------------------------------------------------
 # limit classification
 
@@ -235,14 +224,17 @@ def _tail_monotone(trace, tub, p):
     return monotone, float(steps.max(initial=0.0))
 
 
-def detect_limit(trace, points, tub, tol=POSITION_TOL):
+def detect_limit(trace, points, tub, tol=None):
     """Classify the end state of a trace against the critical-point list.
 
     The verdict ``limits-to`` requires all three of: the transverse
     coordinate fell below the cut, the final tangential position is within
-    ``tol`` of a critical point, and the distance to that point is
-    monotonically non-increasing over the final window.
+    ``tol`` (default ``POSITION_TOL``) of a critical point, and the
+    distance to that point is monotonically non-increasing over the final
+    window.
     """
+    if tol is None:
+        tol = POSITION_TOL
     uf, vf, sf = map(float, trace.final)
     if trace.status == "event:reached-Z":
         best, best_d = None, math.inf
@@ -302,13 +294,16 @@ def _tangential_eigenvector(report):
     return w / norm
 
 
-def seed_plan(report, n_fan=N_FAN):
+def seed_plan(report, n_fan=None):
     """Seed states ``OFFSET`` from a point, on its manifold transverse to Z.
 
     Extrema: the curve is tangent to the z-axis — one seed per side.
-    Saddles: a fan of ``n_fan`` directions ψ in the (tangential, z) plane,
-    offset by half a slot so no seed sits on either axis.
+    Saddles: a fan of ``n_fan`` (default ``N_FAN``) directions ψ in the
+    (tangential, z) plane, offset by half a slot so no seed sits on either
+    axis.
     """
+    if n_fan is None:
+        n_fan = N_FAN
     p = report.point
     if report.kind == "nonhyperbolic-1d-transverse":
         s0 = math.log(OFFSET)
@@ -326,8 +321,8 @@ def seed_plan(report, n_fan=N_FAN):
     return seeds
 
 
-def trace_invariant_manifolds(reeb, reports, tub, *, n_fan=N_FAN, rtol=1e-10,
-                              atol=1e-12, tol=POSITION_TOL):
+def trace_invariant_manifolds(reeb, reports, tub, *, n_fan=None, rtol=1e-10,
+                              atol=1e-12, tol=None):
     """Trace every seed of every report both ways and classify the ends.
 
     The seeds of one chart, on both sides of Z, are traced together,
@@ -429,7 +424,7 @@ def escape_census(orbits, bound, tub):
 
 
 def refinement_check(reeb, reports, tub, *, rtol=1e-10, atol=1e-12,
-                     tol=POSITION_TOL):
+                     tol=None):
     """Re-trace at ``REFINEMENT_FACTOR``-times tighter tolerances; compare.
 
     Returns a dict with both orbit lists, whether every near-end verdict and

@@ -16,24 +16,27 @@ The error estimate is the RMS of the embedded difference scaled by
 atol + rtol·max(|y_n|, |y_{n+1}|) per component; a step is accepted when
 that norm is at most 1.
 
-Lanes.  ``y0`` of shape ``(lanes, dim)`` integrates that many independent
-problems in lockstep: ``f`` is called once per stage with the states of
-every live lane, and each lane keeps its own time direction, step size,
-error history, accept/reject decision, counters, events and status, so
-every lane takes exactly the steps a run of its own would take.  A lane
-that ends (an event, ``stop``, the end of its span, or a failure) drops
-out of the live arrays; they are compacted only then, so a usual step
-indexes nothing.  A lane whose event fires ends in that step, and its
-crossing does not affect any other lane, so the crossings of all lanes are
-located after the loop: bisected together on their steps' dense
-interpolants, each frozen where a run of its own would stop bisecting.  A
-flat ``y0`` is the one-lane case.
+Lanes.  The state is always an array of shape ``(lanes, dim)``: that many
+independent problems integrated in lockstep, one problem being one lane.
+``f`` is called once per stage with the states of every live lane, and
+each lane keeps its own time direction, step size, error history,
+accept/reject decision, counters, events and status, so every lane takes
+exactly the steps a run of its own would take.  Failures are held per
+lane: a lane whose run fails (non-finite state, step-size underflow, the
+step budget) ends holding the exception, and the other lanes go on; what
+``f`` raises leaves :func:`integrate`.  A lane that ends (an event,
+``stop``, the end of its span, or a failure) drops out of the live arrays;
+they are compacted only then, so a usual step indexes nothing.  A lane
+whose event fires ends in that step, and its crossing does not affect any
+other lane, so the crossings of all lanes are located after the loop:
+bisected together on their steps' dense interpolants, each frozen where a
+run of its own would stop bisecting.
 
 A lane may carry a constant of its own (``per_lane``, one entry per lane):
 it is compacted with the lanes and handed to ``f`` beside the live states,
 so problems that differ only in a parameter share one batch.
 
-Bit identity between lanes and single runs rests on elementwise
+Bit identity between a lane and a run of its own rests on elementwise
 arithmetic, which numpy rounds as Python does.  numpy's ``power`` is not
 libm's ``pow`` (they differ by an ulp on a few percent of arguments), so
 the step controller's powers — the rejection factor ``err**-0.2``, the
@@ -43,7 +46,7 @@ PI factor ``err**-ALPHA · err_old**BETA`` and the initial step's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -92,10 +95,10 @@ D7 = 69997945 / 29380423
 
 @dataclass
 class Event:
-    """Terminal crossing detector g(t, y); ends the run when g changes sign.
+    """Terminal crossing detector g(t, y); ends a lane when g changes sign.
 
-    For a lane batch, ``fn`` takes the lanes' times and states and returns
-    one value per lane.
+    ``fn`` takes the live lanes' times ``(live,)`` and states
+    ``(live, dim)`` and returns one value per lane.
     """
 
     fn: object
@@ -117,14 +120,6 @@ class Trajectory:
     n_fev: int
     min_step: float
     max_step: float
-
-    @property
-    def t_final(self):
-        return float(self.t[-1])
-
-    @property
-    def y_final(self):
-        return self.y[-1]
 
     def stats_dict(self):
         return {
@@ -226,64 +221,29 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol, span):
     return np.array(steps)
 
 
-def _one_lane(f):
-    """``f`` of one flat state, called with a batch of one lane."""
-    def batched(t, y):
-        return np.asarray(f(float(t[0]), y[0]), dtype=float)[None]
-    return batched
-
-
-def _one_lane_event(fn):
-    """Event function of one flat state, called row by row (the crossings
-    of several events in one step are bisected together)."""
-    def batched(t, y):
-        return np.array([fn(tk, yk) for tk, yk in zip(t.tolist(), y)],
-                        dtype=float)
-    return batched
-
-
-def _one_lane_stop(stop):
-    def batched(t, y):
-        reason = stop(float(t[0]), y[0])
-        return None if reason is None else [reason]
-    return batched
-
-
 def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
               per_lane=None):
-    """Integrate ẏ = f(t, y) over t_span, adaptively.
+    """Integrate ẏ = f(t, y) over t_span, adaptively, for each lane of
+    ``y0``, an array of shape ``(lanes, dim)``; returns :class:`Lanes`.
 
-    ``events`` is a sequence of :class:`Event`; the first crossing in the
-    direction of integration ends the run there with status
+    ``t0`` and ``t1`` of ``t_span`` may be one value per lane; a lane with
+    t1 < t0 runs backward.  ``f(t, y)``, each event function and ``stop``
+    receive the live lanes' times ``(live,)`` and states ``(live, dim)``.
+    ``events`` is a sequence of :class:`Event`; a lane's first crossing in
+    its direction of integration ends it there with status
     ``"event:<name>"``.  ``stop(t, y)`` is checked after every accepted
-    step; a non-None string return truncates the run with that status.
-    Backward integration: pass t_span = (t0, t1) with t1 < t0.
+    step and returns None or one reason (or None) per live lane; a reason
+    ends its lane with that status.  A lane that fails holds its exception
+    in place of a :class:`Trajectory`; nothing is raised for it.
 
-    A flat ``y0`` returns a :class:`Trajectory` and raises what ends the
-    run early.  A ``(lanes, dim)`` ``y0`` returns :class:`Lanes`: ``t0``
-    and ``t1`` may then be one value per lane; ``f(t, y)``, each event
-    function and ``stop`` receive the live lanes' times ``(live,)`` and
-    states ``(live, dim)``; ``stop`` returns None or one reason (or None)
-    per live lane; a lane that fails holds its exception.
-
-    ``per_lane``, for a ``(lanes, dim)`` ``y0`` only, is an array with one
-    entry per lane.  ``f`` is then called as ``f(t, y, values)`` with the
-    live lanes' entries, in the order of their states; events and ``stop``
-    do not see them.  Without it ``f`` is called as ``f(t, y)``.
+    ``per_lane`` is an array with one entry per lane.  ``f`` is then called
+    as ``f(t, y, values)`` with the live lanes' entries, in the order of
+    their states; events and ``stop`` do not see them.  Without it ``f`` is
+    called as ``f(t, y)``.
     """
     y = np.array(y0, dtype=float)
-    if y.ndim == 1:
-        if per_lane is not None:
-            raise ValueError("per-lane values need a (lanes, dim) state")
-        lane, = _integrate(
-            _one_lane(f), y[None], t_span, rtol, atol,
-            [replace(ev, fn=_one_lane_event(ev.fn)) for ev in events],
-            None if stop is None else _one_lane_stop(stop))
-        if isinstance(lane, Exception):
-            raise lane
-        return lane
     if y.ndim != 2:
-        raise ValueError("state must be a flat vector or a (lanes, dim) array")
+        raise ValueError("the state must be a (lanes, dim) array")
     if per_lane is not None:
         per_lane = np.asarray(per_lane)
         if per_lane.shape[:1] != y.shape[:1]:

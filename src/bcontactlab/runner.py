@@ -56,9 +56,9 @@ from .beltrami import (BeltramiData, beltrami_stability_matrix,
                        laplace_eigen_check)
 from .charts import TubularChart
 # perfbench/tracer.py wraps all four validation entry points by these names
-from .contact import (RESIDUAL_TOL, contact_check,  # noqa: F401
-                      exceptional_hamiltonian, reeb_residual_report,
-                      solve_reeb, verify_hamiltonian_identity)
+from .contact import (contact_check, exceptional_hamiltonian,  # noqa: F401
+                      reeb_residual_report, solve_reeb,
+                      verify_hamiltonian_identity)
 from .critical import census_bound, find_critical_points, stability_at
 from .mcgehee import (McGeheeParams, McGeheeState, integrate_mcgehee,
                       newtonian_oracle_compare)
@@ -169,8 +169,7 @@ def _stage_build(ctx, tol):
 
 
 def _stage_validate(ctx, tol):
-    ctx.reeb, checks = solve_reeb(ctx.form, ctx.tub, ctx.grid,
-                                  RESIDUAL_TOL if tol is None else tol)
+    ctx.reeb, checks = solve_reeb(ctx.form, ctx.tub, ctx.grid, tol)
     if ctx.reeb is None:
         ctx.skip = "degenerate Reeb system; see the reeb_residuals check"
     return ({"checks": _reported(checks)},
@@ -179,9 +178,11 @@ def _stage_validate(ctx, tol):
 
 def _stage_critical(ctx, tol):
     zdata = exceptional_hamiltonian(ctx.form, ctx.tub)
-    kwargs = {} if tol is None else {"newton_tol": max(tol, NEWTON_TOL_FLOOR)}
     warnings = []
-    points = find_critical_points(zdata, ctx.tub, warnings=warnings, **kwargs)
+    points = find_critical_points(
+        zdata, ctx.tub,
+        newton_tol=None if tol is None else max(tol, NEWTON_TOL_FLOOR),
+        warnings=warnings)
     ctx.reports = [stability_at(p, ctx.reeb, zdata) for p in points]
     ctx.bound = census_bound(points, _census_components(ctx.tub))
     fragment = {
@@ -194,13 +195,8 @@ def _stage_critical(ctx, tol):
 
 
 def _stage_trace(ctx, tol):
-    kwargs = {}
-    if ctx.seeds is not None:
-        kwargs["n_fan"] = ctx.seeds
-    if tol is not None:
-        kwargs["tol"] = tol
     ctx.orbits = trace_invariant_manifolds(ctx.reeb, ctx.reports, ctx.tub,
-                                           **kwargs)
+                                           n_fan=ctx.seeds, tol=tol)
     failures = []
     bad = sum(1 for o in ctx.orbits
               if o.near_end.verdict == "integration-failed")
@@ -248,11 +244,11 @@ def _write_census_file(ctx, out_dir):
 # beltrami / mcgehee pipelines
 
 def _run_beltrami(ctx, tol):
-    threshold = RESIDUAL_TOL if tol is None else tol
     data = BeltramiData.from_scenario(ctx.scenario.data)
     surface_grid = tuple(ctx.grid[:2])
-    identity = hamiltonian_identity_check(data, grid=surface_grid,
-                                          threshold=max(threshold, 1e-12))
+    identity = hamiltonian_identity_check(
+        data, grid=surface_grid,
+        threshold=None if tol is None else max(tol, 1e-12))
     laplace = laplace_eigen_check(data, grid=surface_grid)
     form, roundtrip = contact_from_beltrami(data, grid=ctx.grid)
     tub = TubularChart.torus()

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from bcontactlab import rk45
 from bcontactlab.mcgehee import (
     CollisionError,
     McGeheeParams,
@@ -100,6 +101,14 @@ def test_energy_drift_over_long_run():
     traj = integrate_mcgehee(FAR_START, HALF, t_span=(0.0, 100.0))
     assert traj.status == "reached-end"
     assert traj.energy_drift < 1e-8
+
+
+def test_a_failed_run_raises_its_exception(monkeypatch):
+    # the integrator holds a failed lane's exception; the one-lane run
+    # here raises it
+    monkeypatch.setattr(rk45, "MAX_STEPS", 10)
+    with pytest.raises(RuntimeError, match="exceeded 10 steps"):
+        integrate_mcgehee(FAR_START, HALF, t_span=(0.0, 100.0))
 
 
 def test_infinity_manifold_is_exactly_invariant():

@@ -20,8 +20,8 @@ from bcontactlab.critical import (
 )
 from bcontactlab.orbits import (
     SMALL_BATCH, EscapeOrbit, LimitReport, OrbitTrace, RegularizedState,
-    _trace_lanes, detect_limit, escape_census, integrate_orbit,
-    refinement_check, seed_plan, trace_invariant_manifolds,
+    _trace_lanes, detect_limit, escape_census, refinement_check, seed_plan,
+    trace_invariant_manifolds,
 )
 from bcontactlab.scenarios import load_scenario, scenario_form
 
@@ -45,6 +45,15 @@ def _run(name):
     return {"tub": tub, "form": form, "zdata": zdata, "reeb": reeb,
             "points": points, "reports": reports, "bound": bound,
             "orbits": orbits, "census": census}
+
+
+def _trace_one(reeb, seed, tub, direction=1):
+    """One seed's trace, or the exception that ended it: a batch of one
+    lane."""
+    trace, = _trace_lanes(reeb, tub, seed.chart, np.array([seed.sigma]),
+                          np.array([[seed.u, seed.v, seed.s]]),
+                          np.array([direction]), 1e-10, 1e-12)
+    return trace
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +144,8 @@ def test_scalar_orbit_path_walks_no_tree(torus_run, monkeypatch):
 
     monkeypatch.setattr(contact, "evaluate", counting)
     fan = [o for o in torus_run["orbits"] if o.psi is not None]
-    trace = integrate_orbit(torus_run["reeb"], fan[0].seed, torus_run["tub"],
-                            direction=fan[0].toward.direction)
+    trace = _trace_one(torus_run["reeb"], fan[0].seed, torus_run["tub"],
+                       direction=fan[0].toward.direction)
     assert trace.status == "event:reached-Z"
     assert trace.stats["n_fev"] > 0
     assert calls == []
@@ -179,8 +188,7 @@ def test_regularized_field_needs_a_side():
     tub, form = torus_setup()
     reeb = BReebField(form, tub)
     with pytest.raises(ValueError, match="sigma"):
-        integrate_orbit(reeb, RegularizedState("torus", 0.1, 0.2, -5.0, 0),
-                        tub)
+        _trace_one(reeb, RegularizedState("torus", 0.1, 0.2, -5.0, 0), tub)
     with pytest.raises(ValueError, match="sigma"):  # one bad lane in a batch
         _trace_lanes(reeb, tub, "torus", np.array([1, -1, 2]),
                      np.full((3, 3), -5.0), np.array([1, 1, -1]), 1e-10,
@@ -194,8 +202,7 @@ def test_short_horizon_is_undecided(sphere_run, monkeypatch):
     seed = RegularizedState("north-pole", 0.05, 0.02,
                             math.log(sphere_run["tub"].epsilon / 2), 1)
     monkeypatch.setattr("bcontactlab.orbits.T_MAX", 0.01)
-    tr = integrate_orbit(sphere_run["reeb"], seed, sphere_run["tub"],
-                         direction=-1)
+    tr = _trace_one(sphere_run["reeb"], seed, sphere_run["tub"], direction=-1)
     assert tr.status == "reached-end"
     rep = detect_limit(tr, sphere_run["points"], sphere_run["tub"])
     assert rep.verdict == "undecided"
@@ -281,8 +288,8 @@ def test_a_raising_batch_is_traced_again_in_halves(torus_run, monkeypatch):
 def test_traced_lanes_equal_one_seed_runs(torus_run):
     for o in torus_run["orbits"]:
         for trace in (o.toward, o.away):
-            one = integrate_orbit(torus_run["reeb"], o.seed, torus_run["tub"],
-                                  direction=trace.direction)
+            one = _trace_one(torus_run["reeb"], o.seed, torus_run["tub"],
+                             direction=trace.direction)
             assert np.array_equal(one.t, trace.t)
             assert np.array_equal(one.y, trace.y)
             assert one.status == trace.status
@@ -341,7 +348,7 @@ def test_z_reading_torus_lanes_equal_one_seed_runs(monkeypatch):
     for o in traced:
         for trace in (o.toward, o.away):
             assert trace.sigma == o.seed.sigma
-            one = integrate_orbit(reeb, o.seed, tub, direction=trace.direction)
+            one = _trace_one(reeb, o.seed, tub, direction=trace.direction)
             assert np.array_equal(one.t, trace.t)
             assert np.array_equal(one.y, trace.y)
             assert one.status == trace.status
@@ -420,11 +427,11 @@ def test_time_reversal_returns_to_the_seed(sphere_run, monkeypatch):
     tub, reeb = sphere_run["tub"], sphere_run["reeb"]
     seed = RegularizedState("north-pole", 0.05, 0.02, math.log(1e-4), 1)
     monkeypatch.setattr("bcontactlab.orbits.T_MAX", 5.0)
-    fwd = integrate_orbit(reeb, seed, tub, direction=-1)
+    fwd = _trace_one(reeb, seed, tub, direction=-1)
     assert fwd.status == "reached-end"
     uf, vf, sf = map(float, fwd.final)
-    back = integrate_orbit(reeb, RegularizedState("north-pole", uf, vf, sf, 1),
-                           tub, direction=1)
+    back = _trace_one(reeb, RegularizedState("north-pole", uf, vf, sf, 1),
+                      tub, direction=1)
     ub, vb, sb = map(float, back.final)
     d = tub.distance("north-pole", (ub, vb), "north-pole", (seed.u, seed.v))
     assert d < 1e-4
