@@ -51,8 +51,7 @@ for o in orbits:
     print(f"  seed {o.seed.chart} side {o.seed.sigma:+d} (z0 = {z0:+.2f})"
           f" -> {o.near_end.verdict} at distance {o.near_end.distance:.2e}")
 
-components = [{"kind": "sphere", "charts": sorted(tub.charts)}]
-bound = census_bound(points, components)
+bound = census_bound(points, [tub])  # Z is one component: one atlas
 census = escape_census(orbits, bound, tub)
 
 print(f"\ncensus: {census.n_distinct} distinct orbits, "

@@ -1,10 +1,12 @@
 """Tubular charts of a closed surface Z inside a 3-manifold.
 
 A tubular chart is Z × (−ε, ε) in coordinates (u, v, z), with Z at z = 0.
-Two surface kinds are supported:
+One atlas covers one connected component of Z, and its ``kind`` names the
+surface with the word that scenario files (``surface``) and
+``critical.BETTI`` use.  Two surface kinds are supported:
 
 * ``torus``: one chart, both surface coordinates 2π-periodic;
-* ``sphere-atlas``: two angular charts (north- and south-centered colatitude
+* ``sphere``: two angular charts (north- and south-centered colatitude
   θ ∈ [δ, π/2 + margin], azimuth φ), glued by the involution
   θ′ = π − θ, φ′ = −φ on the equatorial overlap annulus, plus two small
   Cartesian disk charts (u, v) = (θ cos φ, θ sin φ) covering the poles that
@@ -103,7 +105,9 @@ class Chart:
 
 
 class TubularChart:
-    """The tubular neighborhood Z × (−ε, ε) as a set of glued charts."""
+    """The tubular neighborhood Z × (−ε, ε) as a set of glued charts, held in
+    ``charts`` by name in the order given: primaries first, the order in
+    which surface scans visit them."""
 
     def __init__(self, kind, epsilon, charts):
         if epsilon <= 0:
@@ -138,13 +142,7 @@ class TubularChart:
                       (-radius, radius), disk_radius=radius)
         spole = Chart("south-pole", "u", "v", "z", (-radius, radius),
                       (-radius, radius), disk_radius=radius)
-        return TubularChart("sphere-atlas", epsilon, [north, south, npole, spole])
-
-    def surface_charts(self):
-        """Charts to scan for surface work, primaries first."""
-        if self.kind == "torus":
-            return [self.charts["torus"]]
-        return [self.charts[n] for n in ("north", "south", "north-pole", "south-pole")]
+        return TubularChart("sphere", epsilon, [north, south, npole, spole])
 
     # -- sphere transition maps -------------------------------------------
     @staticmethod
@@ -157,7 +155,7 @@ class TubularChart:
 
     def overlap_annulus(self, n_theta=8, n_phi=16):
         """Sample points of the equatorial overlap of the two angular charts."""
-        if self.kind != "sphere-atlas":
+        if self.kind != "sphere":
             raise ValueError("overlap annulus exists only for sphere atlases")
         north = self.charts["north"]
         t_lo = math.pi - north.u_range[1]

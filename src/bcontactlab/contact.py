@@ -149,9 +149,6 @@ class BContactForm:
             raise KeyError(f"form has no data for chart {name!r}; "
                            f"available: {sorted(self.fields)}") from None
 
-    def chart_names(self):
-        return sorted(self.fields)
-
 
 @dataclass
 class ValidationReport:
@@ -218,11 +215,6 @@ class BReebField:
 
     def _solve(self, u, v, z, chart_name):
         """(x, frame, cf, chart) at (u, v, z); raises where the solve fails."""
-        if chart_name is None:
-            names = self.form.chart_names()
-            if len(names) != 1:
-                raise ValueError("chart_name is required for a multi-chart atlas")
-            chart_name = names[0]
         chart = self.chart.charts[chart_name]
         cf = self.form.for_chart(chart_name)
         frame = frame_values(cf, chart, u, v, z)
@@ -232,11 +224,11 @@ class BReebField:
                 f"Reeb system rank-deficient on chart {chart_name!r} ({cause})")
         return x, frame, cf, chart
 
-    def components(self, u, v, z, chart_name=None):
+    def components(self, u, v, z, *, chart_name):
         """(Y_u, Y_v, g) at one point (floats) or arrays of points."""
         return self._solve(u, v, z, chart_name)[0]
 
-    def linearization_at(self, u, v, chart_name=None):
+    def linearization_at(self, u, v, *, chart_name):
         """DR(p) of the ordinary field (Y_u, Y_v, g·z) at a point of Z.
 
         Differentiating the closed form x = (S, −Q, P)/V gives
@@ -288,7 +280,7 @@ def _slabs(form, tub, grid, *audited):
             raise ValueError(
                 f"the z count of a grid must be odd, got {grid[2]}")
         levels = z_ladder(tub.epsilon, grid[2])
-    for chart in tub.surface_charts():
+    for chart in tub.charts.values():
         if chart.name not in form.fields:
             continue
         if chart.disk_radius > 0.0:

@@ -189,7 +189,7 @@ def find_critical_points(zdata, tub, newton_tol=None, warnings=None):
         warnings = []
     nu, nv = COARSE_GRID
     points = []
-    for chart in tub.surface_charts():
+    for chart in tub.charts.values():
         if chart.name not in zdata.form.fields:
             continue
         if chart.disk_radius > 0.0:
@@ -312,8 +312,10 @@ def stability_at(p, reeb, zdata):
 def census_bound(points, components):
     """Theorem-predicted escape-orbit bound from the critical-point census.
 
-    ``components``: list of {"kind": "torus"|"sphere", "charts": [names]} —
-    each critical point is assigned to the component that owns its chart.
+    ``components``: the connected components of Z, one atlas
+    (a ``charts.TubularChart``) each; a component's ``kind`` ("torus" or
+    "sphere") picks its Betti numbers, and each critical point is assigned
+    to the component whose ``charts`` hold its chart.
     """
     n = len(components)
     if n == 0:
@@ -322,10 +324,9 @@ def census_bound(points, components):
     total = [0, 0, 0]
     any_saddle = False
     for comp in components:
-        kind = comp["kind"]
+        kind = comp.kind
         betti = BETTI[kind]
-        charts = set(comp["charts"])
-        mine = [p for p in points if p.chart in charts]
+        mine = [p for p in points if p.chart in comp.charts]
         counts = [sum(1 for p in mine if p.index == k) for k in range(3)]
         if len(mine) < 2:
             raise MorseInequalityViolation(

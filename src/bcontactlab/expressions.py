@@ -37,6 +37,12 @@ Domain policy (shared by every consumer, and by derivative trees, whose
 * ``exp`` overflow is a domain error, not an ``inf``.
 
 On an array argument every check is an *any*: one bad lane fails the batch.
+An overflow in ``+``, ``-``, ``*``, an unchecked ``/`` or a power's chain
+emits numpy's ``RuntimeWarning`` before :class:`DomainError` (under ``-W
+error`` the warning raises) unless the caller runs under
+``np.errstate(over="ignore", invalid="ignore")``, as the validation sweeps
+do: the operations are inline in compiled code, and an ``errstate`` per
+call (1–2 µs) costs about a float Reeb point on the torus (about 2 µs).
 """
 from __future__ import annotations
 

@@ -70,10 +70,6 @@ class McGeheeState:
     def as_array(self):
         return np.array([self.x, self.a, self.pr, self.pa])
 
-    @classmethod
-    def from_array(cls, y):
-        return cls(float(y[0]), float(y[1]), float(y[2]), float(y[3]))
-
 
 def _energy(x, a, pr, pa, mu):
     """The Hamiltonian, on floats or arrays."""

@@ -131,24 +131,9 @@ class Trajectory:
 
 class Lanes(list):
     """Per-lane results of a batch: a :class:`Trajectory`, or the exception
-    that ended the lane.  The work counters are totals over the lanes that
-    finished."""
-
-    def _total(self, name):
-        return sum(getattr(lane, name) for lane in self
-                   if isinstance(lane, Trajectory))
-
-    @property
-    def n_fev(self):
-        return self._total("n_fev")
-
-    @property
-    def n_steps(self):
-        return self._total("n_steps")
-
-    @property
-    def n_rejected(self):
-        return self._total("n_rejected")
+    that ended the lane.  The work counters ``n_fev``, ``n_steps`` and
+    ``n_rejected`` are totals over every lane, the work of a lane that
+    failed included; :func:`integrate` sets them."""
 
 
 class _DenseSegment:
@@ -256,7 +241,7 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
     t0 = np.broadcast_to(np.asarray(t_span[0], dtype=float), (n,)).copy()
     t1 = np.broadcast_to(np.asarray(t_span[1], dtype=float), (n,)).copy()
     out = Lanes([None] * n)
-    ended = {}   # lane -> (status, attempted steps)
+    ended = {}   # lane -> (status or exception, attempted steps)
     # samples in the order taken: (lanes, t, y, size of the step to them)
     blocks = [(np.arange(n), t0, y0, np.full(n, math.nan))]
 
@@ -279,7 +264,8 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
     good = np.isfinite(k1).all(axis=1)
     if not good.all():
         for lane, tk in zip(idx[~good].tolist(), t[~good].tolist()):
-            out[lane] = NonFiniteState(f"non-finite derivative at t = {tk!r}")
+            ended[lane] = (
+                NonFiniteState(f"non-finite derivative at t = {tk!r}"), 0)
         idx, t, t1, dirn, y, k1 = (a[good] for a in (idx, t, t1, dirn, y, k1))
         if arg is not None:
             arg = arg[good]
@@ -299,15 +285,15 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
     while len(idx):
         if it > MAX_STEPS:
             for lane in idx.tolist():
-                out[lane] = RuntimeError(
-                    f"integration exceeded {MAX_STEPS} steps")
+                ended[lane] = (RuntimeError(
+                    f"integration exceeded {MAX_STEPS} steps"), it)
             break
         if h_low < MIN_STEP:
             under = h < MIN_STEP
             for lane, hk, tk in zip(idx[under].tolist(), h[under].tolist(),
                                     t[under].tolist()):
-                out[lane] = StepSizeUnderflow(
-                    f"step size {hk:.3e} underflowed at t = {tk!r}")
+                ended[lane] = (StepSizeUnderflow(
+                    f"step size {hk:.3e} underflowed at t = {tk!r}"), it)
             idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev, arg = _compact(
                 ~under, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev, arg)
             if not len(idx):
@@ -364,7 +350,8 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
             ok = np.isfinite(y_new).all(axis=1) & np.isfinite(k7).all(axis=1)
             done = ~ok
             for lane, tk in zip(idx[done].tolist(), t_new[done].tolist()):
-                out[lane] = NonFiniteState(f"non-finite state near t = {tk!r}")
+                ended[lane] = (NonFiniteState(
+                    f"non-finite state near t = {tk!r}"), it)
             acc = ok & ~(err > 1.0)
             a = np.flatnonzero(acc)
 
@@ -473,18 +460,26 @@ def _compact(keep, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev, arg):
 
 def _assemble(out, ended, blocks):
     """Split the recorded samples per lane into the ended lanes'
-    trajectories: a lane's samples after the first are its accepted steps."""
+    trajectories, or their exceptions, and total the work of every lane:
+    a lane's samples after the first are its accepted steps."""
     lanes = np.concatenate([b[0] for b in blocks])
     order = np.argsort(lanes, kind="stable")
     ts, ys, hs = (np.concatenate([b[k] for b in blocks])[order]
                   for k in (1, 2, 3))
     bounds = np.searchsorted(lanes[order], np.arange(len(out) + 1)).tolist()
+    out.n_fev = out.n_steps = out.n_rejected = 0
     for lane, (status, attempts) in ended.items():
         a, b = bounds[lane], bounds[lane + 1]
         steps = b - a - 1
+        fev = 6 * attempts + 2 if attempts else 0
+        out.n_fev += fev
+        out.n_steps += steps
+        out.n_rejected += attempts - steps
+        if isinstance(status, Exception):
+            out[lane] = status
+            continue
         out[lane] = Trajectory(
-            ts[a:b], ys[a:b], status, steps, attempts - steps,
-            6 * attempts + 2 if attempts else 0,
+            ts[a:b], ys[a:b], status, steps, attempts - steps, fev,
             float(hs[a + 1:b].min()) if steps else math.inf,
             float(hs[a + 1:b].max()) if steps else 0.0)
     return out

@@ -158,11 +158,6 @@ def _write_csv(path, header, blocks):
 # ---------------------------------------------------------------------------
 # bcontact stages
 
-def _census_components(tub):
-    kind = "sphere" if tub.kind == "sphere-atlas" else tub.kind
-    return [{"kind": kind, "charts": sorted(tub.charts)}]
-
-
 def _stage_build(ctx, tol):
     ctx.tub, ctx.form = scenario_form(ctx.scenario)
     return {}, []
@@ -184,7 +179,7 @@ def _stage_critical(ctx, tol):
         newton_tol=None if tol is None else max(tol, NEWTON_TOL_FLOOR),
         warnings=warnings)
     ctx.reports = [stability_at(p, ctx.reeb, zdata) for p in points]
-    ctx.bound = census_bound(points, _census_components(ctx.tub))
+    ctx.bound = census_bound(points, [ctx.tub])
     fragment = {
         "critical_points": _reported(points),
         "stability": _reported(ctx.reports),

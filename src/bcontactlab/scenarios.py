@@ -14,8 +14,11 @@ schema:
     inverted-radius coordinates.
 
 Unknown keys are rejected by name rather than ignored, so typos in option
-names fail loudly.  Built-in scenarios ship with the package and can be
-loaded by bare name: ``load_scenario("sphere")``.
+names fail loudly.  The built-in scenarios are the JSON files in the
+package's ``scenarios`` directory, one file per name in
+:func:`builtin_names`, and nothing else defines them; each loads by bare
+name: ``load_scenario("sphere")``.  A new builtin is one more file there
+and its name in :func:`builtin_names`.
 
 The sphere's polar caps need field expressions in the disk charts, where
 the angular formulas ``cos(theta)``, ``sin(theta)^2`` degenerate.  With
@@ -26,9 +29,9 @@ rho = u^2 + v^2 the smooth radial profiles are
 
 Both series are alternating with rapidly shrinking terms; truncating at
 rho^8 leaves a remainder below 1e-16 for rho <= 0.09, i.e. they are exact
-to double precision on a cap of radius 0.3.  The JSON files store the
-resulting polynomial strings; :func:`sphere_field_strings` regenerates
-them so a test can pin the shipped files to the generator.
+to double precision on a cap of radius 0.3.  The sphere file stores the
+resulting polynomial strings; :func:`sphere_field_strings` derives them,
+so a test can pin the shipped file to the series.
 
 Field strings are parsed once per process: validation and
 :func:`scenario_form` share one bounded parse memo, and a second bounded
@@ -52,8 +55,7 @@ from .expressions import ParseError, parse, substitute, to_string
 
 __all__ = [
     "ScenarioError", "Scenario", "load_scenario", "builtin_names",
-    "builtin_scenario_dict", "scenario_form", "sphere_field_strings",
-    "torus_field_strings", "pole_profile_strings", "write_builtin_files",
+    "scenario_form", "sphere_field_strings", "pole_profile_strings",
 ]
 
 SERIES_ORDER = 9  # rho^0 .. rho^8
@@ -124,76 +126,8 @@ def sphere_field_strings():
     }
 
 
-def torus_field_strings():
-    return {
-        "torus": {"f": "cos(v) + 0.3*cos(u)*sin(v)", "beta_u": "sin(v)",
-                  "beta_v": "0", "beta_z": "0"},
-    }
-
-
-def builtin_scenario_dict(name):
-    if name == "torus":
-        return {
-            "kind": "bcontact",
-            "name": "torus",
-            "description": "Tilted-height field on the solid torus boundary; "
-                           "every surface critical circle is hyperbolic or "
-                           "extremal and the escape family is infinite.",
-            "surface": "torus",
-            "epsilon": 0.5,
-            "fields": torus_field_strings(),
-        }
-    if name == "sphere":
-        return {
-            "kind": "bcontact",
-            "name": "sphere",
-            "description": "Round sphere with the height function; two "
-                           "nondegenerate polar critical points and four "
-                           "escape orbits.",
-            "surface": "sphere",
-            "epsilon": 0.5,
-            "fields": sphere_field_strings(),
-        }
-    if name == "beltrami":
-        return {
-            "kind": "beltrami",
-            "name": "beltrami",
-            "description": "Flat-torus eigenfield with stream function "
-                           "cos(u) + cos(v)/2; all four stagnation points "
-                           "sit off the zero level.",
-            "metric": {"h_uu": "1", "h_uv": "0", "h_vv": "1"},
-            "stream": "cos(u) + cos(v)/2",
-            "eigenvalue": 1.0,
-        }
-    if name == "mcgehee":
-        return {
-            "kind": "mcgehee",
-            "name": "mcgehee",
-            "description": "Equal-mass collinear restricted problem started "
-                           "on a wide near-circular orbit, in inverted-radius "
-                           "coordinates.",
-            "mu": 0.5,
-            "x0": 0.2,
-            "a0": 0.0,
-            "pr0": 0.0,
-            "pa0": 7.0710678118654755,
-            "t_end": 100.0,
-        }
-    raise ScenarioError(f"unknown built-in scenario {name!r}")
-
-
 def builtin_names():
     return ("torus", "sphere", "beltrami", "mcgehee")
-
-
-def write_builtin_files(directory):
-    """Regenerate the shipped scenario JSON files (maintenance helper)."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for name in builtin_names():
-        payload = json.dumps(builtin_scenario_dict(name), indent=2,
-                             sort_keys=True) + "\n"
-        (directory / f"{name}.json").write_text(payload)
 
 
 # ---------------------------------------------------------------------------

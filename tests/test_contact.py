@@ -68,7 +68,7 @@ def test_torus_reeb_components_match_closed_form():
         u = rng.uniform(0, 2 * math.pi)
         v = rng.uniform(0, 2 * math.pi)
         z = rng.uniform(-0.5, 0.5)
-        yu, yv, g = reeb.components(u, v, z)
+        yu, yv, g = reeb.components(u, v, z, chart_name="torus")
         assert yu == pytest.approx(math.sin(v) - 0.3 * math.cos(u) * math.cos(v), abs=1e-10)
         assert yv == pytest.approx(-0.3 * math.sin(u) * math.sin(v), abs=1e-10)
         assert g == pytest.approx(math.cos(v), abs=1e-10)
@@ -80,7 +80,7 @@ def test_torus_reeb_accepts_arrays():
     u = np.linspace(0.1, 6.2, 23)
     v = np.linspace(0.2, 5.9, 23)
     z = np.full_like(u, 0.25)
-    yu, yv, g = reeb.components(u, v, z)
+    yu, yv, g = reeb.components(u, v, z, chart_name="torus")
     assert np.allclose(yu, np.sin(v) - 0.3 * np.cos(u) * np.cos(v), atol=1e-10)
     assert np.allclose(g, np.cos(v), atol=1e-10)
 
@@ -161,12 +161,12 @@ def test_components_raise_on_rank_deficiency():
     # alpha∧dalpha vanishes on the circle v = π/2, where det N = 0
     tub, form = torus_setup(f="cos(v)^3 + 2")
     reeb = BReebField(form, tub)
-    reeb.components(0.0, 1.0, 0.0)
+    reeb.components(0.0, 1.0, 0.0, chart_name="torus")
     with pytest.raises(RankDeficiencyError):
-        reeb.components(0.0, math.pi / 2, 0.0)
+        reeb.components(0.0, math.pi / 2, 0.0, chart_name="torus")
     with pytest.raises(RankDeficiencyError):
         reeb.components(np.zeros(3), np.array([1.0, math.pi / 2, 2.0]),
-                        np.zeros(3))
+                        np.zeros(3), chart_name="torus")
 
 
 def _cancelling_torus(L):
@@ -181,7 +181,7 @@ def test_relative_floor_passes_a_form_above_it():
                                            indexing="ij"))
     reeb = BReebField(form, tub)
     for z in (0.0, 0.01):
-        reeb.components(U, V, np.full_like(U, z))
+        reeb.components(U, V, np.full_like(U, z), chart_name="torus")
     assert solve_reeb(form, tub)[0] is not None
 
 
@@ -190,9 +190,9 @@ def test_relative_floor_rejects_cancellation_in_V():
     reeb = BReebField(form, tub)
     floor = r"\|V\|/\(\|A·S\| \+ \|B·Q\| \+ \|C·P\|\) min .* < 1e-07"
     with pytest.raises(RankDeficiencyError, match=floor):
-        reeb.components(0.3, math.pi / 4, 0.01)
+        reeb.components(0.3, math.pi / 4, 0.01, chart_name="torus")
     with pytest.raises(RankDeficiencyError, match=floor):
-        reeb.linearization_at(0.3, math.pi / 4)
+        reeb.linearization_at(0.3, math.pi / 4, chart_name="torus")
     solved, (contact_rep, residuals, identity) = solve_reeb(form, tub)
     assert solved is None
     assert contact_rep.passed  # |V| = 1: the form is contact, but ill-posed
@@ -242,10 +242,11 @@ def test_components_match_least_squares(fields):
         M = np.array([[A, B, C], [0.0, -P, -Q], [P, 0.0, -S], [Q, S, 0.0]])
         return np.linalg.lstsq(M, [1.0, 0.0, 0.0, 0.0], rcond=None)[0]
 
-    lanes = np.column_stack(reeb.components(U, V, Z))
+    lanes = np.column_stack(reeb.components(U, V, Z, chart_name="torus"))
     for k, (u, v, z) in enumerate(zip(U.tolist(), V.tolist(), Z.tolist())):
         ref = lstsq(u, v, z)
-        for got in (np.array(reeb.components(u, v, z)), lanes[k]):
+        for got in (np.array(reeb.components(u, v, z, chart_name="torus")),
+                    lanes[k]):
             assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -369,14 +370,17 @@ def test_linearization_off_critical_points(fields):
     DR vanishes there; random points of Z exercise it."""
     tub, form = torus_setup(**fields)
     reeb = BReebField(form, tub)
+
+    def field(x, i):
+        yu, yv, g = reeb.components(*x, chart_name="torus")
+        return (yu, yv, g * x[2])[i]
+
     rng = random.Random(15)
     for _ in range(10):
         p = (rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi), 0.0)
-        dr = reeb.linearization_at(*p[:2])
+        dr = reeb.linearization_at(*p[:2], chart_name="torus")
         for i in range(3):
-            fd = central_gradient(
-                lambda x: (*reeb.components(*x)[:2],
-                           reeb.components(*x)[2] * x[2])[i], p)
+            fd = central_gradient(lambda x: field(x, i), p)
             for j in range(3):
                 assert abs(dr[i, j] - fd[j]) / (1 + abs(dr[i, j])) < 1e-6
 
@@ -385,7 +389,7 @@ def test_hessian_is_exactly_symmetric(sphere):
     rng = random.Random(12)
     for tub, form in (torus_setup(), sphere):
         zdata = exceptional_hamiltonian(form, tub)
-        for chart in tub.surface_charts():
+        for chart in tub.charts.values():
             r = chart.disk_radius or 2.0
             for _ in range(10):
                 u, v = rng.uniform(-r, r), rng.uniform(-r, r)
@@ -531,7 +535,7 @@ def test_only_z_dependent_frames_read_z(sphere):
     assert form.for_chart("torus").trees(tub.charts["torus"]).reads_z
     for tub, form in (torus_setup(), sphere,
                       scenario_form(load_scenario("torus"))):
-        for name in form.chart_names():
+        for name in form.fields:
             assert not form.for_chart(name).trees(tub.charts[name]).reads_z
 
 
@@ -548,7 +552,7 @@ def test_z_free_chart_is_evaluated_once(name, monkeypatch):
     calls = _counting_frame_values(monkeypatch)
     solve_reeb(form, tub, grid=(16, 12, 9))
     first = z_ladder(tub.epsilon, 9)[0]
-    assert sorted(calls) == sorted((c, first) for c in form.chart_names())
+    assert sorted(calls) == sorted((c, first) for c in form.fields)
 
 
 def test_an_audited_z_dependent_field_keeps_the_full_sweep(monkeypatch):
@@ -579,7 +583,7 @@ def _per_level_reports(form, tub, grid, tol=1e-9):
     residual, identity = contact._Worst(), contact._Worst()
     degenerate = contact._Worst(smallest=True)
     degenerate_on_Z = contact._Worst(smallest=True)
-    for chart in tub.surface_charts():
+    for chart in tub.charts.values():
         if chart.name not in form.fields:
             continue
         cf = form.for_chart(chart.name)

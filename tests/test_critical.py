@@ -83,8 +83,8 @@ def test_torus_has_eight_points_with_expected_data(torus_points):
 
 
 def test_torus_census_is_infinite(torus_points):
-    _, _, _, points, _ = torus_points
-    bound = census_bound(points, [{"kind": "torus", "charts": ["torus"]}])
+    tub, _, _, points, _ = torus_points
+    bound = census_bound(points, [tub])
     assert bound.counts == (2, 4, 2)
     assert bound.verdict == "infinite"
     assert bound.lower_bound == 2
@@ -157,10 +157,8 @@ def test_sphere_pole_stability(sphere_points):
 
 
 def test_sphere_census_predicts_four_weighted_orbits(sphere_points):
-    _, _, _, points = sphere_points
-    comps = [{"kind": "sphere",
-              "charts": ["north", "south", "north-pole", "south-pole"]}]
-    bound = census_bound(points, comps)
+    tub, _, _, points = sphere_points
+    bound = census_bound(points, [tub])
     assert bound.counts == (1, 0, 1)
     assert bound.verdict == "at-least-2N"
     assert bound.lower_bound == 2
@@ -192,7 +190,7 @@ def test_locally_constant_chart_warns_and_census_rejects():
     assert points == []
     assert any(w["kind"] == "locally-constant" for w in warnings)
     with pytest.raises(MorseInequalityViolation):
-        census_bound(points, [{"kind": "torus", "charts": ["torus"]}])
+        census_bound(points, [tub])
 
 
 def test_locally_constant_disk_chart_warns_and_run_rejects(tmp_path):
@@ -217,10 +215,10 @@ def test_locally_constant_disk_chart_warns_and_run_rejects(tmp_path):
 
 
 def test_missing_saddles_violate_morse_inequalities(torus_points):
-    _, _, _, points, _ = torus_points
+    tub, _, _, points, _ = torus_points
     extrema_only = [p for p in points if p.index != 1]
     with pytest.raises(MorseInequalityViolation):
-        census_bound(extrema_only, [{"kind": "torus", "charts": ["torus"]}])
+        census_bound(extrema_only, [tub])
 
 
 def test_spectrum_cross_check_catches_inconsistent_inputs(torus_points):

@@ -158,6 +158,6 @@ def test_deviation_shrinks_under_tolerance_tightening():
 
 def test_forward_backward_roundtrip():
     fwd = integrate_mcgehee(FAR_START, HALF, t_span=(0.0, 50.0))
-    back = integrate_mcgehee(McGeheeState.from_array(fwd.y[-1]), HALF,
+    back = integrate_mcgehee(McGeheeState(*fwd.y[-1].tolist()), HALF,
                              t_span=(50.0, 0.0))
     assert np.abs(back.y[-1] - FAR_START.as_array()).max() < 1e-7

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from bcontactlab import contact, rk45
-from bcontactlab.charts import TubularChart
+from bcontactlab.charts import Chart, TubularChart
 from bcontactlab.contact import BReebField, exceptional_hamiltonian
 from bcontactlab.critical import (
     CensusBound, CriticalPoint, census_bound, find_critical_points,
@@ -28,18 +28,13 @@ from bcontactlab.scenarios import load_scenario, scenario_form
 from tests.test_contact import Z_TORUS, torus_setup
 
 
-def _components_for(tub):
-    kind = "sphere" if tub.kind == "sphere-atlas" else "torus"
-    return [{"kind": kind, "charts": list(tub.charts)}]
-
-
 def _run(name):
     tub, form = scenario_form(load_scenario(name))
     zdata = exceptional_hamiltonian(form, tub)
     reeb = BReebField(form, tub)
     points = find_critical_points(zdata, tub)
     reports = [stability_at(p, reeb, zdata) for p in points]
-    bound = census_bound(points, _components_for(tub))
+    bound = census_bound(points, [tub])
     orbits = trace_invariant_manifolds(reeb, reports, tub)
     census = escape_census(orbits, bound, tub)
     return {"tub": tub, "form": form, "zdata": zdata, "reeb": reeb,
@@ -446,8 +441,9 @@ def test_census_bound_scales_with_component_count():
 
     points = [pole("a", 0, 1.0), pole("a", 2, -1.0),
               pole("b", 0, 1.0), pole("b", 2, -1.0)]
-    comps = [{"kind": "sphere", "charts": ["a"]},
-             {"kind": "sphere", "charts": ["b"]}]
+    comps = [TubularChart("sphere", 0.5, [Chart(name, "u", "v", "z",
+                                                (0.0, 1.0), (0.0, 1.0))])
+             for name in ("a", "b")]
     bound = census_bound(points, comps)
     assert bound.n_components == 2
     assert bound.lower_bound == 4

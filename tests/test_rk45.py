@@ -133,6 +133,16 @@ def test_step_budget_is_enforced(monkeypatch):
     assert "exceeded 10 steps" in str(lane)
 
 
+def test_counters_count_the_work_of_lanes_that_fail(monkeypatch):
+    # each lane attempts 11 steps, then fails on the step budget
+    monkeypatch.setattr(rk45, "MAX_STEPS", 10)
+    lanes = integrate(lambda t, y: np.sin(40 * t)[:, None], [[0.0], [0.0]],
+                      (0.0, 100.0), rtol=1e-12, atol=1e-14)
+    assert all(isinstance(lane, RuntimeError) for lane in lanes)
+    assert lanes.n_fev == 2 * (6 * 11 + 2)
+    assert lanes.n_steps + lanes.n_rejected == 2 * 11
+
+
 def test_zero_span_is_a_no_op():
     sol, = integrate(_unit_speed, [[3.0]], (2.0, 2.0))
     assert sol.status == "reached-end"
@@ -197,14 +207,18 @@ def test_a_failing_lane_fails_alone():
     y0 = np.array([[-1.0, 1.0], [0.5, 1.0], [-3.0, 1.0]])
     lanes = integrate(rhs, y0, (0.0, 1.0))
     assert isinstance(lanes[1], NonFiniteState)
-    alone, = integrate(rhs, y0[1:2], (0.0, 1.0))
+    runs = [integrate(rhs, y0[k:k + 1], (0.0, 1.0)) for k in range(3)]
+    alone, = runs[1]
     assert isinstance(alone, NonFiniteState)
     assert str(lanes[1]) == str(alone)
     for k in (0, 2):
-        one, = integrate(rhs, y0[k:k + 1], (0.0, 1.0))
+        one, = runs[k]
         assert lanes[k].status == "reached-end"
         assert np.array_equal(lanes[k].y, one.y)
-    assert lanes.n_steps == lanes[0].n_steps + lanes[2].n_steps
+    # the failed lane's steps count in the batch as in its own run
+    assert runs[1].n_steps > 0
+    for name in ("n_fev", "n_steps", "n_rejected"):
+        assert getattr(lanes, name) == sum(getattr(r, name) for r in runs)
 
 
 def test_per_lane_values_follow_their_lanes_through_compaction():

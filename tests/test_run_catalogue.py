@@ -4,7 +4,8 @@ import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
-IDS = ["beltrami", "torus-a0.10-fan16"]  # a builtin and a catalogue entry
+# a builtin, a bcontact catalogue entry and a three-body one
+IDS = ["beltrami", "torus-a0.10-fan16", "three-body-m0.05-x0.12-k0"]
 
 
 def _tool(name, *args):
@@ -21,6 +22,7 @@ def test_two_catalogue_runs_compare_equal(tmp_path):
         for run_id in IDS:
             assert (tmp_path / side / run_id / "report.json").is_file()
     assert (tmp_path / "a" / IDS[1] / "orbits.csv").is_file()
+    assert (tmp_path / "a" / IDS[2] / "trajectory.csv").is_file()
     same = _tool("compare_runs.py", tmp_path / "a", tmp_path / "b")
     assert same.returncode == 0, same.stdout
     assert same.stdout.startswith("0 of ")

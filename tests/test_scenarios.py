@@ -1,6 +1,8 @@
 """Scenario files: schema validation and the shipped built-ins."""
+import copy
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -12,11 +14,9 @@ from bcontactlab.scenarios import (
     PARSE_MEMO_SIZE,
     ScenarioError,
     builtin_names,
-    builtin_scenario_dict,
     load_scenario,
     scenario_form,
     sphere_field_strings,
-    write_builtin_files,
 )
 
 
@@ -27,34 +27,33 @@ def _write(tmp_path, payload, name="case.json"):
     return path
 
 
+def _shipped(name):
+    """A builtin's data, to edit into a payload of its own."""
+    return copy.deepcopy(load_scenario(name).data)
+
+
 # ---------------------------------------------------------------------------
 # built-ins
 
 def test_every_builtin_loads_and_matches_its_generator():
+    directory = resources.files("bcontactlab") / "scenarios"
+    assert set(builtin_names()) == {
+        f.name[:-len(".json")] for f in directory.iterdir()
+        if f.name.endswith(".json")}
     for name in builtin_names():
-        scenario = load_scenario(name)
-        assert scenario.name == name
-        assert scenario.data == builtin_scenario_dict(name)
-
-
-def test_shipped_files_are_regeneration_fixed_points(tmp_path):
-    from importlib import resources
-    write_builtin_files(tmp_path)
-    for name in builtin_names():
-        shipped = (resources.files("bcontactlab") / "scenarios"
-                   / f"{name}.json").read_text()
-        assert (tmp_path / f"{name}.json").read_text() == shipped
+        assert load_scenario(name).name == name
+    assert load_scenario("sphere").data["fields"] == sphere_field_strings()
 
 
 def test_builtin_mcgehee_momentum_is_circular():
-    data = builtin_scenario_dict("mcgehee")
+    data = load_scenario("mcgehee").data
     # r0 = 2/x0^2 = 50 and the angular momentum of a circular orbit is sqrt(r0)
     assert data["pa0"] == math.sqrt(50.0)
 
 
 def test_sphere_scenario_builds_a_form():
     atlas, form = scenario_form(load_scenario("sphere"))
-    assert atlas.kind == "sphere-atlas"
+    assert atlas.kind == "sphere"
     assert set(form.fields) == {"north", "south", "north-pole", "south-pole"}
 
 
@@ -62,7 +61,7 @@ def test_sphere_scenario_builds_a_form():
 # schema errors
 
 def test_unknown_key_is_named(tmp_path):
-    payload = builtin_scenario_dict("torus")
+    payload = _shipped("torus")
     payload["fff"] = 1
     with pytest.raises(ScenarioError, match="'fff'"):
         load_scenario(_write(tmp_path, payload))
@@ -76,21 +75,21 @@ def test_empty_file_is_a_parse_error(tmp_path):
 
 
 def test_unparseable_field_names_its_location(tmp_path):
-    payload = builtin_scenario_dict("torus")
+    payload = _shipped("torus")
     payload["fields"]["torus"]["f"] = "cos(v) +"
     with pytest.raises(ScenarioError, match=r"fields\['torus'\]\['f'\]"):
         load_scenario(_write(tmp_path, payload))
 
 
 def test_missing_chart_is_named(tmp_path):
-    payload = builtin_scenario_dict("sphere")
+    payload = _shipped("sphere")
     del payload["fields"]["south-pole"]
     with pytest.raises(ScenarioError, match="'south-pole'"):
         load_scenario(_write(tmp_path, payload))
 
 
 def test_stray_chart_is_named(tmp_path):
-    payload = builtin_scenario_dict("torus")
+    payload = _shipped("torus")
     payload["fields"]["equator"] = {"f": "1"}
     with pytest.raises(ScenarioError, match="'equator'"):
         load_scenario(_write(tmp_path, payload))
@@ -99,7 +98,7 @@ def test_stray_chart_is_named(tmp_path):
 @pytest.mark.parametrize("text", ['["a", "b"]', "NaN", '"Height field."'])
 def test_description_must_be_a_string(tmp_path, text):
     # lax JSON: json.loads reads NaN and Infinity as floats
-    payload = {**builtin_scenario_dict("torus"), "description": "@"}
+    payload = {**_shipped("torus"), "description": "@"}
     path = _write(tmp_path, json.dumps(payload).replace('"@"', text))
     if text.startswith('"'):
         assert load_scenario(path).data["description"] == json.loads(text)
@@ -109,7 +108,7 @@ def test_description_must_be_a_string(tmp_path, text):
 
 
 def test_mass_ratio_bounds(tmp_path):
-    payload = builtin_scenario_dict("mcgehee")
+    payload = _shipped("mcgehee")
     payload["mu"] = 1.0
     with pytest.raises(ScenarioError, match="'mu'"):
         load_scenario(_write(tmp_path, payload))
@@ -148,7 +147,7 @@ def test_a_second_build_derives_and_compiles_nothing(tmp_path, monkeypatch):
     _counting(monkeypatch, contact, "differentiate", counts)
     _counting(monkeypatch, contact, "compile", counts)
     _counting(monkeypatch, expressions, "differentiate", counts)
-    payload = builtin_scenario_dict("torus")  # strings no other test builds
+    payload = _shipped("torus")  # strings no other test builds
     payload["fields"]["torus"]["f"] = "cos(v) + 0.3125*cos(u)*sin(v)"
     path = _write(tmp_path, payload)
     first = _derive_all(*scenario_form(load_scenario(path)))
@@ -160,7 +159,7 @@ def test_a_second_build_derives_and_compiles_nothing(tmp_path, monkeypatch):
 
 
 def test_epsilons_share_trees_and_a_changed_string_does_not(tmp_path):
-    payload = builtin_scenario_dict("sphere")
+    payload = _shipped("sphere")
     payload["epsilon"] = 0.3
     atlas_a, form_a = scenario_form(load_scenario(_write(tmp_path, payload)))
     payload["epsilon"] = 0.6
@@ -186,7 +185,7 @@ def test_epsilons_share_trees_and_a_changed_string_does_not(tmp_path):
 
 
 def test_memos_stay_within_their_bounds(tmp_path):
-    payload = builtin_scenario_dict("torus")
+    payload = _shipped("torus")
     for k in range(FIELD_MEMO_SIZE + 5):
         payload["fields"]["torus"]["f"] = f"cos(v) + {k + 1}e-3*sin(u)"
         payload["fields"]["torus"]["beta_z"] = f"{k}*sin(u)"
@@ -196,7 +195,7 @@ def test_memos_stay_within_their_bounds(tmp_path):
 
 
 def test_a_string_that_fails_to_parse_fails_every_time(tmp_path):
-    payload = builtin_scenario_dict("sphere")
+    payload = _shipped("sphere")
     payload["fields"]["north"]["beta_v"] = "sin(theta)^"
     path = _write(tmp_path, payload)
     for _ in range(2):
@@ -267,7 +266,7 @@ def test_pole_disks_agree_with_the_angular_charts(pole, angular):
 
 
 def test_torus_fields_are_2pi_periodic():
-    entry = builtin_scenario_dict("torus")["fields"]["torus"]
+    entry = load_scenario("torus").data["fields"]["torus"]
     names = ("u", "v", "z")
     for key in ("f", "beta_u", "beta_v", "beta_z"):
         e = parse(entry[key], names)

@@ -1,13 +1,14 @@
-"""Run the builtins and the benchmark's bcontact catalogue, one directory each.
+"""Run the builtins and the benchmark's catalogues, one directory each.
 
 Usage: python3 tools/run_catalogue.py OUT [ID ...]
 
-The ids are the four builtin scenario names and the ids of the 216
-scenarios of the ``torus-fan`` and ``sphere-grid`` catalogues of
-``perfbench/workloads.py`` (bcontact and Beltrami; that module is only
-imported).  Each id runs ``bcontactlab all`` in this process, through
-``cli.main``, with the catalogue entry's own arguments (``--seeds`` or
-``--grid``), into ``OUT/<id>``; without ids, all 220 run.  One line per
+The ids are the four builtin scenario names and the ids of the 426
+scenarios of the ``torus-fan``, ``sphere-grid`` and ``three-body``
+catalogues of ``perfbench/workloads.py`` (bcontact, Beltrami and
+three-body; that module is only imported).  Each id runs ``bcontactlab
+all`` in this process, through ``cli.main``, with the catalogue entry's
+own arguments (``--seeds``, ``--grid`` or none), into ``OUT/<id>``;
+without ids, all 430 run.  One line per
 run, ``<id> <exit status>``, is printed and written to
 ``OUT/exit_status.txt``.  Two such directories, made from two checkouts,
 are the input of ``tools/compare_runs.py``.  It runs the checkout it sits
@@ -30,7 +31,7 @@ from bcontactlab.cli import main as cli_main  # noqa: E402
 from bcontactlab.scenarios import builtin_names  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
-WORKLOADS = ("torus-fan", "sphere-grid")
+WORKLOADS = ("torus-fan", "sphere-grid", "three-body")
 
 
 def entries():
