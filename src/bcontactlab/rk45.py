@@ -42,6 +42,14 @@ libm's ``pow`` (they differ by an ulp on a few percent of arguments), so
 the step controller's powers — the rejection factor ``err**-0.2``, the
 PI factor ``err**-ALPHA · err_old**BETA`` and the initial step's
 ``(0.01/m)**0.2`` — are computed per lane on Python floats.
+
+The tableau weights are 0-d float64 arrays, and ``rtol`` and ``atol``
+become 0-d arrays for the run.  That is for speed, not for precision: a
+Python float is a float64, so an elementwise product or sum rounds alike
+either way, but numpy converts a Python float operand on every call,
+which costs more than the product of a few lanes.  For the same reason
+the step column ``h`` is made full shape once per step, so that no
+product of the stages broadcasts.
 """
 from __future__ import annotations
 
@@ -72,17 +80,25 @@ class NonFiniteState(RuntimeError):
     """The state or its derivative stopped being finite."""
 
 
-# Butcher tableau (nodes, stage weights, 5th/4th order weights)
+# Butcher tableau (nodes, stage weights, 5th/4th order weights); the
+# weights are 0-d float64 arrays (see the module docstring)
 C2, C3, C4, C5, C6 = 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0
-A21 = 1 / 5
-A31, A32 = 3 / 40, 9 / 40
-A41, A42, A43 = 44 / 45, -56 / 15, 32 / 9
-A51, A52, A53, A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-A61, A62, A63, A64, A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                           49 / 176, -5103 / 18656)
-B1, B3, B4, B5, B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-BS1, BS3, BS4, BS5, BS6, BS7 = (5179 / 57600, 7571 / 16695, 393 / 640,
-                                -92097 / 339200, 187 / 2100, 1 / 40)
+A21 = np.array(1 / 5)
+A31, A32 = map(np.array, (3 / 40, 9 / 40))
+A41, A42, A43 = map(np.array, (44 / 45, -56 / 15, 32 / 9))
+A51, A52, A53, A54 = map(np.array, (19372 / 6561, -25360 / 2187,
+                                    64448 / 6561, -212 / 729))
+A61, A62, A63, A64, A65 = map(np.array, (9017 / 3168, -355 / 33,
+                                         46732 / 5247, 49 / 176,
+                                         -5103 / 18656))
+B1, B3, B4, B5, B6 = map(np.array, (35 / 384, 500 / 1113, 125 / 192,
+                                    -2187 / 6784, 11 / 84))
+BS1, BS3, BS4, BS5, BS6, BS7 = map(np.array, (
+    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100,
+    1 / 40))
+# error weights B_i − BS_i (BS7 enters the error as − BS7·k7)
+E1, E3, E4, E5, E6 = (np.array(b - bs) for b, bs in (
+    (B1, BS1), (B3, BS3), (B4, BS4), (B5, BS5), (B6, BS6)))
 NODES = np.array([C2, C3, C4, C5, C6])
 # dense-output weights for the quartic interpolant
 D1 = -12715105075 / 11282082432
@@ -221,6 +237,11 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
     ends its lane with that status.  A lane that fails holds its exception
     in place of a :class:`Trajectory`; nothing is raised for it.
 
+    ``f``, the event functions and ``stop`` run with numpy's ``over`` and
+    ``invalid`` warnings off, as does the whole integration: the
+    finiteness checks report a non-finite state (:class:`NonFiniteState`)
+    instead.
+
     ``per_lane`` is an array with one entry per lane.  ``f`` is then called
     as ``f(t, y, values)`` with the live lanes' entries, in the order of
     their states; events and ``stop`` do not see them.  Without it ``f`` is
@@ -233,21 +254,24 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
         per_lane = np.asarray(per_lane)
         if per_lane.shape[:1] != y.shape[:1]:
             raise ValueError("per_lane needs one entry per lane")
-    return _integrate(f, y, t_span, rtol, atol, events, stop, per_lane)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return _integrate(f, y, t_span, rtol, atol, events, stop, per_lane)
 
 
 def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
     n, dim = y0.shape
+    rtol, atol = np.asarray(rtol, dtype=float), np.asarray(atol, dtype=float)
     t0 = np.broadcast_to(np.asarray(t_span[0], dtype=float), (n,)).copy()
     t1 = np.broadcast_to(np.asarray(t_span[1], dtype=float), (n,)).copy()
     out = Lanes([None] * n)
-    ended = {}   # lane -> (status or exception, attempted steps)
+    # lane -> (status or exception, attempted steps, RHS evaluations)
+    ended = {}
     # samples in the order taken: (lanes, t, y, size of the step to them)
     blocks = [(np.arange(n), t0, y0, np.full(n, math.nan))]
 
     idx = np.flatnonzero(t1 != t0)
     for lane in np.flatnonzero(t1 == t0).tolist():
-        ended[lane] = ("reached-end", 0)
+        ended[lane] = ("reached-end", 0, 0)
     t, t1, y = t0[idx], t1[idx], y0[idx]
     if not len(idx):
         return _assemble(out, ended, blocks)
@@ -264,8 +288,8 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
     good = np.isfinite(k1).all(axis=1)
     if not good.all():
         for lane, tk in zip(idx[~good].tolist(), t[~good].tolist()):
-            ended[lane] = (
-                NonFiniteState(f"non-finite derivative at t = {tk!r}"), 0)
+            ended[lane] = (NonFiniteState(
+                f"non-finite derivative at t = {tk!r}"), 0, 1)
         idx, t, t1, dirn, y, k1 = (a[good] for a in (idx, t, t1, dirn, y, k1))
         if arg is not None:
             arg = arg[good]
@@ -280,20 +304,24 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
     err_old = [1e-4] * len(idx)
     g_prev = [np.asarray(ev.fn(t, y), dtype=float) for ev in events]
     crossings = []   # blocks of fired events: lane, event, step data
-    it = 0   # attempted steps so far; the same for every live lane
+    # attempted steps and RHS evaluations so far, the same for every live
+    # lane: k1 and the initial step's probe, then 6 per attempted step
+    it, fev = 0, 2
+    ones = np.ones(dim)
 
     while len(idx):
         if it > MAX_STEPS:
             for lane in idx.tolist():
                 ended[lane] = (RuntimeError(
-                    f"integration exceeded {MAX_STEPS} steps"), it)
+                    f"integration exceeded {MAX_STEPS} steps"), it, fev)
             break
         if h_low < MIN_STEP:
             under = h < MIN_STEP
             for lane, hk, tk in zip(idx[under].tolist(), h[under].tolist(),
                                     t[under].tolist()):
                 ended[lane] = (StepSizeUnderflow(
-                    f"step size {hk:.3e} underflowed at t = {tk!r}"), it)
+                    f"step size {hk:.3e} underflowed at t = {tk!r}"), it,
+                    fev)
             idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev, arg = _compact(
                 ~under, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev, arg)
             if not len(idx):
@@ -302,32 +330,32 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
         hd = dirn * h
         hc = hd[:, None]
         ts = t[:, None] + hc * NODES   # t + c·hd for the stages 2 to 7
+        hc = hc * ones   # full shape, so no product below broadcasts
 
-        with np.errstate(invalid="ignore", over="ignore"):
-            k2 = np.asarray(f(ts[:, 0], y + hc * (A21 * k1)), dtype=float)
-            k3 = np.asarray(f(ts[:, 1], y + hc * (A31 * k1 + A32 * k2)),
-                            dtype=float)
-            k4 = np.asarray(f(ts[:, 2], y + hc * (A41 * k1 + A42 * k2
-                                                  + A43 * k3)), dtype=float)
-            k5 = np.asarray(f(ts[:, 3], y + hc * (A51 * k1 + A52 * k2
-                                                  + A53 * k3 + A54 * k4)),
-                            dtype=float)
-            k6 = np.asarray(f(ts[:, 4], y + hc * (A61 * k1 + A62 * k2
-                                                  + A63 * k3 + A64 * k4
-                                                  + A65 * k5)), dtype=float)
-            y_new = y + hc * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
-            t_new = ts[:, 4]
-            k7 = np.asarray(f(t_new, y_new), dtype=float)
-            err_vec = hc * ((B1 - BS1) * k1 + (B3 - BS3) * k3
-                            + (B4 - BS4) * k4 + (B5 - BS5) * k5
-                            + (B6 - BS6) * k6 - BS7 * k7)
-            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-            err = _rms(err_vec / scale, dim)
-            # a finite sum means finite terms; an overflowing one only
-            # sends the step through the per-lane check below
-            finite = math.isfinite(np.add.reduce(y_new, axis=None)
-                                   + np.add.reduce(k7, axis=None))
+        k2 = np.asarray(f(ts[:, 0], y + hc * (A21 * k1)), dtype=float)
+        k3 = np.asarray(f(ts[:, 1], y + hc * (A31 * k1 + A32 * k2)),
+                        dtype=float)
+        k4 = np.asarray(f(ts[:, 2], y + hc * (A41 * k1 + A42 * k2
+                                              + A43 * k3)), dtype=float)
+        k5 = np.asarray(f(ts[:, 3], y + hc * (A51 * k1 + A52 * k2
+                                              + A53 * k3 + A54 * k4)),
+                        dtype=float)
+        k6 = np.asarray(f(ts[:, 4], y + hc * (A61 * k1 + A62 * k2
+                                              + A63 * k3 + A64 * k4
+                                              + A65 * k5)), dtype=float)
+        y_new = y + hc * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
+        t_new = ts[:, 4]
+        k7 = np.asarray(f(t_new, y_new), dtype=float)
+        err_vec = hc * (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6
+                        - BS7 * k7)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err = _rms(err_vec / scale, dim)
+        # a finite sum means finite terms; an overflowing one only sends
+        # the step through the per-lane check below
+        finite = math.isfinite(np.add.reduce(y_new, axis=None)
+                               + np.add.reduce(k7, axis=None))
         it += 1
+        fev += 6
 
         # step control, per lane on Python floats (see the module docstring)
         h_next, err_next = [], []
@@ -351,7 +379,7 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
             done = ~ok
             for lane, tk in zip(idx[done].tolist(), t_new[done].tolist()):
                 ended[lane] = (NonFiniteState(
-                    f"non-finite state near t = {tk!r}"), it)
+                    f"non-finite state near t = {tk!r}"), it, fev)
             acc = ok & ~(err > 1.0)
             a = np.flatnonzero(acc)
 
@@ -373,6 +401,7 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
             rows = np.flatnonzero(fired) if every else a[fired]
             crossings.append((
                 idx[rows], np.full(len(rows), i), np.full(len(rows), it),
+                np.full(len(rows), fev),
                 dirn[rows], h[rows], g_a[fired] < 0, t[rows], t_new[rows],
                 hd[rows], y[rows], y_new[rows], k1[rows], k3[rows], k4[rows],
                 k5[rows], k6[rows], k7[rows]))
@@ -403,7 +432,7 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
             rows = np.arange(len(idx))[go].tolist()
             for row, reason in zip(rows, reasons):
                 if reason is not None:
-                    ended[int(idx[row])] = (reason, it)
+                    ended[int(idx[row])] = (reason, it, fev)
                     if done is None:
                         done = np.zeros(len(idx), dtype=bool)
                     done[row] = True
@@ -412,7 +441,7 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
             if done is not None:
                 end &= ~done
             for row in np.flatnonzero(end).tolist():
-                ended[int(idx[row])] = ("reached-end", it)
+                ended[int(idx[row])] = ("reached-end", it, fev)
             done = end if done is None else done | end
 
         h = np.array(h_next)
@@ -435,8 +464,8 @@ def _cut(events, crossings, ended, blocks):
     interpolants; a lane where several events fired in one step ends at
     the earliest crossing, the first event winning a tie.
     """
-    (lanes, which, steps, dirn, h, neg, t_lo, t_hi, hd, y, y_new, k1, k3,
-     k4, k5, k6, k7) = (np.concatenate(c) for c in zip(*crossings))
+    (lanes, which, steps, fevs, dirn, h, neg, t_lo, t_hi, hd, y, y_new, k1,
+     k3, k4, k5, k6, k7) = (np.concatenate(c) for c in zip(*crossings))
     seg = _DenseSegment(t_lo, hd, y, y_new, k1, k3, k4, k5, k6, k7)
     t_star = _bisect(events, which, seg, t_lo, t_hi, neg)
     first = {}   # lane -> its winning crossing
@@ -448,7 +477,7 @@ def _cut(events, crossings, ended, blocks):
     blocks.append((lanes[rows], t_star[rows], seg(t_star)[rows], h[rows]))
     for k in rows.tolist():
         ended[int(lanes[k])] = (f"event:{events[which[k]].name}",
-                                int(steps[k]))
+                                int(steps[k]), int(fevs[k]))
 
 
 def _compact(keep, idx, t, t1d, dirn, rem, y, k1, h, err_old, g_prev, arg):
@@ -468,10 +497,9 @@ def _assemble(out, ended, blocks):
                   for k in (1, 2, 3))
     bounds = np.searchsorted(lanes[order], np.arange(len(out) + 1)).tolist()
     out.n_fev = out.n_steps = out.n_rejected = 0
-    for lane, (status, attempts) in ended.items():
+    for lane, (status, attempts, fev) in ended.items():
         a, b = bounds[lane], bounds[lane + 1]
         steps = b - a - 1
-        fev = 6 * attempts + 2 if attempts else 0
         out.n_fev += fev
         out.n_steps += steps
         out.n_rejected += attempts - steps

@@ -123,6 +123,15 @@ def test_non_finite_state_is_reported():
     assert isinstance(lane, NonFiniteState)
 
 
+def test_an_overflow_is_a_non_finite_state_not_a_warning():
+    # y·y overflows in the first derivative of lane 0; the suite turns
+    # warnings into errors, so a RuntimeWarning would leave integrate
+    lanes = integrate(lambda t, y: y * y, [[1e200], [1.0]], (0.0, 0.5))
+    assert isinstance(lanes[0], NonFiniteState)
+    assert lanes[1].status == "reached-end"
+    assert lanes[1].y[-1, 0] == pytest.approx(2.0, rel=1e-8)
+
+
 def test_step_budget_is_enforced(monkeypatch):
     def rhs(t, y):
         return np.sin(40 * t)[:, None]
@@ -143,11 +152,97 @@ def test_counters_count_the_work_of_lanes_that_fail(monkeypatch):
     assert lanes.n_steps + lanes.n_rejected == 2 * 11
 
 
+def test_n_fev_counts_lanes_that_end_before_their_first_step():
+    calls = []
+
+    def counted(rhs):
+        def f(t, y):
+            calls.append(len(y))
+            return rhs(t, y)
+        return f
+
+    # lane 0 has a non-finite first derivative: one evaluation, the k1 call
+    lanes = integrate(counted(lambda t, y: np.where(y > 0, math.inf, 1.0)),
+                      [[1.0], [-1.0]], (0.0, 0.001))
+    assert isinstance(lanes[0], NonFiniteState)
+    assert lanes.n_fev == sum(calls) == 9
+    # a span below MIN_STEP underflows before the first attempt, after two
+    # evaluations: k1 and the initial step's probe
+    calls.clear()
+    lanes = integrate(counted(lambda t, y: -y), [[1.0]], (0.0, 1e-15))
+    assert isinstance(lanes[0], StepSizeUnderflow)
+    assert lanes.n_fev == sum(calls) == 2
+
+
 def test_zero_span_is_a_no_op():
     sol, = integrate(_unit_speed, [[3.0]], (2.0, 2.0))
     assert sol.status == "reached-end"
     assert sol.t[-1] == 2.0 and sol.y[-1, 0] == 3.0
     assert sol.n_steps == 0
+
+
+def _quadratic(t, y):
+    """A quadratic field of arithmetic only, which numpy rounds as Python
+    does, on lanes."""
+    u, v, w = y[:, 0], y[:, 1], y[:, 2]
+    return np.stack([3.0 * (v * w - u) - t + 1.0, 3.0 * (w - u * u) - 0.7,
+                     3.0 * (u * v - w) + 0.3], axis=1)
+
+
+def _quadratic_float(t, y):
+    u, v, w = y
+    return [3.0 * (v * w - u) - t + 1.0, 3.0 * (w - u * u) - 0.7,
+            3.0 * (u * v - w) + 0.3]
+
+
+def _dormand_prince_stages(f, y, h):
+    """The arguments ``(t, y)`` of the six RHS calls of one Dormand–Prince
+    5(4) step of size h from t = 0, on Python floats, each sum in the
+    tableau's term order; the last state is the step's end."""
+    calls = []
+
+    def stage(c, ws, ks):   # f(c·h, y + h·(w_1·k_1 + w_2·k_2 + ...))
+        sums = [ws[0] * k for k in ks[0]]
+        for w, k_j in zip(ws[1:], ks[1:]):
+            sums = [s + w * k for s, k in zip(sums, k_j)]
+        calls.append((c * h, [y_i + h * s for y_i, s in zip(y, sums)]))
+        return f(*calls[-1])
+
+    k1 = f(0.0, y)
+    k2 = stage(1 / 5, [1 / 5], [k1])
+    k3 = stage(3 / 10, [3 / 40, 9 / 40], [k1, k2])
+    k4 = stage(4 / 5, [44 / 45, -56 / 15, 32 / 9], [k1, k2, k3])
+    k5 = stage(8 / 9, [19372 / 6561, -25360 / 2187, 64448 / 6561,
+                       -212 / 729], [k1, k2, k3, k4])
+    k6 = stage(1.0, [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                     -5103 / 18656], [k1, k2, k3, k4, k5])
+    stage(1.0, [35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+          [k1, k3, k4, k5, k6])
+    return calls
+
+
+def test_a_step_keeps_the_tableau_term_order():
+    # from t0 = 0 a step of size h ends at 0 + h·1.0, so the first sample's
+    # time is the size of the first step.  Zeros in y0 leave a stage sum
+    # unrounded by the addition of y, so a change of its order shows.
+    y0 = np.array([[0.0, 0.0, 0.25], [0.0, -0.5, 0.0]])
+    calls = []
+
+    def rhs(t, y):
+        calls.append((t.tolist(), y.tolist()))
+        return _quadratic(t, y)
+
+    lanes = integrate(rhs, y0, (0.0, 1.0), rtol=1e-3, atol=1e-6,
+                      stop=lambda t, y: ["stepped"] * len(t))
+    # k1, the initial step's probe, then the stages of the one step taken
+    assert len(calls) == 8
+    for k, (lane, start) in enumerate(zip(lanes, y0.tolist())):
+        assert lane.status == "stepped"
+        assert (lane.n_steps, lane.n_rejected) == (1, 0)
+        stages = _dormand_prince_stages(_quadratic_float, start,
+                                        float(lane.t[1]))
+        assert [(t[k], y[k]) for t, y in calls[2:]] == stages
+        assert lane.y[1].tolist() == stages[-1][1]
 
 
 def _swirl(a, b, c):
