@@ -24,7 +24,7 @@ params = McGeheeParams(mu=0.5)
 start = McGeheeState(x=0.2, a=0.0, pr=0.0, pa=math.sqrt(50.0))
 traj = integrate_mcgehee(start, params, t_span=(0.0, 100.0))
 print(f"energy drift over t in [0, 100]: {traj.energy_drift:.2e} "
-      f"({traj.stats['n_steps']} steps)")
+      f"({traj.n_steps} steps)")
 
 # the same trajectory, integrated independently in the original polar
 # variables with scipy's DOP853 and mapped through r = 2/x^2

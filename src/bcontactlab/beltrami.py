@@ -39,8 +39,8 @@ from .expressions import (
 __all__ = [
     "MetricDegeneracyError", "SignInconsistencyError", "MetricOnZ",
     "BeltramiData", "IdentityReport", "LaplaceReport",
-    "BeltramiStabilityReport", "tangential_components",
-    "tangential_expressions", "hamiltonian_identity_check",
+    "BeltramiStabilityReport", "tangential_expressions",
+    "hamiltonian_identity_check",
     "laplace_eigen_check", "beltrami_stability_matrix",
     "contact_from_beltrami",
 ]
@@ -154,25 +154,9 @@ class BeltramiData:
         return (eval_value(self._stream_u, _NAMES, (u, v)),
                 eval_value(self._stream_v, _NAMES, (u, v)))
 
-    def tangential(self, u, v):
-        """The field components (X_u, X_v) at a point or grid."""
-        fu, fv = self.stream_gradient(u, v)
-        return _tangential(fu, fv, self.eigenvalue * self.metric.sqrt_det(u, v))
-
-
-def _tangential(fu, fv, scale):
-    """(X_u, X_v) = (−F_v, F_u) / (λ √det h) from values; ``scale`` is λ √det h."""
-    return -fv / scale, fu / scale
-
-
-def tangential_components(data):
-    """Evaluators (u, v) → X_u and (u, v) → X_v for the tangential field."""
-    return (lambda u, v: data.tangential(u, v)[0],
-            lambda u, v: data.tangential(u, v)[1])
-
 
 def tangential_expressions(data):
-    """(X_u, X_v) as expression trees rather than evaluators."""
+    """(X_u, X_v) = (−F_v, F_u) / (λ √det h) as expression trees."""
     m = data.metric
     x_u = _build("(0 - dv) / (lam * s)", dv=data._stream_v,
                  lam=data.eigenvalue, s=m.sqrt_det_expr)
@@ -212,7 +196,7 @@ def hamiltonian_identity_check(data, grid=(64, 64), components=None,
                                 data.metric.sqrt_det_expr), _NAMES)(U, V)
     scale = data.eigenvalue * sqrt_det
     if components is None:
-        xu, xv = _tangential(fu, fv, scale)
+        xu, xv = -fv / scale, fu / scale
     else:
         xu, xv = components[0](U, V), components[1](U, V)
 
@@ -368,28 +352,20 @@ def beltrami_stability_matrix(data, point=(0.0, 0.0)):
 # ---------------------------------------------------------------------------
 # back to a contact form
 
-def contact_from_beltrami(data, extension=None, grid=(64, 64, 9)):
+def contact_from_beltrami(data, grid=(64, 64, 9)):
     """Build α = g(X, ·) from the field data and audit it.
 
     With g = h + dz²/z² and X = X_u ∂u + X_v ∂v + (z X_z) ∂z the one-form is
     β + X_z dz/z with β = h(X_tangential, ·), so its transverse coefficient
-    restricts to X_z|_Z = −F.  The default extension keeps every component
-    independent of z; ``extension`` may override any of X_u, X_v, X_z with
-    expressions in (u, v, z).  Returns the form together with a report:
-    whether the exceptional Hamiltonian recovers the stream function, and
-    whether the form passes the contact condition (it legitimately may not —
-    that requires X to be nonvanishing — so failure is recorded, not raised).
+    restricts to X_z|_Z = −F; every component is taken independent of z.
+    Returns the form together with a report: whether the exceptional
+    Hamiltonian recovers the stream function, and whether the form passes
+    the contact condition (it legitimately may not — that requires X to be
+    nonvanishing — so failure is recorded, not raised).
     """
     m = data.metric
     x_u, x_v = tangential_expressions(data)
     x_z = _build("0 - F", F=data.stream)
-    if extension:
-        names = ("u", "v", "z")
-        pick = {k: (parse(e, names) if isinstance(e, str) else e)
-                for k, e in extension.items()}
-        x_u = pick.get("X_u", x_u)
-        x_v = pick.get("X_v", x_v)
-        x_z = pick.get("X_z", x_z)
 
     beta_u = _build("a*xu + b*xv", a=m.h_uu, b=m.h_uv, xu=x_u, xv=x_v)
     beta_v = _build("b*xu + c*xv", b=m.h_uv, c=m.h_vv, xu=x_u, xv=x_v)

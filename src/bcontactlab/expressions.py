@@ -117,9 +117,6 @@ class Power(Expr):
 # --------------------------------------------------------------------------
 # lexer
 
-_TOKEN_KINDS = ("NUMBER", "IDENT", "OP", "END")
-
-
 class _Token:
     __slots__ = ("kind", "text", "offset")
 
@@ -152,9 +149,11 @@ def _tokenize(src):
                         j += 1
             text = src[i:j]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ParseError(f"malformed number {text!r}", i) from None
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} overflows a float", i)
             tokens.append(_Token("NUMBER", text, i))
             i = j
             continue
@@ -220,7 +219,7 @@ class _Parser:
         t = self.peek()
         if t.kind == "OP" and t.text == "-":
             self.next()
-            return _Neg(self.parse_factor())
+            return neg(self.parse_factor())
         return self.parse_power()
 
     def parse_power(self):
@@ -280,15 +279,6 @@ class _Parser:
             self.expect_op(")")
             return node
         raise ParseError("expected a number, name or '('", t.offset)
-
-
-def _Neg(inner):
-    """Unary minus is stored as ``0 - x`` only when printing would be ambiguous;
-    we keep it as a Binary '-' with a zero left so the tree stays a 5-node
-    algebra.  Folding ``Const(0.0) - Const(c)`` keeps literal negatives tidy."""
-    if isinstance(inner, Const):
-        return Const(-inner.value)
-    return Binary("-", Const(0.0), inner)
 
 
 def parse(src, variables=None):
@@ -653,6 +643,7 @@ def sub(a, b):
 
 
 def neg(a):
+    """Unary minus as ``0 - a``, the parser's form too; a literal folds."""
     if type(a) is Const:
         return Const(-a.value)
     return Binary("-", _ZERO, a)

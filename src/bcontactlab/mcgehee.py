@@ -18,6 +18,9 @@ is invariant — exactly so, including in floating point — and carries the
 rigid flow ȧ = −1: a circle of 2π-periodic orbits, one per (a₀, P_r, P_a).
 For x > 0 the system is the classical one in disguise, which is what the
 independent polar-coordinate oracle checks.
+
+The oracle runs SciPy's DOP853 at ``ORACLE_RTOL`` and ``ORACLE_ATOL``, a
+hundred times tighter than the shared ``rk45.RTOL`` and ``rk45.ATOL``.
 """
 from __future__ import annotations
 
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rk45 import integrate
+from .rk45 import Trajectory, integrate
 
 __all__ = [
     "CollisionError", "McGeheeParams", "McGeheeState", "McGeheeTrajectory",
@@ -35,6 +38,8 @@ __all__ = [
 ]
 
 COLLISION_FLOOR = 1e-12   # minimum squared primary distance (rescaled)
+ORACLE_RTOL = 1e-12       # relative tolerance of the polar oracle's DOP853
+ORACLE_ATOL = 1e-14       # its absolute tolerance, in (r, a, P_r, P_a) units
 
 
 class CollisionError(RuntimeError):
@@ -148,17 +153,14 @@ def vector_field(state, params):
 
 
 @dataclass
-class McGeheeTrajectory:
-    t: np.ndarray
-    y: np.ndarray            # columns (x, a, Pr, Pa)
+class McGeheeTrajectory(Trajectory):
+    """The run's trajectory, y in columns (x, a, Pr, Pa), and its energy."""
+
     energy: np.ndarray
     energy_drift: float
-    status: str
-    stats: dict
 
 
-def integrate_mcgehee(state0, params, t_span=(0.0, 100.0), rtol=1e-10,
-                      atol=1e-12):
+def integrate_mcgehee(state0, params, t_span=(0.0, 100.0)):
     """Integrate the system and report the worst energy drift along the way.
 
     Raises what ends the run early: ``CollisionError`` from the field, or
@@ -169,16 +171,13 @@ def integrate_mcgehee(state0, params, t_span=(0.0, 100.0), rtol=1e-10,
     def rhs(t, y):
         return _field_values(*y[0].tolist(), mu)[None]
 
-    sol, = integrate(rhs, state0.as_array()[None], t_span, rtol=rtol,
-                     atol=atol)
+    sol, = integrate(rhs, state0.as_array()[None], t_span)
     if isinstance(sol, Exception):
         raise sol
     energy = np.asarray(_energy(sol.y[:, 0], sol.y[:, 1], sol.y[:, 2],
                                 sol.y[:, 3], mu), dtype=float)
     drift = float(np.max(np.abs(energy - energy[0])))
-    return McGeheeTrajectory(t=sol.t, y=sol.y, energy=energy,
-                             energy_drift=drift, status=sol.status,
-                             stats=sol.stats_dict())
+    return McGeheeTrajectory(**vars(sol), energy=energy, energy_drift=drift)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +200,7 @@ def polar_field(t, y, mu):
     return (r_dot, a_dot, pr_dot, pa_dot)
 
 
-def newtonian_oracle_compare(state0, params, t_span=(0.0, 10.0), rtol=1e-10,
-                             atol=1e-12, oracle_rtol=1e-12, oracle_atol=1e-14):
+def newtonian_oracle_compare(state0, params, t_span=(0.0, 10.0)):
     """Run both formulations side by side and measure their disagreement.
 
     The trajectory is integrated in the inverted variable with the shared
@@ -215,7 +213,7 @@ def newtonian_oracle_compare(state0, params, t_span=(0.0, 10.0), rtol=1e-10,
 
     if state0.x <= 0.0:
         raise ValueError("the oracle comparison needs an orbit with x > 0")
-    traj = integrate_mcgehee(state0, params, t_span, rtol=rtol, atol=atol)
+    traj = integrate_mcgehee(state0, params, t_span)
     x = traj.y[:, 0]
     if np.min(x) <= 0.0:
         raise CollisionError("trajectory reached the infinity manifold; the "
@@ -227,7 +225,7 @@ def newtonian_oracle_compare(state0, params, t_span=(0.0, 10.0), rtol=1e-10,
     else:
         oracle = solve_ivp(polar_field, (traj.t[0], traj.t[-1]), y0,
                            t_eval=traj.t, args=(params.mu,), method="DOP853",
-                           rtol=oracle_rtol, atol=oracle_atol,
+                           rtol=ORACLE_RTOL, atol=ORACLE_ATOL,
                            dense_output=False)
         if not oracle.success:
             raise CollisionError(f"oracle integration failed: {oracle.message}")

@@ -27,6 +27,8 @@ lane takes the steps its own run would.  A lane that fails
 When the field raises for a batch, each half is traced again the same
 way, so a seed whose field raises fails alone, with the message a
 one-seed trace gives, after about 2·log₂(lanes) runs per raising lane.
+A traced lane is an :class:`OrbitTrace`: the lane's ``rk45.Trajectory``,
+work counters included, with its chart, side σ and direction.
 """
 from __future__ import annotations
 
@@ -35,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rk45 import Event, integrate
+from . import rk45
+from .rk45 import Event, Trajectory, integrate
 
 __all__ = [
     "RegularizedState", "OrbitTrace", "LimitReport", "EscapeOrbit",
@@ -71,16 +74,12 @@ class RegularizedState:
 
 
 @dataclass
-class OrbitTrace:
-    """One integrated arc: samples and termination status."""
+class OrbitTrace(Trajectory):
+    """One integrated arc: its lane's trajectory, y in columns (u, v, s)."""
 
     chart: str
     sigma: int
     direction: int
-    t: np.ndarray
-    y: np.ndarray                  # columns (u, v, s)
-    status: str
-    stats: dict
 
     @property
     def final(self):
@@ -201,8 +200,8 @@ def _trace_lanes(reeb, tub, chart_name, sigmas, y0, directions, rtol, atol):
                                          y0[part], directions[part], rtol,
                                          atol)]
     return [sol if isinstance(sol, Exception) else OrbitTrace(
-                chart=chart_name, sigma=sigma, direction=direction, t=sol.t,
-                y=sol.y, status=sol.status, stats=sol.stats_dict())
+                **vars(sol), chart=chart_name, sigma=sigma,
+                direction=direction)
             for sol, sigma, direction in zip(lanes, sigmas.tolist(),
                                              directions.tolist())]
 
@@ -321,12 +320,13 @@ def seed_plan(report, n_fan=None):
     return seeds
 
 
-def trace_invariant_manifolds(reeb, reports, tub, *, n_fan=None, rtol=1e-10,
-                              atol=1e-12, tol=None):
+def trace_invariant_manifolds(reeb, reports, tub, *, n_fan=None, rtol=None,
+                              atol=None, tol=None):
     """Trace every seed of every report both ways and classify the ends.
 
     The seeds of one chart, on both sides of Z, are traced together,
-    toward and away in one batch of lanes.
+    toward and away in one batch of lanes.  ``rtol`` and ``atol`` default
+    to :data:`rk45.RTOL` and :data:`rk45.ATOL`.
     """
     points = [r.point for r in reports]
     plan = [(report, psi, seed) for report in reports
@@ -423,19 +423,18 @@ def escape_census(orbits, bound, tub):
                      if o.near_end.verdict != "limits-to")})
 
 
-def refinement_check(reeb, reports, tub, *, rtol=1e-10, atol=1e-12,
-                     tol=None):
-    """Re-trace at ``REFINEMENT_FACTOR``-times tighter tolerances; compare.
+def refinement_check(reeb, reports, tub, *, tol=None):
+    """Re-trace at ``REFINEMENT_FACTOR``-times tighter rk45 tolerances; compare.
 
     Returns a dict with both orbit lists, whether every near-end verdict and
     limit point survived, and the worst displacement of a final tangential
     position between the two passes.
     """
     factor = REFINEMENT_FACTOR
-    coarse = trace_invariant_manifolds(reeb, reports, tub, rtol=rtol,
-                                       atol=atol, tol=tol)
-    fine = trace_invariant_manifolds(reeb, reports, tub, rtol=rtol / factor,
-                                     atol=atol / factor, tol=tol)
+    coarse = trace_invariant_manifolds(reeb, reports, tub, tol=tol)
+    fine = trace_invariant_manifolds(reeb, reports, tub,
+                                     rtol=rk45.RTOL / factor,
+                                     atol=rk45.ATOL / factor, tol=tol)
     stable = True
     finals = {}   # (chart, chart) -> rows (u, v) coarse then (u, v) fine
     for a, b in zip(coarse, fine):

@@ -14,7 +14,8 @@ the three-body dynamics.  Features:
 
 The error estimate is the RMS of the embedded difference scaled by
 atol + rtol·max(|y_n|, |y_{n+1}|) per component; a step is accepted when
-that norm is at most 1.
+that norm is at most 1.  The tolerances default to ``RTOL`` and ``ATOL``,
+read when a call runs.
 
 Lanes.  The state is always an array of shape ``(lanes, dim)``: that many
 independent problems integrated in lockstep, one problem being one lane.
@@ -70,6 +71,8 @@ SAFETY = 0.9
 ALPHA = 0.7 / 5.0  # PI proportional exponent
 BETA = 0.4 / 5.0   # PI integral exponent
 MAX_STEPS = 500000  # attempted steps before a lane fails
+RTOL = 1e-10       # relative tolerance of a step
+ATOL = 1e-12       # absolute tolerance of a step, in state units
 
 
 class StepSizeUnderflow(RuntimeError):
@@ -222,10 +225,11 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol, span):
     return np.array(steps)
 
 
-def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
+def integrate(f, y0, t_span, rtol=None, atol=None, events=(), stop=None,
               per_lane=None):
     """Integrate ẏ = f(t, y) over t_span, adaptively, for each lane of
     ``y0``, an array of shape ``(lanes, dim)``; returns :class:`Lanes`.
+    ``rtol`` and ``atol`` default to :data:`RTOL` and :data:`ATOL`.
 
     ``t0`` and ``t1`` of ``t_span`` may be one value per lane; a lane with
     t1 < t0 runs backward.  ``f(t, y)``, each event function and ``stop``
@@ -255,7 +259,9 @@ def integrate(f, y0, t_span, rtol=1e-10, atol=1e-12, events=(), stop=None,
         if per_lane.shape[:1] != y.shape[:1]:
             raise ValueError("per_lane needs one entry per lane")
     with np.errstate(invalid="ignore", over="ignore"):
-        return _integrate(f, y, t_span, rtol, atol, events, stop, per_lane)
+        return _integrate(f, y, t_span, RTOL if rtol is None else rtol,
+                          ATOL if atol is None else atol, events, stop,
+                          per_lane)
 
 
 def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):

@@ -308,7 +308,7 @@ def _run_mcgehee(ctx, tol):
         "mu": params.mu,
         "state0": list(state0.as_array()),
         "t_end": t_end,
-        "integrator": traj.stats,
+        "integrator": traj.stats_dict(),
         "checks": checks,
     })
     return fragment, [name for name, c in checks.items() if not c["passed"]]

@@ -19,8 +19,8 @@ from bcontactlab import contact
 from bcontactlab.beltrami import (
     BeltramiData, MetricDegeneracyError, MetricOnZ, SignInconsistencyError,
     beltrami_stability_matrix, contact_from_beltrami,
-    hamiltonian_identity_check, laplace_eigen_check, tangential_components,
-    tangential_expressions, _torus_grid,
+    hamiltonian_identity_check, laplace_eigen_check, tangential_expressions,
+    _torus_grid,
 )
 from bcontactlab.charts import TubularChart
 from bcontactlab.contact import exceptional_hamiltonian
@@ -40,19 +40,25 @@ def _grid(n=40):
 # ---------------------------------------------------------------------------
 # tangential components
 
+def _field(data):
+    """(X_u, X_v) as evaluators of the trees the contact form is built from."""
+    return tuple(lambda u, v, tree=tree: eval_value(tree, ("u", "v"), (u, v))
+                 for tree in tangential_expressions(data))
+
+
 def test_components_match_hand_values():
     U, V = _grid()
-    xu, xv = tangential_components(BeltramiData("cos(u)"))
+    xu, xv = _field(BeltramiData("cos(u)"))
     assert np.max(np.abs(np.asarray(xu(U, V)))) == 0.0
     assert np.max(np.abs(xv(U, V) + np.sin(U))) < 1e-15
 
-    xu2, xv2 = tangential_components(BeltramiData("cos(v)", eigenvalue=2.0))
+    xu2, xv2 = _field(BeltramiData("cos(v)", eigenvalue=2.0))
     assert np.max(np.abs(xu2(U, V) - np.sin(V) / 2)) < 1e-15
     assert np.max(np.abs(np.asarray(xv2(U, V)))) == 0.0
 
 
 def test_constant_stream_gives_the_zero_field():
-    xu, xv = tangential_components(BeltramiData("3"))
+    xu, xv = _field(BeltramiData("3"))
     assert xu(0.4, 1.2) == 0.0 and xv(0.4, 1.2) == 0.0
 
 
@@ -69,7 +75,7 @@ def test_metric_must_be_positive_definite():
 
 
 def test_stagnation_points_are_exactly_the_field_zeros():
-    xu, xv = tangential_components(BeltramiData(BUILTIN_STREAM))
+    xu, xv = _field(BeltramiData(BUILTIN_STREAM))
     for p in ((0.0, 0.0), (0.0, math.pi), (math.pi, 0.0), (math.pi, math.pi)):
         assert abs(xu(*p)) < 1e-12 and abs(xv(*p)) < 1e-12
 
@@ -107,8 +113,8 @@ def test_identity_threshold_defaults_to_the_pipeline_residual_tol(monkeypatch):
     = 1e-9, and passes once that constant is 1e-8: the default is read when
     the check runs."""
     data = BeltramiData("cos(u)")
-    xu = lambda u, v: data.tangential(u, v)[0]
-    off = lambda u, v: data.tangential(u, v)[1] + 5e-9
+    xu, xv = _field(data)
+    off = lambda u, v: xv(u, v) + 5e-9
     rep = hamiltonian_identity_check(data, components=(xu, off))
     assert 1e-9 < rep.max_residual < 1e-8
     assert not rep.passed
@@ -118,23 +124,23 @@ def test_identity_threshold_defaults_to_the_pipeline_residual_tol(monkeypatch):
 
 def test_identity_fails_for_a_corrupted_component():
     data = BeltramiData("cos(u)")
-    xu = lambda u, v: data.tangential(u, v)[0]
-    bad = lambda u, v: data.tangential(u, v)[1] + 0.5
+    xu, xv = _field(data)
+    bad = lambda u, v: xv(u, v) + 0.5
     rep = hamiltonian_identity_check(data, components=(xu, bad))
     assert not rep.passed
     assert rep.max_residual > 0.1
 
 
 def test_identity_rejects_a_pointwise_sign_flip():
-    data = BeltramiData("cos(u)")
+    xu, xv = _field(BeltramiData("cos(u)"))
 
     def flip(u, v):
         return np.where(np.asarray(u) > math.pi, -1.0, 1.0)
 
-    pair = (lambda u, v: flip(u, v) * data.tangential(u, v)[0],
-            lambda u, v: flip(u, v) * data.tangential(u, v)[1])
+    pair = (lambda u, v: flip(u, v) * xu(u, v),
+            lambda u, v: flip(u, v) * xv(u, v))
     with pytest.raises(SignInconsistencyError):
-        hamiltonian_identity_check(data, components=pair)
+        hamiltonian_identity_check(BeltramiData("cos(u)"), components=pair)
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +263,6 @@ def test_product_stream_fails_contact_where_the_field_vanishes():
     assert math.cos(loc["u"]) ** 2 + math.cos(loc["v"]) ** 2 < 1e-12
 
 
-def test_explicit_transverse_extension_is_honored():
-    ext = {"X_z": f"(0 - ({BUILTIN_STREAM})) * (1 + z^2)"}
-    form, rep = contact_from_beltrami(BeltramiData(BUILTIN_STREAM),
-                                      extension=ext)
-    assert rep["stream_recovered"]
-    tub = TubularChart.torus()
-    cf = form.for_chart("torus")
-    off = eval_value(cf.f, ("u", "v", "z"), (0.3, 0.7, 0.2))
-    on = eval_value(cf.f, ("u", "v", "z"), (0.3, 0.7, 0.0))
-    assert off == pytest.approx(on * 1.04)
-    data = exceptional_hamiltonian(form, tub)
-    target = math.cos(0.3) + math.cos(0.7) / 2
-    assert data.H_value(0.3, 0.7, "torus") == pytest.approx(target, abs=1e-14)
-
-
 def test_torus_chart_samples_the_beltrami_grid():
     """The contact sweep's torus samples are the points of the Beltrami
     grid checks, in the same order."""
@@ -283,9 +274,7 @@ def test_torus_chart_samples_the_beltrami_grid():
         assert np.array_equal(V.ravel(), want[1])
 
 
-@pytest.mark.parametrize("extension", [
-    None, {"X_z": "(0 - (cos(u) + 0.5*cos(v))) * (1 + z)"}])
-def test_roundtrip_reads_f_from_the_contact_sweep(extension, monkeypatch):
+def test_roundtrip_reads_f_from_the_contact_sweep(monkeypatch):
     calls = []
     inner = contact.frame_values
 
@@ -296,8 +285,8 @@ def test_roundtrip_reads_f_from_the_contact_sweep(extension, monkeypatch):
     monkeypatch.setattr(contact, "frame_values", counting)
     grid = (32, 24, 5)
     data = BeltramiData("cos(u) + 0.5*cos(v)")
-    form, report = contact_from_beltrami(data, extension=extension, grid=grid)
-    assert len(calls) == (1 if extension is None else 5)
+    form, report = contact_from_beltrami(data, grid=grid)
+    assert len(calls) == 1
     monkeypatch.undo()
     # the same error from H = −f|_Z evaluated on its own
     U, V = _torus_grid(grid[:2])

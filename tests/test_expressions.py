@@ -33,6 +33,16 @@ def test_parse_error_carries_offset():
         parse("x ^ 2.5")
 
 
+def test_a_literal_that_overflows_is_a_parse_error():
+    # float("1e999") is inf, which to_string cannot print back
+    with pytest.raises(ParseError, match="overflows") as err:
+        parse("2 + 1e999*u", ("u",))
+    assert err.value.offset == 4
+    with pytest.raises(ParseError) as err:
+        parse("u - " + "9" * 400)
+    assert err.value.offset == 4
+
+
 def test_unknown_identifier_rejected_against_chart():
     with pytest.raises(ParseError) as err:
         parse("cos(teta)", ["theta", "phi", "z"])

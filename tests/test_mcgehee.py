@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from bcontactlab import rk45
+from bcontactlab import mcgehee, rk45
 from bcontactlab.mcgehee import (
     CollisionError,
     McGeheeParams,
@@ -141,17 +141,22 @@ def test_oracle_requires_positive_x():
         newtonian_oracle_compare(McGeheeState(0.0, 0.0, 0.0, 1.0), HALF)
 
 
-def test_deviation_shrinks_under_tolerance_tightening():
+def _compare_at(monkeypatch, tols, oracle_tols):
+    """The oracle comparison with both integrators' tolerances patched."""
+    monkeypatch.setattr(rk45, "RTOL", tols[0])
+    monkeypatch.setattr(rk45, "ATOL", tols[1])
+    monkeypatch.setattr(mcgehee, "ORACLE_RTOL", oracle_tols[0])
+    monkeypatch.setattr(mcgehee, "ORACLE_ATOL", oracle_tols[1])
+    return newtonian_oracle_compare(FAR_START, HALF, t_span=(0.0, 10.0))
+
+
+def test_deviation_shrinks_under_tolerance_tightening(monkeypatch):
     # Baseline one decade looser than the integrator defaults: there the
     # deviation is dominated by truncation error, and tightening both
     # integrators by 10x drops it by well over 10x (the tight run lands on
     # the accuracy floor of the comparison).
-    loose = newtonian_oracle_compare(FAR_START, HALF, t_span=(0.0, 10.0),
-                                     rtol=1e-9, atol=1e-11,
-                                     oracle_rtol=1e-12, oracle_atol=1e-14)
-    tight = newtonian_oracle_compare(FAR_START, HALF, t_span=(0.0, 10.0),
-                                     rtol=1e-10, atol=1e-12,
-                                     oracle_rtol=1e-13, oracle_atol=1e-15)
+    loose = _compare_at(monkeypatch, (1e-9, 1e-11), (1e-12, 1e-14))
+    tight = _compare_at(monkeypatch, (1e-10, 1e-12), (1e-13, 1e-15))
     assert loose["max_deviation"] > 0
     assert tight["max_deviation"] * 10 <= loose["max_deviation"]
 

@@ -1,22 +1,29 @@
-"""README's "Tuning constants" table matches the modules it names, and a
-patched constant reaches every call that leaves its parameter out."""
+"""README's "Tuning constants" table matches the modules it names, a
+patched constant reaches every call that leaves its parameter out, and no
+tolerance parameter has a literal default."""
+import ast
 import importlib
+import math
 import re
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+import scipy.integrate
 
-from bcontactlab import contact, critical, orbits
+from bcontactlab import contact, critical, mcgehee, orbits, rk45
 from bcontactlab.contact import (BReebField, exceptional_hamiltonian,
                                  solve_reeb, verify_hamiltonian_identity)
 from bcontactlab.critical import find_critical_points, stability_at
+from bcontactlab.mcgehee import (McGeheeParams, McGeheeState,
+                                 integrate_mcgehee, newtonian_oracle_compare)
 from bcontactlab.orbits import (detect_limit, refinement_check, seed_plan,
                                 trace_invariant_manifolds)
 from bcontactlab.runner import run
 from bcontactlab.scenarios import load_scenario, scenario_form
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 ROW = re.compile(r"\| `(\w+)` \| `(\w+)` \| `([^`]+)` \|")
 
 
@@ -104,6 +111,56 @@ def _refined_verdicts(b, out, monkeypatch):
     return {o.near_end.verdict for o in res["coarse"] + res["fine"]}
 
 
+def _rk45_rtols(monkeypatch, call):
+    """The relative tolerances every RK45 integration of ``call`` ran at."""
+    rtols = set()
+    inner = rk45._integrate
+
+    def spy(f, y0, t_span, rtol, *rest):
+        rtols.add(float(rtol))
+        return inner(f, y0, t_span, rtol, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rk45, "_integrate", spy)
+        call()
+    return rtols
+
+
+def _traced_rtols(b, out, monkeypatch):
+    s = b["sphere"]
+    return _rk45_rtols(monkeypatch, lambda: trace_invariant_manifolds(
+        s.reeb, s.reports, s.tub))
+
+
+def _refined_rtols(b, out, monkeypatch):
+    s = b["sphere"]
+    return _rk45_rtols(monkeypatch, lambda: refinement_check(
+        s.reeb, s.reports, s.tub))
+
+
+THREE_BODY = (McGeheeState(0.2, 0.0, 0.0, math.sqrt(50.0)),
+              McGeheeParams(0.5))
+
+
+def _three_body_rtols(b, out, monkeypatch):
+    return _rk45_rtols(monkeypatch, lambda: integrate_mcgehee(
+        *THREE_BODY, t_span=(0.0, 1.0)))
+
+
+def _dop853_rtols(b, out, monkeypatch):
+    rtols = set()
+    inner = scipy.integrate.solve_ivp
+
+    def spy(*args, **kwargs):
+        rtols.add(kwargs["rtol"])
+        return inner(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scipy.integrate, "solve_ivp", spy)
+        newtonian_oracle_compare(*THREE_BODY, t_span=(0.0, 1.0))
+    return rtols
+
+
 def _planned_fans(b, out, monkeypatch):
     return {len(seed_plan(r)) for r in b["torus"].saddles}
 
@@ -125,12 +182,59 @@ def _traced_fans(b, out, monkeypatch):
     (orbits, "POSITION_TOL", 0.0, _refined_verdicts, {"undecided"}),
     (orbits, "N_FAN", 2, _planned_fans, {2}),
     (orbits, "N_FAN", 2, _traced_fans, {2}),
+    (rk45, "RTOL", 1e-9, _traced_rtols, {1e-9}),
+    (rk45, "RTOL", 1e-9, _three_body_rtols, {1e-9}),
+    (rk45, "RTOL", 2e-10, _refined_rtols,
+     {2e-10, 2e-10 / orbits.REFINEMENT_FACTOR}),
+    (mcgehee, "ORACLE_RTOL", 1e-11, _dop853_rtols, {1e-11}),
 ], ids=["solve_reeb", "verify_hamiltonian_identity", "runner-validate",
         "runner-beltrami", "find_critical_points", "detect_limit",
         "trace_invariant_manifolds-tol", "refinement_check", "seed_plan",
-        "trace_invariant_manifolds-n_fan"])
+        "trace_invariant_manifolds-n_fan", "trace_invariant_manifolds-rtol",
+        "integrate_mcgehee-rtol", "refinement_check-rtol",
+        "newtonian_oracle_compare-solve_ivp"])
 def test_a_patched_constant_reaches_a_call_that_leaves_it_out(
         builtin, tmp_path, monkeypatch, module, name, value, probe, seen):
     assert probe(builtin, tmp_path / "default", monkeypatch) != seen
     monkeypatch.setattr(module, name, value)
     assert probe(builtin, tmp_path / "patched", monkeypatch) == seen
+
+
+def _literal_tolerance_defaults(source):
+    """``name`` of each parameter in ``source`` that ends in ``tol``, or is
+    ``threshold`` or ``n_fan``, with a default other than None."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaulted = [*zip(positional[len(positional) - len(args.defaults):],
+                          args.defaults),
+                     *zip(args.kwonlyargs, args.kw_defaults)]
+        for arg, default in defaulted:
+            if default is None:   # a keyword-only parameter without one
+                continue
+            tuned = arg.arg.endswith("tol") or arg.arg in ("threshold",
+                                                           "n_fan")
+            if tuned and not (isinstance(default, ast.Constant)
+                              and default.value is None):
+                found.append(arg.arg)
+    return found
+
+
+def test_the_ast_walk_finds_a_literal_tolerance_default():
+    source = ("def f(a, rtol=1e-10, *, tol=None, threshold=0.1):\n"
+              "    return lambda n_fan=16, atol=None: None\n")
+    assert sorted(_literal_tolerance_defaults(source)) == [
+        "n_fan", "rtol", "threshold"]
+
+
+def test_no_tolerance_parameter_has_a_literal_default():
+    """README's rule: a tolerance, threshold or fan size that a function
+    takes defaults to None and reads its module constant when it runs."""
+    found = {path.name: names
+             for path in sorted((ROOT / "src" / "bcontactlab").glob("*.py"))
+             if (names := _literal_tolerance_defaults(path.read_text()))}
+    assert found == {}

@@ -81,6 +81,14 @@ def test_unparseable_field_names_its_location(tmp_path):
         load_scenario(_write(tmp_path, payload))
 
 
+def test_an_overflowing_literal_names_its_field(tmp_path):
+    payload = _shipped("torus")
+    payload["fields"]["torus"]["beta_z"] = "1e999"
+    with pytest.raises(ScenarioError,
+                       match=r"fields\['torus'\]\['beta_z'\].*overflows"):
+        load_scenario(_write(tmp_path, payload))
+
+
 def test_missing_chart_is_named(tmp_path):
     payload = _shipped("sphere")
     del payload["fields"]["south-pole"]
