@@ -14,7 +14,7 @@ import numpy as np
 from bcontactlab import (
     BeltramiData, beltrami_stability_matrix, contact_from_beltrami,
     exceptional_hamiltonian, hamiltonian_identity_check, laplace_eigen_check,
-    find_critical_points, TubularChart,
+    find_critical_points,
 )
 
 
@@ -43,8 +43,7 @@ form, info = contact_from_beltrami(data)
 print(f"\nshipped scenario roundtrip: stream recovered = "
       f"{info['stream_recovered']} (error {info['roundtrip_max_error']:.1e})")
 
-tub = TubularChart.torus()
-points = find_critical_points(exceptional_hamiltonian(form, tub), tub)
+points = find_critical_points(exceptional_hamiltonian(form))
 print("\nstagnation points and their full 3d spectra:")
 for p in sorted(points, key=lambda q: (round(q.u, 6), round(q.v, 6))):
     r = beltrami_stability_matrix(data, point=(p.u, p.v))

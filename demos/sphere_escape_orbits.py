@@ -21,20 +21,19 @@ from bcontactlab.scenarios import scenario_form
 # -- build the geometry from the shipped scenario file ----------------------
 
 scenario = load_scenario("sphere")
-tub, form = scenario_form(scenario)
+form = scenario_form(scenario)
 print(f"scenario: {scenario.name} ({scenario.option('description')})")
-print(f"charts:   {sorted(tub.charts)}")
+print(f"charts:   {sorted(form.atlas.charts)}")
 
-reeb = BReebField(form, tub)
-zdata = exceptional_hamiltonian(form, tub)
+reeb = BReebField(form)
 
 # -- the two polar critical points ------------------------------------------
 
-points = find_critical_points(zdata, tub)
+points = find_critical_points(exceptional_hamiltonian(form))
 print(f"\ncritical points of the surface Hamiltonian: {len(points)}")
 reports = []
 for p in points:
-    r = stability_at(p, reeb, zdata)
+    r = stability_at(p, reeb)
     reports.append(r)
     print(f"  {p.chart:11s} (u={p.u:+.3f}, v={p.v:+.3f})  index {p.index}"
           f"  kind {r.kind}  transverse rate {r.lambda_z:+.3f}")
@@ -44,15 +43,15 @@ for p in points:
 
 # -- trace and count ---------------------------------------------------------
 
-orbits = trace_invariant_manifolds(reeb, reports, tub)
+orbits = trace_invariant_manifolds(reeb, reports)
 print(f"\ntraced {len(orbits)} seeds; near-end verdicts:")
 for o in orbits:
     z0 = o.seed.sigma * math.exp(o.seed.s)
     print(f"  seed {o.seed.chart} side {o.seed.sigma:+d} (z0 = {z0:+.2f})"
           f" -> {o.near_end.verdict} at distance {o.near_end.distance:.2e}")
 
-bound = census_bound(points, [tub])  # Z is one component: one atlas
-census = escape_census(orbits, bound, tub)
+bound = census_bound(points, [form.atlas])  # Z is one component: one atlas
+census = escape_census(orbits, bound, form.atlas)
 
 print(f"\ncensus: {census.n_distinct} distinct orbits, "
       f"weighted total {census.weighted_total}")

@@ -19,12 +19,11 @@ from bcontactlab import (
 from bcontactlab.scenarios import scenario_form
 
 scenario = load_scenario("torus")
-tub, form = scenario_form(scenario)
-reeb = BReebField(form, tub)
-zdata = exceptional_hamiltonian(form, tub)
+form = scenario_form(scenario)
+reeb = BReebField(form)
 
-points = find_critical_points(zdata, tub)
-reports = [stability_at(p, reeb, zdata) for p in points]
+points = find_critical_points(exceptional_hamiltonian(form))
+reports = [stability_at(p, reeb) for p in points]
 
 by_index = Counter(p.index for p in points)
 print(f"critical points: {len(points)} "
@@ -35,7 +34,7 @@ print("Morse counts vs torus Betti numbers (1, 2, 1): "
 
 # every saddle gets a fan of 16 seeds in the (tangential, transverse) plane;
 # extrema get one seed per side as before
-orbits = trace_invariant_manifolds(reeb, reports, tub)
+orbits = trace_invariant_manifolds(reeb, reports)
 fan = [o for o in orbits if o.psi is not None]
 print(f"\nseeds traced: {len(orbits)} ({len(fan)} fan seeds on saddles)")
 
@@ -44,8 +43,8 @@ worst = max(o.near_end.distance for o in fan)
 print(f"fan seeds limiting to their saddle: {converged}/{len(fan)}"
       f"  (worst final distance {worst:.2e})")
 
-bound = census_bound(points, [tub])  # Z is one component: one atlas
-census = escape_census(orbits, bound, tub)
+bound = census_bound(points, [form.atlas])  # Z is one component: one atlas
+census = escape_census(orbits, bound, form.atlas)
 print(f"\nbound verdict: {bound.verdict!r}  (b1 > 0 forces an infinite family)")
 print(f"distinct sampled orbits: {census.n_distinct}, "
       f"consistent with the bound: {census.consistent_with_bound}")

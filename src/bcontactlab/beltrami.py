@@ -369,11 +369,11 @@ def contact_from_beltrami(data, grid=(64, 64, 9)):
 
     beta_u = _build("a*xu + b*xv", a=m.h_uu, b=m.h_uv, xu=x_u, xv=x_v)
     beta_v = _build("b*xu + c*xv", b=m.h_uv, c=m.h_vv, xu=x_u, xv=x_v)
-    form = BContactForm({"torus": ChartFields(x_z, beta_u, beta_v,
-                                              Const(0.0))})
+    form = BContactForm(TubularChart.torus(), {
+        "torus": ChartFields(x_z, beta_u, beta_v, Const(0.0))})
 
     # H = −f|_Z, with f read from the contact check's own frame on Z
-    contact, f_on_Z = contact_sweep(form, TubularChart.torus(), grid=grid)
+    contact, f_on_Z = contact_sweep(form, grid=grid)
     U, V, f = f_on_Z["torus"]
     recovered = -f
     target = data.stream_value(U, V)

@@ -14,7 +14,8 @@ surface with the word that scenario files (``surface``) and
 
 Every chart knows its variable names, domain box, and periodicity; the atlas
 provides canonical coordinates and an intrinsic distance so that points found
-in different charts can be compared and deduplicated.
+in different charts can be compared and deduplicated.  A contact form
+(``contact.BContactForm``) carries its atlas, one field entry per chart.
 """
 from __future__ import annotations
 
@@ -218,11 +219,10 @@ class TubularChart:
             uv = (rho * math.cos(-phi), rho * math.sin(-phi))
         return uv if chart.contains(*uv, slack=slack) else None
 
-    def held_inside(self, chart_name, u, v, others, margin):
-        """Whether one of the charts named in ``others``, other than
-        ``chart_name``, holds the point (u, v) of ``chart_name`` at least
-        ``margin`` inside its domain."""
+    def held_inside(self, chart_name, u, v, margin):
+        """Whether another chart of the atlas holds the point (u, v) of
+        ``chart_name`` at least ``margin`` inside its domain."""
         canonical = self.to_canonical(chart_name, u, v)
         return any(self.express_in(name, canonical, slack=-margin) is not None
-                   for name in others if name != chart_name)
+                   for name in self.charts if name != chart_name)
 

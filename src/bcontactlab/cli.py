@@ -20,19 +20,8 @@ from .runner import run
 from .scenarios import ScenarioError, builtin_names
 
 
-def _grid(text):
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"grid must be comma-separated integers, got {text!r}")
-    if len(parts) not in (2, 3) or any(p < 1 for p in parts):
-        raise argparse.ArgumentTypeError(
-            f"grid must be 2 or 3 positive integers, got {text!r}")
-    if len(parts) == 3 and parts[2] % 2 == 0:
-        raise argparse.ArgumentTypeError(
-            f"the z count of a grid must be odd, got {text!r}")
-    return parts
+def grid(text):  # run() judges the counts; argparse reports other text
+    return tuple(int(p) for p in text.split(","))
 
 
 def build_parser():
@@ -57,10 +46,10 @@ def build_parser():
                        help="artifact directory (default: runs/<name>)")
         p.add_argument("--tol", type=float, default=None,
                        help="override the stage's verdict tolerance")
-        p.add_argument("--grid", type=_grid, default=None, metavar="N,N,N",
-                       help="validation grid resolution")
+        p.add_argument("--grid", type=grid, default=None, metavar="N,N,N",
+                       help="validation grid, at least 2,2,1, odd z count")
         p.add_argument("--seeds", type=int, default=None, metavar="K",
-                       help="fan size per hyperbolic critical point")
+                       help="even fan size per hyperbolic critical point")
     return parser
 
 
@@ -82,7 +71,7 @@ def main(argv=None):
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # a tol or seeds that run() rejects
+    except ValueError as exc:  # a tol, seeds or grid that run() rejects
         print(f"error: --{exc}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,6 @@
-"""Singular contact forms α = f dz/z + β on a tubular chart and their Reeb data.
+"""Singular contact forms α = f dz/z + β on an atlas and their Reeb data.
+
+A :class:`BContactForm` is one component of Z and carries its ``atlas``.
 
 Everything is expressed in the frame {du, dv, dz/z} dual to {∂u, ∂v, z∂z}.
 Writing A = β_u, B = β_v and C = f + z β_z for the frame coefficients of α,
@@ -67,7 +69,7 @@ __all__ = [
     "ChartFields", "BContactForm", "BReebField", "ZSymplecticData",
     "ValidationReport", "RankDeficiencyError",
     "contact_check", "contact_sweep", "solve_reeb", "exceptional_hamiltonian",
-    "verify_hamiltonian_identity", "reeb_residual_report",
+    "verify_hamiltonian_identity", "reeb_residual_report", "check_grid",
     "CONTACT_THRESHOLD", "RESIDUAL_TOL",
 ]
 
@@ -135,19 +137,14 @@ class ChartTrees:
 
 
 class BContactForm:
-    """A singular contact form given per chart of a tubular atlas."""
+    """A singular contact form: its ``atlas``, and ``fields`` by chart name."""
 
-    def __init__(self, fields):
-        if not fields:
-            raise ValueError("a contact form needs at least one chart")
+    def __init__(self, atlas, fields):
+        if set(fields) != set(atlas.charts):
+            raise ValueError(f"fields {sorted(fields)} must name the charts "
+                             f"{sorted(atlas.charts)} of the form's atlas")
+        self.atlas = atlas
         self.fields = dict(fields)
-
-    def for_chart(self, name):
-        try:
-            return self.fields[name]
-        except KeyError:
-            raise KeyError(f"form has no data for chart {name!r}; "
-                           f"available: {sorted(self.fields)}") from None
 
 
 @dataclass
@@ -209,14 +206,13 @@ def _residual_rows(A, B, C, P, Q, S, x1, x2, x3):
 class BReebField:
     """Pointwise-solved Reeb field R = Y_u ∂u + Y_v ∂v + g z∂z."""
 
-    def __init__(self, form, chart):
+    def __init__(self, form):
         self.form = form
-        self.chart = chart
 
     def _solve(self, u, v, z, chart_name):
         """(x, frame, cf, chart) at (u, v, z); raises where the solve fails."""
-        chart = self.chart.charts[chart_name]
-        cf = self.form.for_chart(chart_name)
+        chart = self.form.atlas.charts[chart_name]
+        cf = self.form.fields[chart_name]
         frame = frame_values(cf, chart, u, v, z)
         x, _, cause = _solve_reeb_system(*frame)
         if cause is not None:
@@ -262,9 +258,18 @@ def z_ladder(epsilon, nz):
     return tuple(pos + [0.0] + [-p for p in pos])
 
 
-def _slabs(form, tub, grid, *audited):
-    """(chart, cf, U, V, z, Z, levels) for each chart of ``form`` and each
-    z-level of a grid (nu, nv, nz), or z = 0 alone for a surface grid
+def check_grid(grid):
+    """Raise ``ValueError`` unless ``grid`` is (nu, nv) on Z or (nu, nv, nz),
+    with nu, nv ≥ 2 and nz odd and positive."""
+    if (len(grid) not in (2, 3) or min(grid[:2]) < 2
+            or len(grid) == 3 and (grid[2] < 1 or grid[2] % 2 == 0)):
+        raise ValueError(f"grid must be nu,nv or nu,nv,nz with nu, nv >= 2 "
+                         f"and nz odd and positive, got {list(grid)}")
+
+
+def _slabs(form, grid, *audited):
+    """(chart, cf, U, V, z, Z, levels) for each chart of ``form.atlas`` and
+    each z-level of a grid (nu, nv, nz), or z = 0 alone for a surface grid
     (nu, nv); (U, V) are the chart's flattened samples and ``Z`` is z
     broadcast over them.
 
@@ -272,24 +277,18 @@ def _slabs(form, tub, grid, *audited):
     ``audited`` form, yields one slab at the ladder's first level, standing
     for all of them: ``levels`` holds the levels a slab stands for, (z,)
     for a chart whose frame reads z."""
+    check_grid(grid)
     levels = (0.0,)
     if len(grid) == 3:
-        if min(grid[:2]) < 2 or grid[2] < 1:
-            raise ValueError("grid resolutions must be at least 2×2×1")
-        if grid[2] % 2 == 0:
-            raise ValueError(
-                f"the z count of a grid must be odd, got {grid[2]}")
-        levels = z_ladder(tub.epsilon, grid[2])
-    for chart in tub.charts.values():
-        if chart.name not in form.fields:
-            continue
+        levels = z_ladder(form.atlas.epsilon, grid[2])
+    for chart in form.atlas.charts.values():
         if chart.disk_radius > 0.0:
             U, V = np.array(chart.disk_points()).T
         else:
             U, V = np.meshgrid(*chart.grid(*grid[:2]), indexing="ij")
             U, V = U.ravel(), V.ravel()
-        cf = form.for_chart(chart.name)
-        reads_z = any(f.for_chart(chart.name).trees(chart).reads_z
+        cf = form.fields[chart.name]
+        reads_z = any(f.fields[chart.name].trees(chart).reads_z
                       for f in (form, *audited))
         for zs in ([(z,) for z in levels] if reads_z else [levels]):
             yield chart, cf, U, V, zs[0], np.full_like(U, zs[0]), zs
@@ -346,12 +345,12 @@ _quiet = np.errstate(over="ignore", invalid="ignore")  # checks report these
 
 
 @_quiet
-def contact_sweep(form, tub, grid=(64, 64, 9)):
+def contact_sweep(form, grid=(64, 64, 9)):
     """:func:`contact_check`'s report, and f on Z from the same sweep:
     ``{chart name: (U, V, f)}``, the chart's samples and C = f from the
     slab that stands for z = 0."""
     per_chart, f_on_Z = {}, {}
-    for chart, cf, U, V, z, Z, levels in _slabs(form, tub, grid):
+    for chart, cf, U, V, z, Z, levels in _slabs(form, grid):
         _, _, C, *_, vol = frame_values(cf, chart, U, V, Z)
         per_chart.setdefault(chart.name, _Worst(smallest=True)).update(
             np.abs(vol), chart, U, V, z=z)
@@ -360,15 +359,15 @@ def contact_sweep(form, tub, grid=(64, 64, 9)):
     return _contact_report(per_chart, CONTACT_THRESHOLD, grid), f_on_Z
 
 
-def contact_check(form, tub, grid=(64, 64, 9)):
+def contact_check(form, grid=(64, 64, 9)):
     """Validate α∧dα ≠ 0: min |V| over the validation grid of every chart,
     each chart's frame evaluated once per slab of :func:`_slabs` (once in
     all for a chart whose frame reads no z)."""
-    return contact_sweep(form, tub, grid)[0]
+    return contact_sweep(form, grid)[0]
 
 
 @_quiet
-def solve_reeb(form, tub, grid=(64, 64, 9), tol=None):
+def solve_reeb(form, grid=(64, 64, 9), tol=None):
     """The validation sweep: ``(reeb, [contact, residuals, identity])``.
 
     Each slab's frame is evaluated once: one slab per (chart, z-level), or
@@ -386,7 +385,7 @@ def solve_reeb(form, tub, grid=(64, 64, 9), tol=None):
         tol = RESIDUAL_TOL
     per_chart, residual, identity = {}, _Worst(), _Worst()
     degenerate, degenerate_on_Z = _Worst(smallest=True), _Worst(smallest=True)
-    for chart, cf, U, V, z, Z, levels in _slabs(form, tub, grid):
+    for chart, cf, U, V, z, Z, levels in _slabs(form, grid):
         on_Z = 0.0 in levels
         A, B, C, P, Q, S, vol = frame_values(cf, chart, U, V, Z)
         per_chart.setdefault(chart.name, _Worst(smallest=True)).update(
@@ -404,7 +403,7 @@ def solve_reeb(form, tub, grid=(64, 64, 9), tol=None):
             w = _area_coefficient(C, A, B, P, Q, S)  # (C, Q, S) = (f, f_u, f_v)
             for name, row in (("du", -w * x[1] - Q), ("dv", w * x[0] - S)):
                 identity.update(np.abs(row), chart, U, V, component=name)
-    return None if degenerate.location else BReebField(form, tub), [
+    return None if degenerate.location else BReebField(form), [
         _contact_report(per_chart, CONTACT_THRESHOLD, grid),
         _residual_report("reeb_residuals", residual, tol, grid, degenerate),
         _residual_report("hamiltonian_identity", identity, tol, grid[:2],
@@ -413,16 +412,16 @@ def solve_reeb(form, tub, grid=(64, 64, 9), tol=None):
 
 
 @_quiet
-def reeb_residual_report(form, tub, reeb=None, grid=(64, 64, 9)):
+def reeb_residual_report(form, reeb=None, grid=(64, 64, 9)):
     """Max |α(R) − 1| and max |ι_R dα| component over the validation grid.
 
     The residuals measure how well ``reeb`` satisfies the defining equations
     of ``form``; by default the field is the one solved from ``form`` itself,
     but any :class:`BReebField` can be audited against the form.
     """
-    reeb = reeb or BReebField(form, tub)
+    reeb = reeb or BReebField(form)
     residual = _Worst()
-    for chart, cf, U, V, z, Z, _ in _slabs(form, tub, grid, reeb.form):
+    for chart, cf, U, V, z, Z, _ in _slabs(form, grid, reeb.form):
         frame = frame_values(cf, chart, U, V, Z)[:6]
         x = reeb.components(U, V, Z, chart_name=chart.name)
         for name, row in zip(_RESIDUAL_NAMES, _residual_rows(*frame, *x)):
@@ -437,12 +436,11 @@ class ZSymplecticData:
     """H = −f|_Z and the du∧dv coefficient w of ω = (f dβ + β∧df)|_Z, read
     from the frame at z = 0, where C = f, Q = f_u and S = f_v."""
 
-    def __init__(self, form, tub):
+    def __init__(self, form):
         self.form = form
-        self.chart = tub
 
     def _cf(self, chart_name):
-        return self.form.for_chart(chart_name), self.chart.charts[chart_name]
+        return self.form.fields[chart_name], self.form.atlas.charts[chart_name]
 
     def _frame_on_Z(self, u, v, chart_name):
         """(A, B, C, P, Q, S) at z = 0."""
@@ -475,12 +473,10 @@ def _area_coefficient(f, A, B, P, f_u, f_v):
     return f * P + A * f_v - B * f_u
 
 
-def exceptional_hamiltonian(form, tub):
-    """The generator H = −f|_Z of the restricted Reeb dynamics."""
-    return ZSymplecticData(form, tub)
+exceptional_hamiltonian = ZSymplecticData  # H = −f|_Z, the generator on Z
 
 
-def verify_hamiltonian_identity(form, tub, grid=(64, 64), tol=None):
+def verify_hamiltonian_identity(form, grid=(64, 64), tol=None):
     """Check ι_{R|_Z} ω = d(f|_Z) componentwise over the Z grid: the
     identity check of :func:`solve_reeb` on the surface grid alone."""
-    return solve_reeb(form, tub, grid, tol)[1][2]
+    return solve_reeb(form, grid, tol)[1][2]

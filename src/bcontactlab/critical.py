@@ -30,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .contact import ZSymplecticData
+
 __all__ = [
     "CriticalPoint", "StabilityReport", "CensusBound",
     "NotMorseError", "RegularValueViolation", "MorseInequalityViolation",
@@ -174,7 +176,7 @@ def _newton_refine(zdata, chart, u0, v0, tol):
     return None
 
 
-def find_critical_points(zdata, tub, newton_tol=None, warnings=None):
+def find_critical_points(zdata, newton_tol=None, warnings=None):
     """All nondegenerate critical points of H on Z, deduplicated across charts.
 
     ``newton_tol`` bounds |∇H| at a refined point (default
@@ -187,11 +189,10 @@ def find_critical_points(zdata, tub, newton_tol=None, warnings=None):
         newton_tol = NEWTON_TOL
     if warnings is None:
         warnings = []
+    tub = zdata.form.atlas
     nu, nv = COARSE_GRID
     points = []
     for chart in tub.charts.values():
-        if chart.name not in zdata.form.fields:
-            continue
         if chart.disk_radius > 0.0:
             axis_u = axis_v = np.linspace(-chart.disk_radius, chart.disk_radius, 33)
             inside = np.add.outer(axis_u ** 2, axis_v ** 2) <= chart.disk_radius ** 2
@@ -212,7 +213,7 @@ def find_critical_points(zdata, tub, newton_tol=None, warnings=None):
             if not inside[i, j]:
                 continue
             if edge[i, j] and tub.held_inside(chart.name, axis_u[i], axis_v[j],
-                                              zdata.form.fields, cell):
+                                              cell):
                 continue  # another chart scans this point in its interior
             got = _newton_refine(zdata, chart, axis_u[i], axis_v[j], newton_tol)
             if got is None:
@@ -275,9 +276,9 @@ def spectrum_mismatch(eigs, lam_plus, lam_z):
                *(abs(e - t) / scale for e, t in zip(rest, targets)))
 
 
-def stability_at(p, reeb, zdata):
+def stability_at(p, reeb):
     """Classify DR(p): numerical spectrum cross-checked against closed forms."""
-    w_p = zdata.w_value(p.u, p.v, p.chart)
+    w_p = ZSymplecticData(reeb.form).w_value(p.u, p.v, p.chart)
     det_chart = p.hess[0][0] * p.hess[1][1] - p.hess[0][1] ** 2
     det_dbx = det_chart / (w_p * w_p)
     lam_plus = cmath.sqrt(complex(-det_dbx, 0.0))

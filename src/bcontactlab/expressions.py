@@ -245,7 +245,10 @@ class _Parser:
         if t.kind != "NUMBER" or any(ch in t.text for ch in ".eE"):
             raise ParseError("expected an integer exponent after '^'", t.offset)
         self.next()
-        base = int(t.text)
+        try:
+            base = int(t.text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError("exponent literal too long", t.offset) from None
         nxt = self.peek()
         if nxt.kind == "OP" and nxt.text == "^":
             self.next()

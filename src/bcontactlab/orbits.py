@@ -168,7 +168,7 @@ def _chart_guard(chart):
     return stop
 
 
-def _trace_lanes(reeb, tub, chart_name, sigmas, y0, directions, rtol, atol):
+def _trace_lanes(reeb, chart_name, sigmas, y0, directions, rtol, atol):
     """Trace lanes of one chart together, each on its own side σ and in its
     own direction, for ``T_MAX`` at most.
 
@@ -178,8 +178,9 @@ def _trace_lanes(reeb, tub, chart_name, sigmas, y0, directions, rtol, atol):
     """
     if not np.isin(sigmas, (-1, 1)).all():
         raise ValueError("sigma must be ±1 off the surface")
-    s_cut = math.log(Z_CUT_FACTOR * tub.epsilon)
-    s_top = math.log(tub.epsilon)
+    atlas = reeb.form.atlas
+    s_cut = math.log(Z_CUT_FACTOR * atlas.epsilon)
+    s_top = math.log(atlas.epsilon)
     events = [
         Event(fn=lambda t, y: y[:, 2] - s_cut, direction=-1, name="reached-Z"),
         Event(fn=lambda t, y: y[:, 2] - s_top, direction=1,
@@ -189,14 +190,14 @@ def _trace_lanes(reeb, tub, chart_name, sigmas, y0, directions, rtol, atol):
         lanes = integrate(regularized_field(reeb, chart_name), y0,
                           (0.0, directions * T_MAX), rtol=rtol, atol=atol,
                           events=events,
-                          stop=_chart_guard(tub.charts[chart_name]),
+                          stop=_chart_guard(atlas.charts[chart_name]),
                           per_lane=sigmas)
     except Exception as exc:  # from the field: find the lanes that raise
         if len(y0) == 1:
             return [exc]
         half = len(y0) // 2
         return [lane for part in (slice(None, half), slice(half, None))
-                for lane in _trace_lanes(reeb, tub, chart_name, sigmas[part],
+                for lane in _trace_lanes(reeb, chart_name, sigmas[part],
                                          y0[part], directions[part], rtol,
                                          atol)]
     return [sol if isinstance(sol, Exception) else OrbitTrace(
@@ -299,10 +300,12 @@ def seed_plan(report, n_fan=None):
     Extrema: the curve is tangent to the z-axis — one seed per side.
     Saddles: a fan of ``n_fan`` (default ``N_FAN``) directions ψ in the
     (tangential, z) plane, offset by half a slot so no seed sits on either
-    axis.
+    axis; an odd ``n_fan``, whose slot (n − 1)/2 is ψ = π on Z, is refused.
     """
     if n_fan is None:
         n_fan = N_FAN
+    if n_fan % 2:
+        raise ValueError(f"n_fan must be even (ψ = π is on Z), got {n_fan}")
     p = report.point
     if report.kind == "nonhyperbolic-1d-transverse":
         s0 = math.log(OFFSET)
@@ -320,7 +323,7 @@ def seed_plan(report, n_fan=None):
     return seeds
 
 
-def trace_invariant_manifolds(reeb, reports, tub, *, n_fan=None, rtol=None,
+def trace_invariant_manifolds(reeb, reports, *, n_fan=None, rtol=None,
                               atol=None, tol=None):
     """Trace every seed of every report both ways and classify the ends.
 
@@ -339,7 +342,7 @@ def trace_invariant_manifolds(reeb, reports, tub, *, n_fan=None, rtol=None,
         starts = [[plan[k][2].u, plan[k][2].v, plan[k][2].s] for k in ks]
         sigmas = [plan[k][2].sigma for k in ks]
         toward = [-1 if plan[k][0].lambda_z > 0 else 1 for k in ks]
-        lanes = _trace_lanes(reeb, tub, chart_name, np.array(sigmas * 2),
+        lanes = _trace_lanes(reeb, chart_name, np.array(sigmas * 2),
                              np.array(starts * 2),
                              np.array(toward + [-d for d in toward]),
                              rtol, atol)
@@ -358,8 +361,8 @@ def trace_invariant_manifolds(reeb, reports, tub, *, n_fan=None, rtol=None,
                 point=report.point, psi=psi, seed=seed, toward=None,
                 away=None, near_end=failed, far_end=failed, weight=0))
             continue
-        near = detect_limit(toward, points, tub, tol=tol)
-        far = detect_limit(away, points, tub, tol=tol)
+        near = detect_limit(toward, points, reeb.form.atlas, tol=tol)
+        far = detect_limit(away, points, reeb.form.atlas, tol=tol)
         weight = sum(1 for r in (near, far) if r.verdict == "limits-to")
         orbits.append(EscapeOrbit(
             point=report.point, psi=psi, seed=seed, toward=toward,
@@ -423,7 +426,7 @@ def escape_census(orbits, bound, tub):
                      if o.near_end.verdict != "limits-to")})
 
 
-def refinement_check(reeb, reports, tub, *, tol=None):
+def refinement_check(reeb, reports, *, tol=None):
     """Re-trace at ``REFINEMENT_FACTOR``-times tighter rk45 tolerances; compare.
 
     Returns a dict with both orbit lists, whether every near-end verdict and
@@ -431,8 +434,8 @@ def refinement_check(reeb, reports, tub, *, tol=None):
     position between the two passes.
     """
     factor = REFINEMENT_FACTOR
-    coarse = trace_invariant_manifolds(reeb, reports, tub, tol=tol)
-    fine = trace_invariant_manifolds(reeb, reports, tub,
+    coarse = trace_invariant_manifolds(reeb, reports, tol=tol)
+    fine = trace_invariant_manifolds(reeb, reports,
                                      rtol=rk45.RTOL / factor,
                                      atol=rk45.ATOL / factor, tol=tol)
     stable = True
@@ -453,8 +456,8 @@ def refinement_check(reeb, reports, tub, *, tol=None):
     worst_shift = 0.0
     for (chart_a, chart_b), rows in finals.items():
         f = np.array(rows)
-        shifts = tub.distance(chart_a, (f[:, 0], f[:, 1]),
-                              chart_b, (f[:, 2], f[:, 3]))
+        shifts = reeb.form.atlas.distance(chart_a, (f[:, 0], f[:, 1]),
+                                          chart_b, (f[:, 2], f[:, 3]))
         worst_shift = max(worst_shift, float(shifts.max()))
     return {"coarse": coarse, "fine": fine, "stable": stable,
             "worst_final_shift": worst_shift, "factor": factor}

@@ -54,11 +54,10 @@ import numpy as np
 from .beltrami import (BeltramiData, beltrami_stability_matrix,
                        contact_from_beltrami, hamiltonian_identity_check,
                        laplace_eigen_check)
-from .charts import TubularChart
 # perfbench/tracer.py wraps all four validation entry points by these names
-from .contact import (contact_check, exceptional_hamiltonian,  # noqa: F401
-                      reeb_residual_report, solve_reeb,
-                      verify_hamiltonian_identity)
+from .contact import (check_grid, contact_check,  # noqa: F401
+                      exceptional_hamiltonian, reeb_residual_report,
+                      solve_reeb, verify_hamiltonian_identity)
 from .critical import census_bound, find_critical_points, stability_at
 from .mcgehee import (McGeheeParams, McGeheeState, integrate_mcgehee,
                       newtonian_oracle_compare)
@@ -159,12 +158,12 @@ def _write_csv(path, header, blocks):
 # bcontact stages
 
 def _stage_build(ctx, tol):
-    ctx.tub, ctx.form = scenario_form(ctx.scenario)
+    ctx.form = scenario_form(ctx.scenario)
     return {}, []
 
 
 def _stage_validate(ctx, tol):
-    ctx.reeb, checks = solve_reeb(ctx.form, ctx.tub, ctx.grid, tol)
+    ctx.reeb, checks = solve_reeb(ctx.form, ctx.grid, tol)
     if ctx.reeb is None:
         ctx.skip = "degenerate Reeb system; see the reeb_residuals check"
     return ({"checks": _reported(checks)},
@@ -172,14 +171,13 @@ def _stage_validate(ctx, tol):
 
 
 def _stage_critical(ctx, tol):
-    zdata = exceptional_hamiltonian(ctx.form, ctx.tub)
     warnings = []
     points = find_critical_points(
-        zdata, ctx.tub,
+        exceptional_hamiltonian(ctx.form),
         newton_tol=None if tol is None else max(tol, NEWTON_TOL_FLOOR),
         warnings=warnings)
-    ctx.reports = [stability_at(p, ctx.reeb, zdata) for p in points]
-    ctx.bound = census_bound(points, [ctx.tub])
+    ctx.reports = [stability_at(p, ctx.reeb) for p in points]
+    ctx.bound = census_bound(points, [ctx.form.atlas])
     fragment = {
         "critical_points": _reported(points),
         "stability": _reported(ctx.reports),
@@ -190,7 +188,7 @@ def _stage_critical(ctx, tol):
 
 
 def _stage_trace(ctx, tol):
-    ctx.orbits = trace_invariant_manifolds(ctx.reeb, ctx.reports, ctx.tub,
+    ctx.orbits = trace_invariant_manifolds(ctx.reeb, ctx.reports,
                                            n_fan=ctx.seeds, tol=tol)
     failures = []
     bad = sum(1 for o in ctx.orbits
@@ -201,7 +199,7 @@ def _stage_trace(ctx, tol):
 
 
 def _stage_census(ctx, tol):
-    ctx.census = escape_census(ctx.orbits, ctx.bound, ctx.tub)
+    ctx.census = escape_census(ctx.orbits, ctx.bound, ctx.form.atlas)
     failures = [] if ctx.census.consistent_with_bound else ["census-vs-bound"]
     return {"census": _reported(ctx.census)}, failures
 
@@ -246,9 +244,7 @@ def _run_beltrami(ctx, tol):
         threshold=None if tol is None else max(tol, 1e-12))
     laplace = laplace_eigen_check(data, grid=surface_grid)
     form, roundtrip = contact_from_beltrami(data, grid=ctx.grid)
-    tub = TubularChart.torus()
-    zdata = exceptional_hamiltonian(form, tub)
-    points = find_critical_points(zdata, tub)
+    points = find_critical_points(exceptional_hamiltonian(form))
     stagnation = [beltrami_stability_matrix(data, point=(p.u, p.v))
                   for p in points]
     fragment = {
@@ -362,22 +358,23 @@ def run(source, subcommand="all", out_dir=None, *, tol=None, grid=None,
     Returns a :class:`RunResult` whose ``exit_status`` is 0 when every
     check passed, 2 when one came out false, and 1 when a stage raised.
     ``report.json`` is written in all three cases.  A ``tol`` that is not
-    finite and positive, or ``seeds`` below 1, raises ``ValueError`` before
-    anything is written, as a bad scenario raises ``ScenarioError``.
+    finite and positive, odd ``seeds`` or below 1, or a ``grid`` that
+    ``check_grid`` rejects raises ``ValueError`` before anything is written,
+    as a bad scenario raises ``ScenarioError``.  Two grid counts take nz = 9.
     """
-    if seeds is not None and seeds < 1:
-        raise ValueError("seeds must be at least 1")
+    if seeds is not None and (seeds < 1 or seeds % 2):
+        raise ValueError(f"seeds must be at least 1 and even, got {seeds}")
     if tol is not None and not (math.isfinite(tol) and tol > 0):
         raise ValueError("tol must be finite and positive")
+    grid = (64, 64, 9) if grid is None else tuple(grid)
+    check_grid(grid)
+    grid3 = grid if len(grid) == 3 else (*grid, 9)
     t_start = time.perf_counter()
     timing = {}
     scenario = (source if isinstance(source, Scenario)
                 else load_scenario(source))
     out_dir = Path(out_dir) if out_dir is not None else default_out_dir(scenario)
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid3 = tuple(grid) if grid is not None else (64, 64, 9)
-    if len(grid3) == 2:
-        grid3 = (*grid3, 9)
 
     report = {
         "scenario": _reported({"origin": scenario.origin,

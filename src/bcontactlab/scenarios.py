@@ -331,7 +331,7 @@ def load_scenario(source):
 
 
 def scenario_form(scenario):
-    """Build the atlas and field bundle for a ``bcontact`` scenario; charts
+    """Build the :class:`BContactForm` of a ``bcontact`` scenario; charts
     with the strings of an earlier scenario share its :class:`ChartFields`."""
     if scenario.kind != "bcontact":
         raise ScenarioError(
@@ -344,4 +344,4 @@ def scenario_form(scenario):
         fields[chart_name] = _chart_fields(
             atlas.charts[chart_name].variables, entry["f"],
             *(entry.get(key, "0") for key in ("beta_u", "beta_v", "beta_z")))
-    return atlas, BContactForm(fields)
+    return BContactForm(atlas, fields)

@@ -60,12 +60,11 @@ def beltrami_report(tmp_path_factory):
 
 
 def _library_setup(name):
-    tub, form = scenario_form(load_scenario(name))
-    reeb = BReebField(form, tub)
-    zdata = exceptional_hamiltonian(form, tub)
-    points = find_critical_points(zdata, tub)
-    reports = [stability_at(p, reeb, zdata) for p in points]
-    return tub, reeb, reports
+    form = scenario_form(load_scenario(name))
+    reeb = BReebField(form)
+    points = find_critical_points(exceptional_hamiltonian(form))
+    reports = [stability_at(p, reeb) for p in points]
+    return reeb, reports
 
 
 def test_c1_sphere_census(sphere):
@@ -210,8 +209,8 @@ def test_c8_autodiff_corpus():
 
 def test_c9_verdicts_survive_tightening():
     for name in ("sphere", "torus"):
-        tub, reeb, reports = _library_setup(name)
-        outcome = refinement_check(reeb, reports, tub)
+        reeb, reports = _library_setup(name)
+        outcome = refinement_check(reeb, reports)
         assert outcome["factor"] == 10.0
         assert outcome["stable"] is True
         assert outcome["worst_final_shift"] < 1e-5

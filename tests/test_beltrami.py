@@ -290,8 +290,7 @@ def test_roundtrip_reads_f_from_the_contact_sweep(monkeypatch):
     monkeypatch.undo()
     # the same error from H = −f|_Z evaluated on its own
     U, V = _torus_grid(grid[:2])
-    H = exceptional_hamiltonian(form, TubularChart.torus()).H_value(
-        U, V, "torus")
+    H = exceptional_hamiltonian(form).H_value(U, V, "torus")
     gap = float(np.max(np.abs(H - data.stream_value(U, V))))
     assert report["roundtrip_max_error"] == gap
     assert report["stream_recovered"]

@@ -102,17 +102,28 @@ def test_sphere_express_in_rejects_points_outside():
     assert tub.express_in("north-pole", north_pole_point) == pytest.approx((0.0, 0.0))
 
 
+def _sphere_charts(*names):
+    """The sphere atlas cut down to the named charts."""
+    sphere = TubularChart.sphere_atlas()
+    return TubularChart("sphere", sphere.epsilon,
+                        [sphere.charts[name] for name in names])
+
+
 def test_angular_theta_edges_are_held_inside_other_charts():
-    tub = TubularChart.sphere_atlas()
-    lo, hi = tub.charts["north"].u_range  # 0.05 and pi/2 + 0.2
+    north = _sphere_charts("north").charts["north"]
+    lo, hi = north.u_range  # 0.05 and pi/2 + 0.2
     for theta, holder in ((lo, "north-pole"), (hi, "south")):
-        assert tub.held_inside("north", theta, 1.0, [holder], 0.05)
+        assert _sphere_charts("north", holder).held_inside(
+            "north", theta, 1.0, 0.05)
         # only charts other than the point's own, and only with the margin
-        assert not tub.held_inside("north", theta, 1.0, ["north"], 0.05)
+        assert not _sphere_charts("north").held_inside(
+            "north", theta, 1.0, 0.05)
     # radius 0.05 is 0.25 inside the disk's rim; south's θ' = π − θ = 1.3708
     # is 0.4 inside its upper edge
-    assert not tub.held_inside("north", lo, 1.0, ["north-pole"], 0.26)
-    assert not tub.held_inside("north", hi, 1.0, ["south"], 0.41)
+    assert not _sphere_charts("north", "north-pole").held_inside(
+        "north", lo, 1.0, 0.26)
+    assert not _sphere_charts("north", "south").held_inside(
+        "north", hi, 1.0, 0.41)
 
 
 def test_disk_points_stay_inside_and_include_center_once():

@@ -496,6 +496,37 @@ def test_run_rejects_a_seed_count_below_one(tmp_path, capsys, seeds):
     assert "error: --seeds must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", [1, 3, 5])
+def test_run_rejects_an_odd_seed_count(tmp_path, capsys, seeds):
+    # an odd fan's middle seed sits at psi = pi, on Z, and stays undecided
+    with pytest.raises(ValueError, match="seeds must be at least 1 and even"):
+        run("torus", "all", tmp_path / "out", seeds=seeds)
+    assert not (tmp_path / "out").exists()
+    assert main(["all", "--scenario", "torus", "--seeds", str(seeds),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    assert f"error: --seeds must be at least 1 and even, got {seeds}" in (
+        capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("grid", [
+    (1, 1), (16, 1, 3), (16, 16, 0), (16, 16, -1), (16, 16, 4),
+    (16, 16, 3, 3)], ids=["1,1", "16,1,3", "16,16,0", "16,16,-1", "16,16,4",
+                          "16,16,3,3"])
+def test_run_rejects_a_grid_the_sweep_rejects(tmp_path, capsys, grid):
+    message = (f"grid must be nu,nv or nu,nv,nz with nu, nv >= 2 and nz odd "
+               f"and positive, got {list(grid)}")
+    with pytest.raises(ValueError) as info:
+        run("sphere", "validate", tmp_path / "out", grid=grid)
+    assert str(info.value) == message
+    assert not (tmp_path / "out").exists()
+    assert main(["validate", "--scenario", "sphere", "--grid",
+                 ",".join(map(str, grid)),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out").exists()
+    assert f"error: --{message}" in capsys.readouterr().err
+
+
 def test_cli_captured_pipeline_error(tmp_path, capsys):
     payload = {"kind": "mcgehee", "name": "crash", "mu": 0.5, "x0": 2.0}
     path = tmp_path / "crash.json"

@@ -34,12 +34,10 @@ from tests_fd import central_gradient
 
 def torus_setup(f="cos(v) + 0.3*cos(u)*sin(v)", beta_u="sin(v)",
                 beta_v="0", beta_z="0"):
-    tub = TubularChart.torus()
     names = ("u", "v", "z")
-    form = BContactForm({"torus": ChartFields(
+    return BContactForm(TubularChart.torus(), {"torus": ChartFields(
         parse(f, names), parse(beta_u, names),
         parse(beta_v, names), parse(beta_z, names))})
-    return tub, form
 
 
 @pytest.fixture(scope="module")
@@ -47,10 +45,23 @@ def sphere():
     return scenario_form(load_scenario("sphere"))
 
 
+@pytest.mark.parametrize("drop, extra", [
+    ("south-pole", None), (None, "equator"), ("north", "torus")])
+def test_form_fields_must_name_exactly_the_atlas_charts(sphere, drop, extra):
+    fields = {name: cf for name, cf in sphere.fields.items() if name != drop}
+    if extra is not None:
+        fields[extra] = sphere.fields["north"]
+    with pytest.raises(ValueError, match="must name the charts") as info:
+        BContactForm(sphere.atlas, fields)
+    for name in (drop, extra):
+        if name is not None:
+            assert repr(name) in str(info.value)
+
+
 def test_torus_volume_coefficient_is_minus_one():
-    tub, form = torus_setup()
-    chart = tub.charts["torus"]
-    cf = form.for_chart("torus")
+    form = torus_setup()
+    chart = form.atlas.charts["torus"]
+    cf = form.fields["torus"]
     rng = random.Random(7)
     for _ in range(50):
         u = rng.uniform(0, 2 * math.pi)
@@ -61,8 +72,8 @@ def test_torus_volume_coefficient_is_minus_one():
 
 
 def test_torus_reeb_components_match_closed_form():
-    tub, form = torus_setup()
-    reeb, _ = solve_reeb(form, tub)
+    form = torus_setup()
+    reeb, _ = solve_reeb(form)
     rng = random.Random(8)
     for _ in range(50):
         u = rng.uniform(0, 2 * math.pi)
@@ -75,8 +86,8 @@ def test_torus_reeb_components_match_closed_form():
 
 
 def test_torus_reeb_accepts_arrays():
-    tub, form = torus_setup()
-    reeb = BReebField(form, tub)
+    form = torus_setup()
+    reeb = BReebField(form)
     u = np.linspace(0.1, 6.2, 23)
     v = np.linspace(0.2, 5.9, 23)
     z = np.full_like(u, 0.25)
@@ -86,9 +97,9 @@ def test_torus_reeb_accepts_arrays():
 
 
 def test_sphere_angular_frame_closed_forms(sphere):
-    tub, form = sphere
-    chart = tub.charts["north"]
-    cf = form.for_chart("north")
+    form = sphere
+    chart = form.atlas.charts["north"]
+    cf = form.fields["north"]
     rng = random.Random(9)
     for _ in range(40):
         th = rng.uniform(0.06, math.pi / 2 + 0.19)
@@ -96,7 +107,7 @@ def test_sphere_angular_frame_closed_forms(sphere):
         z = rng.uniform(-0.5, 0.5)
         *_, V = frame_values(cf, chart, th, ph, z)
         assert V == pytest.approx(math.sin(th) * (1 + math.cos(th) ** 2), rel=1e-12)
-    reeb = BReebField(form, tub)
+    reeb = BReebField(form)
     th, ph = 0.8, 1.1
     yu, yv, g = reeb.components(th, ph, 0.125, chart_name="north")
     denom = 1 + math.cos(th) ** 2
@@ -106,12 +117,12 @@ def test_sphere_angular_frame_closed_forms(sphere):
 
 
 def test_sphere_pole_chart_reeb_is_vertical(sphere):
-    tub, form = sphere
-    reeb = BReebField(form, tub)
+    form = sphere
+    reeb = BReebField(form)
     yu, yv, g = reeb.components(0.0, 0.0, 0.0, chart_name="north-pole")
     assert (yu, yv) == pytest.approx((0.0, 0.0), abs=1e-12)
     assert g == pytest.approx(1.0, abs=1e-12)
-    zdata = exceptional_hamiltonian(form, tub)
+    zdata = exceptional_hamiltonian(form)
     assert zdata.w_value(0.0, 0.0, "north-pole") == pytest.approx(2.0, abs=1e-12)
     assert zdata.w_value(0.0, 0.0, "south-pole") == pytest.approx(2.0, abs=1e-12)
 
@@ -123,8 +134,8 @@ def test_pole_frame_lanes_equal_their_float_points(sphere, name):
     batch size, so a lane does not depend on whether its batch crossed
     ``orbits.SMALL_BATCH``.  The points reach |u|, |v| = 2, where the high
     powers of the series carry weight (inside the disk they round away)."""
-    tub, form = sphere
-    frame = form.for_chart(name).trees(tub.charts[name]).frame_function
+    form = sphere
+    frame = form.fields[name].trees(form.atlas.charts[name]).frame_function
     rng = np.random.default_rng(2501)
     for lanes in (4, 15, 16, 40):
         u, v, z = (rng.uniform(-2.0, 2.0, lanes) for _ in range(3))
@@ -135,12 +146,12 @@ def test_pole_frame_lanes_equal_their_float_points(sphere, name):
 
 
 def test_contact_check_passes_on_builtin_scenarios(sphere):
-    tub, form = torus_setup()
-    report = contact_check(form, tub)
+    form = torus_setup()
+    report = contact_check(form)
     assert report.passed
     assert report.worst_value == pytest.approx(1.0, abs=1e-9)  # |V| = 1
-    stub, sform = sphere
-    sreport = contact_check(sform, stub)
+    sform = sphere
+    sreport = contact_check(sform)
     assert sreport.passed
     # the angular charts bottom out at theta = delta
     expected = math.sin(0.05) * (1 + math.cos(0.05) ** 2)
@@ -150,8 +161,8 @@ def test_contact_check_passes_on_builtin_scenarios(sphere):
 
 
 def test_contact_check_fails_when_alpha_is_closed():
-    tub, form = torus_setup(f="1", beta_u="0")
-    report = contact_check(form, tub)
+    form = torus_setup(f="1", beta_u="0")
+    report = contact_check(form)
     assert not report.passed
     assert report.worst_value < 1e-12
     assert report.worst_location["chart"] == "torus"
@@ -159,8 +170,8 @@ def test_contact_check_fails_when_alpha_is_closed():
 
 def test_components_raise_on_rank_deficiency():
     # alpha∧dalpha vanishes on the circle v = π/2, where det N = 0
-    tub, form = torus_setup(f="cos(v)^3 + 2")
-    reeb = BReebField(form, tub)
+    form = torus_setup(f="cos(v)^3 + 2")
+    reeb = BReebField(form)
     reeb.components(0.0, 1.0, 0.0, chart_name="torus")
     with pytest.raises(RankDeficiencyError):
         reeb.components(0.0, math.pi / 2, 0.0, chart_name="torus")
@@ -176,31 +187,32 @@ def _cancelling_torus(L):
 
 
 def test_relative_floor_passes_a_form_above_it():
-    tub, form = _cancelling_torus(1e6)
-    U, V = (a.ravel() for a in np.meshgrid(*tub.charts["torus"].grid(64, 64),
+    form = _cancelling_torus(1e6)
+    chart = form.atlas.charts["torus"]
+    U, V = (a.ravel() for a in np.meshgrid(*chart.grid(64, 64),
                                            indexing="ij"))
-    reeb = BReebField(form, tub)
+    reeb = BReebField(form)
     for z in (0.0, 0.01):
         reeb.components(U, V, np.full_like(U, z), chart_name="torus")
-    assert solve_reeb(form, tub)[0] is not None
+    assert solve_reeb(form)[0] is not None
 
 
 def test_relative_floor_rejects_cancellation_in_V():
-    tub, form = _cancelling_torus(1e8)
-    reeb = BReebField(form, tub)
+    form = _cancelling_torus(1e8)
+    reeb = BReebField(form)
     floor = r"\|V\|/\(\|A·S\| \+ \|B·Q\| \+ \|C·P\|\) min .* < 1e-07"
     with pytest.raises(RankDeficiencyError, match=floor):
         reeb.components(0.3, math.pi / 4, 0.01, chart_name="torus")
     with pytest.raises(RankDeficiencyError, match=floor):
         reeb.linearization_at(0.3, math.pi / 4, chart_name="torus")
-    solved, (contact_rep, residuals, identity) = solve_reeb(form, tub)
+    solved, (contact_rep, residuals, identity) = solve_reeb(form)
     assert solved is None
     assert contact_rep.passed  # |V| = 1: the form is contact, but ill-posed
-    chart = tub.charts["torus"]
+    chart = form.atlas.charts["torus"]
     U, V = (a.ravel() for a in np.meshgrid(*chart.grid(64, 64),
                                            indexing="ij"))
-    A, B, C, P, Q, S, vol = frame_values(form.for_chart("torus"), chart, U, V,
-                                         np.full_like(U, tub.epsilon))
+    A, B, C, P, Q, S, vol = frame_values(form.fields["torus"], chart, U, V,
+                                         np.full_like(U, form.atlas.epsilon))
     k = int(np.argmin(np.abs(vol) / (abs(A * S) + abs(B * Q) + abs(C * P))))
     for report in (residuals, identity):
         where = report.worst_location
@@ -227,10 +239,10 @@ def test_closed_form_solves_the_reeb_system_symbolically():
     {}, {"beta_u": "sin(v) + z*cos(u)", "beta_v": "0.5*cos(u)",
          "beta_z": "0.2*sin(u)"}], ids=["builtin", "beta_z"])
 def test_components_match_least_squares(fields):
-    tub, form = torus_setup(**fields)
-    cf = form.for_chart("torus")
-    chart = tub.charts["torus"]
-    reeb = BReebField(form, tub)
+    form = torus_setup(**fields)
+    cf = form.fields["torus"]
+    chart = form.atlas.charts["torus"]
+    reeb = BReebField(form)
     rng = random.Random(14)
     U, V = (np.array([rng.uniform(0, 2 * math.pi) for _ in range(50)])
             for _ in range(2))
@@ -251,35 +263,35 @@ def test_components_match_least_squares(fields):
 
 
 def test_reeb_residuals_tiny_on_builtins(sphere):
-    tub, form = torus_setup()
-    report = reeb_residual_report(form, tub, grid=(48, 48, 5))
+    form = torus_setup()
+    report = reeb_residual_report(form, grid=(48, 48, 5))
     assert report.passed and report.worst_value < 1e-9
-    stub, sform = sphere
-    sreport = reeb_residual_report(sform, stub, grid=(48, 48, 5))
+    sform = sphere
+    sreport = reeb_residual_report(sform, grid=(48, 48, 5))
     assert sreport.passed and sreport.worst_value < 1e-9
 
 
 def test_reeb_residuals_flag_a_wrong_field():
-    tub, form = torus_setup()
-    _, wrong_form = torus_setup(f="cos(v) + 0.3*cos(u)*sin(v) + 0.001*sin(u)")
-    wrong_reeb = BReebField(wrong_form, tub)
-    report = reeb_residual_report(form, tub, reeb=wrong_reeb, grid=(32, 32, 3))
+    form = torus_setup()
+    wrong_form = torus_setup(f="cos(v) + 0.3*cos(u)*sin(v) + 0.001*sin(u)")
+    wrong_reeb = BReebField(wrong_form)
+    report = reeb_residual_report(form, reeb=wrong_reeb, grid=(32, 32, 3))
     assert not report.passed
     assert report.worst_value > 1e-4
 
 
 def test_hamiltonian_identity_on_builtins(sphere):
-    tub, form = torus_setup()
-    report = verify_hamiltonian_identity(form, tub)
+    form = torus_setup()
+    report = verify_hamiltonian_identity(form)
     assert report.passed and report.worst_value < 1e-9
-    stub, sform = sphere
-    sreport = verify_hamiltonian_identity(sform, stub)
+    sform = sphere
+    sreport = verify_hamiltonian_identity(sform)
     assert sreport.passed and sreport.worst_value < 1e-9
 
 
 def test_hamiltonian_value_is_minus_f(sphere):
-    stub, sform = sphere
-    zdata = exceptional_hamiltonian(sform, stub)
+    sform = sphere
+    zdata = exceptional_hamiltonian(sform)
     assert zdata.H_value(0.7, 0.3, "north") == pytest.approx(-math.cos(0.7), rel=1e-14)
     assert zdata.H_value(0.7, 0.3, "south") == pytest.approx(math.cos(0.7), rel=1e-14)
     H_u, H_v = zdata.H_gradient(0.7, 0.3, "north")
@@ -291,15 +303,15 @@ def test_contact_check_rejects_degenerate_area_form_on_Z():
     # with beta = 0 the restriction of d(alpha) to Z has no du∧dv part; on
     # z = 0 the contact volume V is the area coefficient w, so the contact
     # check fails there
-    tub, form = torus_setup(f="cos(v)", beta_u="0")
-    report = contact_check(form, tub, grid=(64, 64, 1))
+    form = torus_setup(f="cos(v)", beta_u="0")
+    report = contact_check(form, grid=(64, 64, 1))
     assert not report.passed
     assert report.worst_location["z"] == 0.0
 
 
 def test_torus_w_is_minus_one_everywhere():
-    tub, form = torus_setup()
-    zdata = exceptional_hamiltonian(form, tub)
+    form = torus_setup()
+    zdata = exceptional_hamiltonian(form)
     U = np.linspace(0, 6.0, 40)
     V = np.linspace(0, 6.0, 40)
     w = zdata.w_value(U, V, "torus")
@@ -309,12 +321,13 @@ def test_torus_w_is_minus_one_everywhere():
 def test_sphere_chart_consistency_on_overlaps(sphere):
     """H is a scalar; w and V are du∧dv densities, so polar↔Cartesian
     comparisons carry the Jacobian theta."""
-    tub, form = sphere
-    zdata = exceptional_hamiltonian(form, tub)
+    form = sphere
+    zdata = exceptional_hamiltonian(form)
 
     # angular ↔ pole-disk overlap (delta < theta < pole radius)
-    npole = form.for_chart("north-pole")
-    nang = form.for_chart("north")
+    npole = form.fields["north-pole"]
+    nang = form.fields["north"]
+    charts = form.atlas.charts
     for theta in (0.08, 0.15, 0.28):
         for phi in (-2.0, 0.4, 2.9):
             u, v = theta * math.cos(phi), theta * math.sin(phi)
@@ -325,30 +338,30 @@ def test_sphere_chart_consistency_on_overlaps(sphere):
             w_p = zdata.w_value(u, v, "north-pole")
             assert w_a == pytest.approx(theta * w_p, rel=1e-11)
             for z in (0.0, 0.25, -0.4):
-                *_, V_a = frame_values(nang, tub.charts["north"], theta, phi, z)
-                *_, V_p = frame_values(npole, tub.charts["north-pole"], u, v, z)
+                *_, V_a = frame_values(nang, charts["north"], theta, phi, z)
+                *_, V_p = frame_values(npole, charts["north-pole"], u, v, z)
                 assert V_a == pytest.approx(theta * V_p, rel=1e-11)
 
     # north ↔ south angular overlap near the equator (orientation-preserving
     # transition, so V matches without a sign)
-    sang = form.for_chart("south")
-    for theta, phi in tub.overlap_annulus(n_theta=4, n_phi=6):
+    sang = form.fields["south"]
+    for theta, phi in form.atlas.overlap_annulus(n_theta=4, n_phi=6):
         t2, p2 = TubularChart.angular_transition(theta, phi)
         assert zdata.H_value(theta, phi, "north") == pytest.approx(
             zdata.H_value(t2, p2, "south"), abs=1e-13)
         assert zdata.w_value(theta, phi, "north") == pytest.approx(
             zdata.w_value(t2, p2, "south"), rel=1e-11)
-        *_, V_n = frame_values(nang, tub.charts["north"], theta, phi, 0.3)
-        *_, V_s = frame_values(sang, tub.charts["south"], t2, p2, 0.3)
+        *_, V_n = frame_values(nang, charts["north"], theta, phi, 0.3)
+        *_, V_s = frame_values(sang, charts["south"], t2, p2, 0.3)
         assert V_n == pytest.approx(V_s, rel=1e-11)
 
 
 @pytest.mark.parametrize("name", ["torus", "sphere"])
 def test_linearization_matches_central_differences(name):
     """DR(p) against central differences of (Y_u, Y_v, g·z) at every critical point."""
-    tub, form = scenario_form(load_scenario(name))
-    reeb = BReebField(form, tub)
-    points = find_critical_points(exceptional_hamiltonian(form, tub), tub)
+    form = scenario_form(load_scenario(name))
+    reeb = BReebField(form)
+    points = find_critical_points(exceptional_hamiltonian(form))
     assert points
     for p in points:
         def field(x, i):
@@ -368,8 +381,8 @@ def test_linearization_matches_central_differences(name):
 def test_linearization_off_critical_points(fields):
     """At a critical point (S, −Q, P)/V has S = Q = 0, so the x·∂V term of
     DR vanishes there; random points of Z exercise it."""
-    tub, form = torus_setup(**fields)
-    reeb = BReebField(form, tub)
+    form = torus_setup(**fields)
+    reeb = BReebField(form)
 
     def field(x, i):
         yu, yv, g = reeb.components(*x, chart_name="torus")
@@ -387,9 +400,9 @@ def test_linearization_off_critical_points(fields):
 
 def test_hessian_is_exactly_symmetric(sphere):
     rng = random.Random(12)
-    for tub, form in (torus_setup(), sphere):
-        zdata = exceptional_hamiltonian(form, tub)
-        for chart in tub.charts.values():
+    for form in (torus_setup(), sphere):
+        zdata = exceptional_hamiltonian(form)
+        for chart in form.atlas.charts.values():
             r = chart.disk_radius or 2.0
             for _ in range(10):
                 u, v = rng.uniform(-r, r), rng.uniform(-r, r)
@@ -401,15 +414,15 @@ def test_surface_data_from_the_frame_matches_f_where_the_trees_differ():
     """With β_z ≠ 0 and z in β the frame trees C, Q, S and their partials
     are not f's own trees, yet at z = 0 they take f's values (up to the
     sign of a zero, which == ignores), on floats and on arrays alike."""
-    tub, form = torus_setup(beta_u="sin(v) + z*cos(u)", beta_v="0.5*cos(u)",
+    form = torus_setup(beta_u="sin(v) + z*cos(u)", beta_v="0.5*cos(u)",
                             beta_z="0.2*sin(u)")
-    cf = form.for_chart("torus")
-    trees = cf.trees(tub.charts["torus"])
+    cf = form.fields["torus"]
+    trees = cf.trees(form.atlas.charts["torus"])
     A, B, _, P = trees.frame[:4]
     f_u, f_v = gradient(cf.f, ("u", "v"))
     assert trees.frame[4] != f_u  # the trees really differ
     hess = hessian(cf.f, ("u", "v"))
-    zdata = exceptional_hamiltonian(form, tub)
+    zdata = exceptional_hamiltonian(form)
     rng = random.Random(13)
     U = np.array([rng.uniform(0, 2 * math.pi) for _ in range(50)])
     V = np.array([rng.uniform(0, 2 * math.pi) for _ in range(50)])
@@ -492,12 +505,11 @@ def test_compiled_frame_uses_no_more_memory_than_the_walker(name):
     (a quarter of one slab array of slack): each temporary is freed after
     its last use, not held until the return."""
     if name == "torus":
-        tub, form = scenario_form(load_scenario("torus"))
+        form = scenario_form(load_scenario("torus"))
     else:
-        tub = TubularChart.torus()
         form, _ = contact_from_beltrami(
             BeltramiData("cos(u) + 0.5*cos(v)"), grid=(8, 8, 3))
-    cf, chart = form.for_chart("torus"), tub.charts["torus"]
+    cf, chart = form.fields["torus"], form.atlas.charts["torus"]
     U, V = (a.ravel() for a in np.meshgrid(*chart.grid(256, 256),
                                            indexing="ij"))
     Z = np.full_like(U, 0.125)
@@ -531,68 +543,67 @@ def _counting_frame_values(monkeypatch):
 
 
 def test_only_z_dependent_frames_read_z(sphere):
-    tub, form = torus_setup(**Z_TORUS)
-    assert form.for_chart("torus").trees(tub.charts["torus"]).reads_z
-    for tub, form in (torus_setup(), sphere,
-                      scenario_form(load_scenario("torus"))):
+    form = torus_setup(**Z_TORUS)
+    assert form.fields["torus"].trees(form.atlas.charts["torus"]).reads_z
+    for form in (torus_setup(), sphere,
+                 scenario_form(load_scenario("torus"))):
         for name in form.fields:
-            assert not form.for_chart(name).trees(tub.charts[name]).reads_z
+            assert not form.fields[name].trees(
+                form.atlas.charts[name]).reads_z
 
 
 def test_z_dependent_chart_keeps_the_full_sweep(monkeypatch):
-    tub, form = torus_setup(**Z_TORUS)
+    form = torus_setup(**Z_TORUS)
     calls = _counting_frame_values(monkeypatch)
-    solve_reeb(form, tub, grid=(16, 12, 9))
-    assert calls == [("torus", z) for z in z_ladder(tub.epsilon, 9)]
+    solve_reeb(form, grid=(16, 12, 9))
+    assert calls == [("torus", z) for z in z_ladder(form.atlas.epsilon, 9)]
 
 
 @pytest.mark.parametrize("name", ["torus", "sphere"])
 def test_z_free_chart_is_evaluated_once(name, monkeypatch):
-    tub, form = scenario_form(load_scenario(name))
+    form = scenario_form(load_scenario(name))
     calls = _counting_frame_values(monkeypatch)
-    solve_reeb(form, tub, grid=(16, 12, 9))
-    first = z_ladder(tub.epsilon, 9)[0]
+    solve_reeb(form, grid=(16, 12, 9))
+    first = z_ladder(form.atlas.epsilon, 9)[0]
     assert sorted(calls) == sorted((c, first) for c in form.fields)
 
 
 def test_an_audited_z_dependent_field_keeps_the_full_sweep(monkeypatch):
-    tub, form = torus_setup()
-    _, zform = torus_setup(**Z_TORUS)
+    form = torus_setup()
+    zform = torus_setup(**Z_TORUS)
     calls = _counting_frame_values(monkeypatch)
-    reeb_residual_report(form, tub, grid=(16, 12, 9))
+    reeb_residual_report(form, grid=(16, 12, 9))
     assert len(calls) == 2  # the form's frame and the field's, one slab
     calls.clear()
-    report = reeb_residual_report(form, tub, BReebField(zform, tub),
+    report = reeb_residual_report(form, BReebField(zform),
                                   grid=(16, 12, 9))
     assert len(calls) == 2 * 9
     assert not report.passed
 
 
 def test_worst_location_names_the_level_of_the_smallest_volume():
-    tub, form = torus_setup(**Z_TORUS_MIN_BELOW)
-    report = contact_check(form, tub, grid=(16, 12, 9))
-    assert report.worst_location["z"] == -tub.epsilon != z_ladder(
-        tub.epsilon, 9)[0]
-    assert report.worst_value == pytest.approx(1.0 - tub.epsilon)
+    form = torus_setup(**Z_TORUS_MIN_BELOW)
+    report = contact_check(form, grid=(16, 12, 9))
+    assert report.worst_location["z"] == -form.atlas.epsilon != z_ladder(
+        form.atlas.epsilon, 9)[0]
+    assert report.worst_value == pytest.approx(1.0 - form.atlas.epsilon)
 
 
-def _per_level_reports(form, tub, grid, tol=1e-9):
+def _per_level_reports(form, grid, tol=1e-9):
     """solve_reeb's (reeb is None, checks) by a plain loop that evaluates
     every (chart, z-level) slab of the grid."""
     volume, per_chart = contact._Worst(smallest=True), {}
     residual, identity = contact._Worst(), contact._Worst()
     degenerate = contact._Worst(smallest=True)
     degenerate_on_Z = contact._Worst(smallest=True)
-    for chart in tub.charts.values():
-        if chart.name not in form.fields:
-            continue
-        cf = form.for_chart(chart.name)
+    for chart in form.atlas.charts.values():
+        cf = form.fields[chart.name]
         if chart.disk_radius > 0.0:
             U, V = np.array(chart.disk_points()).T
         else:
             U, V = (a.ravel() for a in np.meshgrid(*chart.grid(*grid[:2]),
                                                    indexing="ij"))
-        for z in z_ladder(tub.epsilon, grid[2]):
+        for z in z_ladder(form.atlas.epsilon, grid[2]):
             A, B, C, P, Q, S, vol = frame_values(cf, chart, U, V,
                                                  np.full_like(U, z))
             volume.update(np.abs(vol), chart, U, V, z=z)
@@ -631,19 +642,19 @@ def _per_level_reports(form, tub, grid, tol=1e-9):
     "torus", "sphere", "z-dependent", "min-below", "non-contact"])
 def test_reports_equal_a_per_level_sweep(case, sphere):
     if case == "torus":
-        tub, form = scenario_form(load_scenario("torus"))
+        form = scenario_form(load_scenario("torus"))
     elif case == "sphere":
-        tub, form = sphere
+        form = sphere
     else:
-        tub, form = torus_setup(**{"z-dependent": Z_TORUS,
+        form = torus_setup(**{"z-dependent": Z_TORUS,
                                    "min-below": Z_TORUS_MIN_BELOW,
                                    "non-contact": NON_CONTACT}[case])
     grid = (64, 64, 9)
-    solved, expected = _per_level_reports(form, tub, grid)
-    reeb, checks = solve_reeb(form, tub, grid)
+    solved, expected = _per_level_reports(form, grid)
+    reeb, checks = solve_reeb(form, grid)
     assert (reeb is not None) == solved == (case != "non-contact")
     assert len(checks) == len(expected)
     for got, want in zip(checks, expected):
         for f in dataclasses.fields(ValidationReport):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
-    assert contact_check(form, tub, grid) == expected[0]
+    assert contact_check(form, grid) == expected[0]

@@ -49,19 +49,19 @@ TORUS_EXPECTED = [
 
 @pytest.fixture(scope="module")
 def torus_points():
-    tub, form = torus_setup()
-    zdata = exceptional_hamiltonian(form, tub)
+    form = torus_setup()
+    zdata = exceptional_hamiltonian(form)
     warnings = []
-    points = find_critical_points(zdata, tub, warnings=warnings)
-    return tub, form, zdata, points, warnings
+    points = find_critical_points(zdata, warnings=warnings)
+    return form.atlas, form, zdata, points, warnings
 
 
 @pytest.fixture(scope="module")
 def sphere_points():
-    tub, form = scenario_form(load_scenario("sphere"))
-    zdata = exceptional_hamiltonian(form, tub)
-    points = find_critical_points(zdata, tub)
-    return tub, form, zdata, points
+    form = scenario_form(load_scenario("sphere"))
+    zdata = exceptional_hamiltonian(form)
+    points = find_critical_points(zdata)
+    return form.atlas, form, zdata, points
 
 
 def _match(points, u, v, tub, chart="torus"):
@@ -95,9 +95,9 @@ def test_torus_census_is_infinite(torus_points):
 
 def test_torus_saddle_stability(torus_points):
     tub, form, zdata, points, _ = torus_points
-    reeb = BReebField(form, tub)
+    reeb = BReebField(form)
     p = _match(points, PI / 2, 0.0, tub)
-    rep = stability_at(p, reeb, zdata)
+    rep = stability_at(p, reeb)
     assert rep.kind == "hyperbolic-2d-transverse"
     assert rep.det_hess_darboux == pytest.approx(-0.09, abs=1e-10)
     assert rep.w_at_p == pytest.approx(-1.0, abs=1e-12)
@@ -112,9 +112,9 @@ def test_torus_saddle_stability(torus_points):
 
 def test_torus_extremum_stability(torus_points):
     tub, form, zdata, points, _ = torus_points
-    reeb = BReebField(form, tub)
+    reeb = BReebField(form)
     pmin = _match(points, 0.0, T_STAR, tub)
-    rep = stability_at(pmin, reeb, zdata)
+    rep = stability_at(pmin, reeb)
     assert rep.kind == "nonhyperbolic-1d-transverse"
     assert rep.det_hess_darboux == pytest.approx(0.09, abs=1e-10)
     assert rep.lambda_plus == pytest.approx(0.3j, abs=1e-9)
@@ -123,7 +123,7 @@ def test_torus_extremum_stability(torus_points):
     assert rep.lambda_z * pmin.f == pytest.approx(1.0, rel=1e-12)
     assert rep.transverse == "unstable"
     pmax = _match(points, 0.0, PI + T_STAR, tub)
-    rep2 = stability_at(pmax, reeb, zdata)
+    rep2 = stability_at(pmax, reeb)
     assert rep2.lambda_z == pytest.approx(-1.0 / ROOT, rel=1e-12)
     assert rep2.transverse == "stable"
 
@@ -141,16 +141,16 @@ def test_sphere_finds_exactly_the_poles(sphere_points):
 
 def test_sphere_pole_stability(sphere_points):
     tub, form, zdata, points = sphere_points
-    reeb = BReebField(form, tub)
+    reeb = BReebField(form)
     north = next(p for p in points if p.chart == "north-pole")
-    rep = stability_at(north, reeb, zdata)
+    rep = stability_at(north, reeb)
     assert rep.kind == "nonhyperbolic-1d-transverse"
     assert rep.w_at_p == pytest.approx(2.0, abs=1e-10)
     assert rep.det_hess_darboux == pytest.approx(0.25, abs=1e-10)
     assert rep.lambda_plus == pytest.approx(0.5j, abs=1e-8)
     assert rep.lambda_z == pytest.approx(1.0, abs=1e-12)
     south = next(p for p in points if p.chart == "south-pole")
-    rep2 = stability_at(south, reeb, zdata)
+    rep2 = stability_at(south, reeb)
     assert rep2.lambda_z == pytest.approx(-1.0, abs=1e-12)
     assert rep2.transverse == "stable"
     assert rep2.lambda_plus == pytest.approx(0.5j, abs=1e-8)
@@ -167,30 +167,30 @@ def test_sphere_census_predicts_four_weighted_orbits(sphere_points):
 
 
 def test_near_degenerate_hessian_raises():
-    tub, form = torus_setup(f="cos(v) + 0.000001*cos(u)*sin(v)")
-    zdata = exceptional_hamiltonian(form, tub)
+    form = torus_setup(f="cos(v) + 0.000001*cos(u)*sin(v)")
+    zdata = exceptional_hamiltonian(form)
     with pytest.raises(NotMorseError):
-        find_critical_points(zdata, tub)
+        find_critical_points(zdata)
 
 
 def test_vanishing_f_at_critical_point_raises():
     # shift the reference field so H = 0 exactly at its minima
-    tub, form = torus_setup(
+    form = torus_setup(
         f="cos(v) + 0.3*cos(u)*sin(v) - 1.0440306508910551")
-    zdata = exceptional_hamiltonian(form, tub)
+    zdata = exceptional_hamiltonian(form)
     with pytest.raises(RegularValueViolation):
-        find_critical_points(zdata, tub)
+        find_critical_points(zdata)
 
 
 def test_locally_constant_chart_warns_and_census_rejects():
-    tub, form = torus_setup(f="1")
-    zdata = exceptional_hamiltonian(form, tub)
+    form = torus_setup(f="1")
+    zdata = exceptional_hamiltonian(form)
     warnings = []
-    points = find_critical_points(zdata, tub, warnings=warnings)
+    points = find_critical_points(zdata, warnings=warnings)
     assert points == []
     assert any(w["kind"] == "locally-constant" for w in warnings)
     with pytest.raises(MorseInequalityViolation):
-        census_bound(points, [tub])
+        census_bound(points, [form.atlas])
 
 
 def test_locally_constant_disk_chart_warns_and_run_rejects(tmp_path):
@@ -201,9 +201,9 @@ def test_locally_constant_disk_chart_warns_and_run_rejects(tmp_path):
         fields["f"] = "1"
     path = tmp_path / "flat-sphere.json"
     path.write_text(json.dumps(data))
-    tub, form = scenario_form(load_scenario(str(path)))
+    form = scenario_form(load_scenario(str(path)))
     warnings = []
-    points = find_critical_points(exceptional_hamiltonian(form, tub), tub,
+    points = find_critical_points(exceptional_hamiltonian(form),
                                   warnings=warnings)
     assert points == []
     assert sorted(w["chart"] for w in warnings
@@ -224,11 +224,11 @@ def test_missing_saddles_violate_morse_inequalities(torus_points):
 def test_spectrum_cross_check_catches_inconsistent_inputs(torus_points):
     tub, form, zdata, points, _ = torus_points
     # a Reeb field from a *different* form must trip the closed-form check
-    _, other_form = torus_setup(f="cos(v) + 0.33*cos(u)*sin(v)")
-    other_reeb = BReebField(other_form, tub)
+    other_form = torus_setup(f="cos(v) + 0.33*cos(u)*sin(v)")
+    other_reeb = BReebField(other_form)
     p = _match(points, PI / 2, 0.0, tub)
     with pytest.raises(SpectrumMismatchError):
-        stability_at(p, other_reeb, zdata)
+        stability_at(p, other_reeb)
 
 
 def test_scan_warnings_do_not_hide_points(torus_points):
@@ -311,13 +311,16 @@ NEAR_EDGE = {
 
 
 def _near_edge_scan(charts):
-    tub = TubularChart.sphere_atlas()
+    """Scan a partial sphere atlas of the named charts only."""
+    sphere = TubularChart.sphere_atlas()
+    tub = TubularChart("sphere", sphere.epsilon,
+                       [sphere.charts[name] for name in charts])
     zero = parse("0")
-    form = BContactForm({
+    form = BContactForm(tub, {
         name: ChartFields(parse(NEAR_EDGE[name], tub.charts[name].variables),
                           zero, zero, zero) for name in charts})
     warnings = []
-    points = find_critical_points(exceptional_hamiltonian(form, tub), tub,
+    points = find_critical_points(exceptional_hamiltonian(form),
                                   warnings=warnings)
     hits = [p for p in points if tub.distance(
         "north-pole", (A0, B0), p.chart, (p.u, p.v)) < 1e-7]

@@ -43,6 +43,13 @@ def test_a_literal_that_overflows_is_a_parse_error():
     assert err.value.offset == 4
 
 
+def test_an_exponent_too_long_for_int_is_a_parse_error():
+    # int() refuses a literal of more than 4,300 digits with a ValueError
+    with pytest.raises(ParseError, match="exponent literal too long") as err:
+        parse("x^" + "0" * 5000 + "2", ("x",))
+    assert err.value.offset == 2
+
+
 def test_unknown_identifier_rejected_against_chart():
     with pytest.raises(ParseError) as err:
         parse("cos(teta)", ["theta", "phi", "z"])

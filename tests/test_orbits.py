@@ -6,6 +6,8 @@ torus every saddle carries a whole fan of distinct escape orbits, so the
 sixteen-direction sweep returns sixteen distinct hits per saddle and the
 census verdict is "infinite".
 """
+import copy
+import json
 import math
 
 import numpy as np
@@ -29,23 +31,23 @@ from tests.test_contact import Z_TORUS, torus_setup
 
 
 def _run(name):
-    tub, form = scenario_form(load_scenario(name))
-    zdata = exceptional_hamiltonian(form, tub)
-    reeb = BReebField(form, tub)
-    points = find_critical_points(zdata, tub)
-    reports = [stability_at(p, reeb, zdata) for p in points]
-    bound = census_bound(points, [tub])
-    orbits = trace_invariant_manifolds(reeb, reports, tub)
-    census = escape_census(orbits, bound, tub)
-    return {"tub": tub, "form": form, "zdata": zdata, "reeb": reeb,
+    form = scenario_form(load_scenario(name))
+    zdata = exceptional_hamiltonian(form)
+    reeb = BReebField(form)
+    points = find_critical_points(zdata)
+    reports = [stability_at(p, reeb) for p in points]
+    bound = census_bound(points, [form.atlas])
+    orbits = trace_invariant_manifolds(reeb, reports)
+    census = escape_census(orbits, bound, form.atlas)
+    return {"tub": form.atlas, "form": form, "zdata": zdata, "reeb": reeb,
             "points": points, "reports": reports, "bound": bound,
             "orbits": orbits, "census": census}
 
 
-def _trace_one(reeb, seed, tub, direction=1):
+def _trace_one(reeb, seed, direction=1):
     """One seed's trace, or the exception that ended it: a batch of one
     lane."""
-    trace, = _trace_lanes(reeb, tub, seed.chart, np.array([seed.sigma]),
+    trace, = _trace_lanes(reeb, seed.chart, np.array([seed.sigma]),
                           np.array([[seed.u, seed.v, seed.s]]),
                           np.array([direction]), None, None)
     return trace
@@ -95,8 +97,7 @@ def test_sphere_census_matches_weighted_bound(sphere_run):
 
 
 def test_sphere_refinement_is_stable(sphere_run):
-    res = refinement_check(sphere_run["reeb"], sphere_run["reports"],
-                           sphere_run["tub"])
+    res = refinement_check(sphere_run["reeb"], sphere_run["reports"])
     assert res["stable"]
     assert res["worst_final_shift"] < 1e-5
 
@@ -139,7 +140,7 @@ def test_scalar_orbit_path_walks_no_tree(torus_run, monkeypatch):
 
     monkeypatch.setattr(contact, "evaluate", counting)
     fan = [o for o in torus_run["orbits"] if o.psi is not None]
-    trace = _trace_one(torus_run["reeb"], fan[0].seed, torus_run["tub"],
+    trace = _trace_one(torus_run["reeb"], fan[0].seed,
                        direction=fan[0].toward.direction)
     assert trace.status == "event:reached-Z"
     assert trace.n_fev > 0
@@ -147,8 +148,7 @@ def test_scalar_orbit_path_walks_no_tree(torus_run, monkeypatch):
 
 
 def test_torus_refinement_is_stable(torus_run):
-    res = refinement_check(torus_run["reeb"], torus_run["reports"],
-                           torus_run["tub"])
+    res = refinement_check(torus_run["reeb"], torus_run["reports"])
     assert res["stable"]
     assert res["worst_final_shift"] < 1e-5
 
@@ -179,13 +179,40 @@ def test_saddle_fan_avoids_both_axes(torus_run):
         assert s.s < math.log(1e-4) + 1e-12
 
 
+@pytest.mark.parametrize("n_fan", [1, 3, 5, 17])
+def test_an_odd_fan_is_refused(torus_run, n_fan):
+    # slot k = (n - 1)/2 of an odd fan is psi = pi: z = 1e-4·sin(pi), on Z
+    rep = next(r for r in torus_run["reports"]
+               if r.kind == "hyperbolic-2d-transverse")
+    with pytest.raises(ValueError, match="n_fan must be even"):
+        seed_plan(rep, n_fan=n_fan)
+
+
+def test_the_cut_comes_from_the_atlas_of_the_form(tmp_path):
+    payload = copy.deepcopy(load_scenario("torus").data)
+    payload["epsilon"] = 0.3
+    path = tmp_path / "torus-eps.json"
+    path.write_text(json.dumps(payload))
+    form = scenario_form(load_scenario(str(path)))
+    assert form.atlas.epsilon == 0.3
+    reeb = BReebField(form)
+    reports = [stability_at(p, reeb) for p in
+               find_critical_points(exceptional_hamiltonian(form))]
+    orbits = trace_invariant_manifolds(reeb, reports, n_fan=4)
+    cut = math.log(1e-8 * 0.3)
+    assert len(orbits) == 4 * 2 + 4 * 4
+    for o in orbits:
+        assert o.toward.status == "event:reached-Z"
+        assert o.toward.final[2] == pytest.approx(cut, abs=1e-12)
+
+
 def test_regularized_field_needs_a_side():
-    tub, form = torus_setup()
-    reeb = BReebField(form, tub)
+    form = torus_setup()
+    reeb = BReebField(form)
     with pytest.raises(ValueError, match="sigma"):
-        _trace_one(reeb, RegularizedState("torus", 0.1, 0.2, -5.0, 0), tub)
+        _trace_one(reeb, RegularizedState("torus", 0.1, 0.2, -5.0, 0))
     with pytest.raises(ValueError, match="sigma"):  # one bad lane in a batch
-        _trace_lanes(reeb, tub, "torus", np.array([1, -1, 2]),
+        _trace_lanes(reeb, "torus", np.array([1, -1, 2]),
                      np.full((3, 3), -5.0), np.array([1, 1, -1]), 1e-10,
                      1e-12)
 
@@ -197,7 +224,7 @@ def test_short_horizon_is_undecided(sphere_run, monkeypatch):
     seed = RegularizedState("north-pole", 0.05, 0.02,
                             math.log(sphere_run["tub"].epsilon / 2), 1)
     monkeypatch.setattr("bcontactlab.orbits.T_MAX", 0.01)
-    tr = _trace_one(sphere_run["reeb"], seed, sphere_run["tub"], direction=-1)
+    tr = _trace_one(sphere_run["reeb"], seed, direction=-1)
     assert tr.status == "reached-end"
     rep = detect_limit(tr, sphere_run["points"], sphere_run["tub"])
     assert rep.verdict == "undecided"
@@ -208,6 +235,7 @@ class _OneSidedField:
 
     def __init__(self, inner):
         self._inner = inner
+        self.form = inner.form
 
     def components(self, u, v, z, chart_name=None):
         if np.any(np.asarray(z) < 0):
@@ -217,8 +245,7 @@ class _OneSidedField:
 
 def test_per_seed_failures_do_not_abort_the_sweep(sphere_run):
     broken = _OneSidedField(sphere_run["reeb"])
-    orbits = trace_invariant_manifolds(broken, sphere_run["reports"],
-                                       sphere_run["tub"])
+    orbits = trace_invariant_manifolds(broken, sphere_run["reports"])
     assert len(orbits) == 4
     failed = [o for o in orbits if o.seed.sigma == -1]
     fine = [o for o in orbits if o.seed.sigma == 1]
@@ -236,6 +263,7 @@ class _PoisonedField:
 
     def __init__(self, inner, seed):
         self._inner, self._seed = inner, seed
+        self.form = inner.form
 
     def components(self, u, v, z, chart_name=None):
         at = ((np.asarray(u) == self._seed.u) & (np.asarray(v) == self._seed.v)
@@ -249,8 +277,7 @@ def test_a_seed_whose_field_raises_fails_alone(torus_run):
     reference = torus_run["orbits"]
     victim = [o for o in reference if o.psi is not None][5].seed
     broken = _PoisonedField(torus_run["reeb"], victim)
-    orbits = trace_invariant_manifolds(broken, torus_run["reports"],
-                                       torus_run["tub"])
+    orbits = trace_invariant_manifolds(broken, torus_run["reports"])
     assert len(orbits) == len(reference)
     for o, ref in zip(orbits, reference):
         assert o.seed == ref.seed
@@ -272,8 +299,7 @@ def test_a_raising_batch_is_traced_again_in_halves(torus_run, monkeypatch):
     victim = [o for o in torus_run["orbits"] if o.psi is not None][5].seed
     calls = _integrate_calls(monkeypatch)
     orbits = trace_invariant_manifolds(
-        _PoisonedField(torus_run["reeb"], victim), torus_run["reports"],
-        torus_run["tub"])
+        _PoisonedField(torus_run["reeb"], victim), torus_run["reports"])
     assert calls[0][0] == 144
     assert len(calls) <= 4 * math.ceil(math.log2(144)) + 1
     assert [o.seed for o in orbits
@@ -283,7 +309,7 @@ def test_a_raising_batch_is_traced_again_in_halves(torus_run, monkeypatch):
 def test_traced_lanes_equal_one_seed_runs(torus_run):
     for o in torus_run["orbits"]:
         for trace in (o.toward, o.away):
-            one = _trace_one(torus_run["reeb"], o.seed, torus_run["tub"],
+            one = _trace_one(torus_run["reeb"], o.seed,
                              direction=trace.direction)
             assert np.array_equal(one.t, trace.t)
             assert np.array_equal(one.y, trace.y)
@@ -306,21 +332,20 @@ def _integrate_calls(monkeypatch):
 def test_torus_trace_batches_the_field(torus_run, sphere_run, monkeypatch):
     class Counting:
         calls = 0
+        form = torus_run["reeb"].form
 
         def components(self, u, v, z, chart_name=None):
             Counting.calls += 1
             return torus_run["reeb"].components(u, v, z, chart_name=chart_name)
 
     calls = _integrate_calls(monkeypatch)
-    trace_invariant_manifolds(Counting(), torus_run["reports"],
-                              torus_run["tub"])
+    trace_invariant_manifolds(Counting(), torus_run["reports"])
     assert Counting.calls < 1000   # one call per seed and stage: 15.8k
     # one batch per chart that holds seeds, both sides of Z in it
     assert len(calls) == 1
     assert sorted(set(calls[0][1].tolist())) == [-1, 1]
     calls.clear()
-    trace_invariant_manifolds(sphere_run["reeb"], sphere_run["reports"],
-                              sphere_run["tub"])
+    trace_invariant_manifolds(sphere_run["reeb"], sphere_run["reports"])
     assert len({p.chart for p in sphere_run["points"]}) == len(calls) == 2
     assert [sorted(sides.tolist()) for _, sides in calls] == [[-1, -1, 1, 1]] * 2
 
@@ -329,13 +354,13 @@ def test_z_reading_torus_lanes_equal_one_seed_runs(monkeypatch):
     # the frame reads z, so a lane traced on the other side's σ would move
     # differently; the lanes end at different steps, so the batch is
     # compacted many times before its last lane ends
-    tub, form = torus_setup(**Z_TORUS)
-    zdata = exceptional_hamiltonian(form, tub)
-    reeb = BReebField(form, tub)
-    reports = [stability_at(p, reeb, zdata)
-               for p in find_critical_points(zdata, tub)]
+    form = torus_setup(**Z_TORUS)
+    zdata = exceptional_hamiltonian(form)
+    reeb = BReebField(form)
+    reports = [stability_at(p, reeb)
+               for p in find_critical_points(zdata)]
     calls = _integrate_calls(monkeypatch)
-    traced = trace_invariant_manifolds(reeb, reports, tub, n_fan=4)
+    traced = trace_invariant_manifolds(reeb, reports, n_fan=4)
     monkeypatch.undo()
     (lanes, sides), = calls
     assert lanes >= SMALL_BATCH and sorted(set(sides.tolist())) == [-1, 1]
@@ -343,7 +368,7 @@ def test_z_reading_torus_lanes_equal_one_seed_runs(monkeypatch):
     for o in traced:
         for trace in (o.toward, o.away):
             assert trace.sigma == o.seed.sigma
-            one = _trace_one(reeb, o.seed, tub, direction=trace.direction)
+            one = _trace_one(reeb, o.seed, direction=trace.direction)
             assert np.array_equal(one.t, trace.t)
             assert np.array_equal(one.y, trace.y)
             assert one.status == trace.status
@@ -352,8 +377,7 @@ def test_z_reading_torus_lanes_equal_one_seed_runs(monkeypatch):
 
 def test_census_flags_an_incomplete_sweep(sphere_run):
     broken = _OneSidedField(sphere_run["reeb"])
-    orbits = trace_invariant_manifolds(broken, sphere_run["reports"],
-                                       sphere_run["tub"])
+    orbits = trace_invariant_manifolds(broken, sphere_run["reports"])
     census = escape_census(orbits, sphere_run["bound"], sphere_run["tub"])
     assert census.n_distinct == 2
     assert census.weighted_total == 2
@@ -423,11 +447,11 @@ def test_time_reversal_returns_to_the_seed(sphere_run, monkeypatch):
     tub, reeb = sphere_run["tub"], sphere_run["reeb"]
     seed = RegularizedState("north-pole", 0.05, 0.02, math.log(1e-4), 1)
     monkeypatch.setattr("bcontactlab.orbits.T_MAX", 5.0)
-    fwd = _trace_one(reeb, seed, tub, direction=-1)
+    fwd = _trace_one(reeb, seed, direction=-1)
     assert fwd.status == "reached-end"
     uf, vf, sf = map(float, fwd.final)
     back = _trace_one(reeb, RegularizedState("north-pole", uf, vf, sf, 1),
-                      tub, direction=1)
+                      direction=1)
     ub, vb, sb = map(float, back.final)
     d = tub.distance("north-pole", (ub, vb), "north-pole", (seed.u, seed.v))
     assert d < 1e-4

@@ -42,12 +42,12 @@ def test_every_tabled_constant_has_its_module_value():
 
 
 def _setup(name):
-    tub, form = scenario_form(load_scenario(name))
-    zdata = exceptional_hamiltonian(form, tub)
-    reeb = BReebField(form, tub)
-    reports = [stability_at(p, reeb, zdata)
-               for p in find_critical_points(zdata, tub)]
-    return SimpleNamespace(tub=tub, form=form, zdata=zdata, reeb=reeb,
+    form = scenario_form(load_scenario(name))
+    zdata = exceptional_hamiltonian(form)
+    reeb = BReebField(form)
+    reports = [stability_at(p, reeb)
+               for p in find_critical_points(zdata)]
+    return SimpleNamespace(tub=form.atlas, form=form, zdata=zdata, reeb=reeb,
                            reports=reports,
                            saddles=[r for r in reports
                                     if r.kind == "hyperbolic-2d-transverse"])
@@ -60,12 +60,12 @@ def builtin():
 
 def _residual_thresholds(b, out, monkeypatch):
     s = b["sphere"]
-    return [r.threshold for r in solve_reeb(s.form, s.tub, (8, 8, 3))[1][1:]]
+    return [r.threshold for r in solve_reeb(s.form, (8, 8, 3))[1][1:]]
 
 
 def _identity_threshold(b, out, monkeypatch):
     s = b["sphere"]
-    return verify_hamiltonian_identity(s.form, s.tub, (8, 8)).threshold
+    return verify_hamiltonian_identity(s.form, (8, 8)).threshold
 
 
 def _validate_thresholds(b, out, monkeypatch):
@@ -88,13 +88,13 @@ def _newton_tols(b, out, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(critical, "_newton_refine", spy)
-        find_critical_points(b["sphere"].zdata, b["sphere"].tub)
+        find_critical_points(b["sphere"].zdata)
     return tols
 
 
 def _limit_verdict(b, out, monkeypatch):
     s = b["sphere"]
-    orbit = trace_invariant_manifolds(s.reeb, s.reports[:1], s.tub)[0]
+    orbit = trace_invariant_manifolds(s.reeb, s.reports[:1])[0]
     return detect_limit(orbit.toward, [r.point for r in s.reports],
                         s.tub).verdict
 
@@ -102,12 +102,12 @@ def _limit_verdict(b, out, monkeypatch):
 def _traced_verdicts(b, out, monkeypatch):
     s = b["sphere"]
     return {o.near_end.verdict
-            for o in trace_invariant_manifolds(s.reeb, s.reports, s.tub)}
+            for o in trace_invariant_manifolds(s.reeb, s.reports)}
 
 
 def _refined_verdicts(b, out, monkeypatch):
     s = b["sphere"]
-    res = refinement_check(s.reeb, s.reports, s.tub)
+    res = refinement_check(s.reeb, s.reports)
     return {o.near_end.verdict for o in res["coarse"] + res["fine"]}
 
 
@@ -129,13 +129,13 @@ def _rk45_rtols(monkeypatch, call):
 def _traced_rtols(b, out, monkeypatch):
     s = b["sphere"]
     return _rk45_rtols(monkeypatch, lambda: trace_invariant_manifolds(
-        s.reeb, s.reports, s.tub))
+        s.reeb, s.reports))
 
 
 def _refined_rtols(b, out, monkeypatch):
     s = b["sphere"]
     return _rk45_rtols(monkeypatch, lambda: refinement_check(
-        s.reeb, s.reports, s.tub))
+        s.reeb, s.reports))
 
 
 THREE_BODY = (McGeheeState(0.2, 0.0, 0.0, math.sqrt(50.0)),
@@ -167,7 +167,7 @@ def _planned_fans(b, out, monkeypatch):
 
 def _traced_fans(b, out, monkeypatch):
     t = b["torus"]
-    traced = trace_invariant_manifolds(t.reeb, t.saddles, t.tub)
+    traced = trace_invariant_manifolds(t.reeb, t.saddles)
     return {sum(o.point is r.point for o in traced) for r in t.saddles}
 
 

@@ -52,8 +52,8 @@ def test_builtin_mcgehee_momentum_is_circular():
 
 
 def test_sphere_scenario_builds_a_form():
-    atlas, form = scenario_form(load_scenario("sphere"))
-    assert atlas.kind == "sphere"
+    form = scenario_form(load_scenario("sphere"))
+    assert form.atlas.kind == "sphere"
     assert set(form.fields) == {"north", "south", "north-pole", "south-pole"}
 
 
@@ -86,6 +86,14 @@ def test_an_overflowing_literal_names_its_field(tmp_path):
     payload["fields"]["torus"]["beta_z"] = "1e999"
     with pytest.raises(ScenarioError,
                        match=r"fields\['torus'\]\['beta_z'\].*overflows"):
+        load_scenario(_write(tmp_path, payload))
+
+
+def test_an_exponent_too_long_names_its_field(tmp_path):
+    payload = _shipped("torus")
+    payload["fields"]["torus"]["beta_u"] = "sin(v)^" + "0" * 5000 + "2"
+    with pytest.raises(ScenarioError,
+                       match=r"fields\['torus'\]\['beta_u'\].*too long"):
         load_scenario(_write(tmp_path, payload))
 
 
@@ -141,11 +149,11 @@ def _counting(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, wrapper)
 
 
-def _derive_all(atlas, form):
+def _derive_all(form):
     """Every chart's ChartTrees, with its partials derived."""
     trees = {}
     for name, cf in form.fields.items():
-        trees[name] = cf.trees(atlas.charts[name])
+        trees[name] = cf.trees(form.atlas.charts[name])
         trees[name].frame_partials
     return trees
 
@@ -158,10 +166,10 @@ def test_a_second_build_derives_and_compiles_nothing(tmp_path, monkeypatch):
     payload = _shipped("torus")  # strings no other test builds
     payload["fields"]["torus"]["f"] = "cos(v) + 0.3125*cos(u)*sin(v)"
     path = _write(tmp_path, payload)
-    first = _derive_all(*scenario_form(load_scenario(path)))
+    first = _derive_all(scenario_form(load_scenario(path)))
     assert counts["differentiate"] > 0 and counts["compile"] == 1
     counts.clear()
-    second = _derive_all(*scenario_form(load_scenario(path)))
+    second = _derive_all(scenario_form(load_scenario(path)))
     assert counts == {}
     assert second["torus"] is first["torus"]
 
@@ -169,21 +177,21 @@ def test_a_second_build_derives_and_compiles_nothing(tmp_path, monkeypatch):
 def test_epsilons_share_trees_and_a_changed_string_does_not(tmp_path):
     payload = _shipped("sphere")
     payload["epsilon"] = 0.3
-    atlas_a, form_a = scenario_form(load_scenario(_write(tmp_path, payload)))
+    form_a = scenario_form(load_scenario(_write(tmp_path, payload)))
     payload["epsilon"] = 0.6
-    atlas_b, form_b = scenario_form(load_scenario(_write(tmp_path, payload)))
-    assert (atlas_a.epsilon, atlas_b.epsilon) == (0.3, 0.6)
+    form_b = scenario_form(load_scenario(_write(tmp_path, payload)))
+    assert (form_a.atlas.epsilon, form_b.atlas.epsilon) == (0.3, 0.6)
     for name in form_a.fields:
         assert form_b.fields[name] is form_a.fields[name]
 
     pole = payload["fields"]["north-pole"]
     assert pole["f"].startswith("1 - ")
     pole["f"] = "2" + pole["f"][1:]  # one character differs
-    atlas_c, form_c = scenario_form(load_scenario(_write(tmp_path, payload)))
+    form_c = scenario_form(load_scenario(_write(tmp_path, payload)))
     for name in form_a.fields:
         assert (form_c.fields[name] is form_a.fields[name]) == (
             name != "north-pole"), name
-    chart = atlas_c.charts["north-pole"]
+    chart = form_c.atlas.charts["north-pole"]
     trees_a = form_a.fields["north-pole"].trees(chart)
     trees_c = form_c.fields["north-pole"].trees(chart)
     assert trees_c is not trees_a

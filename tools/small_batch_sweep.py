@@ -83,9 +83,9 @@ def main(argv=None):
     rng = random.Random(16)
     ratios = {}
     for scenario, name in CHARTS:
-        tub, form = scenario_form(load_scenario(scenario))
-        rhs = orbits.regularized_field(BReebField(form, tub), name)
-        ratios[name] = {n: _ratio(rhs, _lanes(tub.charts[name], n, rng),
+        form = scenario_form(load_scenario(scenario))
+        rhs = orbits.regularized_field(BReebField(form), name)
+        ratios[name] = {n: _ratio(rhs, _lanes(form.atlas.charts[name], n, rng),
                                   args.repeat) for n in LANES}
     print(f"current SMALL_BATCH = {orbits.SMALL_BATCH}")
     print("array/float time ratio of regularized_field by lane count")
