@@ -177,8 +177,7 @@ class IdentityReport:
     worst_at: dict
 
 
-def hamiltonian_identity_check(data, grid=(64, 64), components=None,
-                               threshold=None):
+def hamiltonian_identity_check(data, grid=(64, 64), components=None):
     """Compare ι_X(λ·dA_h) with dF on a grid, under one global sign.
 
     The sign is fixed by the first sample where both sides are nonzero and
@@ -187,10 +186,9 @@ def hamiltonian_identity_check(data, grid=(64, 64), components=None,
     midway across a connected surface.  ``components`` may supply a pair of
     evaluators to audit in place of the derived ones.  F_u, F_v and √det h
     come from one compiled evaluation, and the derived X from those values.
-    ``threshold`` defaults to :data:`contact.RESIDUAL_TOL`, the pipeline's.
+    It passes below :data:`contact.RESIDUAL_TOL`, the pipeline's threshold.
     """
-    if threshold is None:
-        threshold = contact.RESIDUAL_TOL
+    threshold = contact.RESIDUAL_TOL
     U, V = _torus_grid(grid)
     fu, fv, sqrt_det = compile((data._stream_u, data._stream_v,
                                 data.metric.sqrt_det_expr), _NAMES)(U, V)

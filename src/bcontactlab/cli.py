@@ -1,14 +1,15 @@
 """Command-line entry point.
 
     bcontactlab <subcommand> --scenario NAME-OR-PATH [--out DIR]
-                 [--tol X] [--grid N,N,N] [--seeds K]
+                 [--grid N,N,N] [--seeds K]
 
 Subcommands ``validate``, ``critical``, ``trace`` and ``census`` run the
 surface pipeline up to the named stage; ``beltrami`` and ``mcgehee`` run
 those scenario kinds; ``all`` runs whatever pipeline matches the
 scenario's kind.  Exit status: 0 all checks passed, 2 at least one check
 failed, 1 the pipeline itself errored (bad scenario, violated hypothesis,
-integration breakdown).
+integration breakdown).  No option moves a pass/fail threshold: each is
+a module constant, listed in README's "Tuning constants".
 """
 from __future__ import annotations
 
@@ -44,8 +45,6 @@ def build_parser():
                             f"({', '.join(builtin_names())})")
         p.add_argument("--out", default=None, metavar="DIR",
                        help="artifact directory (default: runs/<name>)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the stage's verdict tolerance")
         p.add_argument("--grid", type=grid, default=None, metavar="N,N,N",
                        help="validation grid, at least 2,2,1, odd z count")
         p.add_argument("--seeds", type=int, default=None, metavar="K",
@@ -66,12 +65,12 @@ def main(argv=None):
         # here, so fold bad usage into the operational-error status
         return 0 if exc.code == 0 else 1
     try:
-        result = run(args.scenario, args.subcommand, args.out, tol=args.tol,
+        result = run(args.scenario, args.subcommand, args.out,
                      grid=args.grid, seeds=args.seeds)
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # a tol, seeds or grid that run() rejects
+    except ValueError as exc:  # seeds or a grid that run() rejects
         print(f"error: --{exc}", file=sys.stderr)
         return 1
 

@@ -367,7 +367,7 @@ def contact_check(form, grid=(64, 64, 9)):
 
 
 @_quiet
-def solve_reeb(form, grid=(64, 64, 9), tol=None):
+def solve_reeb(form, grid=(64, 64, 9)):
     """The validation sweep: ``(reeb, [contact, residuals, identity])``.
 
     Each slab's frame is evaluated once: one slab per (chart, z-level), or
@@ -378,11 +378,8 @@ def solve_reeb(form, grid=(64, 64, 9), tol=None):
     nothing is raised: ``reeb`` is None and the residual check (and the
     identity check, for the slab standing for z = 0) fails at the lane
     where the floor that fired is furthest below it, naming the cause.
-    ``tol``, the threshold of both residual checks, defaults to
-    ``RESIDUAL_TOL``.
+    Both residual checks pass below ``RESIDUAL_TOL``.
     """
-    if tol is None:
-        tol = RESIDUAL_TOL
     per_chart, residual, identity = {}, _Worst(), _Worst()
     degenerate, degenerate_on_Z = _Worst(smallest=True), _Worst(smallest=True)
     for chart, cf, U, V, z, Z, levels in _slabs(form, grid):
@@ -405,9 +402,10 @@ def solve_reeb(form, grid=(64, 64, 9), tol=None):
                 identity.update(np.abs(row), chart, U, V, component=name)
     return None if degenerate.location else BReebField(form), [
         _contact_report(per_chart, CONTACT_THRESHOLD, grid),
-        _residual_report("reeb_residuals", residual, tol, grid, degenerate),
-        _residual_report("hamiltonian_identity", identity, tol, grid[:2],
-                         degenerate_on_Z),
+        _residual_report("reeb_residuals", residual, RESIDUAL_TOL, grid,
+                         degenerate),
+        _residual_report("hamiltonian_identity", identity, RESIDUAL_TOL,
+                         grid[:2], degenerate_on_Z),
     ]
 
 
@@ -476,7 +474,7 @@ def _area_coefficient(f, A, B, P, f_u, f_v):
 exceptional_hamiltonian = ZSymplecticData  # H = −f|_Z, the generator on Z
 
 
-def verify_hamiltonian_identity(form, grid=(64, 64), tol=None):
+def verify_hamiltonian_identity(form, grid=(64, 64)):
     """Check ι_{R|_Z} ω = d(f|_Z) componentwise over the Z grid: the
     identity check of :func:`solve_reeb` on the surface grid alone."""
-    return solve_reeb(form, grid, tol)[1][2]
+    return solve_reeb(form, grid)[1][2]

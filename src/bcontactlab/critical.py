@@ -176,17 +176,14 @@ def _newton_refine(zdata, chart, u0, v0, tol):
     return None
 
 
-def find_critical_points(zdata, newton_tol=None, warnings=None):
+def find_critical_points(zdata, warnings=None):
     """All nondegenerate critical points of H on Z, deduplicated across charts.
 
-    ``newton_tol`` bounds |∇H| at a refined point (default
-    ``NEWTON_TOL``).  ``warnings`` (a list, when given) collects non-fatal
-    records: dropped candidates, locally-constant charts.  Degenerate
-    Hessians at converged points raise :class:`NotMorseError`; |f(p)| ≈ 0
-    raises :class:`RegularValueViolation`.
+    ``NEWTON_TOL`` bounds |∇H| at a refined point.  ``warnings`` (a list,
+    when given) collects non-fatal records: dropped candidates,
+    locally-constant charts.  Degenerate Hessians at converged points raise
+    :class:`NotMorseError`; |f(p)| ≈ 0 raises :class:`RegularValueViolation`.
     """
-    if newton_tol is None:
-        newton_tol = NEWTON_TOL
     if warnings is None:
         warnings = []
     tub = zdata.form.atlas
@@ -202,7 +199,7 @@ def find_critical_points(zdata, newton_tol=None, warnings=None):
         UU, VV = np.meshgrid(axis_u, axis_v, indexing="ij")
         G = np.full(inside.shape, np.inf)
         G[inside] = _grad_sq_grid(zdata, chart, UU[inside], VV[inside])
-        if float(np.max(G[inside])) < newton_tol ** 2:
+        if float(np.max(G[inside])) < NEWTON_TOL ** 2:
             warnings.append({"kind": "locally-constant",
                              "chart": chart.name,
                              "detail": "|grad H| below tolerance everywhere"})
@@ -215,7 +212,7 @@ def find_critical_points(zdata, newton_tol=None, warnings=None):
             if edge[i, j] and tub.held_inside(chart.name, axis_u[i], axis_v[j],
                                               cell):
                 continue  # another chart scans this point in its interior
-            got = _newton_refine(zdata, chart, axis_u[i], axis_v[j], newton_tol)
+            got = _newton_refine(zdata, chart, axis_u[i], axis_v[j], NEWTON_TOL)
             if got is None:
                 warnings.append({"kind": "newton-dropped", "chart": chart.name,
                                  "u0": float(axis_u[i]), "v0": float(axis_v[j])})

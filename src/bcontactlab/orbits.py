@@ -17,6 +17,10 @@ a one-dimensional transverse invariant curve tangent to the z-axis (two
 seeds, one per side), saddles a two-dimensional invariant surface spanned
 by the z-axis and the tangential eigenvector whose eigenvalue matches the
 sign of λ_z = g(p) (a fan of seeds in that plane, avoiding the axes).
+The z-axis is tangent to those manifolds only where the frame reads no z,
+that is where c = ∂_z(Y_u, Y_v)(p) = 0; otherwise the transverse direction
+is (w, 1) with (T − λ_z I) w = −c, and these seeds start off the manifold
+at first order in ``OFFSET`` (ROADMAP item 17).
 
 Tracing runs in one batch per chart: every seed on that chart, on both
 sides of Z, toward and away, is one lane of a single
@@ -32,6 +36,7 @@ work counters included, with its chart, side σ and direction.
 """
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -224,17 +229,14 @@ def _tail_monotone(trace, tub, p):
     return monotone, float(steps.max(initial=0.0))
 
 
-def detect_limit(trace, points, tub, tol=None):
+def detect_limit(trace, points, tub):
     """Classify the end state of a trace against the critical-point list.
 
     The verdict ``limits-to`` requires all three of: the transverse
     coordinate fell below the cut, the final tangential position is within
-    ``tol`` (default ``POSITION_TOL``) of a critical point, and the
-    distance to that point is monotonically non-increasing over the final
-    window.
+    ``POSITION_TOL`` of a critical point, and the distance to that point is
+    monotonically non-increasing over the final window.
     """
-    if tol is None:
-        tol = POSITION_TOL
     uf, vf, sf = map(float, trace.final)
     if trace.status == "event:reached-Z":
         best, best_d = None, math.inf
@@ -246,7 +248,7 @@ def detect_limit(trace, points, tub, tol=None):
                 ds[mine] = tub.distance(trace.chart, (uf, vf), chart, uv)
             k = int(np.argmin(ds))
             best, best_d = points[k], ds[k]
-        if best is not None and best_d < tol:
+        if best is not None and best_d < POSITION_TOL:
             monotone, backslide = _tail_monotone(trace, tub, best)
             if monotone:
                 return LimitReport(verdict="limits-to", point=best,
@@ -297,7 +299,8 @@ def _tangential_eigenvector(report):
 def seed_plan(report, n_fan=None):
     """Seed states ``OFFSET`` from a point, on its manifold transverse to Z.
 
-    Extrema: the curve is tangent to the z-axis — one seed per side.
+    Extrema: one seed per side on the z-axis, which is tangent to the curve
+    only where the frame reads no z at p (see the module docstring).
     Saddles: a fan of ``n_fan`` (default ``N_FAN``) directions ψ in the
     (tangential, z) plane, offset by half a slot so no seed sits on either
     axis; an odd ``n_fan``, whose slot (n − 1)/2 is ψ = π on Z, is refused.
@@ -324,7 +327,7 @@ def seed_plan(report, n_fan=None):
 
 
 def trace_invariant_manifolds(reeb, reports, *, n_fan=None, rtol=None,
-                              atol=None, tol=None):
+                              atol=None):
     """Trace every seed of every report both ways and classify the ends.
 
     The seeds of one chart, on both sides of Z, are traced together,
@@ -361,8 +364,8 @@ def trace_invariant_manifolds(reeb, reports, *, n_fan=None, rtol=None,
                 point=report.point, psi=psi, seed=seed, toward=None,
                 away=None, near_end=failed, far_end=failed, weight=0))
             continue
-        near = detect_limit(toward, points, reeb.form.atlas, tol=tol)
-        far = detect_limit(away, points, reeb.form.atlas, tol=tol)
+        near = detect_limit(toward, points, reeb.form.atlas)
+        far = detect_limit(away, points, reeb.form.atlas)
         weight = sum(1 for r in (near, far) if r.verdict == "limits-to")
         orbits.append(EscapeOrbit(
             point=report.point, psi=psi, seed=seed, toward=toward,
@@ -411,8 +414,13 @@ def escape_census(orbits, bound, tub):
     per_point.sort(key=lambda d: (d["chart"], d["u"], d["v"]))
 
     if bound.verdict == "infinite":
-        # sampled orbits witness the bound; any saddle fan already exceeds 2N
-        consistent = len(distinct) >= bound.lower_bound
+        # a saddle witnesses it: more distinct orbits than the 2 an extremum
+        # gives, or all of them when its fan has fewer than 3 seeds
+        fans = collections.Counter(id(o.point) for o in orbits
+                                   if o.point.index == 1)
+        kept = collections.Counter(id(o.point) for o in distinct)
+        consistent = (len(distinct) >= bound.lower_bound
+                      and any(kept[k] >= min(3, n) for k, n in fans.items()))
     else:
         consistent = (weighted == bound.expected_weighted
                       and len(distinct) >= bound.lower_bound)
@@ -426,7 +434,7 @@ def escape_census(orbits, bound, tub):
                      if o.near_end.verdict != "limits-to")})
 
 
-def refinement_check(reeb, reports, *, tol=None):
+def refinement_check(reeb, reports):
     """Re-trace at ``REFINEMENT_FACTOR``-times tighter rk45 tolerances; compare.
 
     Returns a dict with both orbit lists, whether every near-end verdict and
@@ -434,10 +442,9 @@ def refinement_check(reeb, reports, *, tol=None):
     position between the two passes.
     """
     factor = REFINEMENT_FACTOR
-    coarse = trace_invariant_manifolds(reeb, reports, tol=tol)
-    fine = trace_invariant_manifolds(reeb, reports,
-                                     rtol=rk45.RTOL / factor,
-                                     atol=rk45.ATOL / factor, tol=tol)
+    coarse = trace_invariant_manifolds(reeb, reports)
+    fine = trace_invariant_manifolds(reeb, reports, rtol=rk45.RTOL / factor,
+                                     atol=rk45.ATOL / factor)
     stable = True
     finals = {}   # (chart, chart) -> rows (u, v) coarse then (u, v) fine
     for a, b in zip(coarse, fine):

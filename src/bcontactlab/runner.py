@@ -69,9 +69,6 @@ __all__ = ["run", "RunResult", "default_out_dir", "write_report"]
 DRIFT_TOL = 1e-8
 ORACLE_TOL = 1e-6
 PERIODICITY_TOL = 1e-8
-# --tol floor for the scan's Newton: |∇H| stalls at rounding level near some
-# critical points, and a tighter tolerance would drop them
-NEWTON_TOL_FLOOR = 1e-12
 
 
 class RunResult:
@@ -157,25 +154,23 @@ def _write_csv(path, header, blocks):
 # ---------------------------------------------------------------------------
 # bcontact stages
 
-def _stage_build(ctx, tol):
+def _stage_build(ctx):
     ctx.form = scenario_form(ctx.scenario)
     return {}, []
 
 
-def _stage_validate(ctx, tol):
-    ctx.reeb, checks = solve_reeb(ctx.form, ctx.grid, tol)
+def _stage_validate(ctx):
+    ctx.reeb, checks = solve_reeb(ctx.form, ctx.grid)
     if ctx.reeb is None:
         ctx.skip = "degenerate Reeb system; see the reeb_residuals check"
     return ({"checks": _reported(checks)},
             [c.check for c in checks if not c.passed])
 
 
-def _stage_critical(ctx, tol):
+def _stage_critical(ctx):
     warnings = []
-    points = find_critical_points(
-        exceptional_hamiltonian(ctx.form),
-        newton_tol=None if tol is None else max(tol, NEWTON_TOL_FLOOR),
-        warnings=warnings)
+    points = find_critical_points(exceptional_hamiltonian(ctx.form),
+                                  warnings=warnings)
     ctx.reports = [stability_at(p, ctx.reeb) for p in points]
     ctx.bound = census_bound(points, [ctx.form.atlas])
     fragment = {
@@ -187,9 +182,9 @@ def _stage_critical(ctx, tol):
     return fragment, []
 
 
-def _stage_trace(ctx, tol):
+def _stage_trace(ctx):
     ctx.orbits = trace_invariant_manifolds(ctx.reeb, ctx.reports,
-                                           n_fan=ctx.seeds, tol=tol)
+                                           n_fan=ctx.seeds)
     failures = []
     bad = sum(1 for o in ctx.orbits
               if o.near_end.verdict == "integration-failed")
@@ -198,7 +193,7 @@ def _stage_trace(ctx, tol):
     return {"orbits": _reported(ctx.orbits)}, failures
 
 
-def _stage_census(ctx, tol):
+def _stage_census(ctx):
     ctx.census = escape_census(ctx.orbits, ctx.bound, ctx.form.atlas)
     failures = [] if ctx.census.consistent_with_bound else ["census-vs-bound"]
     return {"census": _reported(ctx.census)}, failures
@@ -236,12 +231,10 @@ def _write_census_file(ctx, out_dir):
 # ---------------------------------------------------------------------------
 # beltrami / mcgehee pipelines
 
-def _run_beltrami(ctx, tol):
+def _run_beltrami(ctx):
     data = BeltramiData.from_scenario(ctx.scenario.data)
     surface_grid = tuple(ctx.grid[:2])
-    identity = hamiltonian_identity_check(
-        data, grid=surface_grid,
-        threshold=None if tol is None else max(tol, 1e-12))
+    identity = hamiltonian_identity_check(data, grid=surface_grid)
     laplace = laplace_eigen_check(data, grid=surface_grid)
     form, roundtrip = contact_from_beltrami(data, grid=ctx.grid)
     points = find_critical_points(exceptional_hamiltonian(form))
@@ -265,8 +258,7 @@ def _run_beltrami(ctx, tol):
     return fragment, failures
 
 
-def _run_mcgehee(ctx, tol):
-    drift_tol = DRIFT_TOL if tol is None else tol
+def _run_mcgehee(ctx):
     params = McGeheeParams(float(ctx.scenario.option("mu")))
     state0 = McGeheeState(float(ctx.scenario.option("x0", 0.2)),
                           float(ctx.scenario.option("a0", 0.0)),
@@ -277,8 +269,8 @@ def _run_mcgehee(ctx, tol):
                                               t_span=(0.0, t_end))
 
     checks = {"energy_drift": {"value": traj.energy_drift,
-                               "threshold": drift_tol,
-                               "passed": traj.energy_drift < drift_tol}}
+                               "threshold": DRIFT_TOL,
+                               "passed": traj.energy_drift < DRIFT_TOL}}
     if state0.x == 0.0:
         period = integrate_mcgehee(state0, params, t_span=(0.0, 2 * math.pi))
         wrapped = period.y[-1].copy()
@@ -320,52 +312,46 @@ def _write_trajectory_file(ctx, out_dir):
 # ---------------------------------------------------------------------------
 # orchestration
 
-# A pipeline row.  ``fn(ctx, tol)`` returns the stage's fragment and failures,
+# A pipeline row.  ``fn(ctx)`` returns the stage's fragment and failures,
 # reported under the subcommands in ``reported``, and leaves on ``ctx`` what
-# later stages use (``ctx.skip = reason`` asks for a skip); ``tol`` is --tol
-# under ``tol_under``, else None.  ``write(ctx, out_dir)`` returns paths.
-_Stage = collections.namedtuple("_Stage", "name fn reported tol_under write",
-                                defaults=((), (), None))
+# later stages use (``ctx.skip = reason`` asks for a skip).
+# ``write(ctx, out_dir)`` returns paths.
+_Stage = collections.namedtuple("_Stage", "name fn reported write",
+                                defaults=((), None))
 
 
 _PIPELINES = {
     "bcontact": (
         _Stage("build", _stage_build),
-        _Stage("validate", _stage_validate, ("validate", "all"),
-               ("validate", "all")),
-        _Stage("critical", _stage_critical, ("critical", "all"),
-               ("critical",)),
+        _Stage("validate", _stage_validate, ("validate", "all")),
+        _Stage("critical", _stage_critical, ("critical", "all")),
         _Stage("trace", _stage_trace, ("trace", "census", "all"),
-               ("trace", "census", "all"), _write_orbits_file),
-        _Stage("census", _stage_census, ("census", "all"), (),
-               _write_census_file),
+               _write_orbits_file),
+        _Stage("census", _stage_census, ("census", "all"), _write_census_file),
     ),
     "beltrami": (
-        _Stage("beltrami", _run_beltrami, ("beltrami", "validate", "all"),
-               ("beltrami", "validate", "all")),
+        _Stage("beltrami", _run_beltrami, ("beltrami", "validate", "all")),
     ),
     "mcgehee": (
         _Stage("mcgehee", _run_mcgehee, ("mcgehee", "validate", "all"),
-               ("mcgehee", "validate", "all"), _write_trajectory_file),
+               _write_trajectory_file),
     ),
 }
 
 
-def run(source, subcommand="all", out_dir=None, *, tol=None, grid=None,
-        seeds=None):
+def run(source, subcommand="all", out_dir=None, *, grid=None, seeds=None):
     """Execute ``subcommand`` for a scenario (path, name, or Scenario).
 
     Returns a :class:`RunResult` whose ``exit_status`` is 0 when every
     check passed, 2 when one came out false, and 1 when a stage raised.
-    ``report.json`` is written in all three cases.  A ``tol`` that is not
-    finite and positive, odd ``seeds`` or below 1, or a ``grid`` that
-    ``check_grid`` rejects raises ``ValueError`` before anything is written,
-    as a bad scenario raises ``ScenarioError``.  Two grid counts take nz = 9.
+    ``report.json`` is written in all three cases.  Odd ``seeds`` or below
+    1, or a ``grid`` that ``check_grid`` rejects, raises ``ValueError``
+    before anything is written, as a bad scenario raises ``ScenarioError``.
+    Two grid counts take nz = 9.  Every pass/fail threshold is a module
+    constant (README, "Tuning constants"), read when its stage runs.
     """
     if seeds is not None and (seeds < 1 or seeds % 2):
         raise ValueError(f"seeds must be at least 1 and even, got {seeds}")
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be finite and positive")
     grid = (64, 64, 9) if grid is None else tuple(grid)
     check_grid(grid)
     grid3 = grid if len(grid) == 3 else (*grid, 9)
@@ -397,8 +383,7 @@ def run(source, subcommand="all", out_dir=None, *, tol=None, grid=None,
                              f"a {scenario.kind!r} scenario")
         for k, stage in enumerate(stages[:last + 1]):
             t0 = time.perf_counter()
-            fragment, fails = stage.fn(
-                ctx, tol if subcommand in stage.tol_under else None)
+            fragment, fails = stage.fn(ctx)
             timing[f"{stage.name}_s"] = time.perf_counter() - t0
             later = [s.name for s in stages[k + 1:last + 1]
                      if subcommand in s.reported]

@@ -226,8 +226,12 @@ def _validate(raw, origin):
     missing = sorted(_REQUIRED[kind] - set(raw))
     if missing:
         _fail(origin, f"missing required key {missing[0]!r}")
-    if not isinstance(raw.get("name"), str) or not raw["name"]:
+    name = raw.get("name")
+    if not isinstance(name, str) or not name:
         _fail(origin, "'name' must be a non-empty string")
+    if "/" in name or "\\" in name or name in (".", ".."):
+        # the default output directory is runs/<name>
+        _fail(origin, f"'name' must name one directory, got {name!r}")
     if not isinstance(raw.get("description", ""), str):
         _fail(origin, "'description' must be a string")
 
@@ -237,7 +241,7 @@ def _validate(raw, origin):
         _validate_beltrami(raw, origin)
     else:
         _validate_mcgehee(raw, origin)
-    return Scenario(kind=kind, name=raw["name"], data=raw, origin=origin)
+    return Scenario(kind=kind, name=name, data=raw, origin=origin)
 
 
 def _surface_atlas(surface, epsilon):

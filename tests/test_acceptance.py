@@ -148,7 +148,7 @@ def test_c6_beltrami_mode_suite():
         assert laplace.verdict == "eigenfunction"
         assert abs(laplace.eigenvalue + (m * m + n * n)) < 1e-8
 
-        identity = hamiltonian_identity_check(data, threshold=1e-8)
+        identity = hamiltonian_identity_check(data)
         assert identity.passed
         signs.add(identity.global_sign)
 

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 import bcontactlab
+from bcontactlab import contact, runner
 from bcontactlab.cli import main
 from bcontactlab.contact import ValidationReport
 from bcontactlab.critical import CensusBound, CriticalPoint, StabilityReport
 from bcontactlab.orbits import (EscapeCensus, EscapeOrbit, LimitReport,
                                 RegularizedState)
 from bcontactlab.runner import _reported, run
-from bcontactlab.scenarios import ScenarioError
+from bcontactlab.scenarios import ScenarioError, load_scenario
 
 
 @pytest.fixture(scope="module")
@@ -271,10 +272,11 @@ def test_stage_subsets(tmp_path):
         assert "write_s" not in result.report["timing"]
 
 
-def test_validate_tol_sets_the_residual_thresholds(tmp_path):
+def test_validate_tol_sets_the_residual_thresholds(tmp_path, monkeypatch):
     # on the torus V = −1, so the closed-form solve makes the identity
-    # residual exactly 0 and no positive tol fails it
-    result = run("torus", "validate", tmp_path / "torus", tol=1e-16)
+    # residual exactly 0 and no positive threshold fails it
+    monkeypatch.setattr(contact, "RESIDUAL_TOL", 1e-16)
+    result = run("torus", "validate", tmp_path / "torus")
     assert result.exit_status == 2
     checks = {c["check"]: c for c in result.report["checks"]}
     assert checks["contact_check"]["threshold"] == 1e-8
@@ -284,7 +286,8 @@ def test_validate_tol_sets_the_residual_thresholds(tmp_path):
     assert checks["hamiltonian_identity"]["worst_value"] == 0.0
     assert result.report["verdict"]["failures"] == ["reeb_residuals"]
     # the sphere's rounding-level residuals fail both checks
-    result = run("sphere", "validate", tmp_path / "sphere", tol=1e-17)
+    monkeypatch.setattr(contact, "RESIDUAL_TOL", 1e-17)
+    result = run("sphere", "validate", tmp_path / "sphere")
     assert result.exit_status == 2
     checks = {c["check"]: c for c in result.report["checks"]}
     for name in ("reeb_residuals", "hamiltonian_identity"):
@@ -304,49 +307,20 @@ def test_every_check_names_its_worst_location(tmp_path):
         assert {"chart", "u", "v"} <= set(check["worst_location"])
 
 
-def test_tol_reaches_validate_and_trace_but_not_critical_under_all(
-        tmp_path):
-    strict = run("torus", "all", tmp_path / "strict", tol=1e-30, seeds=2)
-    plain = run("torus", "all", tmp_path / "plain", seeds=2)
-    assert strict.exit_status == 2 and plain.exit_status == 0
-    checks = {c["check"]: c["threshold"] for c in strict.report["checks"]}
-    assert checks == {"contact_check": 1e-8, "reeb_residuals": 1e-30,
-                      "hamiltonian_identity": 1e-30}
-    # with POSITION_TOL = 1e-30 only an end at distance exactly 0 limits
-    # to its point
-    ends = [o["near_end"] for o in strict.report["orbits"]]
-    verdicts = [e["verdict"] for e in ends]
-    assert len(verdicts) == 16 and verdicts.count("undecided") == 10
-    assert all(e["distance"] == 0.0 for e in ends
-               if e["verdict"] == "limits-to")
-    assert {o["near_end"]["verdict"] for o in plain.report["orbits"]} == {
-        "limits-to"}
-    # the Newton tolerance reaches the scan only when critical runs alone:
-    # a loose one stops Newton early, with |∇H| far above the default run's
-    points = plain.report["critical_points"]
-    assert strict.report["critical_points"] == points
-    alone = run("torus", "critical", tmp_path / "alone", tol=1e-6)
-    loose = alone.report["critical_points"]
-    assert alone.exit_status == 0 and len(loose) == len(points) == 8
-    assert max(p["grad_norm"] for p in loose) > 1e-9
-    assert max(p["grad_norm"] for p in points) < 1e-15
-
-
-@pytest.mark.parametrize("tol", [1e-16, 1e-30])
-def test_tight_tol_under_critical_keeps_every_critical_point(tmp_path, tol):
-    # --tol is floored for the scan's Newton, which cannot bring |∇H| below
-    # rounding level at some points and would drop them
-    plain = run("torus", "critical", tmp_path / "plain")
-    tight = run("torus", "critical", tmp_path / "tight", tol=tol)
-    assert plain.exit_status == tight.exit_status == 0
-    points = plain.report["critical_points"]
-    assert len(points) == 8
-    got = tight.report["critical_points"]
-    assert [(p["chart"], p["index"]) for p in got] == [
-        (p["chart"], p["index"]) for p in points]
-    for p, q in zip(got, points):
-        assert (p["u"], p["v"], p["H"]) == pytest.approx(
-            (q["u"], q["v"], q["H"]), abs=1e-12)
+def test_infinite_without_a_saddle_witness_fails_the_census(tmp_path):
+    # beta_z = 0.1 cos(u) makes the frame read z: every saddle near end is
+    # undecided, and the 8 distinct orbits all come from the 4 extrema
+    payload = load_scenario("torus").data | {"name": "torus-beta-z"}
+    payload["fields"] = {"torus": payload["fields"]["torus"]
+                         | {"beta_z": "0.1*cos(u)"}}
+    path = tmp_path / "torus-beta-z.json"
+    path.write_text(json.dumps(payload))
+    result = run(str(path), "all", tmp_path / "out")
+    assert result.exit_status == 2
+    assert result.report["verdict"]["failures"] == ["census-vs-bound"]
+    census = result.report["census"]
+    assert census["verdict"] == "infinite" and census["n_distinct"] == 8
+    assert {d["index"] for d in census["per_point"]} == {0, 2}
 
 
 @pytest.mark.parametrize("subcommand,skipped", [
@@ -449,13 +423,14 @@ def test_beltrami_pipeline(tmp_path):
     assert len(report["stagnation"]) == 4
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert main(["validate", "--scenario", "sphere",
                  "--out", str(tmp_path / "ok")]) == 0
     assert "PASS" in capsys.readouterr().out
 
     # an impossible drift tolerance turns a passing run into a verdict failure
-    assert main(["mcgehee", "--scenario", "mcgehee", "--tol", "1e-30",
+    monkeypatch.setattr(runner, "DRIFT_TOL", 1e-30)
+    assert main(["mcgehee", "--scenario", "mcgehee",
                  "--out", str(tmp_path / "strict")]) == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "energy_drift" in out
@@ -472,16 +447,20 @@ def test_cli_usage_errors_are_operational(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("tol", ["1e-9", "nan", "inf", "0", "-1"])
 def test_cli_rejects_a_tol_that_is_not_positive(tmp_path, capsys, tol):
-    assert main(["trace", "--scenario", "sphere", "--tol", tol,
-                 "--out", str(tmp_path)]) == 1
+    # no option moves a threshold, so a positive --tol is refused as well
+    out = tmp_path / "out"
+    assert main(["trace", "--scenario", "torus", "--tol", tol,
+                 "--out", str(out)]) == 1
     assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
 def test_run_rejects_a_tol_that_is_not_positive(tmp_path, tol):
-    with pytest.raises(ValueError, match="tol"):
+    # nor does a keyword of run(): a caller patches the module constant
+    with pytest.raises(TypeError, match="tol"):
         run("sphere", "trace", tmp_path / "out", tol=tol)
     assert not (tmp_path / "out").exists()
 

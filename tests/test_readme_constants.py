@@ -1,6 +1,6 @@
 """README's "Tuning constants" table matches the modules it names, a
-patched constant reaches every call that leaves its parameter out, and no
-tolerance parameter has a literal default."""
+patched constant reaches every call that reads it, no tolerance parameter
+has a literal default, and no public function takes a threshold."""
 import ast
 import importlib
 import math
@@ -224,17 +224,50 @@ def _literal_tolerance_defaults(source):
     return found
 
 
+THRESHOLDS = ("tol", "newton_tol", "threshold")
+
+
+def _threshold_parameters(source):
+    """``function(name)`` for each parameter of a public function in
+    ``source`` whose name is in ``THRESHOLDS``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not node.name.startswith("_")):
+            args = node.args
+            found += [f"{node.name}({arg.arg})"
+                      for arg in (*args.posonlyargs, *args.args,
+                                  *args.kwonlyargs)
+                      if arg.arg in THRESHOLDS]
+    return found
+
+
 def test_the_ast_walk_finds_a_literal_tolerance_default():
     source = ("def f(a, rtol=1e-10, *, tol=None, threshold=0.1):\n"
-              "    return lambda n_fan=16, atol=None: None\n")
+              "    return lambda n_fan=16, atol=None: None\n"
+              "def _g(newton_tol):\n"
+              "    def h(newton_tol, /): pass\n")
     assert sorted(_literal_tolerance_defaults(source)) == [
         "n_fan", "rtol", "threshold"]
+    assert sorted(_threshold_parameters(source)) == [
+        "f(threshold)", "f(tol)", "h(newton_tol)"]
+
+
+def _src_files():
+    return sorted((ROOT / "src" / "bcontactlab").glob("*.py"))
 
 
 def test_no_tolerance_parameter_has_a_literal_default():
     """README's rule: a tolerance, threshold or fan size that a function
     takes defaults to None and reads its module constant when it runs."""
-    found = {path.name: names
-             for path in sorted((ROOT / "src" / "bcontactlab").glob("*.py"))
+    found = {path.name: names for path in _src_files()
              if (names := _literal_tolerance_defaults(path.read_text()))}
+    assert found == {}
+
+
+def test_no_public_function_takes_a_threshold():
+    """A pass/fail threshold is its module constant alone: no public
+    function takes one, so no caller and no CLI option can move it."""
+    found = {path.name: names for path in _src_files()
+             if (names := _threshold_parameters(path.read_text()))}
     assert found == {}

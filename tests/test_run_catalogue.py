@@ -4,8 +4,10 @@ import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
-# a builtin, a bcontact catalogue entry and a three-body one
-IDS = ["beltrami", "torus-a0.10-fan16", "three-body-m0.05-x0.12-k0"]
+# a builtin, a bcontact catalogue entry, a three-body one and a tool-local
+# form whose frame reads z
+IDS = ["beltrami", "torus-a0.10-fan16", "three-body-m0.05-x0.12-k0",
+       "torus-z-beta_u"]
 
 
 def _tool(name, *args):

@@ -9,6 +9,7 @@ import pytest
 from bcontactlab import contact, expressions, scenarios
 from bcontactlab.contact import frame_values
 from bcontactlab.expressions import eval_value, parse
+from bcontactlab.runner import run
 from bcontactlab.scenarios import (
     FIELD_MEMO_SIZE,
     PARSE_MEMO_SIZE,
@@ -109,6 +110,19 @@ def test_stray_chart_is_named(tmp_path):
     payload["fields"]["equator"] = {"f": "1"}
     with pytest.raises(ScenarioError, match="'equator'"):
         load_scenario(_write(tmp_path, payload))
+
+
+@pytest.mark.parametrize("name", ["../escape", "a/b", "a\\b", ".", ".."])
+def test_a_name_that_is_not_one_directory_is_refused(tmp_path, monkeypatch,
+                                                     name):
+    # the default output directory is runs/<name>: "../escape" would be
+    # ./escape, and ".." would put report.json in the working directory
+    payload = _shipped("mcgehee") | {"name": name}
+    path = _write(tmp_path, payload)
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ScenarioError, match="'name'"):
+        run(str(path))
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 
 @pytest.mark.parametrize("text", ['["a", "b"]', "NaN", '"Height field."'])
