@@ -124,12 +124,12 @@ def _field_values(x, a, pr, pa, mu):
         ∂H/∂a   = 2μ(1−μ)x⁴ s (1/d₁³ − 1/d₂³),
         ∂H/∂P_r = P_r,     ∂H/∂P_a = x⁴P_a/4 − 1.
 
-    Raises ``CollisionError`` when either squared separation falls below
-    ``COLLISION_FLOOR``.
+    Returns a tuple of floats; raises ``CollisionError`` when either
+    squared separation falls below ``COLLISION_FLOOR``.
     """
     if x == 0.0:
         # {x = 0} is invariant and carries the rigid rotation a' = -1
-        return np.array([0.0, -1.0, 0.0, 0.0])
+        return 0.0, -1.0, 0.0, 0.0
     x2 = x * x
     x4 = x2 * x2
     c, s = math.cos(a), math.sin(a)
@@ -144,12 +144,13 @@ def _field_values(x, a, pr, pa, mu):
            - 4.0 * mu * x * (2.0 + (1.0 - mu) * x2 * c) / d2c)
     h_a = 2.0 * mu * (1.0 - mu) * x4 * s * (1.0 / d1c - 1.0 / d2c)
     k = x * x2 / 4.0
-    return np.array([-k * pr, x4 * pa / 4.0 - 1.0, k * h_x, -h_a])
+    return -k * pr, x4 * pa / 4.0 - 1.0, k * h_x, -h_a
 
 
 def vector_field(state, params):
     """State derivative (ẋ, ȧ, Ṗ_r, Ṗ_a)."""
-    return _field_values(state.x, state.a, state.pr, state.pa, params.mu)
+    return np.array(_field_values(state.x, state.a, state.pr, state.pa,
+                                  params.mu))
 
 
 @dataclass
@@ -167,11 +168,9 @@ def integrate_mcgehee(state0, params, t_span=(0.0, 100.0)):
     the integrator's failure.
     """
     mu = params.mu
-
-    def rhs(t, y):
-        return _field_values(*y[0].tolist(), mu)[None]
-
-    sol, = integrate(rhs, state0.as_array()[None], t_span)
+    # one (4,) state: a run on Python floats
+    sol, = integrate(lambda t, y: _field_values(*y, mu), state0.as_array(),
+                     t_span)
     if isinstance(sol, Exception):
         raise sol
     energy = np.asarray(_energy(sol.y[:, 0], sol.y[:, 1], sol.y[:, 2],

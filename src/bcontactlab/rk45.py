@@ -17,8 +17,8 @@ atol + rtol·max(|y_n|, |y_{n+1}|) per component; a step is accepted when
 that norm is at most 1.  The tolerances default to ``RTOL`` and ``ATOL``,
 read when a call runs.
 
-Lanes.  The state is always an array of shape ``(lanes, dim)``: that many
-independent problems integrated in lockstep, one problem being one lane.
+Lanes.  A state of shape ``(lanes, dim)`` is that many independent
+problems integrated in lockstep, one problem being one lane.
 ``f`` is called once per stage with the states of every live lane, and
 each lane keeps its own time direction, step size, error history,
 accept/reject decision, counters, events and status, so every lane takes
@@ -37,23 +37,38 @@ A lane may carry a constant of its own (``per_lane``, one entry per lane):
 it is compacted with the lanes and handed to ``f`` beside the live states,
 so problems that differ only in a parameter share one batch.
 
-Bit identity between a lane and a run of its own rests on elementwise
-arithmetic, which numpy rounds as Python does.  numpy's ``power`` is not
-libm's ``pow`` (they differ by an ulp on a few percent of arguments), so
-the step controller's powers — the rejection factor ``err**-0.2``, the
-PI factor ``err**-ALPHA · err_old**BETA`` and the initial step's
-``(0.01/m)**0.2`` — are computed per lane on Python floats.
+One problem.  A state of shape ``(dim,)`` is one problem, integrated on
+Python floats with no events, ``stop`` or ``per_lane``: bit for bit the
+run of that state as one lane, at a few µs a step outside ``f`` where a
+lane step costs tens.
 
-The tableau weights are 0-d float64 arrays, and ``rtol`` and ``atol``
-become 0-d arrays for the run.  That is for speed, not for precision: a
-Python float is a float64, so an elementwise product or sum rounds alike
-either way, but numpy converts a Python float operand on every call,
-which costs more than the product of a few lanes.  For the same reason
-the step column ``h`` is made full shape once per step, so that no
-product of the stages broadcasts.
+One step source.  The sums of a step (``_STAGES`` and ``_ERROR``) are
+written once, as a table in the tableau's term order, and expanded into
+source twice, as ``expressions.compile`` does: the lane step at import,
+one numpy call per term over all lanes, and the float step of a
+dimension at its first use, written out per component.  Both loops call
+one step-size controller, ``_control``.
+
+Bit identity rests on elementwise arithmetic, which numpy rounds as
+Python does.  numpy's ``power`` is not libm's ``pow`` (they differ by an
+ulp on a few percent of arguments), so the step controller's powers — the
+rejection factor ``err**-0.2``, the PI factor ``err**-ALPHA ·
+err_old**BETA`` and the initial step's ``(0.01/m)**0.2`` — are computed
+per lane on Python floats.  numpy sums a row of fewer than 8 terms left
+to right and a longer one pairwise, so the float step sums the error
+norm's squares left to right below 8 components and through numpy from 8.
+
+In the lane step the tableau weights are 0-d float64 arrays, and ``rtol``
+and ``atol`` become 0-d arrays for the run.  That is for speed, not for
+precision: a Python float is a float64, so an elementwise product or sum
+rounds alike either way, but numpy converts a Python float operand on
+every call, which costs more than the product of a few lanes.  For the
+same reason the step column ``h`` is made full shape once per step, so
+that no product of the stages broadcasts.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,26 +98,24 @@ class NonFiniteState(RuntimeError):
     """The state or its derivative stopped being finite."""
 
 
-# Butcher tableau (nodes, stage weights, 5th/4th order weights); the
-# weights are 0-d float64 arrays (see the module docstring)
-C2, C3, C4, C5, C6 = 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0
-A21 = np.array(1 / 5)
-A31, A32 = map(np.array, (3 / 40, 9 / 40))
-A41, A42, A43 = map(np.array, (44 / 45, -56 / 15, 32 / 9))
-A51, A52, A53, A54 = map(np.array, (19372 / 6561, -25360 / 2187,
-                                    64448 / 6561, -212 / 729))
-A61, A62, A63, A64, A65 = map(np.array, (9017 / 3168, -355 / 33,
-                                         46732 / 5247, 49 / 176,
-                                         -5103 / 18656))
-B1, B3, B4, B5, B6 = map(np.array, (35 / 384, 500 / 1113, 125 / 192,
-                                    -2187 / 6784, 11 / 84))
-BS1, BS3, BS4, BS5, BS6, BS7 = map(np.array, (
-    5179 / 57600, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100,
-    1 / 40))
-# error weights B_i − BS_i (BS7 enters the error as − BS7·k7)
-E1, E3, E4, E5, E6 = (np.array(b - bs) for b, bs in (
-    (B1, BS1), (B3, BS3), (B4, BS4), (B5, BS5), (B6, BS6)))
-NODES = np.array([C2, C3, C4, C5, C6])
+# The Butcher tableau as one step's sums, each in this term order.  Stage
+# i = 2…7 is k_i = f(t + c·hd, y_i), y_i = y + hd·(w_1·k_1 + w_2·k_2 + …),
+# with the row's node c and weights w (0 leaves a term out): y_7 is the
+# 5th-order step's end, and k_7 the next step's k_1 (FSAL).  The step's
+# error is hd·(Σ e_j·k_j), e_j the 5th- less the 4th-order weight b*_j.
+_STAGES = (
+    (1 / 5, (1 / 5,)),
+    (3 / 10, (3 / 40, 9 / 40)),
+    (4 / 5, (44 / 45, -56 / 15, 32 / 9)),
+    (8 / 9, (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729)),
+    (1.0, (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656)),
+    (1.0, (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+)
+_ERROR = tuple(b - bs for b, bs in zip(_STAGES[-1][1] + (0,), (
+    5179 / 57600, 0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100,
+    1 / 40)))
+_ROWS = [row for _, row in _STAGES] + [_ERROR]
+_WEIGHTS = [w for row in _ROWS for w in row if w]   # w<n> of _sums
 # dense-output weights for the quartic interpolant
 D1 = -12715105075 / 11282082432
 D3 = 87487479700 / 32700410799
@@ -110,6 +123,94 @@ D4 = -10690763975 / 1880347072
 D5 = 701980252875 / 199316789632
 D6 = -1453857185 / 822651844
 D7 = 69997945 / 29380423
+
+
+def _sums(k):
+    """Source of the step's sums, each stage's and then the error's: the
+    terms ``w<n> * <k(j)>`` of the nonzero weights, in the table's order,
+    where ``k(j)`` is the source of k_j and w<n> is ``_WEIGHTS[n]``."""
+    sums, n = [], 0
+    for row in _ROWS:
+        terms = []
+        for j, w in enumerate(row, 1):
+            if w:
+                terms.append(f"w{n} * {k(j)}")
+                n += 1
+        sums.append(" + ".join(terms))
+    return sums
+
+
+def _compile(source, namespace):
+    exec(compile(source, "<rk45 step>", "exec"), namespace)
+    return namespace["_step"]
+
+
+def _rms(x, dim):
+    return np.sqrt(np.add.reduce(x * x, axis=1) / dim)
+
+
+def _lane_source():
+    """One step of every live lane: each sum one numpy call per term."""
+    sums = _sums("k{}".format)
+    lines = ["def _step(f, t, y, k1, hd, ones, rtol, atol):",
+             "    hc = hd[:, None]",
+             "    ts = t[:, None] + hc * NODES",   # t + c·hd per stage
+             "    hc = hc * ones"]   # full shape, so no product broadcasts
+    # only y_7 is named, so numpy can reuse the other states' memory
+    for i, total in enumerate(sums[:-2]):
+        lines.append(f"    k{i + 2} = asarray(f(ts[:, {i}], y + hc * "
+                     f"({total})), dtype=float)")
+    lines += [f"    y7 = y + hc * ({sums[-2]})",
+              "    k7 = asarray(f(ts[:, 5], y7), dtype=float)",
+              f"    e = hc * ({sums[-1]}) / (atol + rtol * maximum("
+              "abs(y), abs(y7)))",
+              "    return ts[:, 5], y7, k3, k4, k5, k6, k7, "
+              "_rms(e, y.shape[1])"]
+    return "\n".join(lines)
+
+
+# the weights 0-d float64 arrays (see the module docstring)
+_lane_step = _compile(_lane_source(), {
+    "asarray": np.asarray, "maximum": np.maximum, "_rms": _rms,
+    "NODES": np.array([c for c, _ in _STAGES]),
+    **{f"w{n}": np.array(w) for n, w in enumerate(_WEIGHTS)}})
+
+
+def _float_source(dim):
+    """One step of one ``dim``-state on Python floats: each sum written
+    out per component."""
+    comps = range(dim)
+    sums = [_sums(lambda j: f"k{j}_{d}") for d in comps]
+
+    def names(name):
+        return "".join(f"{name}_{d}, " for d in comps)
+
+    lines = ["def _step(f, t, y, k1, hd, rtol, atol):",
+             f"    {names('y')}= y",
+             f"    {names('k1')}= k1"]
+    for i, (c, _) in enumerate(_STAGES):
+        s = i + 2
+        lines += [f"    y{s}_{d} = y_{d} + hd * ({sums[d][i]})" for d in comps]
+        lines += [f"    t{s} = t + hd * {c!r}",
+                  f"    k{s} = f(t{s}, ({names(f'y{s}')}))",
+                  f"    {names(f'k{s}')}= k{s}"]
+    lines += [f"    e_{d} = hd * ({sums[d][-1]}) / (atol + rtol * max("
+              f"abs(y_{d}), abs(y7_{d})))" for d in comps]
+    # numpy sums a row of fewer than 8 terms left to right, longer ones
+    # pairwise
+    squares = " + ".join(f"e_{d} * e_{d}" for d in comps)
+    lines += [f"    err = sqrt(({squares}) / {dim})" if dim < 8 else
+              f"    err = float(_rms(array([[{names('e')}]]), {dim})[0])",
+              f"    return t7, ({names('y7')}), k7, err"]
+    return "\n".join(lines)
+
+
+@functools.lru_cache(maxsize=16)
+def _float_step(dim):
+    """The float step of a ``dim``-state, generated at its first use."""
+    return _compile(_float_source(dim), {
+        "sqrt": math.sqrt, "array": np.array, "_rms": _rms,
+        **{f"w{n}": w for n, w in enumerate(_WEIGHTS)}})
 
 
 @dataclass
@@ -202,10 +303,6 @@ def _bisect(events, which, seg, t_lo, t_hi, neg_lo):
     return t_hi
 
 
-def _rms(x, dim):
-    return np.sqrt(np.add.reduce(x * x, axis=1) / dim)
-
-
 def _initial_step(f, t0, y0, f0, direction, rtol, atol, span):
     """First step size of each lane."""
     dim = y0.shape[1]
@@ -228,8 +325,9 @@ def _initial_step(f, t0, y0, f0, direction, rtol, atol, span):
 def integrate(f, y0, t_span, rtol=None, atol=None, events=(), stop=None,
               per_lane=None):
     """Integrate ẏ = f(t, y) over t_span, adaptively, for each lane of
-    ``y0``, an array of shape ``(lanes, dim)``; returns :class:`Lanes`.
-    ``rtol`` and ``atol`` default to :data:`RTOL` and :data:`ATOL`.
+    ``y0``, an array of shape ``(lanes, dim)``, or for the one problem of
+    a ``(dim,)`` state; returns :class:`Lanes`, of one for a ``(dim,)``
+    state.  ``rtol`` and ``atol`` default to :data:`RTOL` and :data:`ATOL`.
 
     ``t0`` and ``t1`` of ``t_span`` may be one value per lane; a lane with
     t1 < t0 runs backward.  ``f(t, y)``, each event function and ``stop``
@@ -250,18 +348,28 @@ def integrate(f, y0, t_span, rtol=None, atol=None, events=(), stop=None,
     as ``f(t, y, values)`` with the live lanes' entries, in the order of
     their states; events and ``stop`` do not see them.  Without it ``f`` is
     called as ``f(t, y)``.
+
+    A ``(dim,)`` state runs on Python floats and takes no ``events``,
+    ``stop`` or ``per_lane``: ``t_span`` holds two floats, ``f(t, y)``
+    receives a float and a tuple of ``dim`` floats and returns ``dim``
+    floats, and ``atol`` must be positive.  The run, its counters and its
+    failure are those of the same state as one lane, bit for bit.
     """
     y = np.array(y0, dtype=float)
-    if y.ndim != 2:
-        raise ValueError("the state must be a (lanes, dim) array")
+    if y.ndim not in (1, 2):
+        raise ValueError("the state must be a (dim,) or (lanes, dim) array")
+    if y.ndim == 1 and (events or stop is not None or per_lane is not None):
+        raise ValueError("a (dim,) state takes no events, stop or per_lane")
     if per_lane is not None:
         per_lane = np.asarray(per_lane)
         if per_lane.shape[:1] != y.shape[:1]:
             raise ValueError("per_lane needs one entry per lane")
+    rtol = RTOL if rtol is None else rtol
+    atol = ATOL if atol is None else atol
     with np.errstate(invalid="ignore", over="ignore"):
-        return _integrate(f, y, t_span, RTOL if rtol is None else rtol,
-                          ATOL if atol is None else atol, events, stop,
-                          per_lane)
+        if y.ndim == 1:
+            return _integrate_one(f, y, t_span, float(rtol), float(atol))
+        return _integrate(f, y, t_span, rtol, atol, events, stop, per_lane)
 
 
 def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
@@ -334,28 +442,8 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
                 break
         h = np.minimum(h, rem)
         hd = dirn * h
-        hc = hd[:, None]
-        ts = t[:, None] + hc * NODES   # t + c·hd for the stages 2 to 7
-        hc = hc * ones   # full shape, so no product below broadcasts
-
-        k2 = np.asarray(f(ts[:, 0], y + hc * (A21 * k1)), dtype=float)
-        k3 = np.asarray(f(ts[:, 1], y + hc * (A31 * k1 + A32 * k2)),
-                        dtype=float)
-        k4 = np.asarray(f(ts[:, 2], y + hc * (A41 * k1 + A42 * k2
-                                              + A43 * k3)), dtype=float)
-        k5 = np.asarray(f(ts[:, 3], y + hc * (A51 * k1 + A52 * k2
-                                              + A53 * k3 + A54 * k4)),
-                        dtype=float)
-        k6 = np.asarray(f(ts[:, 4], y + hc * (A61 * k1 + A62 * k2
-                                              + A63 * k3 + A64 * k4
-                                              + A65 * k5)), dtype=float)
-        y_new = y + hc * (B1 * k1 + B3 * k3 + B4 * k4 + B5 * k5 + B6 * k6)
-        t_new = ts[:, 4]
-        k7 = np.asarray(f(t_new, y_new), dtype=float)
-        err_vec = hc * (E1 * k1 + E3 * k3 + E4 * k4 + E5 * k5 + E6 * k6
-                        - BS7 * k7)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err = _rms(err_vec / scale, dim)
+        t_new, y_new, k3, k4, k5, k6, k7, err = _lane_step(
+            f, t, y, k1, hd, ones, rtol, atol)
         # a finite sum means finite terms; an overflowing one only sends
         # the step through the per-lane check below
         finite = math.isfinite(np.add.reduce(y_new, axis=None)
@@ -363,19 +451,9 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
         it += 1
         fev += 6
 
-        # step control, per lane on Python floats (see the module docstring)
-        h_next, err_next = [], []
-        every = finite
-        for hk, e, old in zip(h.tolist(), err.tolist(), err_old):
-            e = max(e, 1e-16)
-            if e > 1.0:
-                h_next.append(hk * max(MIN_FACTOR, SAFETY * e ** -0.2))
-                err_next.append(old)
-                every = False
-            else:
-                h_next.append(hk * min(MAX_FACTOR, max(
-                    MIN_FACTOR, SAFETY * e ** -ALPHA * old ** BETA)))
-                err_next.append(e)
+        h_next, err_next, rejected = _control(h.tolist(), err.tolist(),
+                                              err_old)
+        every = finite and not rejected
 
         done = None   # lanes that end in this step
         if every:
@@ -461,6 +539,82 @@ def _integrate(f, y0, t_span, rtol, atol, events, stop, per_lane=None):
     if crossings:
         _cut(events, crossings, ended, blocks)
     return _assemble(out, ended, blocks)
+
+
+def _control(hs, errs, olds):
+    """Step-size control after a step of each lane, on Python floats (see
+    the module docstring): from the lanes' step sizes, error norms and
+    error histories, their next step sizes and error histories, and
+    whether any step was rejected (its error norm above 1)."""
+    h_next, err_next = [], []
+    rejected = False
+    for h, e, old in zip(hs, errs, olds):
+        e = max(e, 1e-16)
+        if e > 1.0:
+            h_next.append(h * max(MIN_FACTOR, SAFETY * e ** -0.2))
+            err_next.append(old)
+            rejected = True
+        else:
+            h_next.append(h * min(MAX_FACTOR, max(
+                MIN_FACTOR, SAFETY * e ** -ALPHA * old ** BETA)))
+            err_next.append(e)
+    return h_next, err_next, rejected
+
+
+def _integrate_one(f, y0, t_span, rtol, atol):
+    """:func:`integrate` of one ``(dim,)`` state, on Python floats."""
+    t = float(t_span[0])
+    ts, ys, sizes = [t], [tuple(y0.tolist())], [math.nan]
+    end = _steps(f, t, float(t_span[1]), ys[0], rtol, atol, ts, ys, sizes)
+    return _assemble(Lanes([None]), {0: end}, [(
+        np.zeros(len(ts), dtype=int), np.array(ts), np.array(ys),
+        np.array(sizes))])
+
+
+def _steps(f, t, t1, y, rtol, atol, ts, ys, sizes):
+    """The steps of one problem from (t, y) to t1, each accepted one
+    appended to ``ts``, ``ys`` and ``sizes``, in the order of the lane
+    loop's checks; returns the status or exception that ended the run,
+    the steps attempted and the RHS evaluations."""
+    if t1 == t:
+        return "reached-end", 0, 0
+    dirn = 1.0 if t1 > t else -1.0
+    k1 = f(t, y)
+    if not all(map(math.isfinite, k1)):
+        return NonFiniteState(f"non-finite derivative at t = {t!r}"), 0, 1
+    t1d = dirn * t1
+    rem = t1d - dirn * t
+    h, = _initial_step(   # on one lane, whose probe calls f on floats
+        lambda tl, yl: [f(float(tl[0]), tuple(yl[0].tolist()))],
+        np.array([t]), np.array([y]), np.array([k1], dtype=float),
+        np.array([dirn]), rtol, atol, np.array([rem])).tolist()
+    step = _float_step(len(y))
+    err_old = 1e-4
+    it, fev = 0, 2
+    while True:
+        if it > MAX_STEPS:
+            return RuntimeError(f"integration exceeded {MAX_STEPS} steps"), \
+                it, fev
+        if h < MIN_STEP:
+            return StepSizeUnderflow(
+                f"step size {h:.3e} underflowed at t = {t!r}"), it, fev
+        h = min(h, rem)
+        t_new, y_new, k7, err = step(f, t, y, k1, dirn * h, rtol, atol)
+        it += 1
+        fev += 6
+        if not all(map(math.isfinite, (*y_new, *k7))):
+            return NonFiniteState(f"non-finite state near t = {t_new!r}"), \
+                it, fev
+        (h_next,), (err_old,), rejected = _control([h], [err], [err_old])
+        if not rejected:
+            t, y, k1 = t_new, y_new, k7
+            ts.append(t)
+            ys.append(y)
+            sizes.append(h)
+            rem = t1d - dirn * t
+            if rem <= 0:
+                return "reached-end", it, fev
+        h = h_next
 
 
 def _cut(events, crossings, ended, blocks):

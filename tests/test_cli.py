@@ -413,6 +413,19 @@ def test_mcgehee_infinity_manifold_scenario(tmp_path):
     assert check["passed"] and check["x_stays_zero"]
 
 
+def test_the_oracle_window_is_capped_in_either_direction(tmp_path):
+    builtin = Path(runner.__file__).parent / "scenarios" / "mcgehee.json"
+    samples = {}
+    for t_end in (-300.0, -10.0, 10.0, 300.0):
+        path = tmp_path / f"t{t_end:+.0f}.json"
+        path.write_text(json.dumps({**json.loads(builtin.read_text()),
+                                    "name": path.stem, "t_end": t_end}))
+        result = run(str(path), "mcgehee", tmp_path / path.stem)
+        samples[t_end] = result.report["checks"]["oracle"]["n_samples"]
+    assert samples[-300.0] == samples[-10.0]
+    assert samples[300.0] == samples[10.0]
+
+
 def test_beltrami_pipeline(tmp_path):
     result = run("beltrami", "beltrami", tmp_path)
     assert result.exit_status == 0

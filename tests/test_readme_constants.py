@@ -112,16 +112,19 @@ def _refined_verdicts(b, out, monkeypatch):
 
 
 def _rk45_rtols(monkeypatch, call):
-    """The relative tolerances every RK45 integration of ``call`` ran at."""
+    """The relative tolerances every RK45 integration of ``call`` ran at,
+    on lanes or on one state."""
     rtols = set()
-    inner = rk45._integrate
 
-    def spy(f, y0, t_span, rtol, *rest):
-        rtols.add(float(rtol))
-        return inner(f, y0, t_span, rtol, *rest)
+    def spy(inner):
+        def run(f, y0, t_span, rtol, *rest):
+            rtols.add(float(rtol))
+            return inner(f, y0, t_span, rtol, *rest)
+        return run
 
     with monkeypatch.context() as patch:
-        patch.setattr(rk45, "_integrate", spy)
+        for name in ("_integrate", "_integrate_one"):
+            patch.setattr(rk45, name, spy(getattr(rk45, name)))
         call()
     return rtols
 

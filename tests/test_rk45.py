@@ -243,6 +243,19 @@ def test_a_step_keeps_the_tableau_term_order():
                                         float(lane.t[1]))
         assert [(t[k], y[k]) for t, y in calls[2:]] == stages
         assert lane.y[1].tolist() == stages[-1][1]
+        # the state alone, on floats, over a span of that one step
+        float_calls = []
+
+        def rhs_float(t, y):
+            float_calls.append((t, list(y)))
+            return _quadratic_float(t, y)
+
+        one, = integrate(rhs_float, start, (0.0, float(lane.t[1])),
+                         rtol=1e-3, atol=1e-6)
+        assert (one.status, one.n_steps, one.n_rejected) == (
+            "reached-end", 1, 0)
+        assert float_calls[2:] == stages
+        assert one.y[1].tolist() == stages[-1][1]
 
 
 def _swirl(a, b, c):
@@ -348,6 +361,69 @@ def test_per_lane_values_need_one_entry_per_lane():
     with pytest.raises(ValueError, match="one entry per lane"):
         integrate(lambda t, y, a: y, np.ones((3, 1)), (0.0, 1.0),
                   per_lane=np.ones(2))
-    for state in (np.ones(3), np.ones((1, 3, 1))):   # the one state shape
+    for state in (np.ones(()), np.ones((1, 3, 1))):   # the two state shapes
         with pytest.raises(ValueError, match=r"\(lanes, dim\)"):
             integrate(lambda t, y: y, state, (0.0, 1.0))
+    # a (dim,) state is one problem: nothing to hand per lane, and no events
+    # or stop
+    for extra in ({"per_lane": np.ones(3)}, {"stop": lambda t, y: None},
+                  {"events": [Event(fn=lambda t, y: y[:, 0], direction=1,
+                                    name="up")]}):
+        with pytest.raises(ValueError, match="events, stop or per_lane"):
+            integrate(lambda t, y: y, np.ones(3), (0.0, 1.0), **extra)
+
+
+def _lanes_of(g):
+    """The lane RHS of ``g``, an RHS of one state on floats."""
+    def rhs(t, y):
+        return np.array([g(tk, tuple(yk))
+                         for tk, yk in zip(t.tolist(), y.tolist())])
+    return rhs
+
+
+def _ring(t, y):
+    """A linear 9-D field: rows of 8 terms or more, which numpy sums
+    pairwise."""
+    return tuple(y[k - 1] - 0.5 * y[k] + 0.1 * t for k in range(len(y)))
+
+
+@pytest.mark.parametrize("g, y0, t_span, rtol, max_steps, end", [
+    (_quadratic_float, (0.3, -0.2, 0.5), (0.0, 3.0), 1e-6, None,
+     "reached-end"),
+    (_quadratic_float, (0.3, -0.2, 0.5), (0.0, -2.0), 1e-9, None,
+     "reached-end"),
+    (_quadratic_float, (0.3, -0.2, 0.5), (2.0, 2.0), None, None,
+     "reached-end"),
+    (lambda t, y: (1.0, math.inf), (0.0, 0.0), (0.0, 1.0), None, None,
+     NonFiniteState),
+    (lambda t, y: (math.inf if t > 0.5 else 1.0,), (0.0,), (0.0, 1.0), None,
+     None, NonFiniteState),
+    (lambda t, y: (0.0 if t < 1.0 else 1e18,), (0.0,), (0.0, 2.0), None,
+     None, StepSizeUnderflow),
+    (lambda t, y: (math.sin(40 * t),), (0.0,), (0.0, 100.0), 1e-12, 10,
+     RuntimeError),
+    (_ring, tuple(np.linspace(-1.0, 1.0, 9)), (0.0, 3.0), None, None,
+     "reached-end"),
+], ids=["rejections", "backward", "zero-span", "non-finite-derivative",
+        "non-finite-state", "underflow", "step-budget", "nine-components"])
+def test_a_dim_state_runs_as_its_one_lane(monkeypatch, g, y0, t_span, rtol,
+                                          max_steps, end):
+    if max_steps is not None:
+        monkeypatch.setattr(rk45, "MAX_STEPS", max_steps)
+    one = integrate(g, np.array(y0), t_span, rtol=rtol)
+    lanes = integrate(_lanes_of(g), np.array([y0]), t_span, rtol=rtol)
+    assert (one.n_fev, one.n_steps, one.n_rejected) == (
+        lanes.n_fev, lanes.n_steps, lanes.n_rejected)
+    if g is _quadratic_float and t_span[0] != t_span[1]:
+        assert lanes.n_rejected > 0   # rejections, both ways in time
+    (got,), (want,) = one, lanes
+    assert type(got) is type(want)
+    if isinstance(want, Exception):
+        assert isinstance(want, end)
+        assert str(got) == str(want)
+        return
+    assert want.status == end
+    assert got.t.tobytes() == want.t.tobytes()
+    assert got.y.shape == want.y.shape
+    assert got.y.tobytes() == want.y.tobytes()
+    assert got.stats_dict() == want.stats_dict()
