@@ -14,7 +14,10 @@ surface with the word that scenario files (``surface``) and
 
 Every chart knows its variable names, domain box, and periodicity; the atlas
 provides canonical coordinates and an intrinsic distance so that points found
-in different charts can be compared and deduplicated.  A contact form
+in different charts can be compared and deduplicated.  The charts overlap:
+each edge of a chart lies several scan cells inside another chart (the
+torus chart has no edge), so the critical-point scan starts no Newton
+iteration on a chart's edge.  A contact form
 (``contact.BContactForm``) carries its atlas, one field entry per chart.
 """
 from __future__ import annotations
@@ -199,9 +202,9 @@ class TubularChart:
                                                          ca[1] - cb[1]))
         return np.hypot(np.hypot(ca[0] - cb[0], ca[1] - cb[1]), ca[2] - cb[2])
 
-    def express_in(self, chart_name, canonical, slack=0.0):
+    def express_in(self, chart_name, canonical):
         """Canonical coordinates → this chart's (u, v), or None if outside its
-        domain widened by ``slack`` (narrowed, for a negative ``slack``)."""
+        domain."""
         chart = self.charts[chart_name]
         if self.kind == "torus":
             return chart.wrap(*canonical)
@@ -217,12 +220,4 @@ class TubularChart:
         else:  # south-pole
             rho = math.pi - theta
             uv = (rho * math.cos(-phi), rho * math.sin(-phi))
-        return uv if chart.contains(*uv, slack=slack) else None
-
-    def held_inside(self, chart_name, u, v, margin):
-        """Whether another chart of the atlas holds the point (u, v) of
-        ``chart_name`` at least ``margin`` inside its domain."""
-        canonical = self.to_canonical(chart_name, u, v)
-        return any(self.express_in(name, canonical, slack=-margin) is not None
-                   for name in self.charts if name != chart_name)
-
+        return uv if chart.contains(*uv) else None

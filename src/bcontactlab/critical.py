@@ -4,13 +4,13 @@ The pipeline is: coarse grid scan for local minima of |∇H|² (every sample
 compared with its eight neighbours by whole-array comparisons; a disk chart
 is sampled on its bounding square with +inf outside the disk), Newton
 refinement on ∇H = 0, cross-chart deduplication in canonical coordinates,
-then per-point classification.  A minimum on the edge of a chart's sampled
-domain is refined only where no other scanned chart holds the sample at
-least one coarse cell inside its own domain: past the edge the +inf
-padding makes a |∇H|² that falls toward the edge look like a minimum, and a
-chart holding the point scans it in its interior.  An edge that no other
-chart covers keeps its candidates.  At a nondegenerate critical point p the
-linearized Reeb field DR(p) has spectrum {λ₊, λ₋, λ_z} with
+then per-point classification.  A sample on the edge of a chart's sampled
+domain, one with a neighbour outside it, is never a Newton start: past the
+edge the +inf padding makes a |∇H|² that falls toward the edge look like a
+minimum, and the charts of an atlas overlap, so another chart holds every
+edge sample well inside its domain and scans that point in its interior.
+At a nondegenerate critical point p the linearized Reeb field DR(p) has
+spectrum {λ₊, λ₋, λ_z} with
 
     λ± = ±√(−det Hess H(p))   (Hessian in Darboux-normalized coordinates,
                                i.e. the chart Hessian divided by w(p)²),
@@ -151,6 +151,17 @@ def _edge_cells(inside, u_periodic, v_periodic):
     return inside & ~held
 
 
+def _scan_grid(chart):
+    """A chart's scan axes and the mask of their samples inside its domain:
+    ``COARSE_GRID`` on a box chart, 33 × 33 on a disk's bounding square."""
+    if chart.disk_radius > 0.0:
+        axis = np.linspace(-chart.disk_radius, chart.disk_radius, 33)
+        inside = np.add.outer(axis ** 2, axis ** 2) <= chart.disk_radius ** 2
+        return axis, axis, inside
+    axis_u, axis_v = chart.grid(*COARSE_GRID)
+    return axis_u, axis_v, np.full((axis_u.size, axis_v.size), True)
+
+
 def _newton_refine(zdata, chart, u0, v0, tol):
     """Newton on ∇H = 0: (u, v, H, ∇H, Hess H) at the converged point, or None."""
     u, v = float(u0), float(v0)
@@ -179,23 +190,18 @@ def _newton_refine(zdata, chart, u0, v0, tol):
 def find_critical_points(zdata, warnings=None):
     """All nondegenerate critical points of H on Z, deduplicated across charts.
 
-    ``NEWTON_TOL`` bounds |∇H| at a refined point.  ``warnings`` (a list,
-    when given) collects non-fatal records: dropped candidates,
+    Newton starts at the scan minima off each chart's edge (another chart
+    holds the edge).  ``NEWTON_TOL`` bounds |∇H| at a refined point;
+    ``warnings`` (a list, when given) collects dropped candidates and
     locally-constant charts.  Degenerate Hessians at converged points raise
     :class:`NotMorseError`; |f(p)| ≈ 0 raises :class:`RegularValueViolation`.
     """
     if warnings is None:
         warnings = []
     tub = zdata.form.atlas
-    nu, nv = COARSE_GRID
     points = []
     for chart in tub.charts.values():
-        if chart.disk_radius > 0.0:
-            axis_u = axis_v = np.linspace(-chart.disk_radius, chart.disk_radius, 33)
-            inside = np.add.outer(axis_u ** 2, axis_v ** 2) <= chart.disk_radius ** 2
-        else:
-            axis_u, axis_v = chart.grid(nu, nv)
-            inside = np.full((axis_u.size, axis_v.size), True)
+        axis_u, axis_v, inside = _scan_grid(chart)
         UU, VV = np.meshgrid(axis_u, axis_v, indexing="ij")
         G = np.full(inside.shape, np.inf)
         G[inside] = _grad_sq_grid(zdata, chart, UU[inside], VV[inside])
@@ -204,14 +210,10 @@ def find_critical_points(zdata, warnings=None):
                              "chart": chart.name,
                              "detail": "|grad H| below tolerance everywhere"})
             continue
-        edge = _edge_cells(inside, chart.u_periodic, chart.v_periodic)
-        cell = math.hypot(axis_u[1] - axis_u[0], axis_v[1] - axis_v[0])
+        start = inside & ~_edge_cells(inside, chart.u_periodic, chart.v_periodic)
         for i, j in _local_minima_box(G, chart.u_periodic, chart.v_periodic):
-            if not inside[i, j]:
+            if not start[i, j]:
                 continue
-            if edge[i, j] and tub.held_inside(chart.name, axis_u[i], axis_v[j],
-                                              cell):
-                continue  # another chart scans this point in its interior
             got = _newton_refine(zdata, chart, axis_u[i], axis_v[j], NEWTON_TOL)
             if got is None:
                 warnings.append({"kind": "newton-dropped", "chart": chart.name,

@@ -327,7 +327,8 @@ def integrate(f, y0, t_span, rtol=None, atol=None, events=(), stop=None,
     """Integrate ẏ = f(t, y) over t_span, adaptively, for each lane of
     ``y0``, an array of shape ``(lanes, dim)``, or for the one problem of
     a ``(dim,)`` state; returns :class:`Lanes`, of one for a ``(dim,)``
-    state.  ``rtol`` and ``atol`` default to :data:`RTOL` and :data:`ATOL`.
+    state.  ``rtol`` and ``atol`` default to :data:`RTOL` and :data:`ATOL`;
+    unless ``rtol`` ≥ 0 and ``atol`` > 0 are finite, it raises ``ValueError``.
 
     ``t0`` and ``t1`` of ``t_span`` may be one value per lane; a lane with
     t1 < t0 runs backward.  ``f(t, y)``, each event function and ``stop``
@@ -352,8 +353,8 @@ def integrate(f, y0, t_span, rtol=None, atol=None, events=(), stop=None,
     A ``(dim,)`` state runs on Python floats and takes no ``events``,
     ``stop`` or ``per_lane``: ``t_span`` holds two floats, ``f(t, y)``
     receives a float and a tuple of ``dim`` floats and returns ``dim``
-    floats, and ``atol`` must be positive.  The run, its counters and its
-    failure are those of the same state as one lane, bit for bit.
+    floats.  The run, its counters and its failure are those of the same
+    state as one lane, bit for bit.
     """
     y = np.array(y0, dtype=float)
     if y.ndim not in (1, 2):
@@ -364,11 +365,14 @@ def integrate(f, y0, t_span, rtol=None, atol=None, events=(), stop=None,
         per_lane = np.asarray(per_lane)
         if per_lane.shape[:1] != y.shape[:1]:
             raise ValueError("per_lane needs one entry per lane")
-    rtol = RTOL if rtol is None else rtol
-    atol = ATOL if atol is None else atol
+    rtol = float(RTOL if rtol is None else rtol)
+    atol = float(ATOL if atol is None else atol)
+    if not (rtol >= 0.0 and atol > 0.0 and math.isfinite(rtol + atol)):
+        raise ValueError(f"the tolerances need rtol >= 0 and atol > 0, both "
+                         f"finite: got rtol={rtol!r}, atol={atol!r}")
     with np.errstate(invalid="ignore", over="ignore"):
         if y.ndim == 1:
-            return _integrate_one(f, y, t_span, float(rtol), float(atol))
+            return _integrate_one(f, y, t_span, rtol, atol)
         return _integrate(f, y, t_span, rtol, atol, events, stop, per_lane)
 
 

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from bcontactlab import charts
 from bcontactlab.charts import Chart, TubularChart
 from bcontactlab.contact import z_ladder
+from bcontactlab.critical import _edge_cells, _scan_grid
 
 
 def test_torus_wrap_and_seam_distance():
@@ -102,28 +104,45 @@ def test_sphere_express_in_rejects_points_outside():
     assert tub.express_in("north-pole", north_pole_point) == pytest.approx((0.0, 0.0))
 
 
-def _sphere_charts(*names):
-    """The sphere atlas cut down to the named charts."""
-    sphere = TubularChart.sphere_atlas()
-    return TubularChart("sphere", sphere.epsilon,
-                        [sphere.charts[name] for name in names])
+def _edge_cells_not_held(tub):
+    """Per chart, the number of edge cells of its critical scan grid, and
+    the edge cells that no other chart holds at least one scan cell (the
+    grid cell's diagonal) inside its domain."""
+    counts, loose = {}, []
+    for name, chart in tub.charts.items():
+        axis_u, axis_v, inside = _scan_grid(chart)
+        cell = math.hypot(axis_u[1] - axis_u[0], axis_v[1] - axis_v[0])
+        edge = np.argwhere(_edge_cells(inside, chart.u_periodic,
+                                       chart.v_periodic))
+        counts[name] = len(edge)
+        for i, j in edge:
+            canonical = tub.to_canonical(name, axis_u[i], axis_v[j])
+            uvs = {other: tub.express_in(other, canonical)
+                   for other in tub.charts if other != name}
+            if not any(uv is not None and tub.charts[other].contains(
+                    *uv, slack=-cell) for other, uv in uvs.items()):
+                loose.append((name, float(axis_u[i]), float(axis_v[j])))
+    return counts, loose
 
 
-def test_angular_theta_edges_are_held_inside_other_charts():
-    north = _sphere_charts("north").charts["north"]
-    lo, hi = north.u_range  # 0.05 and pi/2 + 0.2
-    for theta, holder in ((lo, "north-pole"), (hi, "south")):
-        assert _sphere_charts("north", holder).held_inside(
-            "north", theta, 1.0, 0.05)
-        # only charts other than the point's own, and only with the margin
-        assert not _sphere_charts("north").held_inside(
-            "north", theta, 1.0, 0.05)
-    # radius 0.05 is 0.25 inside the disk's rim; south's θ' = π − θ = 1.3708
-    # is 0.4 inside its upper edge
-    assert not _sphere_charts("north", "north-pole").held_inside(
-        "north", lo, 1.0, 0.26)
-    assert not _sphere_charts("north", "south").held_inside(
-        "north", hi, 1.0, 0.41)
+@pytest.mark.parametrize("kind, counts", [
+    ("torus", {"torus": 0}),
+    ("sphere", {"north": 256, "south": 256, "north-pole": 124,
+                "south-pole": 124}),
+], ids=["torus", "sphere"])
+def test_every_scan_edge_cell_lies_inside_another_chart(kind, counts):
+    # the critical scan starts no Newton iteration on an edge cell: the
+    # atlas must hold each one inside another chart, which scans it there
+    tub = TubularChart.torus() if kind == "torus" else TubularChart.sphere_atlas()
+    assert _edge_cells_not_held(tub) == (counts, [])
+
+
+def test_pole_disks_that_only_reach_the_cap_leave_edge_cells_loose(
+        monkeypatch):
+    monkeypatch.setattr(charts, "POLE_RADIUS", charts.POLE_CAP)
+    _, loose = _edge_cells_not_held(TubularChart.sphere_atlas())
+    assert {name for name, _, _ in loose} == {"north", "south", "north-pole",
+                                               "south-pole"}
 
 
 def test_disk_points_stay_inside_and_include_center_once():

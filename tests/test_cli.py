@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import bcontactlab
-from bcontactlab import contact, runner
+from bcontactlab import contact, mcgehee, runner
 from bcontactlab.cli import main
 from bcontactlab.contact import ValidationReport
 from bcontactlab.critical import CensusBound, CriticalPoint, StabilityReport
@@ -424,6 +424,20 @@ def test_the_oracle_window_is_capped_in_either_direction(tmp_path):
         samples[t_end] = result.report["checks"]["oracle"]["n_samples"]
     assert samples[-300.0] == samples[-10.0]
     assert samples[300.0] == samples[10.0]
+
+
+def test_a_three_body_run_integrates_once(tmp_path, monkeypatch):
+    # the oracle compares the run's own samples; it integrates nothing
+    inner, spans = mcgehee.integrate, []
+
+    def spy(f, y0, t_span, *args, **kwargs):
+        spans.append(t_span)
+        return inner(f, y0, t_span, *args, **kwargs)
+
+    monkeypatch.setattr(mcgehee, "integrate", spy)
+    result = run("mcgehee", "mcgehee", tmp_path)
+    assert result.report["checks"]["oracle"]["passed"]
+    assert spans == [(0.0, 100.0)]
 
 
 def test_beltrami_pipeline(tmp_path):

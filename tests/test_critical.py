@@ -332,13 +332,3 @@ def test_point_in_the_overlap_next_to_an_edge_is_found_once():
     assert len(points) == len(hits) == 1
     assert hits[0].chart == "north-pole" and hits[0].index == 2
     assert warnings == []
-
-
-def test_edge_candidate_that_no_other_chart_holds_is_refined():
-    # the same minimum with the disk chart left out of the form: only the
-    # north chart's edge sample leads to it, so it must still be refined
-    points, hits, _ = _near_edge_scan(("north",))
-    assert len(points) == len(hits) == 1
-    assert hits[0].chart == "north" and hits[0].index == 2
-    assert hits[0].u == pytest.approx(THETA0, abs=1e-9)
-    assert hits[0].v == pytest.approx(PHI0, abs=1e-9)

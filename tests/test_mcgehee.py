@@ -1,4 +1,5 @@
 """Restricted three-body problem in the inverted radial variable."""
+import dataclasses
 import math
 import random
 
@@ -124,21 +125,46 @@ def test_infinity_manifold_is_exactly_invariant():
     assert np.abs(wrapped - np.array([0.0, 0.4, 0.2, 0.7])).max() < 1e-8
 
 
+def _oracle(state, t_end, span=10.0):
+    """The oracle over a run of ``state`` from t = 0 to ``t_end``."""
+    traj = integrate_mcgehee(state, HALF, t_span=(0.0, t_end))
+    return newtonian_oracle_compare(traj, HALF, span)
+
+
 def test_oracle_agreement():
-    report = newtonian_oracle_compare(FAR_START, HALF, t_span=(0.0, 10.0))
+    report = _oracle(FAR_START, 10.0)
     assert report["max_deviation"] < 1e-6
     assert set(report["per_component"]) == {"r", "a", "Pr", "Pa"}
     assert report["n_samples"] > 2
 
 
 def test_oracle_zero_span_is_exact():
-    report = newtonian_oracle_compare(FAR_START, HALF, t_span=(0.0, 0.0))
+    report = _oracle(FAR_START, 0.0)
     assert report["max_deviation"] == 0.0
 
 
 def test_oracle_requires_positive_x():
     with pytest.raises(ValueError):
-        newtonian_oracle_compare(McGeheeState(0.0, 0.0, 0.0, 1.0), HALF)
+        _oracle(McGeheeState(0.0, 0.0, 0.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize("t_end", [30.0, -30.0])
+def test_oracle_window_ends_at_the_first_sample_past_the_span(t_end):
+    traj = integrate_mcgehee(FAR_START, HALF, t_span=(0.0, t_end))
+    n = int(np.argmax(np.abs(traj.t) >= 10.0)) + 1
+    assert abs(traj.t[n - 2]) < 10.0 < abs(traj.t[n - 1])
+    report = newtonian_oracle_compare(traj, HALF, 10.0)
+    assert report["n_samples"] == n and report["t_final"] == traj.t[n - 1]
+    # a run that ends sooner is compared at every sample
+    every = newtonian_oracle_compare(traj, HALF, 100.0)
+    assert every["n_samples"] == traj.t.size
+    # x = 0 counts only inside the window
+    y = traj.y.copy()
+    y[n, 0] = 0.0
+    newtonian_oracle_compare(dataclasses.replace(traj, y=y), HALF, 10.0)
+    y[n - 1, 0] = 0.0
+    with pytest.raises(CollisionError):
+        newtonian_oracle_compare(dataclasses.replace(traj, y=y), HALF, 10.0)
 
 
 def _compare_at(monkeypatch, tols, oracle_tols):
@@ -147,7 +173,7 @@ def _compare_at(monkeypatch, tols, oracle_tols):
     monkeypatch.setattr(rk45, "ATOL", tols[1])
     monkeypatch.setattr(mcgehee, "ORACLE_RTOL", oracle_tols[0])
     monkeypatch.setattr(mcgehee, "ORACLE_ATOL", oracle_tols[1])
-    return newtonian_oracle_compare(FAR_START, HALF, t_span=(0.0, 10.0))
+    return _oracle(FAR_START, 10.0)
 
 
 def test_deviation_shrinks_under_tolerance_tightening(monkeypatch):

@@ -373,6 +373,26 @@ def test_per_lane_values_need_one_entry_per_lane():
             integrate(lambda t, y: y, np.ones(3), (0.0, 1.0), **extra)
 
 
+@pytest.mark.parametrize("tols", [
+    {"atol": 0.0}, {"atol": -1e-12}, {"atol": math.inf}, {"atol": math.nan},
+    {"rtol": -1e-10}, {"rtol": math.inf}, {"rtol": math.nan},
+])
+def test_tolerances_that_would_divide_by_zero_are_refused(tols):
+    # atol = 0 on a zero component made the first step 0/0 (a NaN step on
+    # lanes, ZeroDivisionError on floats); both shapes refuse it up front
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return (0.0,) if np.ndim(y) == 1 else np.zeros_like(y)
+
+    name, value = next(iter(tols.items()))
+    for state in (np.zeros(1), np.zeros((1, 1))):
+        with pytest.raises(ValueError, match=f"{name}={value!r}"):
+            integrate(rhs, state, (0.0, 1.0), **tols)
+    assert calls == []
+
+
 def _lanes_of(g):
     """The lane RHS of ``g``, an RHS of one state on floats."""
     def rhs(t, y):

@@ -4,10 +4,10 @@ import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
-# a builtin, a bcontact catalogue entry, a three-body one and a tool-local
-# form whose frame reads z
+# a builtin, a bcontact catalogue entry, a three-body one, a tool-local
+# form whose frame reads z and a tool-local three-body run on {x = 0}
 IDS = ["beltrami", "torus-a0.10-fan16", "three-body-m0.05-x0.12-k0",
-       "torus-z-beta_u"]
+       "torus-z-beta_u", "mcgehee-x0-zero"]
 
 
 def _tool(name, *args):

@@ -5,15 +5,16 @@ Usage: python3 tools/run_catalogue.py OUT [ID ...]
 The ids are the four builtin scenario names, the ids of the 426
 scenarios of the ``torus-fan``, ``sphere-grid`` and ``three-body``
 catalogues of ``perfbench/workloads.py`` (bcontact, Beltrami and
-three-body; that module is only imported), and four ids of this tool's
-own (``Z_FORMS``): the torus builtin with one field replaced, so that a
-frame reads z, which no catalogue form does.  Each id runs ``bcontactlab
-all`` in this process, through ``cli.main``, with the catalogue entry's
-own arguments (``--seeds``, ``--grid`` or none), into ``OUT/<id>``;
-without ids, all 434 run.  One line per
-run, ``<id> <exit status>``, is printed and written to
-``OUT/exit_status.txt``.  Two such directories, made from two checkouts,
-are the input of ``tools/compare_runs.py``.  It runs the checkout it sits
+three-body; that module is only imported), and six ids of this tool's
+own: four ``Z_FORMS``, the torus builtin with one field replaced, so that
+a frame reads z, which no catalogue form does, and two ``MCGEHEE_FORMS``,
+the three-body builtin run backward and started on {x = 0}, which no
+catalogue entry does.  Each id runs ``bcontactlab all`` in this process,
+through ``cli.main``, with the catalogue entry's own arguments
+(``--seeds``, ``--grid`` or none), into ``OUT/<id>``; without ids, all
+436 run.  One line per run, ``<id> <exit status>``, is printed and
+written to ``OUT/exit_status.txt``.  Two such directories, made from two
+checkouts, are the input of ``tools/compare_runs.py``.  It runs the checkout it sits
 in: the package is imported from the ``src`` directory beside this one.
 """
 from __future__ import annotations
@@ -42,12 +43,18 @@ Z_FORMS = {
     "torus-z-beta_u": ("beta_u", "sin(v) + 0.3*z*cos(u)"),
     "torus-z-beta_z-sincos": ("beta_z", "0.3*sin(u)*cos(v)"),
 }
+# id -> options replaced in the three-body builtin: a backward oracle
+# window, and a run on {x = 0} that the periodicity check follows
+MCGEHEE_FORMS = {
+    "mcgehee-backward": {"t_end": -300.0},
+    "mcgehee-x0-zero": {"x0": 0.0, "pa0": 1.0, "t_end": 20.0},
+}
 
 
 def entries():
     """Every id, with the scenario it runs and its extra arguments: the
-    builtins by name, the catalogue entries and ``Z_FORMS`` as scenario
-    dicts."""
+    builtins by name, the catalogue entries, ``Z_FORMS`` and
+    ``MCGEHEE_FORMS`` as scenario dicts."""
     found = {name: (name, []) for name in builtin_names()}
     for workload in WORKLOADS:
         for entry in workloads.catalogue(workload):
@@ -56,6 +63,9 @@ def entries():
         data = copy.deepcopy(load_scenario("torus").data)
         data["name"] = run_id
         data["fields"]["torus"][key] = text
+        found[run_id] = (data, [])
+    for run_id, options in MCGEHEE_FORMS.items():
+        data = {**load_scenario("mcgehee").data, "name": run_id, **options}
         found[run_id] = (data, [])
     return found
 
