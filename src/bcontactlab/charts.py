@@ -148,26 +148,6 @@ class TubularChart:
                       (-radius, radius), disk_radius=radius)
         return TubularChart("sphere", epsilon, [north, south, npole, spole])
 
-    # -- sphere transition maps -------------------------------------------
-    @staticmethod
-    def angular_transition(theta, phi):
-        """North ↔ south angular chart map; an involution, its own inverse."""
-        phi2 = -phi
-        if phi2 <= -math.pi:
-            phi2 += 2 * math.pi
-        return math.pi - theta, phi2
-
-    def overlap_annulus(self, n_theta=8, n_phi=16):
-        """Sample points of the equatorial overlap of the two angular charts."""
-        if self.kind != "sphere":
-            raise ValueError("overlap annulus exists only for sphere atlases")
-        north = self.charts["north"]
-        t_lo = math.pi - north.u_range[1]
-        t_hi = north.u_range[1]
-        thetas = np.linspace(t_lo + 1e-3, t_hi - 1e-3, n_theta)
-        phis = np.linspace(-math.pi, math.pi, n_phi, endpoint=False)
-        return [(float(t), float(p)) for t in thetas for p in phis]
-
     # -- canonical coordinates and metric ----------------------------------
     def to_canonical(self, chart_name, u, v):
         """Chart point → canonical coordinates usable across the whole atlas.
@@ -201,23 +181,3 @@ class TubularChart:
             return np.hypot(*self.charts["torus"].offset(ca[0] - cb[0],
                                                          ca[1] - cb[1]))
         return np.hypot(np.hypot(ca[0] - cb[0], ca[1] - cb[1]), ca[2] - cb[2])
-
-    def express_in(self, chart_name, canonical):
-        """Canonical coordinates → this chart's (u, v), or None if outside its
-        domain."""
-        chart = self.charts[chart_name]
-        if self.kind == "torus":
-            return chart.wrap(*canonical)
-        x, y, zc = canonical
-        theta = math.atan2(math.hypot(x, y), zc)
-        phi = math.atan2(y, x)
-        if chart_name == "north":
-            uv = (theta, phi)
-        elif chart_name == "south":
-            uv = self.angular_transition(theta, phi)
-        elif chart_name == "north-pole":
-            uv = (theta * math.cos(phi), theta * math.sin(phi))
-        else:  # south-pole
-            rho = math.pi - theta
-            uv = (rho * math.cos(-phi), rho * math.sin(-phi))
-        return uv if chart.contains(*uv) else None

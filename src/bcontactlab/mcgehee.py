@@ -66,12 +66,6 @@ class McGeheeState:
         if self.x < 0.0:
             raise ValueError(f"the radial variable cannot be negative: {self.x}")
 
-    @property
-    def r(self):
-        if self.x == 0.0:
-            return math.inf
-        return 2.0 / (self.x * self.x)
-
     def as_array(self):
         return np.array([self.x, self.a, self.pr, self.pa])
 

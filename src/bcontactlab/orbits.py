@@ -61,8 +61,8 @@ CHART_SLACK = 0.05       # a trace ends "left-chart" this far outside its chart
 TAIL_WINDOW = 0.1        # share of a trace's samples the monotone test reads
 REFINEMENT_FACTOR = 10.0  # tolerance tightening of refinement_check
 # Fewer lanes than this evaluate the field point by point on floats: one
-# array call costs what 13 (`north`) to 15 (torus) float points do, and 21
-# to 24 on a pole chart (tools/small_batch_sweep.py).  A speed constant:
+# array call costs what 11 (`north`) to 12 (torus) float points do, and 20
+# to 21 on a pole chart (tools/small_batch_sweep.py).  A speed constant:
 # on a field of arithmetic and integer powers both paths give the same bits.
 SMALL_BATCH = 16
 
@@ -140,18 +140,27 @@ def regularized_field(reeb, chart_name):
     floats, more in one array call; the two give the same bits wherever
     numpy's elementwise functions do what libm does (``sin`` and ``cos``
     here).  Arithmetic and integer powers, which are multiplication chains,
-    round alike on both paths.
+    round alike on both paths.  Where no frame tree of the chart reads z,
+    the array call takes the lanes' sides for z, which the frame never
+    reads, and skips their exponentials.
     """
+    form = reeb.form
+    reads_z = form.fields[chart_name].trees(
+        form.atlas.charts[chart_name]).reads_z
+
     def rhs(t, y, sigma):
         if len(y) < SMALL_BATCH:
             return np.array([reeb.components(u, v, side * math.exp(s),
                                              chart_name=chart_name)
                              for (u, v, s), side in zip(y.tolist(),
                                                         sigma.tolist())])
-        # libm's exp, as the float path takes it: numpy's exp differs by an
-        # ulp on some arguments
-        z = np.array([side * math.exp(s) for s, side in zip(
-            y[:, 2].tolist(), sigma.tolist())])
+        if reads_z:
+            # libm's exp, as the float path takes it: numpy's exp differs by
+            # an ulp on some arguments
+            z = np.array([side * math.exp(s) for s, side in zip(
+                y[:, 2].tolist(), sigma.tolist())])
+        else:
+            z = sigma.astype(float)
         out = np.empty(y.shape)
         out[:, 0], out[:, 1], out[:, 2] = reeb.components(
             y[:, 0], y[:, 1], z, chart_name=chart_name)
@@ -376,31 +385,63 @@ def trace_invariant_manifolds(reeb, reports, *, n_fan=None, rtol=None,
 # ---------------------------------------------------------------------------
 # census
 
+def _distinct(escaping, tub):
+    """The orbits of ``escaping`` whose seed lies on no trajectory kept
+    before it on the same side of Z: within ``MATCH_TOL`` of a sample, as
+    the distance in ``tub`` plus |Δs|.
+
+    The samples of every trace are sorted by s once, and one
+    ``searchsorted`` finds each seed's window |s − s_seed| < 2·MATCH_TOL;
+    no sample outside it can match, since the distance is ≥ 0.  A window's
+    samples on the seed's side, of an earlier orbit, are tested in one
+    distance call per pair of charts, and one pass in order keeps a seed
+    unless it matched a kept orbit.
+    """
+    if not escaping:
+        return []
+    names = list(tub.charts)
+    seeds = np.array([(o.seed.u, o.seed.v, o.seed.s) for o in escaping])
+    side, home = np.array([(o.seed.sigma, names.index(o.seed.chart))
+                           for o in escaping]).T
+    traces = [(k, names.index(trace.chart), trace.y)
+              for k, o in enumerate(escaping) for trace in (o.toward, o.away)]
+    rows = np.concatenate([y for _, _, y in traces])
+    owner, chart = np.repeat([(k, c) for k, c, _ in traces],
+                             [len(y) for _, _, y in traces], axis=0).T
+    order = np.argsort(rows[:, 2])
+    lo = np.searchsorted(rows[order, 2], seeds[:, 2] - 2 * MATCH_TOL, "left")
+    hi = np.searchsorted(rows[order, 2], seeds[:, 2] + 2 * MATCH_TOL, "right")
+    width = hi - lo
+    seed = np.repeat(np.arange(len(escaping)), width)
+    sample = order[np.arange(width.sum())
+                   + np.repeat(lo - np.cumsum(width) + width, width)]
+    pairs = (owner[sample] < seed) & (side[owner[sample]] == side[seed])
+    seed, sample = seed[pairs], sample[pairs]
+    group = home[seed] * len(names) + chart[sample]
+    match = np.zeros(len(seed), dtype=bool)
+    for key in np.unique(group).tolist():
+        at = group == key
+        a, b = seeds[seed[at]], rows[sample[at]]
+        match[at] = (tub.distance(names[key // len(names)], (a[:, 0], a[:, 1]),
+                                  names[key % len(names)], (b[:, 0], b[:, 1]))
+                     + np.abs(b[:, 2] - a[:, 2]) < MATCH_TOL)
+    kept = [True] * len(escaping)   # in seed order, orbit i < k is decided
+    for k, i in sorted(zip(seed[match].tolist(),
+                           owner[sample[match]].tolist())):
+        kept[k] = kept[k] and not kept[i]
+    return [o for o, keep in zip(escaping, kept) if keep]
+
+
 def escape_census(orbits, bound, tub):
     """Deduplicate traced orbits and compare the tally with the bound.
 
     An escaping orbit is a duplicate when its seed lies on the trajectory of
-    an orbit kept before it on the same side of Z.  The samples of the kept
-    orbits are stacked per (σ, chart), so each seed is one distance call per
-    stack.
+    an orbit kept before it on the same side of Z; the samples of all
+    escaping orbits are matched against the seeds in one sorted sweep
+    (:func:`_distinct`).
     """
-    distinct = []
-    stacks = {}   # (sigma, chart) -> (u, v, s) samples of the kept orbits
-    for orbit in orbits:
-        if orbit.near_end.verdict != "limits-to":
-            continue
-        sb = orbit.seed
-        if any(np.any(tub.distance(sb.chart, (sb.u, sb.v), chart,
-                                   (rows[:, 0], rows[:, 1]))
-                      + np.abs(rows[:, 2] - sb.s) < MATCH_TOL)
-               for (sigma, chart), rows in stacks.items()
-               if sigma == sb.sigma):
-            continue
-        distinct.append(orbit)
-        for trace in (orbit.toward, orbit.away):
-            key = (sb.sigma, trace.chart)
-            stacks[key] = np.concatenate([stacks.get(key, np.empty((0, 3))),
-                                          trace.y])
+    distinct = _distinct([o for o in orbits
+                          if o.near_end.verdict == "limits-to"], tub)
     weighted = sum(o.weight for o in distinct)
 
     per_point = []

@@ -144,11 +144,14 @@ def write_report(report, out_dir):
 
 def _write_csv(path, header, blocks):
     """Write a CSV from blocks of rows, one ``write`` per block, so that
-    no more than a block is ever held as text; a cell is its ``str``."""
+    no more than a block is ever held as text.  A block is a list of row
+    tuples, a cell its ``str``, or a string of rows already formatted
+    (``orbits.csv``, whose rows are one f-string each)."""
     with open(path, "w") as f:
         f.write(header + "\n")
         for rows in blocks:
-            f.write("".join([",".join(map(str, row)) + "\n" for row in rows]))
+            f.write(rows if isinstance(rows, str) else
+                    "".join([",".join(map(str, row)) + "\n" for row in rows]))
     return Path(path)
 
 
@@ -201,17 +204,19 @@ def _stage_census(ctx):
 
 
 def _orbit_rows(k, orbit):
-    """Orbit ``k``'s rows, its two traces merged into one time-ordered pass
-    through the seed: the away trace backwards, less the seed the toward
-    trace repeats."""
+    """Orbit ``k``'s rows as text, its two traces merged into one
+    time-ordered pass through the seed: the away trace backwards, less the
+    seed the toward trace repeats.  A float cell is its ``repr``, which is
+    its ``str``."""
     rows = []
     for trace, sign, order in ((orbit.away, -1, slice(None, 0, -1)),
                                (orbit.toward, 1, slice(None))):
         t = (sign * trace.direction * trace.t).tolist()
         sigma = trace.sigma
-        rows += [(k, ti, u, v, s, sigma * math.exp(s), sigma)
+        rows += [f"{k},{ti!r},{u!r},{v!r},{s!r},{sigma * math.exp(s)!r},"
+                 f"{sigma}\n"
                  for ti, (u, v, s) in list(zip(t, trace.y.tolist()))[order]]
-    return rows
+    return "".join(rows)
 
 
 def _write_orbits_file(ctx, out_dir):

@@ -13,12 +13,15 @@ import pytest
 import bcontactlab
 from bcontactlab import contact, mcgehee, runner
 from bcontactlab.cli import main
-from bcontactlab.contact import ValidationReport
-from bcontactlab.critical import CensusBound, CriticalPoint, StabilityReport
+from bcontactlab.contact import (BReebField, ValidationReport,
+                                 exceptional_hamiltonian)
+from bcontactlab.critical import (CensusBound, CriticalPoint,
+                                  StabilityReport, find_critical_points,
+                                  stability_at)
 from bcontactlab.orbits import (EscapeCensus, EscapeOrbit, LimitReport,
-                                RegularizedState)
+                                RegularizedState, trace_invariant_manifolds)
 from bcontactlab.runner import _reported, run
-from bcontactlab.scenarios import ScenarioError, load_scenario
+from bcontactlab.scenarios import ScenarioError, load_scenario, scenario_form
 
 
 @pytest.fixture(scope="module")
@@ -119,6 +122,31 @@ def test_every_numeric_csv_cell_parses(torus_run, sphere_run, mcgehee_run):
     for row in rows:
         assert len(row) == 6
         [float(cell) for cell in row]
+
+
+def _tuple_orbit_rows(k, orbit):
+    """Orbit ``k``'s rows as tuples, the reference for the f-string rows
+    of ``orbits.csv``: the away trace backwards, less the seed, then the
+    toward trace."""
+    rows = []
+    for trace, sign, order in ((orbit.away, -1, slice(None, 0, -1)),
+                               (orbit.toward, 1, slice(None))):
+        t = (sign * trace.direction * trace.t).tolist()
+        rows += [(k, ti, u, v, s, trace.sigma * math.exp(s), trace.sigma)
+                 for ti, (u, v, s) in list(zip(t, trace.y.tolist()))[order]]
+    return rows
+
+
+def test_orbits_csv_equals_the_str_join_writer(torus_run):
+    form = scenario_form(load_scenario("torus"))
+    reeb = BReebField(form)
+    reports = [stability_at(p, reeb)
+               for p in find_critical_points(exceptional_hamiltonian(form))]
+    orbits = trace_invariant_manifolds(reeb, reports)
+    text = "orbit,t,u,v,s,z,side\n" + "".join(
+        ",".join(map(str, row)) + "\n" for k, orbit in enumerate(orbits)
+        if orbit.toward is not None for row in _tuple_orbit_rows(k, orbit))
+    assert (torus_run.out_dir / "orbits.csv").read_bytes() == text.encode()
 
 
 def _strict_report(out_dir):

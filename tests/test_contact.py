@@ -29,6 +29,7 @@ from bcontactlab.beltrami import BeltramiData, contact_from_beltrami
 from bcontactlab.expressions import evaluate, gradient, hessian, parse
 from bcontactlab.runner import run
 from bcontactlab.scenarios import load_scenario, scenario_form
+from sphere_maps import angular_transition, overlap_annulus
 from tests_fd import central_gradient
 
 
@@ -345,8 +346,8 @@ def test_sphere_chart_consistency_on_overlaps(sphere):
     # north ↔ south angular overlap near the equator (orientation-preserving
     # transition, so V matches without a sign)
     sang = form.fields["south"]
-    for theta, phi in form.atlas.overlap_annulus(n_theta=4, n_phi=6):
-        t2, p2 = TubularChart.angular_transition(theta, phi)
+    for theta, phi in overlap_annulus(form.atlas, n_theta=4, n_phi=6):
+        t2, p2 = angular_transition(theta, phi)
         assert zdata.H_value(theta, phi, "north") == pytest.approx(
             zdata.H_value(t2, p2, "south"), abs=1e-13)
         assert zdata.w_value(theta, phi, "north") == pytest.approx(

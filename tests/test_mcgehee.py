@@ -35,12 +35,6 @@ def test_state_rejects_negative_x():
         McGeheeState(-0.1, 0.0, 0.0, 0.0)
 
 
-def test_radius_mapping():
-    assert McGeheeState(0.2, 0.0, 0.0, 0.0).r == pytest.approx(50.0, rel=1e-15)
-    assert McGeheeState(0.25, 0.0, 0.0, 0.0).r == 32.0
-    assert McGeheeState(0.0, 0.0, 0.0, 0.0).r == math.inf
-
-
 def test_energy_matches_polar_form_at_r200():
     s = McGeheeState(0.1, 0.0, 0.0, 0.0)
     h = hamiltonian(s, HALF)

@@ -21,9 +21,9 @@ from bcontactlab.critical import (
     stability_at,
 )
 from bcontactlab.orbits import (
-    SMALL_BATCH, EscapeOrbit, LimitReport, OrbitTrace, RegularizedState,
-    _trace_lanes, detect_limit, escape_census, refinement_check, seed_plan,
-    trace_invariant_manifolds,
+    MATCH_TOL, SMALL_BATCH, EscapeOrbit, LimitReport, OrbitTrace,
+    RegularizedState, _distinct, _trace_lanes, detect_limit, escape_census,
+    refinement_check, regularized_field, seed_plan, trace_invariant_manifolds,
 )
 from bcontactlab.scenarios import load_scenario, scenario_form
 
@@ -204,6 +204,36 @@ def test_the_cut_comes_from_the_atlas_of_the_form(tmp_path):
     for o in orbits:
         assert o.toward.status == "event:reached-Z"
         assert o.toward.final[2] == pytest.approx(cut, abs=1e-12)
+
+
+def _rhs_both_paths(form, monkeypatch):
+    """The torus chart's right-hand side on ``SMALL_BATCH`` + 3 lanes on
+    both sides of Z, at s and at s + 1: one array call each, then point by
+    point on floats."""
+    rng = np.random.default_rng(3)
+    n = SMALL_BATCH + 3
+    y = np.column_stack([rng.uniform(0.0, 2 * math.pi, (n, 2)),
+                         rng.uniform(-20.0, -1.0, n)])
+    sigma = np.where(np.arange(n) % 2, 1, -1)
+    rhs = regularized_field(BReebField(form), "torus")
+    shifted = y + [0.0, 0.0, 1.0]
+    array = [rhs(0.0, y, sigma), rhs(0.0, shifted, sigma)]
+    monkeypatch.setattr("bcontactlab.orbits.SMALL_BATCH", n + 1)
+    return array, [rhs(0.0, y, sigma), rhs(0.0, shifted, sigma)]
+
+
+def test_array_rhs_equals_the_float_path_where_no_frame_reads_z(monkeypatch):
+    form = scenario_form(load_scenario("torus"))
+    assert not form.fields["torus"].trees(form.atlas.charts["torus"]).reads_z
+    array, floats = _rhs_both_paths(form, monkeypatch)
+    assert [a.tobytes() for a in array] == [f.tobytes() for f in floats]
+
+
+def test_array_rhs_reads_z_where_the_frame_does(monkeypatch):
+    (at_s, at_s1), floats = _rhs_both_paths(torus_setup(**Z_BETA_U),
+                                            monkeypatch)
+    assert not np.any(np.all(at_s == at_s1, axis=1))
+    assert np.array_equal(at_s, floats[0]) and np.array_equal(at_s1, floats[1])
 
 
 def test_regularized_field_needs_a_side():
@@ -438,6 +468,78 @@ def test_census_drops_seeds_that_lie_on_a_kept_trajectory():
     assert n_distinct(sphere, kept, _hand_orbit("north", 1, (theta, phi, -4.0))) == 1
     assert n_distinct(sphere, kept,
                       _hand_orbit("north", 1, (theta, phi + 0.01, -4.0))) == 2
+
+
+def _stacked_distinct(orbits, tub):
+    """The census's kept orbits by the loop the sorted sweep replaced, its
+    reference: each seed is one distance call per (σ, chart) stack of the
+    samples of the orbits kept before it."""
+    distinct = []
+    stacks = {}   # (sigma, chart) -> (u, v, s) samples of the kept orbits
+    for orbit in orbits:
+        if orbit.near_end.verdict != "limits-to":
+            continue
+        sb = orbit.seed
+        if any(np.any(tub.distance(sb.chart, (sb.u, sb.v), chart,
+                                   (rows[:, 0], rows[:, 1]))
+                      + np.abs(rows[:, 2] - sb.s) < MATCH_TOL)
+               for (sigma, chart), rows in stacks.items()
+               if sigma == sb.sigma):
+            continue
+        distinct.append(orbit)
+        for trace in (orbit.toward, orbit.away):
+            key = (sb.sigma, trace.chart)
+            stacks[key] = np.concatenate([stacks.get(key, np.empty((0, 3))),
+                                          trace.y])
+    return distinct
+
+
+def _kept_by_both(orbits, tub):
+    """The kept orbits of the sorted sweep, asserted equal to the loop's."""
+    kept = _distinct([o for o in orbits if o.near_end.verdict == "limits-to"],
+                     tub)
+    assert [id(o) for o in kept] == [id(o) for o in
+                                     _stacked_distinct(orbits, tub)]
+    return kept
+
+
+# the torus builtin with a frame that reads z
+Z_BETA_U = dict(beta_u="sin(v) + 0.3*z*cos(u)")
+
+
+@pytest.mark.parametrize("form, n_fan, n_distinct", [
+    ("torus", 16, 72), ("torus", 64, 248), ("sphere", None, 4),
+    (Z_BETA_U, None, 64),
+], ids=["torus-seeds-16", "torus-seeds-64", "sphere", "torus-z-beta_u"])
+def test_sorted_sweep_keeps_what_the_stacked_loop_keeps(form, n_fan,
+                                                        n_distinct):
+    # the sphere's seeds and samples lie on different charts; at 64 seeds
+    # a fan's seeds lie on each other's trajectories
+    form = (torus_setup(**form) if isinstance(form, dict)
+            else scenario_form(load_scenario(form)))
+    reeb = BReebField(form)
+    reports = [stability_at(p, reeb)
+               for p in find_critical_points(exceptional_hamiltonian(form))]
+    orbits = trace_invariant_manifolds(reeb, reports, n_fan=n_fan)
+    assert len(_kept_by_both(orbits, form.atlas)) == n_distinct
+
+
+def test_sorted_sweep_matches_a_sample_three_quarters_of_match_tol_away():
+    # each seed lies 1e-9 from a kept sample on the surface and 0.75·MATCH_TOL
+    # from it in s, above it on one side of Z and below it on the other, so
+    # a window narrower than that keeps the seed
+    ds = 0.75 * MATCH_TOL
+    above = _hand_orbit("torus", 1, (1.0, 2.0, -9.0),
+                        toward=[(1.5, 2.5, -12.0 + ds)])
+    below = _hand_orbit("torus", -1, (3.0, 2.0, -9.0),
+                        away=[(4.0, 1.0, -7.0 - ds)])
+    on_above = _hand_orbit("torus", 1, (1.5 + 1e-9, 2.5, -12.0))
+    on_below = _hand_orbit("torus", -1, (4.0, 1.0 - 1e-9, -7.0))
+    # the first sample again, on the other side of Z
+    across = _hand_orbit("torus", -1, (1.5, 2.5, -12.0 + ds))
+    orbits = [above, below, on_above, on_below, across]
+    kept = _kept_by_both(orbits, TubularChart.torus())
+    assert [id(o) for o in kept] == [id(orbits[k]) for k in (0, 1, 4)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # a builtin, a bcontact catalogue entry, a three-body one, a tool-local
-# form whose frame reads z and a tool-local three-body run on {x = 0}
+# form whose frame reads z, a tool-local three-body run on {x = 0} and a
+# tool-local torus run with 64-seed fans
 IDS = ["beltrami", "torus-a0.10-fan16", "three-body-m0.05-x0.12-k0",
-       "torus-z-beta_u", "mcgehee-x0-zero"]
+       "torus-z-beta_u", "mcgehee-x0-zero", "torus-seeds-64"]
 
 
 def _tool(name, *args):

@@ -5,14 +5,16 @@ Usage: python3 tools/run_catalogue.py OUT [ID ...]
 The ids are the four builtin scenario names, the ids of the 426
 scenarios of the ``torus-fan``, ``sphere-grid`` and ``three-body``
 catalogues of ``perfbench/workloads.py`` (bcontact, Beltrami and
-three-body; that module is only imported), and six ids of this tool's
+three-body; that module is only imported), and eight ids of this tool's
 own: four ``Z_FORMS``, the torus builtin with one field replaced, so that
-a frame reads z, which no catalogue form does, and two ``MCGEHEE_FORMS``,
+a frame reads z, which no catalogue form does, two ``MCGEHEE_FORMS``,
 the three-body builtin run backward and started on {x = 0}, which no
-catalogue entry does.  Each id runs ``bcontactlab all`` in this process,
+catalogue entry does, and two ``SEED_RUNS``, the torus builtin with
+saddle fans larger than any catalogue entry's, whose censuses hold 264
+and 1,032 seeds.  Each id runs ``bcontactlab all`` in this process,
 through ``cli.main``, with the catalogue entry's own arguments
 (``--seeds``, ``--grid`` or none), into ``OUT/<id>``; without ids, all
-436 run.  One line per run, ``<id> <exit status>``, is printed and
+438 run.  One line per run, ``<id> <exit status>``, is printed and
 written to ``OUT/exit_status.txt``.  Two such directories, made from two
 checkouts, are the input of ``tools/compare_runs.py``.  It runs the checkout it sits
 in: the package is imported from the ``src`` directory beside this one.
@@ -49,12 +51,14 @@ MCGEHEE_FORMS = {
     "mcgehee-backward": {"t_end": -300.0},
     "mcgehee-x0-zero": {"x0": 0.0, "pa0": 1.0, "t_end": 20.0},
 }
+# id -> the torus builtin's ``--seeds``
+SEED_RUNS = {"torus-seeds-64": 64, "torus-seeds-256": 256}
 
 
 def entries():
     """Every id, with the scenario it runs and its extra arguments: the
     builtins by name, the catalogue entries, ``Z_FORMS`` and
-    ``MCGEHEE_FORMS`` as scenario dicts."""
+    ``MCGEHEE_FORMS`` as scenario dicts, and ``SEED_RUNS``."""
     found = {name: (name, []) for name in builtin_names()}
     for workload in WORKLOADS:
         for entry in workloads.catalogue(workload):
@@ -67,6 +71,8 @@ def entries():
     for run_id, options in MCGEHEE_FORMS.items():
         data = {**load_scenario("mcgehee").data, "name": run_id, **options}
         found[run_id] = (data, [])
+    for run_id, seeds in SEED_RUNS.items():
+        found[run_id] = ("torus", ["--seeds", str(seeds)])
     return found
 
 
