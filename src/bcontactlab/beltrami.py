@@ -32,8 +32,7 @@ from .critical import (
     spectrum_mismatch,
 )
 from .expressions import (
-    Const, Expr, compile, differentiate, eval_value, hessian, parse,
-    substitute,
+    Const, Expr, compile, differentiate, evaluate, hessian, parse, substitute,
 )
 
 __all__ = [
@@ -76,12 +75,7 @@ def _build(template, **parts):
     return substitute(tree, {k: _expr(v) for k, v in parts.items()})
 
 
-def _torus_grid(grid):
-    nu, nv = grid
-    u = np.linspace(0.0, 2.0 * math.pi, nu, endpoint=False)
-    v = np.linspace(0.0, 2.0 * math.pi, nv, endpoint=False)
-    U, V = np.meshgrid(u, v, indexing="ij")
-    return U.ravel(), V.ravel()
+_TORUS = TubularChart.torus().charts["torus"]  # the grid checks sample it
 
 
 def _on_grid(x, shape):
@@ -105,21 +99,11 @@ class MetricOnZ:
         return cls(metric.get("h_uu", "1"), metric.get("h_uv", "0"),
                    metric.get("h_vv", "1"))
 
-    def entries(self, u, v):
-        return (eval_value(self.h_uu, _NAMES, (u, v)),
-                eval_value(self.h_uv, _NAMES, (u, v)),
-                eval_value(self.h_vv, _NAMES, (u, v)))
-
-    def det(self, u, v):
-        return eval_value(self.det_expr, _NAMES, (u, v))
-
-    def sqrt_det(self, u, v):
-        return eval_value(self.sqrt_det_expr, _NAMES, (u, v))
-
     def validate(self):
-        U, V = _torus_grid(METRIC_GRID)
-        a = _on_grid(self.entries(U, V)[0], U.shape)
-        d = _on_grid(self.det(U, V), U.shape)
+        U, V = _TORUS.samples(*METRIC_GRID)
+        env = {"u": U, "v": V}
+        a, d = (_on_grid(evaluate(t, env), U.shape)
+                for t in (self.h_uu, self.det_expr))
         for name, values in (("h_uu", a), ("det h", d)):
             k = int(np.argmin(values))
             if float(values[k]) <= 0.0:
@@ -147,13 +131,6 @@ class BeltramiData:
         return cls(data["stream"], MetricOnZ.from_scenario(data),
                    data["eigenvalue"])
 
-    def stream_value(self, u, v):
-        return eval_value(self.stream, _NAMES, (u, v))
-
-    def stream_gradient(self, u, v):
-        return (eval_value(self._stream_u, _NAMES, (u, v)),
-                eval_value(self._stream_v, _NAMES, (u, v)))
-
 
 def tangential_expressions(data):
     """(X_u, X_v) = (−F_v, F_u) / (λ √det h) as expression trees."""
@@ -177,7 +154,7 @@ class IdentityReport:
     worst_at: dict
 
 
-def hamiltonian_identity_check(data, grid=(64, 64), components=None):
+def hamiltonian_identity_check(data, grid=None, components=None):
     """Compare ι_X(λ·dA_h) with dF on a grid, under one global sign.
 
     The sign is fixed by the first sample where both sides are nonzero and
@@ -187,9 +164,11 @@ def hamiltonian_identity_check(data, grid=(64, 64), components=None):
     evaluators to audit in place of the derived ones.  F_u, F_v and √det h
     come from one compiled evaluation, and the derived X from those values.
     It passes below :data:`contact.RESIDUAL_TOL`, the pipeline's threshold.
+    ``grid`` defaults to ``contact.VALIDATION_GRID[:2]``.
     """
     threshold = contact.RESIDUAL_TOL
-    U, V = _torus_grid(grid)
+    grid = contact.VALIDATION_GRID[:2] if grid is None else grid
+    U, V = _TORUS.samples(*grid)
     fu, fv, sqrt_det = compile((data._stream_u, data._stream_v,
                                 data.metric.sqrt_det_expr), _NAMES)(U, V)
     scale = data.eigenvalue * sqrt_det
@@ -250,16 +229,18 @@ def _laplacian(data):
                   dv=differentiate(flux_v, "v"), s=m.sqrt_det_expr)
 
 
-def laplace_eigen_check(data, grid=(64, 64)):
+def laplace_eigen_check(data, grid=None):
     """Estimate Δ_h F / F on a grid and test it for constancy.
 
     Δ_h is div∘grad, so eigenvalues on the torus come out negative.  The
     ratio is sampled away from the zero level of F (|F| above
     ``LEVEL_FLOOR`` times its grid maximum); it must be constant to
     ``EIGEN_RATIO_TOL`` for an eigenfunction verdict.  Δ_h F and F come
-    from one compiled evaluation.
+    from one compiled evaluation.  ``grid`` defaults to
+    ``contact.VALIDATION_GRID[:2]``.
     """
-    U, V = _torus_grid(grid)
+    grid = contact.VALIDATION_GRID[:2] if grid is None else grid
+    U, V = _TORUS.samples(*grid)
     laplacian, values = (_on_grid(x, U.shape) for x in compile(
         (_laplacian(data), data.stream), _NAMES)(U, V))
     top = float(np.max(np.abs(values)))
@@ -305,12 +286,14 @@ def beltrami_stability_matrix(data, point=(0.0, 0.0)):
     stream function).
     """
     u, v = float(point[0]), float(point[1])
-    grad_norm = math.hypot(*data.stream_gradient(u, v))
+    env = {"u": u, "v": v}
+    grad_norm = math.hypot(evaluate(data._stream_u, env),
+                           evaluate(data._stream_v, env))
     if grad_norm > GRAD_TOL:
         raise ValueError(f"(u={u:.6f}, v={v:.6f}) is not a stagnation point: "
                          f"|grad F| = {grad_norm:.3e}")
-    f_p = float(data.stream_value(u, v))
-    (fuu, fuv), (_, fvv) = [[eval_value(e, _NAMES, (u, v)) for e in row]
+    f_p = float(evaluate(data.stream, env))
+    (fuu, fuv), (_, fvv) = [[evaluate(e, env) for e in row]
                             for row in hessian(data.stream, _NAMES)]
     det_hess = fuu * fvv - fuv * fuv
     if abs(det_hess) < MORSE_DET_FLOOR:
@@ -322,7 +305,8 @@ def beltrami_stability_matrix(data, point=(0.0, 0.0)):
             f"the stream function vanishes at the stagnation point "
             f"(u={u:.6f}, v={v:.6f}); zero is not a regular value")
 
-    rescale = data.eigenvalue * float(data.metric.sqrt_det(u, v))
+    rescale = data.eigenvalue * float(evaluate(data.metric.sqrt_det_expr,
+                                               env))
     dx = np.zeros((3, 3))
     dx[:2, :2] = np.array([[-fuv, -fvv], [fuu, fuv]]) / rescale
     dx[2, 2] = -f_p
@@ -350,7 +334,7 @@ def beltrami_stability_matrix(data, point=(0.0, 0.0)):
 # ---------------------------------------------------------------------------
 # back to a contact form
 
-def contact_from_beltrami(data, grid=(64, 64, 9)):
+def contact_from_beltrami(data, grid=None):
     """Build α = g(X, ·) from the field data and audit it.
 
     With g = h + dz²/z² and X = X_u ∂u + X_v ∂v + (z X_z) ∂z the one-form is
@@ -359,7 +343,8 @@ def contact_from_beltrami(data, grid=(64, 64, 9)):
     Returns the form together with a report: whether the exceptional
     Hamiltonian recovers the stream function, and whether the form passes
     the contact condition (it legitimately may not — that requires X to be
-    nonvanishing — so failure is recorded, not raised).
+    nonvanishing — so failure is recorded, not raised).  ``grid`` defaults
+    to ``contact.VALIDATION_GRID``.
     """
     m = data.metric
     x_u, x_v = tangential_expressions(data)
@@ -374,7 +359,7 @@ def contact_from_beltrami(data, grid=(64, 64, 9)):
     contact, f_on_Z = contact_sweep(form, grid=grid)
     U, V, f = f_on_Z["torus"]
     recovered = -f
-    target = data.stream_value(U, V)
+    target = evaluate(data.stream, {"u": U, "v": V})
     gap = float(np.max(np.abs(_on_grid(recovered, U.shape)
                               - _on_grid(target, U.shape))))
     report = {

@@ -107,6 +107,14 @@ class Chart:
                 pts.append((r * math.cos(psi), r * math.sin(psi)))
         return pts
 
+    def samples(self, nu, nv):
+        """Flat (U, V) sample arrays: the box grid (u-major), or
+        :meth:`disk_points` for a disk chart, which ignores the counts."""
+        if self.disk_radius > 0.0:
+            return tuple(np.array(self.disk_points()).T)
+        U, V = np.meshgrid(*self.grid(nu, nv), indexing="ij")
+        return U.ravel(), V.ravel()
+
 
 class TubularChart:
     """The tubular neighborhood Z × (−ε, ε) as a set of glued charts, held in

@@ -70,11 +70,12 @@ __all__ = [
     "ValidationReport", "RankDeficiencyError",
     "contact_check", "contact_sweep", "solve_reeb", "exceptional_hamiltonian",
     "verify_hamiltonian_identity", "reeb_residual_report", "check_grid",
-    "CONTACT_THRESHOLD", "RESIDUAL_TOL",
+    "CONTACT_THRESHOLD", "RESIDUAL_TOL", "VALIDATION_GRID",
 ]
 
 CONTACT_THRESHOLD = 1e-8
 RESIDUAL_TOL = 1e-9       # default threshold of the validation residuals
+VALIDATION_GRID = (64, 64, 9)  # (nu, nv, nz) of a sweep given no grid
 _DET_FLOOR = 1e-12
 # fl(V) = fl(A·S − B·Q + C·P) errs by about 3ε·T, T = |A·S| + |B·Q| + |C·P|,
 # so |V| ≥ c·T bounds the relative error of V, and of x = (S, −Q, P)/V, by
@@ -282,11 +283,7 @@ def _slabs(form, grid, *audited):
     if len(grid) == 3:
         levels = z_ladder(form.atlas.epsilon, grid[2])
     for chart in form.atlas.charts.values():
-        if chart.disk_radius > 0.0:
-            U, V = np.array(chart.disk_points()).T
-        else:
-            U, V = np.meshgrid(*chart.grid(*grid[:2]), indexing="ij")
-            U, V = U.ravel(), V.ravel()
+        U, V = chart.samples(*grid[:2])
         cf = form.fields[chart.name]
         reads_z = any(f.fields[chart.name].trees(chart).reads_z
                       for f in (form, *audited))
@@ -345,10 +342,11 @@ _quiet = np.errstate(over="ignore", invalid="ignore")  # checks report these
 
 
 @_quiet
-def contact_sweep(form, grid=(64, 64, 9)):
+def contact_sweep(form, grid=None):
     """:func:`contact_check`'s report, and f on Z from the same sweep:
     ``{chart name: (U, V, f)}``, the chart's samples and C = f from the
-    slab that stands for z = 0."""
+    slab that stands for z = 0.  ``grid`` defaults to ``VALIDATION_GRID``."""
+    grid = VALIDATION_GRID if grid is None else grid
     per_chart, f_on_Z = {}, {}
     for chart, cf, U, V, z, Z, levels in _slabs(form, grid):
         _, _, C, *_, vol = frame_values(cf, chart, U, V, Z)
@@ -359,7 +357,7 @@ def contact_sweep(form, grid=(64, 64, 9)):
     return _contact_report(per_chart, CONTACT_THRESHOLD, grid), f_on_Z
 
 
-def contact_check(form, grid=(64, 64, 9)):
+def contact_check(form, grid=None):
     """Validate α∧dα ≠ 0: min |V| over the validation grid of every chart,
     each chart's frame evaluated once per slab of :func:`_slabs` (once in
     all for a chart whose frame reads no z)."""
@@ -367,7 +365,7 @@ def contact_check(form, grid=(64, 64, 9)):
 
 
 @_quiet
-def solve_reeb(form, grid=(64, 64, 9)):
+def solve_reeb(form, grid=None):
     """The validation sweep: ``(reeb, [contact, residuals, identity])``.
 
     Each slab's frame is evaluated once: one slab per (chart, z-level), or
@@ -378,8 +376,10 @@ def solve_reeb(form, grid=(64, 64, 9)):
     nothing is raised: ``reeb`` is None and the residual check (and the
     identity check, for the slab standing for z = 0) fails at the lane
     where the floor that fired is furthest below it, naming the cause.
-    Both residual checks pass below ``RESIDUAL_TOL``.
+    Both residual checks pass below ``RESIDUAL_TOL``; ``grid`` defaults to
+    ``VALIDATION_GRID``.
     """
+    grid = VALIDATION_GRID if grid is None else grid
     per_chart, residual, identity = {}, _Worst(), _Worst()
     degenerate, degenerate_on_Z = _Worst(smallest=True), _Worst(smallest=True)
     for chart, cf, U, V, z, Z, levels in _slabs(form, grid):
@@ -410,13 +410,15 @@ def solve_reeb(form, grid=(64, 64, 9)):
 
 
 @_quiet
-def reeb_residual_report(form, reeb=None, grid=(64, 64, 9)):
+def reeb_residual_report(form, reeb=None, grid=None):
     """Max |α(R) − 1| and max |ι_R dα| component over the validation grid.
 
     The residuals measure how well ``reeb`` satisfies the defining equations
     of ``form``; by default the field is the one solved from ``form`` itself,
-    but any :class:`BReebField` can be audited against the form.
+    but any :class:`BReebField` can be audited against the form.  ``grid``
+    defaults to ``VALIDATION_GRID``.
     """
+    grid = VALIDATION_GRID if grid is None else grid
     reeb = reeb or BReebField(form)
     residual = _Worst()
     for chart, cf, U, V, z, Z, _ in _slabs(form, grid, reeb.form):
@@ -474,7 +476,9 @@ def _area_coefficient(f, A, B, P, f_u, f_v):
 exceptional_hamiltonian = ZSymplecticData  # H = −f|_Z, the generator on Z
 
 
-def verify_hamiltonian_identity(form, grid=(64, 64)):
+def verify_hamiltonian_identity(form, grid=None):
     """Check ι_{R|_Z} ω = d(f|_Z) componentwise over the Z grid: the
-    identity check of :func:`solve_reeb` on the surface grid alone."""
+    identity check of :func:`solve_reeb` on the surface grid alone,
+    ``VALIDATION_GRID[:2]`` by default."""
+    grid = VALIDATION_GRID[:2] if grid is None else grid
     return solve_reeb(form, grid)[1][2]

@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 BETTI = {"torus": (1, 2, 1), "sphere": (1, 0, 1)}
-EULER = {"torus": 0, "sphere": 2}
+EULER = {kind: b0 - b1 + b2 for kind, (b0, b1, b2) in BETTI.items()}
 
 COARSE_GRID = (128, 128)  # scan samples of a box chart
 NEWTON_TOL = 1e-10

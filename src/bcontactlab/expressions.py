@@ -55,8 +55,8 @@ import numpy as np
 __all__ = [
     "ParseError", "EvalError", "DomainError", "Expr", "Const", "Var", "Unary",
     "Binary", "Power", "parse", "to_string", "evaluate", "free_vars",
-    "differentiate", "gradient", "hessian", "substitute", "eval_value",
-    "compile", "ABS_KINK_HALFWIDTH", "MAX_POWER",
+    "differentiate", "gradient", "hessian", "substitute", "compile",
+    "ABS_KINK_HALFWIDTH", "MAX_POWER",
 ]
 
 FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
@@ -753,11 +753,3 @@ def substitute(e, mapping):
     if isinstance(e, Binary):
         return Binary(e.op, substitute(e.left, mapping), substitute(e.right, mapping))
     raise TypeError(f"not an Expr: {e!r}")
-
-
-# --------------------------------------------------------------------------
-# point evaluation helpers
-
-def eval_value(e, variables, point):
-    """Value of ``e`` at ``point`` (floats or arrays)."""
-    return evaluate(e, dict(zip(variables, point)))

@@ -51,6 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import contact
 from .beltrami import (BeltramiData, beltrami_stability_matrix,
                        contact_from_beltrami, hamiltonian_identity_check,
                        laplace_eigen_check)
@@ -352,14 +353,15 @@ def run(source, subcommand="all", out_dir=None, *, grid=None, seeds=None):
     ``report.json`` is written in all three cases.  Odd ``seeds`` or below
     1, or a ``grid`` that ``check_grid`` rejects, raises ``ValueError``
     before anything is written, as a bad scenario raises ``ScenarioError``.
-    Two grid counts take nz = 9.  Every pass/fail threshold is a module
-    constant (README, "Tuning constants"), read when its stage runs.
+    ``grid`` defaults to ``contact.VALIDATION_GRID``, and two grid counts
+    take its nz.  Every pass/fail threshold is a module constant (README,
+    "Tuning constants"), read when its stage runs.
     """
     if seeds is not None and (seeds < 1 or seeds % 2):
         raise ValueError(f"seeds must be at least 1 and even, got {seeds}")
-    grid = (64, 64, 9) if grid is None else tuple(grid)
+    grid = contact.VALIDATION_GRID if grid is None else tuple(grid)
     check_grid(grid)
-    grid3 = grid if len(grid) == 3 else (*grid, 9)
+    grid3 = grid if len(grid) == 3 else (*grid, contact.VALIDATION_GRID[2])
     t_start = time.perf_counter()
     timing = {}
     scenario = (source if isinstance(source, Scenario)

@@ -20,18 +20,12 @@ package's ``scenarios`` directory, one file per name in
 name: ``load_scenario("sphere")``.  A new builtin is one more file there
 and its name in :func:`builtin_names`.
 
-The sphere's polar caps need field expressions in the disk charts, where
-the angular formulas ``cos(theta)``, ``sin(theta)^2`` degenerate.  With
-rho = u^2 + v^2 the smooth radial profiles are
-
-    cos(sqrt(rho))          = sum_k (-1)^k rho^k / (2k)!
-    sin(sqrt(rho))^2 / rho  = sum_k (-1)^k 2^(2k+1) rho^k / (2k+2)!
-
-Both series are alternating with rapidly shrinking terms; truncating at
-rho^8 leaves a remainder below 1e-16 for rho <= 0.09, i.e. they are exact
-to double precision on a cap of radius 0.3.  The sphere file stores the
-resulting polynomial strings; :func:`sphere_field_strings` derives them,
-so a test can pin the shipped file to the series.
+The sphere file's pole-disk strings are, with rho = u^2 + v^2, the rho^8
+truncations of the smooth radial profiles cos(sqrt(rho)) (for f) and
+sin(sqrt(rho))^2 / rho (for beta), where the angular formulas
+``cos(theta)``, ``sin(theta)^2`` degenerate.  Both series alternate with
+rapidly shrinking terms, so the remainder is below 1e-16 for rho <= 0.09:
+exact to double precision on a cap of radius 0.3.
 
 Field strings are parsed once per process: validation and
 :func:`scenario_form` share one bounded parse memo, and a second bounded
@@ -45,85 +39,21 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .charts import TubularChart
 from .contact import BContactForm, ChartFields
-from .expressions import ParseError, parse, substitute, to_string
+from .expressions import ParseError, parse
 
 __all__ = [
     "ScenarioError", "Scenario", "load_scenario", "builtin_names",
-    "scenario_form", "sphere_field_strings", "pole_profile_strings",
+    "scenario_form",
 ]
-
-SERIES_ORDER = 9  # rho^0 .. rho^8
 
 
 class ScenarioError(ValueError):
     """A scenario file failed validation."""
-
-
-# ---------------------------------------------------------------------------
-# built-in field expressions
-
-
-def _series_string(coefficients, var):
-    """Render sum c_k * var^k with exact rational coefficients."""
-    parts = []
-    for k, c in enumerate(coefficients):
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else "+"
-        num, den = abs(c.numerator), c.denominator
-        if k == 0:
-            body = f"{num}" if den == 1 else f"{num}/{den}"
-        else:
-            pw = var if k == 1 else f"{var}^{k}"
-            body = pw if num == 1 else f"{num}*{pw}"
-            if den != 1:
-                body = f"{body}/{den}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts) if parts else "0"
-
-
-def pole_profile_strings():
-    """Radial profiles in the variable rho, as expression strings."""
-    cos_sqrt = [Fraction((-1) ** k, math.factorial(2 * k))
-                for k in range(SERIES_ORDER)]
-    sinc2 = [Fraction((-1) ** k * 2 ** (2 * k + 1), math.factorial(2 * k + 2))
-             for k in range(SERIES_ORDER)]
-    return {
-        "cos_sqrt": _series_string(cos_sqrt, "rho"),
-        "sinc2": _series_string(sinc2, "rho"),
-    }
-
-
-def _in_disk_variables(profile_string):
-    rho = parse("u^2 + v^2", ("u", "v"))
-    expr = parse(profile_string, ("rho",))
-    return to_string(substitute(expr, {"rho": rho}))
-
-
-def sphere_field_strings():
-    """Per-chart field strings for the round-sphere scenario."""
-    profiles = pole_profile_strings()
-    c = _in_disk_variables(profiles["cos_sqrt"])
-    s = _in_disk_variables(profiles["sinc2"])
-    return {
-        "north": {"f": "cos(theta)", "beta_u": "0",
-                  "beta_v": "sin(theta)^2", "beta_z": "0"},
-        "south": {"f": "-cos(theta)", "beta_u": "0",
-                  "beta_v": "-sin(theta)^2", "beta_z": "0"},
-        "north-pole": {"f": c, "beta_u": f"-v*({s})",
-                       "beta_v": f"u*({s})", "beta_z": "0"},
-        "south-pole": {"f": f"-({c})", "beta_u": f"v*({s})",
-                       "beta_v": f"-u*({s})", "beta_z": "0"},
-    }
 
 
 def builtin_names():

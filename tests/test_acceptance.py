@@ -22,7 +22,7 @@ from bcontactlab.beltrami import (
 )
 from bcontactlab.contact import BReebField, exceptional_hamiltonian
 from bcontactlab.critical import find_critical_points, stability_at
-from bcontactlab.expressions import eval_value, gradient, hessian, parse
+from bcontactlab.expressions import gradient, hessian, parse
 from bcontactlab.mcgehee import (
     McGeheeParams,
     McGeheeState,
@@ -33,7 +33,7 @@ from bcontactlab.orbits import refinement_check
 from bcontactlab.runner import run
 from bcontactlab.scenarios import load_scenario, scenario_form
 from tests.test_expressions import FD_CORPUS
-from tests_fd import central_gradient, central_hessian
+from tests_fd import central_gradient, central_hessian, eval_value
 
 MODES = [(m, n) for m in range(-3, 4) for n in range(-3, 4)
          if (m, n) != (0, 0)]

@@ -20,13 +20,13 @@ from bcontactlab.beltrami import (
     BeltramiData, MetricDegeneracyError, MetricOnZ, SignInconsistencyError,
     beltrami_stability_matrix, contact_from_beltrami,
     hamiltonian_identity_check, laplace_eigen_check, tangential_expressions,
-    _torus_grid,
 )
 from bcontactlab.charts import TubularChart
 from bcontactlab.contact import exceptional_hamiltonian
 from bcontactlab.critical import NotMorseError, RegularValueViolation
-from bcontactlab.expressions import differentiate, eval_value, parse, substitute
+from bcontactlab.expressions import differentiate, parse, substitute
 from bcontactlab.scenarios import load_scenario
+from tests_fd import eval_value
 
 BUILTIN_STREAM = "cos(u) + cos(v)/2"
 
@@ -91,7 +91,8 @@ def test_field_is_divergence_free_for_a_curved_metric():
         div = term if div is None else substitute(
             parse("a + b", ("a", "b")), {"a": div, "b": term})
     U, V = _grid()
-    residual = np.abs(eval_value(div, ("u", "v"), (U, V)) / met.sqrt_det(U, V))
+    residual = np.abs(eval_value(div, ("u", "v"), (U, V))
+                      / eval_value(met.sqrt_det_expr, ("u", "v"), (U, V)))
     assert float(np.max(residual)) < 1e-8
 
 
@@ -263,17 +264,6 @@ def test_product_stream_fails_contact_where_the_field_vanishes():
     assert math.cos(loc["u"]) ** 2 + math.cos(loc["v"]) ** 2 < 1e-12
 
 
-def test_torus_chart_samples_the_beltrami_grid():
-    """The contact sweep's torus samples are the points of the Beltrami
-    grid checks, in the same order."""
-    chart = TubularChart.torus().charts["torus"]
-    for grid in ((8, 8), (64, 64), (256, 256), (12, 20)):
-        U, V = np.meshgrid(*chart.grid(*grid), indexing="ij")
-        want = _torus_grid(grid)
-        assert np.array_equal(U.ravel(), want[0])
-        assert np.array_equal(V.ravel(), want[1])
-
-
 def test_roundtrip_reads_f_from_the_contact_sweep(monkeypatch):
     calls = []
     inner = contact.frame_values
@@ -289,8 +279,9 @@ def test_roundtrip_reads_f_from_the_contact_sweep(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     # the same error from H = −f|_Z evaluated on its own
-    U, V = _torus_grid(grid[:2])
+    U, V = TubularChart.torus().charts["torus"].samples(*grid[:2])
     H = exceptional_hamiltonian(form).H_value(U, V, "torus")
-    gap = float(np.max(np.abs(H - data.stream_value(U, V))))
+    gap = float(np.max(np.abs(H - eval_value(data.stream, ("u", "v"),
+                                              (U, V)))))
     assert report["roundtrip_max_error"] == gap
     assert report["stream_recovered"]

@@ -6,10 +6,10 @@ import pytest
 
 from bcontactlab.expressions import (
     MAX_POWER, Binary, Const, DomainError, EvalError, ParseError, Power,
-    Unary, Var, compile, differentiate, eval_value, evaluate, free_vars, gradient,
+    Unary, Var, compile, differentiate, evaluate, free_vars, gradient,
     hessian, parse, substitute, to_string,
 )
-from tests_fd import central_gradient, central_hessian
+from tests_fd import central_gradient, central_hessian, eval_value
 
 
 def test_parse_basic_shapes():

@@ -12,6 +12,7 @@ import pytest
 import scipy.integrate
 
 from bcontactlab import contact, critical, mcgehee, orbits, rk45
+from bcontactlab.beltrami import BeltramiData, hamiltonian_identity_check
 from bcontactlab.contact import (BReebField, exceptional_hamiltonian,
                                  solve_reeb, verify_hamiltonian_identity)
 from bcontactlab.critical import find_critical_points, stability_at
@@ -165,6 +166,19 @@ def _dop853_rtols(b, out, monkeypatch):
     return rtols
 
 
+def _sweep_grids(b, out, monkeypatch):
+    return [c.details["grid"] for c in solve_reeb(b["sphere"].form)[1]]
+
+
+def _runner_grids(b, out, monkeypatch):
+    return [c["details"]["grid"] for c in run("sphere", "validate", out)
+            .report["checks"]]
+
+
+def _beltrami_points(b, out, monkeypatch):
+    return hamiltonian_identity_check(BeltramiData("cos(u)")).n_points
+
+
 def _planned_fans(b, out, monkeypatch):
     return {len(seed_plan(r)) for r in b["torus"].saddles}
 
@@ -184,6 +198,11 @@ def _traced_fans(b, out, monkeypatch):
     (orbits, "POSITION_TOL", 0.0, _limit_verdict, "undecided"),
     (orbits, "POSITION_TOL", 0.0, _traced_verdicts, {"undecided"}),
     (orbits, "POSITION_TOL", 0.0, _refined_verdicts, {"undecided"}),
+    (contact, "VALIDATION_GRID", (8, 8, 3), _sweep_grids,
+     [[8, 8, 3], [8, 8, 3], [8, 8]]),
+    (contact, "VALIDATION_GRID", (8, 8, 3), _runner_grids,
+     [[8, 8, 3], [8, 8, 3], [8, 8]]),
+    (contact, "VALIDATION_GRID", (8, 8, 3), _beltrami_points, 64),
     (orbits, "N_FAN", 2, _planned_fans, {2}),
     (orbits, "N_FAN", 2, _traced_fans, {2}),
     (rk45, "RTOL", 1e-9, _traced_rtols, {1e-9}),
@@ -193,7 +212,9 @@ def _traced_fans(b, out, monkeypatch):
     (mcgehee, "ORACLE_RTOL", 1e-11, _dop853_rtols, {1e-11}),
 ], ids=["solve_reeb", "verify_hamiltonian_identity", "runner-validate",
         "runner-beltrami", "find_critical_points", "detect_limit",
-        "trace_invariant_manifolds-tol", "refinement_check", "seed_plan",
+        "trace_invariant_manifolds-tol", "refinement_check",
+        "solve_reeb-grid", "runner-validate-grid",
+        "hamiltonian_identity_check-grid", "seed_plan",
         "trace_invariant_manifolds-n_fan", "trace_invariant_manifolds-rtol",
         "integrate_mcgehee-rtol", "refinement_check-rtol",
         "newtonian_oracle_compare-solve_ivp"])
@@ -206,7 +227,7 @@ def test_a_patched_constant_reaches_a_call_that_leaves_it_out(
 
 def _literal_tolerance_defaults(source):
     """``name`` of each parameter in ``source`` that ends in ``tol``, or is
-    ``threshold`` or ``n_fan``, with a default other than None."""
+    ``threshold``, ``n_fan`` or ``grid``, with a default other than None."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -221,7 +242,7 @@ def _literal_tolerance_defaults(source):
             if default is None:   # a keyword-only parameter without one
                 continue
             tuned = arg.arg.endswith("tol") or arg.arg in ("threshold",
-                                                           "n_fan")
+                                                           "n_fan", "grid")
             if tuned and not (isinstance(default, ast.Constant)
                               and default.value is None):
                 found.append(arg.arg)
@@ -249,10 +270,10 @@ def _threshold_parameters(source):
 def test_the_ast_walk_finds_a_literal_tolerance_default():
     source = ("def f(a, rtol=1e-10, *, tol=None, threshold=0.1):\n"
               "    return lambda n_fan=16, atol=None: None\n"
-              "def _g(newton_tol):\n"
+              "def _g(newton_tol, grid=(64, 64)):\n"
               "    def h(newton_tol, /): pass\n")
     assert sorted(_literal_tolerance_defaults(source)) == [
-        "n_fan", "rtol", "threshold"]
+        "grid", "n_fan", "rtol", "threshold"]
     assert sorted(_threshold_parameters(source)) == [
         "f(threshold)", "f(tol)", "h(newton_tol)"]
 
@@ -262,8 +283,9 @@ def _src_files():
 
 
 def test_no_tolerance_parameter_has_a_literal_default():
-    """README's rule: a tolerance, threshold or fan size that a function
-    takes defaults to None and reads its module constant when it runs."""
+    """README's rule: a tolerance, threshold, fan size or validation grid
+    that a function takes defaults to None and reads its module constant
+    when it runs."""
     found = {path.name: names for path in _src_files()
              if (names := _literal_tolerance_defaults(path.read_text()))}
     assert found == {}

@@ -8,7 +8,7 @@ import pytest
 
 from bcontactlab import contact, expressions, scenarios
 from bcontactlab.contact import frame_values
-from bcontactlab.expressions import eval_value, parse
+from bcontactlab.expressions import parse
 from bcontactlab.runner import run
 from bcontactlab.scenarios import (
     FIELD_MEMO_SIZE,
@@ -17,8 +17,8 @@ from bcontactlab.scenarios import (
     builtin_names,
     load_scenario,
     scenario_form,
-    sphere_field_strings,
 )
+from tests_fd import eval_value
 
 
 def _write(tmp_path, payload, name="case.json"):
@@ -36,14 +36,13 @@ def _shipped(name):
 # ---------------------------------------------------------------------------
 # built-ins
 
-def test_every_builtin_loads_and_matches_its_generator():
+def test_every_builtin_loads_from_its_file():
     directory = resources.files("bcontactlab") / "scenarios"
     assert set(builtin_names()) == {
         f.name[:-len(".json")] for f in directory.iterdir()
         if f.name.endswith(".json")}
     for name in builtin_names():
         assert load_scenario(name).name == name
-    assert load_scenario("sphere").data["fields"] == sphere_field_strings()
 
 
 def test_builtin_mcgehee_momentum_is_circular():
@@ -240,7 +239,37 @@ def test_a_string_that_fails_to_parse_fails_every_time(tmp_path):
 # The four charts describe one global 1-form, so the chart expressions must
 # agree wherever two charts overlap.
 
-FIELDS = sphere_field_strings()
+FIELDS = load_scenario("sphere").data["fields"]
+
+
+def test_shipped_sphere_strings_are_the_truncated_series():
+    """The angular charts hold ±cos θ and ±sin²θ; the pole disks hold the
+    rho^8 Taylor polynomials of cos √rho and sin²√rho / rho, rho = u² + v²,
+    each compared exactly after expansion."""
+    import sympy
+
+    theta, u, v, rho = sympy.symbols("theta u v rho", real=True)
+
+    def taylor(expr):
+        poly = sympy.series(expr, rho, 0, 9).removeO()
+        return poly.subs(rho, u**2 + v**2)
+
+    c = taylor(sympy.cos(sympy.sqrt(rho)))
+    s = taylor(sympy.sin(sympy.sqrt(rho))**2 / rho)
+    want = {
+        "north": (sympy.cos(theta), 0, sympy.sin(theta)**2),
+        "south": (-sympy.cos(theta), 0, -sympy.sin(theta)**2),
+        "north-pole": (c, -v * s, u * s),
+        "south-pole": (-c, v * s, -u * s),
+    }
+    names = {"theta": theta, "u": u, "v": v}
+    for chart, (f, beta_u, beta_v) in want.items():
+        entry = FIELDS[chart]
+        for key, expected in (("f", f), ("beta_u", beta_u),
+                              ("beta_v", beta_v), ("beta_z", 0)):
+            shipped = sympy.sympify(entry[key].replace("^", "**"),
+                                    locals=names)
+            assert sympy.expand(shipped - expected) == 0, (chart, key)
 
 
 def _f(chart, names, point):

@@ -1,4 +1,6 @@
-"""Central finite differences, the reference the autodiff machinery is held to."""
+"""Central finite differences, the reference the autodiff machinery is held
+to, and point evaluation of a tree by its variable names."""
+from bcontactlab.expressions import evaluate
 
 GRAD_STEP = 1e-5
 HESS_STEP = 1e-4
@@ -31,3 +33,8 @@ def central_hessian(fn, x, h=HESS_STEP):
                 fn(tuple(xpp)) - fn(tuple(xpm)) - fn(tuple(xmp)) + fn(tuple(xmm))
             ) / (4 * h * h)
     return H
+
+
+def eval_value(e, variables, point):
+    """Value of ``e`` at ``point`` (floats or arrays), one value per name."""
+    return evaluate(e, dict(zip(variables, point)))

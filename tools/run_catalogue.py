@@ -5,17 +5,19 @@ Usage: python3 tools/run_catalogue.py OUT [ID ...]
 The ids are the four builtin scenario names, the ids of the 426
 scenarios of the ``torus-fan``, ``sphere-grid`` and ``three-body``
 catalogues of ``perfbench/workloads.py`` (bcontact, Beltrami and
-three-body; that module is only imported), and eight ids of this tool's
+three-body; that module is only imported), and ten ids of this tool's
 own: four ``Z_FORMS``, the torus builtin with one field replaced, so that
 a frame reads z, which no catalogue form does, two ``MCGEHEE_FORMS``,
 the three-body builtin run backward and started on {x = 0}, which no
-catalogue entry does, and two ``SEED_RUNS``, the torus builtin with
-saddle fans larger than any catalogue entry's, whose censuses hold 264
-and 1,032 seeds.  Each id runs ``bcontactlab all`` in this process,
-through ``cli.main``, with the catalogue entry's own arguments
-(``--seeds``, ``--grid`` or none), into ``OUT/<id>``; without ids, all
-438 run.  One line per run, ``<id> <exit status>``, is printed and
-written to ``OUT/exit_status.txt``.  Two such directories, made from two
+catalogue entry does, two ``SEED_RUNS``, the torus builtin with saddle
+fans larger than any catalogue entry's, whose censuses hold 264 and 1,032
+seeds, and two ``BELTRAMI_FORMS``, the Beltrami builtin on a metric with
+√det h ≠ 1, which no catalogue stream's metric has.  Each id runs
+``bcontactlab all`` in this process, through ``cli.main``, with the
+catalogue entry's own arguments (``--seeds``, ``--grid`` or none), into
+``OUT/<id>``; without ids, all 440 run.  One line per run,
+``<id> <exit status>``, is printed and written to
+``OUT/exit_status.txt``.  Two such directories, made from two
 checkouts, are the input of ``tools/compare_runs.py``.  It runs the checkout it sits
 in: the package is imported from the ``src`` directory beside this one.
 """
@@ -53,12 +55,20 @@ MCGEHEE_FORMS = {
 }
 # id -> the torus builtin's ``--seeds``
 SEED_RUNS = {"torus-seeds-64": 64, "torus-seeds-256": 256}
+# id -> (stream, h_uu) replaced in the Beltrami builtin: an eigenfunction
+# of a constant metric (rescale 2), and a stream that fails the Laplace
+# check on a metric that varies
+BELTRAMI_FORMS = {
+    "beltrami-metric-4": ("cos(2*u) + 0.5*cos(v)", "4"),
+    "beltrami-metric-cosv": ("cos(u) + 0.5*cos(v)", "1 + 0.2*cos(v)"),
+}
 
 
 def entries():
     """Every id, with the scenario it runs and its extra arguments: the
-    builtins by name, the catalogue entries, ``Z_FORMS`` and
-    ``MCGEHEE_FORMS`` as scenario dicts, and ``SEED_RUNS``."""
+    builtins by name, the catalogue entries, ``Z_FORMS``,
+    ``MCGEHEE_FORMS`` and ``BELTRAMI_FORMS`` as scenario dicts, and
+    ``SEED_RUNS``."""
     found = {name: (name, []) for name in builtin_names()}
     for workload in WORKLOADS:
         for entry in workloads.catalogue(workload):
@@ -73,6 +83,11 @@ def entries():
         found[run_id] = (data, [])
     for run_id, seeds in SEED_RUNS.items():
         found[run_id] = ("torus", ["--seeds", str(seeds)])
+    for run_id, (stream, h_uu) in BELTRAMI_FORMS.items():
+        data = copy.deepcopy(load_scenario("beltrami").data)
+        data.update(name=run_id, stream=stream)
+        data["metric"]["h_uu"] = h_uu
+        found[run_id] = (data, [])
     return found
 
 
