@@ -81,7 +81,7 @@ class CriticalPoint:
 
 @dataclass
 class StabilityReport:
-    point: CriticalPoint
+    point: CriticalPoint = field(metadata={"report": False})
     lambda_plus: complex
     lambda_minus: complex
     lambda_z: float

@@ -123,7 +123,7 @@ class EscapeCensus:
     n_seeds: int
     n_distinct: int
     weighted_total: int
-    per_point: list
+    per_point: list  # {point, n_orbits, weights}, by (chart, u, v)
     verdict: str                 # copied from the critical-point bound
     consistent_with_bound: bool
     details: dict
@@ -445,14 +445,11 @@ def escape_census(orbits, bound, tub):
     weighted = sum(o.weight for o in distinct)
 
     per_point = []
-    for comp in {id(o.point): o.point for o in distinct}.values():
-        mine = [o for o in distinct if o.point is comp]
-        per_point.append({
-            "chart": comp.chart, "u": comp.u, "v": comp.v,
-            "index": comp.index, "n_orbits": len(mine),
-            "weights": sorted(o.weight for o in mine),
-        })
-    per_point.sort(key=lambda d: (d["chart"], d["u"], d["v"]))
+    for comp in sorted({id(o.point): o.point for o in distinct}.values(),
+                       key=lambda p: (p.chart, p.u, p.v)):
+        weights = sorted(o.weight for o in distinct if o.point is comp)
+        per_point.append({"point": comp, "n_orbits": len(weights),
+                          "weights": weights})
 
     if bound.verdict == "infinite":
         # a saddle witnesses it: more distinct orbits than the 2 an extremum

@@ -17,14 +17,16 @@ decides the verdict.  The artifacts:
     data: every field is reported under its own name, except those
     declared ``field(metadata={"report": False})`` (the arrays); complex
     numbers become ``[real, imag]``, tuples lists and non-finite floats
-    their ``repr``.
-``census.csv``
-    One row per critical point with its orbit tally (``census`` stage).
+    their ``repr``.  A critical point's record appears only in
+    ``critical_points``: elsewhere (an orbit's ``point`` and its ends',
+    ``census.per_point``) the point is its position there, and
+    ``stability[k]`` pairs with ``critical_points[k]``; so ``trace`` and
+    ``census`` report the critical stage too.
 ``orbits.csv``
-    Every traced orbit, columns ``orbit,t,u,v,s,z,side``; ``orbit`` is
+    Every traced orbit, columns ``orbit,t,u,v,s,side``; ``orbit`` is
     the orbit's index in the report's ``orbits`` list.  Within an orbit
     time runs monotonically through the seed; ``side`` is the sign of z
-    and ``s`` is log|z|.
+    and ``s`` is log|z|, so z = side·e^s.
 ``trajectory.csv``
     The inverted-radius run, columns ``t,x,a,Pr,Pa,H``.
 
@@ -108,25 +110,29 @@ def _report_fields(cls):
                  if f.metadata.get("report", True))
 
 
-def _reported(obj):
+def _reported(obj, positions=types.MappingProxyType({})):
     """Report data for a stage result: a dataclass becomes a dict of its
     fields minus those declared ``field(metadata={"report": False})``, a
     complex number ``[real, imag]``, a tuple a list and a non-finite float
     (json rejects it) its ``repr``; dicts and lists are converted inside,
-    and anything else passes through unchanged."""
+    a critical point of the run (its ``id`` a key of ``positions``) becomes
+    its position in ``critical_points``, and anything else passes through."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else repr(float(obj))
     if obj is None or isinstance(obj, (str, int)):
         return obj  # the common leaves, before the dataclass lookup
     names = _report_fields(type(obj))
     if names is not None:
-        return {name: _reported(getattr(obj, name)) for name in names}
+        if id(obj) in positions:
+            return positions[id(obj)]
+        return {name: _reported(getattr(obj, name), positions)
+                for name in names}
     if isinstance(obj, complex):
         return [_reported(obj.real), _reported(obj.imag)]
     if isinstance(obj, dict):
-        return {k: _reported(v) for k, v in obj.items()}
+        return {k: _reported(v, positions) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_reported(v) for v in obj]
+        return [_reported(v, positions) for v in obj]
     return obj
 
 
@@ -178,6 +184,7 @@ def _stage_critical(ctx):
                                   warnings=warnings)
     ctx.reports = [stability_at(p, ctx.reeb) for p in points]
     ctx.bound = census_bound(points, [ctx.form.atlas])
+    ctx.positions = {id(p): k for k, p in enumerate(points)}
     fragment = {
         "critical_points": _reported(points),
         "stability": _reported(ctx.reports),
@@ -195,13 +202,13 @@ def _stage_trace(ctx):
               if o.near_end.verdict == "integration-failed")
     if bad:
         failures.append(f"integration-failed x{bad}")
-    return {"orbits": _reported(ctx.orbits)}, failures
+    return {"orbits": _reported(ctx.orbits, ctx.positions)}, failures
 
 
 def _stage_census(ctx):
     ctx.census = escape_census(ctx.orbits, ctx.bound, ctx.form.atlas)
     failures = [] if ctx.census.consistent_with_bound else ["census-vs-bound"]
-    return {"census": _reported(ctx.census)}, failures
+    return {"census": _reported(ctx.census, ctx.positions)}, failures
 
 
 def _orbit_rows(k, orbit):
@@ -214,8 +221,7 @@ def _orbit_rows(k, orbit):
                                (orbit.toward, 1, slice(None))):
         t = (sign * trace.direction * trace.t).tolist()
         sigma = trace.sigma
-        rows += [f"{k},{ti!r},{u!r},{v!r},{s!r},{sigma * math.exp(s)!r},"
-                 f"{sigma}\n"
+        rows += [f"{k},{ti!r},{u!r},{v!r},{s!r},{sigma}\n"
                  for ti, (u, v, s) in list(zip(t, trace.y.tolist()))[order]]
     return "".join(rows)
 
@@ -223,16 +229,8 @@ def _orbit_rows(k, orbit):
 def _write_orbits_file(ctx, out_dir):
     blocks = (_orbit_rows(k, orbit) for k, orbit in enumerate(ctx.orbits)
               if orbit.toward is not None)
-    return [_write_csv(Path(out_dir) / "orbits.csv", "orbit,t,u,v,s,z,side",
+    return [_write_csv(Path(out_dir) / "orbits.csv", "orbit,t,u,v,s,side",
                        blocks)]
-
-
-def _write_census_file(ctx, out_dir):
-    rows = [(d["chart"], d["u"], d["v"], d["index"], d["n_orbits"],
-             "|".join(str(w) for w in d["weights"]))
-            for d in ctx.census.per_point]
-    return [_write_csv(Path(out_dir) / "census.csv",
-                       "chart,u,v,index,n_orbits,weights", [rows])]
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +328,11 @@ _PIPELINES = {
     "bcontact": (
         _Stage("build", _stage_build),
         _Stage("validate", _stage_validate, ("validate", "all")),
-        _Stage("critical", _stage_critical, ("critical", "all")),
+        _Stage("critical", _stage_critical,
+               ("critical", "trace", "census", "all")),
         _Stage("trace", _stage_trace, ("trace", "census", "all"),
                _write_orbits_file),
-        _Stage("census", _stage_census, ("census", "all"), _write_census_file),
+        _Stage("census", _stage_census, ("census", "all")),
     ),
     "beltrami": (
         _Stage("beltrami", _run_beltrami, ("beltrami", "validate", "all")),

@@ -242,7 +242,7 @@ def load_scenario(source):
 
     ``source`` may be a path to a ``.json`` file or one of the names in
     :func:`builtin_names`.  Raises :class:`ScenarioError` with the offending
-    file named on any structural problem, including JSON syntax errors.
+    file named on any problem: unreadable, not UTF-8, not JSON, or invalid.
     """
     source = str(source)
     if source in builtin_names():
@@ -251,12 +251,14 @@ def load_scenario(source):
         origin = f"built-in scenario {source!r}"
     else:
         path = Path(source)
-        if not path.exists():
-            raise ScenarioError(
-                f"{source}: no such file and not a built-in scenario "
-                f"(built-ins: {', '.join(builtin_names())})")
-        text = path.read_text()
         origin = str(path)
+        try:
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            _fail(source, "no such file and not a built-in scenario "
+                          f"(built-ins: {', '.join(builtin_names())})")
+        except (OSError, UnicodeDecodeError) as exc:
+            _fail(origin, f"cannot read the file ({exc})")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -91,7 +91,8 @@ def test_c2_torus_census(torus):
     assert wall < 120.0
     assert report["census"]["verdict"] == "infinite"
     assert report["census"]["consistent_with_bound"] is True
-    saddles = [p for p in report["critical_points"] if p["index"] == 1]
+    saddles = [k for k, p in enumerate(report["critical_points"])
+               if p["index"] == 1]
     assert len(saddles) >= 2
     for saddle in saddles:
         fan = [o for o in report["orbits"] if o["psi"] is not None

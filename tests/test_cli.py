@@ -47,24 +47,20 @@ def test_sphere_scan_refines_no_phantom_edge_candidate(sphere_run):
 
 def test_sphere_artifacts(sphere_run):
     names = sorted(p.name for p in sphere_run.out_dir.iterdir())
-    assert names == ["census.csv", "orbits.csv", "report.json"]
-    census_lines = (sphere_run.out_dir / "census.csv").read_text().splitlines()
-    assert census_lines[0] == "chart,u,v,index,n_orbits,weights"
-    assert len(census_lines) == 3  # header + one row per pole
+    assert names == ["orbits.csv", "report.json"]
+    per_point = sphere_run.report["census"]["per_point"]
+    assert [d["point"] for d in per_point] == [0, 1]  # one entry per pole
 
 
 def test_orbit_csv_shape(sphere_run):
     lines = (sphere_run.out_dir / "orbits.csv").read_text().splitlines()
-    assert lines[0] == "orbit,t,u,v,s,z,side"
+    assert lines[0] == "orbit,t,u,v,s,side"
     rows = [r[1:] for r in (line.split(",") for line in lines[1:])
             if r[0] == "0"]
     assert rows
     t = [float(r[0]) for r in rows]
     assert t == sorted(t)  # one time-ordered pass through the seed
-    for r in rows:
-        s, z, side = float(r[3]), float(r[4]), int(r[5])
-        assert side in (-1, 1)
-        assert z == pytest.approx(side * math.exp(s), rel=1e-15)
+    assert {int(r[4]) for r in rows} <= {-1, 1}
 
 
 @pytest.fixture(scope="module")
@@ -109,14 +105,9 @@ def test_every_numeric_csv_cell_parses(torus_run, sphere_run, mcgehee_run):
     for result in (torus_run, sphere_run):
         _, rows = _csv(result.out_dir / "orbits.csv")
         for row in rows:
-            assert len(row) == 7
-            int(row[0]), int(row[6])
-            [float(cell) for cell in row[1:6]]
-        _, rows = _csv(result.out_dir / "census.csv")
-        assert rows
-        for _chart, u, v, index, n_orbits, weights in rows:
-            float(u), float(v), int(index), int(n_orbits)
-            [int(w) for w in weights.split("|")]
+            assert len(row) == 6
+            int(row[0]), int(row[5])
+            [float(cell) for cell in row[1:5]]
     header, rows = _csv(mcgehee_run.out_dir / "trajectory.csv")
     assert header == ["t", "x", "a", "Pr", "Pa", "H"] and rows
     for row in rows:
@@ -125,9 +116,9 @@ def test_every_numeric_csv_cell_parses(torus_run, sphere_run, mcgehee_run):
 
 
 def _tuple_orbit_rows(k, orbit):
-    """Orbit ``k``'s rows as tuples, the reference for the f-string rows
-    of ``orbits.csv``: the away trace backwards, less the seed, then the
-    toward trace."""
+    """Orbit ``k``'s rows as tuples ``(orbit, t, u, v, s, z, side)``, the
+    rows of ``orbits.csv`` with its former ``z = side·e^s`` column: the
+    away trace backwards, less the seed, then the toward trace."""
     rows = []
     for trace, sign, order in ((orbit.away, -1, slice(None, 0, -1)),
                                (orbit.toward, 1, slice(None))):
@@ -143,8 +134,9 @@ def test_orbits_csv_equals_the_str_join_writer(torus_run):
     reports = [stability_at(p, reeb)
                for p in find_critical_points(exceptional_hamiltonian(form))]
     orbits = trace_invariant_manifolds(reeb, reports)
-    text = "orbit,t,u,v,s,z,side\n" + "".join(
-        ",".join(map(str, row)) + "\n" for k, orbit in enumerate(orbits)
+    text = "orbit,t,u,v,s,side\n" + "".join(
+        ",".join(map(str, row[:5] + row[6:])) + "\n"
+        for k, orbit in enumerate(orbits)
         if orbit.toward is not None for row in _tuple_orbit_rows(k, orbit))
     assert (torus_run.out_dir / "orbits.csv").read_bytes() == text.encode()
 
@@ -233,16 +225,17 @@ def test_report_blocks_hold_every_reported_field(sphere_run):
     blocks = [(ValidationReport, c) for c in report["checks"]]
     blocks += [(CriticalPoint, p) for p in report["critical_points"]]
     blocks += [(StabilityReport, s) for s in report["stability"]]
-    blocks += [(CriticalPoint, s["point"]) for s in report["stability"]]
     blocks += [(CensusBound, report["bound"]),
                (EscapeCensus, report["census"])]
     for o in report["orbits"]:
-        blocks += [(EscapeOrbit, o), (CriticalPoint, o["point"]),
-                   (RegularizedState, o["seed"]),
+        blocks += [(EscapeOrbit, o), (RegularizedState, o["seed"]),
                    (LimitReport, o["near_end"]), (LimitReport, o["far_end"])]
     for cls, block in blocks:
         assert set(block) == _reported_keys(cls), cls.__name__
+    for d in report["census"]["per_point"]:
+        assert set(d) == {"point", "n_orbits", "weights"}
     assert "dr_matrix" not in report["stability"][0]
+    assert "point" not in report["stability"][0]
     assert "toward" not in report["orbits"][0]
 
 
@@ -254,16 +247,15 @@ def test_report_is_deterministic_except_timing(tmp_path, name):
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
-_ORBIT_FILES = ["orbits.csv"]
+# an orbit or a census entry names its critical point by its position in
+# critical_points, so every report that holds one holds that list
+_CRITICAL = {"critical_points", "stability", "bound", "scan_warnings"}
 _STAGE_SUBSETS = {  # subcommand: (report keys beyond the common ones, files)
     "validate": ({"checks"}, []),
-    "critical": ({"critical_points", "stability", "bound", "scan_warnings"},
-                 []),
-    "trace": ({"orbits"}, _ORBIT_FILES),
-    "census": ({"orbits", "census"}, _ORBIT_FILES + ["census.csv"]),
-    "all": ({"checks", "critical_points", "stability", "bound",
-             "scan_warnings", "orbits", "census"},
-            _ORBIT_FILES + ["census.csv"]),
+    "critical": (_CRITICAL, []),
+    "trace": (_CRITICAL | {"orbits"}, ["orbits.csv"]),
+    "census": (_CRITICAL | {"orbits", "census"}, ["orbits.csv"]),
+    "all": (_CRITICAL | {"checks", "orbits", "census"}, ["orbits.csv"]),
 }
 
 
@@ -348,12 +340,13 @@ def test_infinite_without_a_saddle_witness_fails_the_census(tmp_path):
     assert result.report["verdict"]["failures"] == ["census-vs-bound"]
     census = result.report["census"]
     assert census["verdict"] == "infinite" and census["n_distinct"] == 8
-    assert {d["index"] for d in census["per_point"]} == {0, 2}
+    points = result.report["critical_points"]
+    assert {points[d["point"]]["index"] for d in census["per_point"]} == {0, 2}
 
 
 @pytest.mark.parametrize("subcommand,skipped", [
-    ("critical", ["critical"]), ("trace", ["trace"]),
-    ("census", ["trace", "census"]),
+    ("critical", ["critical"]), ("trace", ["critical", "trace"]),
+    ("census", ["critical", "trace", "census"]),
     ("all", ["critical", "trace", "census"])],
     ids=["critical", "trace", "census", "all"])
 def test_non_contact_form_fails_checks_and_exits_2(tmp_path, subcommand,

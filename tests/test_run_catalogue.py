@@ -6,11 +6,12 @@ from pathlib import Path
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 # id -> exit status: a builtin, a bcontact catalogue entry, a three-body
 # one, a tool-local form whose frame reads z, a tool-local three-body run on
-# {x = 0}, a tool-local torus run with 64-seed fans, and the two tool-local
-# Beltrami metrics with √det h ≠ 1, the second failing its Laplace check
+# {x = 0}, a tool-local torus run with 64-seed fans, the two tool-local
+# Beltrami metrics with √det h ≠ 1, the second failing its Laplace check,
+# and a tool-local sphere form past the wall t = 1/2, with pole saddles
 IDS = {"beltrami": 0, "torus-a0.10-fan16": 0, "three-body-m0.05-x0.12-k0": 0,
        "torus-z-beta_u": 0, "mcgehee-x0-zero": 0, "torus-seeds-64": 0,
-       "beltrami-metric-4": 0, "beltrami-metric-cosv": 2}
+       "beltrami-metric-4": 0, "beltrami-metric-cosv": 2, "sphere-t0.75": 0}
 
 
 def _tool(name, *args):

@@ -7,6 +7,7 @@ from importlib import resources
 import pytest
 
 from bcontactlab import contact, expressions, scenarios
+from bcontactlab.cli import main
 from bcontactlab.contact import frame_values
 from bcontactlab.expressions import parse
 from bcontactlab.runner import run
@@ -146,6 +147,21 @@ def test_mass_ratio_bounds(tmp_path):
 def test_nonexistent_path_lists_builtins():
     with pytest.raises(ScenarioError, match="built-in"):
         load_scenario("no-such-scenario")
+
+
+@pytest.mark.parametrize("case", ["directory", "utf-16"])
+def test_an_unreadable_scenario_names_its_file(tmp_path, capsys, case):
+    path = tmp_path / "case.json"
+    if case == "directory":
+        path.mkdir()
+    else:  # a byte-order mark that no UTF-8 text starts with
+        path.write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+    out = tmp_path / "out"
+    assert main(["all", "--scenario", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: ")
+    assert not out.exists()
+    with pytest.raises(ScenarioError, match="cannot read"):
+        load_scenario(path)
 
 
 # ---------------------------------------------------------------------------

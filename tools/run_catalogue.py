@@ -11,11 +11,14 @@ a frame reads z, which no catalogue form does, two ``MCGEHEE_FORMS``,
 the three-body builtin run backward and started on {x = 0}, which no
 catalogue entry does, two ``SEED_RUNS``, the torus builtin with saddle
 fans larger than any catalogue entry's, whose censuses hold 264 and 1,032
-seeds, and two ``BELTRAMI_FORMS``, the Beltrami builtin on a metric with
-√det h ≠ 1, which no catalogue stream's metric has.  Each id runs
+seeds, two ``BELTRAMI_FORMS``, the Beltrami builtin on a metric with
+√det h ≠ 1, which no catalogue stream's metric has, and seven
+``SPHERE_FAMILY`` ids ``sphere-t<t>``, the sphere builtin with
+f_t = Z + t(x² − y²), whose poles turn from extrema into saddles at
+t = 1/2, which no catalogue form crosses.  Each id runs
 ``bcontactlab all`` in this process, through ``cli.main``, with the
 catalogue entry's own arguments (``--seeds``, ``--grid`` or none), into
-``OUT/<id>``; without ids, all 440 run.  One line per run,
+``OUT/<id>``; without ids, all 447 run.  One line per run,
 ``<id> <exit status>``, is printed and written to
 ``OUT/exit_status.txt``.  Two such directories, made from two
 checkouts, are the input of ``tools/compare_runs.py``.  It runs the checkout it sits
@@ -63,12 +66,32 @@ BELTRAMI_FORMS = {
     "beltrami-metric-cosv": ("cos(u) + 0.5*cos(v)", "1 + 0.2*cos(v)"),
 }
 
+# the t of the ``sphere-t<t>`` ids: below 1/2 the poles are the only critical
+# points, both extrema; above it they are saddles beside four extrema
+SPHERE_FAMILY = (0.25, 0.45, 0.501, 0.51, 0.55, 0.75, 1.0)
+
+
+def sphere_family(t):
+    """The sphere builtin with f_t = Z + t(x² − y²) and the builtin's β: the
+    angular charts add t sin²θ cos 2φ, the pole disks t S (u² − v²), where S
+    is the shipped series of sin²√ρ/ρ, the bracket of the pole ``beta_v``."""
+    data = copy.deepcopy(load_scenario("sphere").data)
+    data["name"] = f"sphere-t{t}"
+    fields = data["fields"]
+    series = fields["north-pole"]["beta_v"].removeprefix("u*")
+    for chart, term in (("north", "sin(theta)^2*cos(2*phi)"),
+                        ("south", "sin(theta)^2*cos(2*phi)"),
+                        ("north-pole", f"{series}*(u^2 - v^2)"),
+                        ("south-pole", f"{series}*(u^2 - v^2)")):
+        fields[chart]["f"] += f" + {t}*{term}"
+    return data
+
 
 def entries():
     """Every id, with the scenario it runs and its extra arguments: the
     builtins by name, the catalogue entries, ``Z_FORMS``,
-    ``MCGEHEE_FORMS`` and ``BELTRAMI_FORMS`` as scenario dicts, and
-    ``SEED_RUNS``."""
+    ``MCGEHEE_FORMS``, ``BELTRAMI_FORMS`` and ``SPHERE_FAMILY`` as scenario
+    dicts, and ``SEED_RUNS``."""
     found = {name: (name, []) for name in builtin_names()}
     for workload in WORKLOADS:
         for entry in workloads.catalogue(workload):
@@ -88,6 +111,9 @@ def entries():
         data.update(name=run_id, stream=stream)
         data["metric"]["h_uu"] = h_uu
         found[run_id] = (data, [])
+    for t in SPHERE_FAMILY:
+        data = sphere_family(t)
+        found[data["name"]] = (data, [])
     return found
 
 
